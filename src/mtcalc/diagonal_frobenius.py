@@ -252,33 +252,6 @@ def comult_tensor(alg) -> dict:
     return out
 
 
-def _unit_insert_single(data, word, k) -> gc.Morphism:
-    """Insert the unit letter at position k of a single-category word."""
-    word = tuple(word)
-    e = data.unit
-    cod = word[:k] + (e,) + word[k:]
-    out = gc.Morphism.zero(data, word, cod)
-    for d in range(data.size):
-        dt = gc.trees(data, word, d)
-        ct = gc.trees(data, cod, d)
-        mat = out.blocks[d]
-        for si, s in enumerate(ct):
-            for ti, t in enumerate(dt):
-                if k == 0:
-                    if not word:
-                        ok = d == e and not s
-                    elif len(word) == 1:
-                        ok = s == ((word[0], 0),) and d == word[0]
-                    else:
-                        ok = s[0] == (word[0], 0) and s[1:] == t
-                else:
-                    p = gc._chain(word, t)[k - 1]
-                    ok = s == t[:k - 1] + ((p, 0),) + t[k - 1:]
-                if ok:
-                    mat[si, ti] = 1.0
-    return out
-
-
 def unit_layer(alg, word, k) -> DoubleMorphism:
     """Inclusion of the unit summand as a new letter at position k."""
     data = alg.data
@@ -289,8 +262,8 @@ def unit_layer(alg, word, k) -> DoubleMorphism:
     for assign in assignments(word):
         left, right = _factor_words(word, assign)
         dst = assign[:k] + (eidx,) + assign[k:]
-        lm = _unit_insert_single(data, left, k)
-        rm = _unit_insert_single(data, right, k)
+        lm = gc.unit_insert_morphism(data, left, k)
+        rm = gc.unit_insert_morphism(data, right, k)
         pair_layer(data, word, assign, dst, lm, rm, out)
     return out
 
@@ -308,8 +281,8 @@ def counit_layer(alg, word, k) -> DoubleMorphism:
         left, right = _factor_words(word, assign)
         dst = assign[:k] + assign[k + 1:]
         dl, dr = _factor_words(cod, dst)
-        lm = _transpose_single(data, _unit_insert_single(data, dl, k))
-        rm = _transpose_single(data, _unit_insert_single(data, dr, k))
+        lm = _transpose_single(data, gc.unit_insert_morphism(data, dl, k))
+        rm = _transpose_single(data, gc.unit_insert_morphism(data, dr, k))
         pair_layer(data, word, assign, dst, lm, rm, out)
     return out
 
@@ -494,17 +467,9 @@ def _phi_from_frobenius(alg) -> DoubleMorphism:
     pair3 = mult_layer(alg, _fword(alg, 3), 0)          # multiply first two
     step = pair3 @ step                                 # (F, F)
     step = counit_layer(alg, _fword(alg, 2), 0) @ step  # (F)
-    # the output letter carries the dual-summand labels; relabel back
-    return _relabel_dual_letter(alg, step)
-
-
-def _relabel_dual_letter(alg, m: DoubleMorphism) -> DoubleMorphism:
-    """Identify the dual-object letter with the algebra letter.
-
-    The summand (a', a) of the dual of the diagonal object is the summand
-    a' of the object itself, so only the block bookkeeping changes.
-    """
-    return DoubleMorphism(alg.data, m.dom, m.cod, dict(m.blocks))
+    # the output letter carries the dual-summand labels; the summand (a', a)
+    # of the dual object is the summand a' of the object itself
+    return step
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ indices ascending):
   on fusion channel ``c``; rows index ``(b, a -> c)`` vertices, columns
   ``(a, b -> c)`` vertices.  The negative braiding is the inverse block of the
   arguments swapped.
-* F-symbols with a unit label in any of the first three slots are fixed to 1
-  (unit gauge), so the unit vertices carry identity coefficients.
+* F-blocks with a unit label in any of the first three slots are the
+  identity (unit gauge), so the unit vertices carry identity coefficients;
+  data in another gauge is rejected on construction.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import time
@@ -147,14 +149,17 @@ class CategoryData:
         self.F = dict(F)
         self.R = dict(R)
         self.twist = tuple(complex(t) for t in twist)
+        self._fcache: dict = {}
+        self._ficache: dict = {}
+        self._rcache: dict = {}
+        self._ricache: dict = {}
+        self._tree_cache: dict = {}   # (word, target) -> fusion trees
+        self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
         self._validate_tables()
         self.h = tuple((cmath.phase(t) / (2 * math.pi)) % 1.0 for t in self.twist)
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
         )
-        self._fcache: dict = {}
-        self._ficache: dict = {}
-        self._rcache: dict = {}
 
     # -- label helpers -------------------------------------------------
 
@@ -244,11 +249,14 @@ class CategoryData:
         return mat
 
     def r_block_inv(self, a, b, c) -> np.ndarray:
-        """Negative-braiding block of a (x) b -> b (x) a on channel c."""
-        mat = self.r_block(b, a, c)
-        if mat.size == 0:
-            return mat.T.copy()
-        return np.linalg.inv(mat)
+        """Negative-braiding block of a (x) b -> b (x) a on channel c; computed once."""
+        key = (a, b, c)
+        if key not in self._ricache:
+            mat = self.r_block(b, a, c)
+            inv = mat.T.copy() if mat.size == 0 else np.linalg.inv(mat)
+            inv.setflags(write=False)
+            self._ricache[key] = inv
+        return self._ricache[key]
 
     # -- validation ----------------------------------------------------
 
@@ -292,6 +300,15 @@ class CategoryData:
                                     raise CategoryDataError(
                                         f"missing F entry for block {(a, b, c, d)}"
                                     )
+        # unit gauge: fusion trees and unit insertion give unit vertices the
+        # coefficient 1, which agrees with the F-moves only for identity blocks
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            if ring.unit in (a, b, c):
+                mat = self.f_block(a, b, c, d)
+                if mat.size and np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12:
+                    raise CategoryDataError(
+                        f"F block {(a, b, c, d)} with a unit label is not the identity"
+                    )
 
 
 # ---------------------------------------------------------------------------

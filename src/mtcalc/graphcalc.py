@@ -9,6 +9,7 @@ morphism, so blocks compose by plain matrix multiplication.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,9 @@ __all__ = [
     "duality_fusing_scalar",
     "categorical_dim",
     "evaluate_diagram",
-    "identity_morphism",
     "vertex_morphism",
     "covertex_morphism",
+    "unit_insert_morphism",
     "swap_vertex",
     "bend_vertex",
     "unbend_vertex",
@@ -59,9 +60,7 @@ def trees(data: CategoryData, word: tuple, target: int) -> tuple:
     after the first; internal labels ascend first, multiplicities second.
     """
     word = tuple(word)
-    cache = getattr(data, "_tree_cache", None)
-    if cache is None:
-        cache = data._tree_cache = {}
+    cache = data._tree_cache
     key = (word, target)
     if key in cache:
         return cache[key]
@@ -85,14 +84,6 @@ def trees(data: CategoryData, word: tuple, target: int) -> tuple:
         out = tuple(prefix for prefix, _ in partial)
     cache[key] = out
     return out
-
-
-def _chain(word, tree):
-    """States of the left fusion chain: chain[i] fuses word[0..i]."""
-    states = [word[0]] if word else []
-    for x, _ in tree:
-        states.append(x)
-    return states
 
 
 @dataclass(frozen=True)
@@ -183,12 +174,70 @@ class Morphism:
         return complex(self.blocks[self.data.unit][0, 0])
 
 
-def identity_morphism(data, word) -> Morphism:
-    return Morphism.identity(data, tuple(word))
-
-
 # ---------------------------------------------------------------------------
 # elementary word operations (the layer primitives)
+
+
+def _replace_window(data, word, k, width, new, key, local) -> Morphism:
+    """Replace the letters ``word[k:k+width]`` by ``new``.
+
+    Slot i + 1 of ``head + tree`` fuses letter i onto a chain that starts at
+    the unit in slot 0, so p = slot k and q = slot k + width are the chain
+    states on either side of the window at every k.  Only the window slots
+    change; ``local(p, q)`` is the block from the trees of ``(p,) + old`` to
+    those of ``(p,) + new`` with charge q, memoized on ``data`` under
+    ``(key, p, q)``.
+    """
+    word = tuple(word)
+    cod = word[:k] + new + word[k + width:]
+    old = word[k:k + width]
+    out = Morphism.zero(data, word, cod)
+    head = ((data.unit, 0),) + tuple((w, 0) for w in word[:1])
+    cache = data._local_cache
+    for d, mat in out.blocks.items():
+        if not mat.size:
+            continue
+        index = {s: i for i, s in enumerate(trees(data, cod, d))}
+        for ti, t in enumerate(trees(data, word, d)):
+            ext = head + t
+            p, q = ext[k][0], ext[k + width][0]
+            block = cache.get((key, p, q))
+            if block is None:
+                block = cache[(key, p, q)] = _sparse_block(data, old, new, p, q, local)
+            for s_win, coef in block[ext[k + 1:k + 1 + width]]:
+                s = (ext[:k + 1] + s_win + ext[k + 1 + width:])[2:]
+                mat[index[s], ti] = coef
+    return out
+
+
+def _sparse_block(data, old, new, p, q, local) -> dict:
+    """``local(p, q)`` as {source window: ((target window, coefficient), ...)}."""
+    src = trees(data, (p,) + old, q)
+    tgt = trees(data, (p,) + new, q)
+    mat = local(p, q) if tgt else np.zeros((0, len(src)))
+    return {
+        t: tuple((s, mat[i, j]) for i, s in enumerate(tgt) if mat[i, j] != 0)
+        for j, t in enumerate(src)
+    }
+
+
+def _f_trees(data, p, a, b, q, inverse=False):
+    """F(p, a, b, q) with its left index in the tree order of (p, a, b) -> q.
+
+    Returns the right-basis index map and either the block (right x trees)
+    or its inverse (trees x right).
+    """
+    left = {y: n for n, y in enumerate(data.f_left_basis(p, a, b, q))}
+    perm = [left[(y, g, l)] for (y, l), (_, g) in trees(data, (p, a, b), q)]
+    right = {x: n for n, x in enumerate(data.f_right_basis(p, a, b, q))}
+    if inverse:
+        return right, data.f_block_inv(p, a, b, q)[perm, :]
+    return right, data.f_block(p, a, b, q)[:, perm]
+
+
+def _check_mult(data, a, b, c, mu):
+    if not 0 <= mu < data.n(a, b, c):
+        raise ValueError("multiplicity index out of range")
 
 
 def vertex_morphism(data, word, k, a, b, c, mu) -> Morphism:
@@ -196,38 +245,13 @@ def vertex_morphism(data, word, k, a, b, c, mu) -> Morphism:
     word = tuple(word)
     if word[k] != a or word[k + 1] != b:
         raise ValueError("vertex labels do not match the word")
-    cod = word[:k] + (c,) + word[k + 2:]
-    out = Morphism.zero(data, word, cod)
-    for d in range(data.size):
-        dt = trees(data, word, d)
-        ct = trees(data, cod, d)
-        mat = out.blocks[d]
-        for si, s in enumerate(ct):
-            for ti, t in enumerate(dt):
-                if k == 0:
-                    # source tree must fuse (a, b) -> c with index mu first
-                    if t[0] != (c, mu):
-                        continue
-                    if len(cod) == 1:
-                        ok = d == c and not s
-                    else:
-                        ok = s == t[1:]
-                    if ok:
-                        mat[si, ti] = 1.0
-                else:
-                    sch, tch = _chain(cod, s), _chain(word, t)
-                    p, q = tch[k - 1], tch[k + 1]
-                    if sch[k - 1] != p or sch[k] != q:
-                        continue
-                    if s[:k - 1] != t[:k - 1] or s[k:] != t[k + 1:]:
-                        continue
-                    y, delta = t[k - 1]
-                    _, gamma = t[k]
-                    nu = s[k - 1][1]
-                    mat[si, ti] = data.F.get(
-                        (p, a, b, q, c, y, nu, mu, gamma, delta), 0.0
-                    )
-    return out
+    _check_mult(data, a, b, c, mu)
+
+    def local(p, q):
+        right, f = _f_trees(data, p, a, b, q)
+        return f[[right[(c, nu, mu)] for nu in range(data.n(p, c, q))], :]
+
+    return _replace_window(data, word, k, 2, (c,), ("vertex", a, b, c, mu), local)
 
 
 def covertex_morphism(data, word, k, a, b, c, mu) -> Morphism:
@@ -235,133 +259,43 @@ def covertex_morphism(data, word, k, a, b, c, mu) -> Morphism:
     word = tuple(word)
     if word[k] != c:
         raise ValueError("covertex label does not match the word")
-    cod = word[:k] + (a, b) + word[k + 1:]
-    out = Morphism.zero(data, word, cod)
-    for d in range(data.size):
-        dt = trees(data, word, d)
-        ct = trees(data, cod, d)
-        mat = out.blocks[d]
-        for si, s in enumerate(ct):
-            for ti, t in enumerate(dt):
-                if k == 0:
-                    if s[0] != (c, mu):
-                        continue
-                    if len(word) == 1:
-                        ok = d == c and not t
-                    else:
-                        ok = s[1:] == t
-                    if ok:
-                        mat[si, ti] = 1.0
-                else:
-                    sch, tch = _chain(cod, s), _chain(word, t)
-                    p, q = tch[k - 1], tch[k]
-                    if sch[k - 1] != p or sch[k + 1] != q:
-                        continue
-                    if s[:k - 1] != t[:k - 1] or s[k + 1:] != t[k:]:
-                        continue
-                    y, delta = s[k - 1]
-                    _, gamma = s[k]
-                    nu = t[k - 1][1]
-                    finv = data.f_block_inv(p, a, b, q)
-                    li = data.f_left_basis(p, a, b, q).index((y, gamma, delta))
-                    ri = data.f_right_basis(p, a, b, q).index((c, nu, mu))
-                    mat[si, ti] = finv[li, ri]
-    return out
+    _check_mult(data, a, b, c, mu)
+
+    def local(p, q):
+        right, finv = _f_trees(data, p, a, b, q, inverse=True)
+        return finv[:, [right[(c, nu, mu)] for nu in range(data.n(p, c, q))]]
+
+    return _replace_window(data, word, k, 1, (a, b), ("covertex", a, b, c, mu), local)
 
 
 def braid_morphism(data, word, k, sense: str) -> Morphism:
     """Braid letters (k, k+1); sense '+' is the positive crossing."""
     word = tuple(word)
     a, b = word[k], word[k + 1]
-    cod = word[:k] + (b, a) + word[k + 2:]
-    out = Morphism.zero(data, word, cod)
 
-    def rblk(p, q, ch):
-        return data.r_block(p, q, ch) if sense == "+" else data.r_block_inv(p, q, ch)
+    def local(p, q):
+        right, f = _f_trees(data, p, a, b, q)
+        right_sw, finv_sw = _f_trees(data, p, b, a, q, inverse=True)
+        rmat = np.zeros((len(right_sw), len(right)), complex)
+        for (x, i, j), n in right.items():
+            rx = data.r_block(a, b, x) if sense == "+" else data.r_block_inv(a, b, x)
+            for j2 in range(rx.shape[0]):
+                rmat[right_sw[(x, i, j2)], n] = rx[j2, j]
+        return finv_sw @ rmat @ f
 
-    for d in range(data.size):
-        dt = trees(data, word, d)
-        ct = trees(data, cod, d)
-        mat = out.blocks[d]
-        for si, s in enumerate(ct):
-            for ti, t in enumerate(dt):
-                if k == 0:
-                    if s[0][0] != t[0][0] or s[1:] != t[1:]:
-                        continue
-                    x = t[0][0]
-                    mat[si, ti] = rblk(a, b, x)[s[0][1], t[0][1]]
-                else:
-                    tch = _chain(word, t)
-                    sch = _chain(cod, s)
-                    p, q = tch[k - 1], tch[k + 1]
-                    if sch[k - 1] != p or sch[k + 1] != q:
-                        continue
-                    if s[:k - 1] != t[:k - 1] or s[k + 1:] != t[k + 1:]:
-                        continue
-                    fmat = data.f_block(p, a, b, q)
-                    finv_sw = data.f_block_inv(p, b, a, q)
-                    right = data.f_right_basis(p, a, b, q)
-                    right_sw = data.f_right_basis(p, b, a, q)
-                    li = data.f_left_basis(p, a, b, q).index(
-                        (t[k - 1][0], t[k][1], t[k - 1][1])
-                    )
-                    li_sw = data.f_left_basis(p, b, a, q).index(
-                        (s[k - 1][0], s[k][1], s[k - 1][1])
-                    )
-                    acc = 0j
-                    for ri, (x, i, j) in enumerate(right):
-                        fv = fmat[ri, li]
-                        if fv == 0:
-                            continue
-                        rx = rblk(a, b, x)
-                        for ri2, (x2, i2, j2) in enumerate(right_sw):
-                            if x2 != x or i2 != i:
-                                continue
-                            acc += finv_sw[li_sw, ri2] * rx[j2, j] * fv
-                    mat[si, ti] = acc
-    return out
+    return _replace_window(data, word, k, 2, (b, a), ("braid", a, b, sense), local)
 
 
 def cup_morphism(data, word, k, a, b) -> Morphism:
     """Insert the letters (a, b), b = dual(a), created from the unit at k."""
-    word = tuple(word)
     if b != data.dual(a):
         raise ValueError("cup letters must be dual")
-    cod = word[:k] + (a, b) + word[k:]
-    out = Morphism.zero(data, word, cod)
-    e = data.unit
-    for d in range(data.size):
-        dt = trees(data, word, d)
-        ct = trees(data, cod, d)
-        mat = out.blocks[d]
-        for si, s in enumerate(ct):
-            for ti, t in enumerate(dt):
-                if k == 0:
-                    if s[0] != (e, 0):
-                        continue
-                    if not word:
-                        ok = d == e and len(s) == 1
-                    elif len(word) == 1:
-                        ok = len(s) == 2 and s[1] == (word[0], 0) and d == word[0]
-                    else:
-                        ok = s[1][0] == word[0] and s[1][1] == 0 and s[2:] == t
-                    if ok:
-                        mat[si, ti] = 1.0
-                else:
-                    sch = _chain(cod, s)
-                    tch = _chain(word, t)
-                    p = tch[k - 1]
-                    if sch[k - 1] != p or sch[k + 1] != p:
-                        continue
-                    if s[:k - 1] != t[:k - 1] or s[k + 1:] != t[k - 1:]:
-                        continue
-                    y, delta = s[k - 1]
-                    _, gamma = s[k]
-                    finv = data.f_block_inv(p, a, b, p)
-                    li = data.f_left_basis(p, a, b, p).index((y, gamma, delta))
-                    ri = data.f_right_basis(p, a, b, p).index((e, 0, 0))
-                    mat[si, ti] = finv[li, ri]
-    return out
+
+    def local(p, q):
+        right, finv = _f_trees(data, p, a, b, q, inverse=True)
+        return finv[:, [right[(data.unit, 0, 0)]]]
+
+    return _replace_window(data, word, k, 0, (a, b), ("cup", a, b), local)
 
 
 def cap_morphism(data, word, k, a, b) -> Morphism:
@@ -369,40 +303,19 @@ def cap_morphism(data, word, k, a, b) -> Morphism:
     word = tuple(word)
     if word[k] != a or word[k + 1] != b or b != data.dual(a):
         raise ValueError("cap letters must be dual and match the word")
-    cod = word[:k] + word[k + 2:]
-    out = Morphism.zero(data, word, cod)
-    e = data.unit
-    for d in range(data.size):
-        dt = trees(data, word, d)
-        ct = trees(data, cod, d)
-        mat = out.blocks[d]
-        for si, s in enumerate(ct):
-            for ti, t in enumerate(dt):
-                if k == 0:
-                    if t[0] != (e, 0):
-                        continue
-                    if not cod:
-                        ok = d == e and len(t) == 1
-                    elif len(cod) == 1:
-                        ok = len(t) == 2 and t[1] == (cod[0], 0) and d == cod[0]
-                    else:
-                        ok = t[1][0] == cod[0] and t[1][1] == 0 and t[2:] == s
-                    if ok:
-                        mat[si, ti] = 1.0
-                else:
-                    sch = _chain(cod, s)
-                    tch = _chain(word, t)
-                    p = tch[k - 1]
-                    if tch[k + 1] != p or sch[k - 1] != p:
-                        continue
-                    if s[:k - 1] != t[:k - 1] or s[k - 1:] != t[k + 1:]:
-                        continue
-                    y, delta = t[k - 1]
-                    _, gamma = t[k]
-                    mat[si, ti] = data.F.get(
-                        (p, a, b, p, e, y, 0, 0, gamma, delta), 0.0
-                    )
-    return out
+
+    def local(p, q):
+        right, f = _f_trees(data, p, a, b, q)
+        return f[[right[(data.unit, 0, 0)]], :]
+
+    return _replace_window(data, word, k, 2, (), ("cap", a, b), local)
+
+
+def unit_insert_morphism(data, word, k) -> Morphism:
+    """Insert the unit letter at position k."""
+    return _replace_window(
+        data, word, k, 0, (data.unit,), ("unit",), lambda p, q: np.ones((1, 1))
+    )
 
 
 def twist_morphism(data, word, k, sense: str) -> Morphism:
@@ -675,10 +588,9 @@ def swap_vertex(data, v: VertexVector, sense: str) -> VertexVector:
 
 
 # The bent leg threads through a cap, so it carries a ribbon twist whose
-# sense matches the crossing sense.  Both choices below are pinned a
-# posteriori by the phase identities relating bent unit vertices to duality
-# vertices and by bend/unbend invertibility (see the fusing-symmetry suite).
-_TWIST_OF_SENSE = {"+": "+", "-": "-"}
+# sense matches the crossing sense.  Both choices are pinned a posteriori by
+# the phase identities relating bent unit vertices to duality vertices and by
+# bend/unbend invertibility (see the fusing-symmetry suite).
 _OPP = {"+": "-", "-": "+"}
 
 
@@ -702,7 +614,7 @@ def bend_vertex(data, v: VertexVector, sense: str) -> VertexVector:
         Morphism.zero(data, (a1, a2, a3p, a2p), (a3, a3p, a2p)),
     )
     m = vert @ m
-    m = twist_morphism(data, (a3, a3p, a2p), 0, _TWIST_OF_SENSE[sense]) @ m
+    m = twist_morphism(data, (a3, a3p, a2p), 0, sense) @ m
     m = cap_morphism(data, (a3, a3p, a2p), 0, a3, a3p) @ m
     return _as_vertex_vector(data, m)
 
@@ -741,7 +653,7 @@ def bend_covertex(data, f: CovertexVector, sense: str) -> CovertexVector:
     a2p, a3p = data.dual(a2), data.dual(a3)
     word = (a2p,)
     m = cup_morphism(data, word, 0, a3, a3p) * categorical_dim(data, a3)
-    m = twist_morphism(data, (a3, a3p, a2p), 0, _OPP[_TWIST_OF_SENSE[sense]]) @ m
+    m = twist_morphism(data, (a3, a3p, a2p), 0, _OPP[sense]) @ m
     cov = sum(
         (
             complex(f.vec[mu])
@@ -835,9 +747,7 @@ def verify_rigidity(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     Reports the deviation of either route from the identity and the mutual
     agreement of the two routes.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     report = Report(suite="rigidity", tol=tol)
     for a in range(data.size):
         diagrams = _zigzag_diagrams(data, a)
@@ -855,7 +765,7 @@ def verify_rigidity(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     for a in range(data.size):
         for b in range(data.size):
             report.add("completeness", (a, b), completeness_defect(data, a, b))
-    report.wall_time = _time.perf_counter() - t0
+    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -914,9 +824,7 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
     the bend/braid symmetry, equality of the dual pair of duality fusing
     scalars, and the phase identities tying duality vertices to twists.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
     e = data.unit
 
@@ -965,7 +873,7 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
         report.add("fusing_braid_conjugation", key, res)
         res = _bend_conjugation_defect(data, a1, a2, a3, a4)
         report.add("fusing_bend_conjugation", key, res)
-    report.wall_time = _time.perf_counter() - t0
+    report.wall_time = time.perf_counter() - t0
     return report
 
 

@@ -119,6 +119,11 @@ def test_missing_f_entry():
         fd.loads_category(json.dumps(doc))
 
 
+def test_unit_gauge_enforced(off_unit_gauge_text):
+    with pytest.raises(fd.CategoryDataError, match="unit label is not the identity"):
+        fd.loads_category(off_unit_gauge_text)
+
+
 def test_parse_failure():
     with pytest.raises(fd.CategoryDataError, match="JSON"):
         fd.loads_category("{not json")

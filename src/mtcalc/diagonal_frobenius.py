@@ -11,13 +11,22 @@ identities; the negative-control tests pin this down.
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion_data import CategoryData, DEFAULT_TOL, loads_category, emit_category
+from .fusion_data import (
+    CategoryData,
+    CategoryDataError,
+    DEFAULT_TOL,
+    loads_category,
+    emit_category,
+)
 from .report import Report
 from . import graphcalc as gc
 from .deligne_double import (
@@ -106,12 +115,22 @@ def pairing_coefficient(data: CategoryData, a1, a2, a3, i=0, j=0,
 
 @dataclass
 class FullFieldAlgebraData:
-    """Diagonal algebra: object, multiplication tensor, unit, form, coalgebra."""
+    """Diagonal algebra: object, multiplication tensor, unit, form, coalgebra.
+
+    Treated as immutable once built: the coproduct tensor, the product index
+    and every algebra layer are memoized on the instance.  A new instance
+    (also one made by ``dataclasses.replace``) starts with an empty memo.
+    """
 
     data: CategoryData
     object: DoubleObject
     mult: dict      # (a1, a2, a3) -> ndarray over (left mult, right mult)
     phi: dict       # summand label a -> nonzero complex form coefficient
+    # "mult_index" / "comult_index" -> tensor entries by source labels, and
+    # (layer name, word, k) -> read-only DoubleMorphism
+    _memo: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def summand_index(self) -> dict:
@@ -173,37 +192,82 @@ def build_diagonal_algebra(data: CategoryData,
 # doubled layers generated by the algebra
 
 
+def _memoized(layer):
+    """Memoize an algebra layer on its algebra under (layer, word, k).
+
+    The blocks of a memoized morphism are made read-only: every caller gets
+    the same object, so no caller may change it in place.
+    """
+
+    @functools.wraps(layer)
+    def cached(alg, word, k):
+        key = (layer.__name__, tuple(word), k)
+        out = alg._memo.get(key)
+        if out is None:
+            out = alg._memo[key] = layer(alg, key[1], k)
+            for mat in out.blocks.values():
+                mat.setflags(write=False)
+        return out
+
+    return cached
+
+
+def _entries(block):
+    """Nonzero entries (i, j, coefficient) of a tensor block."""
+    return tuple(
+        (i, j, block[i, j])
+        for i in range(block.shape[0])
+        for j in range(block.shape[1])
+        if block[i, j] != 0
+    )
+
+
+def _mult_index(alg) -> dict:
+    """(a1, a2) -> ((a3, entries), ...) of the product tensor, built once."""
+    index = alg._memo.get("mult_index")
+    if index is None:
+        index = alg._memo["mult_index"] = {}
+        for (a1, a2, a3), block in alg.mult.items():
+            index.setdefault((a1, a2), []).append((a3, _entries(block)))
+    return index
+
+
+def _comult_index(alg) -> dict:
+    """a3 -> ((a1, a2, entries), ...) of the coproduct tensor, derived once."""
+    index = alg._memo.get("comult_index")
+    if index is None:
+        index = alg._memo["comult_index"] = {}
+        for (a1, a2, a3), block in comult_tensor(alg).items():
+            index.setdefault(a3, []).append((a1, a2, _entries(block)))
+    return index
+
+
+@_memoized
 def mult_layer(alg, word, k) -> DoubleMorphism:
     """Multiplication applied at letters (k, k+1) of a doubled word."""
     data = alg.data
-    word = tuple(word)
     cod = word[:k] + (alg.object,) + word[k + 2:]
     out = DoubleMorphism.zero(data, word, cod)
     sidx = alg.summand_index
+    index = _mult_index(alg)
     for assign in assignments(word):
         left, right = _factor_words(word, assign)
         a1, a1p = word[k].summands[assign[k]]
         a2, a2p = word[k + 1].summands[assign[k + 1]]
-        for (b1, b2, a3), block in alg.mult.items():
-            if (b1, b2) != (a1, a2):
-                continue
+        for a3, entries in index.get((a1, a2), ()):
             a3p = data.dual(a3)
             dst = assign[:k] + (sidx[a3],) + assign[k + 2:]
-            for i in range(block.shape[0]):
-                for j in range(block.shape[1]):
-                    if block[i, j] == 0:
-                        continue
-                    lm = gc.vertex_morphism(data, left, k, a1, a2, a3, i)
-                    rm = gc.vertex_morphism(data, right, k, a1p, a2p, a3p, j)
-                    pair_layer(data, word, assign, dst, lm, rm, out,
-                               coeff=block[i, j])
+            for i, j, coef in entries:
+                lm = gc.vertex_morphism(data, left, k, a1, a2, a3, i)
+                rm = gc.vertex_morphism(data, right, k, a1p, a2p, a3p, j)
+                pair_layer(data, word, assign, dst, lm, rm, out, coeff=coef)
     return out
 
 
+@_memoized
 def ev_layer(alg, word, k) -> DoubleMorphism:
     """Pair the dual-object letter k against the algebra letter k+1."""
     data = alg.data
-    word = tuple(word)
     cod = word[:k] + word[k + 2:]
     out = DoubleMorphism.zero(data, word, cod)
     for assign in assignments(word):
@@ -219,12 +283,42 @@ def ev_layer(alg, word, k) -> DoubleMorphism:
     return out
 
 
+@_memoized
 def comult_layer(alg, word, k) -> DoubleMorphism:
+    """Coproduct at letter k, applied as a local layer.
+
+    Each block (a1, a2 <- a3) of ``comult_tensor`` splits letter k by a pair
+    of covertices, left and right factor, weighted by the tensor entry.  The
+    tensor is read once per algebra off ``_comult_diagram``, which stays the
+    oracle of this layer.
+    """
+    data = alg.data
+    cod = word[:k] + (alg.object, alg.object) + word[k + 1:]
+    out = DoubleMorphism.zero(data, word, cod)
+    sidx = alg.summand_index
+    index = _comult_index(alg)
+    for assign in assignments(word):
+        left, right = _factor_words(word, assign)
+        a3, a3p = word[k].summands[assign[k]]
+        for a1, a2, entries in index.get(a3, ()):
+            a1p, a2p = data.dual(a1), data.dual(a2)
+            dst = assign[:k] + (sidx[a1], sidx[a2]) + assign[k + 1:]
+            for i, j, coef in entries:
+                lm = gc.covertex_morphism(data, left, k, a1, a2, a3, i)
+                rm = gc.covertex_morphism(data, right, k, a1p, a2p, a3p, j)
+                pair_layer(data, word, assign, dst, lm, rm, out, coeff=coef)
+    return out
+
+
+def _comult_diagram(alg, word, k) -> DoubleMorphism:
     """Coproduct at letter k: the form-conjugated dual of the product.
 
     Built as phi, then the categorical dual of the multiplication through
     nested dual pairs, then the inverse form coefficient on both outputs.
+    The intermediate words have four letters more than ``word``; they run
+    on a copy of the algebra, so its memo does not keep them.
     """
+    alg = dataclasses.replace(alg)
     word = tuple(word)
     m = phi_layer(alg, word, k, +1)
     m = coev_layer(alg, word, k + 1) @ m               # outer dual pair
@@ -238,9 +332,12 @@ def comult_layer(alg, word, k) -> DoubleMorphism:
 
 
 def comult_tensor(alg) -> dict:
-    """Coproduct coefficients (a1, a2, a3) -> block over dual-vertex pairs."""
+    """Coproduct coefficients (a1, a2, a3) -> block over dual-vertex pairs.
+
+    Read off the diagram construction on the one-letter word.
+    """
     data = alg.data
-    delta = comult_layer(alg, _fword(alg, 1), 0)
+    delta = _comult_diagram(alg, _fword(alg, 1), 0)
     sidx = alg.summand_index
     out = {}
     for (a1, a2, a3), block in alg.mult.items():
@@ -252,10 +349,10 @@ def comult_tensor(alg) -> dict:
     return out
 
 
+@_memoized
 def unit_layer(alg, word, k) -> DoubleMorphism:
     """Inclusion of the unit summand as a new letter at position k."""
     data = alg.data
-    word = tuple(word)
     cod = word[:k] + (alg.object,) + word[k:]
     out = DoubleMorphism.zero(data, word, cod)
     eidx = alg.summand_index[data.unit]
@@ -268,10 +365,10 @@ def unit_layer(alg, word, k) -> DoubleMorphism:
     return out
 
 
+@_memoized
 def counit_layer(alg, word, k) -> DoubleMorphism:
     """Projection of letter k onto the unit summand (counit normalization 1)."""
     data = alg.data
-    word = tuple(word)
     cod = word[:k] + word[k + 1:]
     out = DoubleMorphism.zero(data, word, cod)
     eidx = alg.summand_index[data.unit]
@@ -303,10 +400,10 @@ def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
     return out
 
 
+@_memoized
 def coev_layer(alg, word, k) -> DoubleMorphism:
     """Insert a dual pair of algebra letters created from the unit at k."""
     data = alg.data
-    word = tuple(word)
     cod = word[:k] + (alg.object, alg.object) + word[k:]
     out = DoubleMorphism.zero(data, word, cod)
     sidx = alg.summand_index
@@ -492,14 +589,48 @@ def emit_algebra(alg: FullFieldAlgebraData) -> str:
 
 
 def loads_algebra(text: str) -> FullFieldAlgebraData:
-    doc = json.loads(text)
-    data = loads_category(json.dumps(doc["category"]))
-    obj = DoubleObject(tuple(tuple(p) for p in doc["summands"]))
+    """Parse a build-ffa file; a malformed one raises CategoryDataError.
+
+    The summands must be the diagonal object, each mult entry must name an
+    admissible channel and multiplicity pair once, with a finite value, and
+    phi must give every label one finite nonzero coefficient (the coproduct
+    divides by it).
+    """
+    try:
+        doc = json.loads(text)
+        category = doc["category"]
+        summands = tuple((int(l), int(r)) for l, r in doc["summands"])
+        mult_rows = [
+            ((int(a1), int(a2), int(a3), int(i), int(j)), complex(re, im))
+            for a1, a2, a3, i, j, re, im in doc["mult"]
+        ]
+        phi_rows = [(int(a), complex(re, im)) for a, re, im in doc["phi"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CategoryDataError(f"malformed algebra document: {exc}") from exc
+    data = loads_category(json.dumps(category))
+    labels = range(data.size)
+    if summands != tuple((a, data.dual(a)) for a in labels):
+        raise CategoryDataError("summands must be the pairs (a, dual a), one per label")
     mult = {}
-    for a1, a2, a3, i, j, re, im in doc["mult"]:
-        a1, a2, a3, i, j = int(a1), int(a2), int(a3), int(i), int(j)
+    seen = set()
+    for key, value in mult_rows:
+        a1, a2, a3, i, j = key
+        if not all(a in labels for a in (a1, a2, a3)):
+            raise CategoryDataError(f"mult entry {key} has an unknown label")
         n = data.n(a1, a2, a3)
+        if not (0 <= i < n and 0 <= j < n):
+            raise CategoryDataError(f"mult entry {key} outside multiplicity range")
+        if key in seen:
+            raise CategoryDataError(f"duplicate mult entry {key}")
+        if not cmath.isfinite(value):
+            raise CategoryDataError(f"mult entry {key} is not finite")
+        seen.add(key)
         block = mult.setdefault((a1, a2, a3), np.zeros((n, n), complex))
-        block[i, j] = complex(re, im)
-    phi = {int(a): complex(re, im) for a, re, im in doc["phi"]}
-    return FullFieldAlgebraData(data, obj, mult, phi)
+        block[i, j] = value
+    phi = dict(phi_rows)
+    if len(phi_rows) != data.size or set(phi) != set(labels):
+        raise CategoryDataError("phi must give exactly one coefficient per label")
+    for a, value in phi.items():
+        if value == 0 or not cmath.isfinite(value):
+            raise CategoryDataError(f"phi of label {a} must be finite and nonzero")
+    return FullFieldAlgebraData(data, DoubleObject(summands), mult, phi)

@@ -266,8 +266,12 @@ class CategoryData:
         if len(self.twist) != n:
             raise CategoryDataError("twist table size mismatch")
         for a, t in enumerate(self.twist):
-            if abs(abs(t) - 1.0) > 1e-12:
+            if not abs(abs(t) - 1.0) <= 1e-12:  # also true for NaN
                 raise CategoryDataError(f"twist of label {a} is not unimodular")
+        for name, table in (("F", self.F), ("R", self.R)):
+            for key, value in table.items():
+                if not cmath.isfinite(value):
+                    raise CategoryDataError(f"{name} entry {key} is not finite")
         for key in self.F:
             if len(key) != 10:
                 raise CategoryDataError(f"malformed F key {key}")
@@ -697,6 +701,28 @@ def emit_category(data: CategoryData) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _entry_table(entries, name: str, n_labels: int, n_mult: int) -> dict:
+    """{labels + mult: value} of the F or R entries of a category file."""
+    out = {}
+    for ent in entries:
+        try:
+            labels = tuple(int(v) for v in ent["labels"])
+            mult = tuple(int(v) for v in ent["mult"])
+            re, im = ent["value"]
+            value = complex(re, im)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CategoryDataError(f"malformed {name} entry {ent!r}: {exc}") from exc
+        if (len(labels), len(mult)) != (n_labels, n_mult):
+            raise CategoryDataError(
+                f"{name} entry {ent!r} needs {n_labels} labels and {n_mult} mult indices"
+            )
+        key = labels + mult
+        if key in out:
+            raise CategoryDataError(f"duplicate {name} entry {key}")
+        out[key] = value
+    return out
+
+
 def loads_category(text: str) -> CategoryData:
     """Parse a category file; structural invariants checked, coherence not."""
     try:
@@ -719,18 +745,8 @@ def loads_category(text: str) -> CategoryData:
         if v:
             N[(a, b, c)] = v
     ring = FusionRing(labels, unit, tuple(dual), N)
-    F = {}
-    for ent in f_entries:
-        a, b, c, d, x, y = (int(v) for v in ent["labels"])
-        i, j, k, l = (int(v) for v in ent["mult"])
-        re, im = ent["value"]
-        F[(a, b, c, d, x, y, i, j, k, l)] = complex(re, im)
-    R = {}
-    for ent in r_entries:
-        a, b, c = (int(v) for v in ent["labels"])
-        i, j = (int(v) for v in ent["mult"])
-        re, im = ent["value"]
-        R[(a, b, c, i, j)] = complex(re, im)
+    F = _entry_table(f_entries, "F", 6, 4)
+    R = _entry_table(r_entries, "R", 3, 2)
     return CategoryData(ring, F, R, twist)
 
 

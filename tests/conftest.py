@@ -23,6 +23,33 @@ def algebras(categories):
 
 
 @pytest.fixture(scope="session")
+def pointed_category():
+    """Factory of the pointed Z_n category: trivial F, R = w^(ab), twist w^(a^2).
+
+    n must be odd; every vertex gauge is trivial, so every F entry is 1.
+    """
+
+    def make(n):
+        w = cmath.exp(2j * cmath.pi / n)
+        labels = tuple(fusion_data.Label(a, f"g{a}") for a in range(n))
+        fusion = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
+        ring = fusion_data.FusionRing(
+            labels, 0, tuple((-a) % n for a in range(n)), fusion
+        )
+        F = {
+            (a, b, c, (a + b + c) % n, (b + c) % n, (a + b) % n, 0, 0, 0, 0): 1.0
+            for a in range(n) for b in range(n) for c in range(n)
+        }
+        R = {
+            (a, b, (a + b) % n, 0, 0): w ** (a * b)
+            for a in range(n) for b in range(n)
+        }
+        return fusion_data.CategoryData(ring, F, R, [w ** (a * a) for a in range(n)])
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def off_unit_gauge_text():
     """Pointed Z_3 file in a gauge whose unit-slot F-blocks are not identities.
 

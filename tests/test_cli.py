@@ -1,4 +1,7 @@
+import copy
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,9 +174,6 @@ def test_out_flag_writes_file(tmp_path):
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "mtcalc.cli_io", "verify-category", "builtin:trivial"],
         capture_output=True,
@@ -181,6 +181,121 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["pass"] is True
+
+
+def test_package_runs_as_module():
+    run = lambda *args: subprocess.run(
+        [sys.executable, "-m", "mtcalc", *args], capture_output=True, text=True
+    )
+    proc = run("verify-ffa", "builtin:trivial")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["pass"] is True
+    proc = run("frobulate")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("usage error:")
+
+
+# -- malformed algebra and category files -------------------------------------
+
+
+def _drop_phi(doc):
+    del doc["phi"]
+
+
+def _short_phi(doc):
+    doc["phi"] = doc["phi"][:1]
+
+
+def _zero_phi(doc):
+    doc["phi"][1][1:] = [0.0, 0.0]
+
+
+def _nan_phi(doc):
+    doc["phi"][1][1] = float("nan")
+
+
+def _inf_phi(doc):
+    doc["phi"][1][2] = float("inf")
+
+
+def _mult_label_out_of_range(doc):
+    doc["mult"][0][0] = 7
+
+
+def _mult_index_out_of_range(doc):
+    doc["mult"][0][3] = 5
+
+
+def _duplicate_mult_entry(doc):
+    doc["mult"].append(doc["mult"][-1][:5] + [0.5, 0.0])
+
+
+def _summands_not_diagonal(doc):
+    doc["summands"] = [[0, 0]]
+
+
+def _summands_off_diagonal(doc):
+    doc["summands"] = [[0, 0], [1, 0]]
+
+
+@pytest.fixture(scope="module")
+def fibonacci_algebra_doc():
+    status, text = run_suite(["build-ffa", "builtin:fibonacci"])
+    assert status == EXIT_OK
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_phi, _short_phi, _zero_phi, _nan_phi, _inf_phi,
+    _mult_label_out_of_range, _mult_index_out_of_range, _duplicate_mult_entry,
+    _summands_not_diagonal, _summands_off_diagonal,
+])
+def test_malformed_algebra_file_is_input_error(tmp_path, fibonacci_algebra_doc, corrupt):
+    doc = copy.deepcopy(fibonacci_algebra_doc)
+    corrupt(doc)
+    path = tmp_path / "fib_ffa.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-ffa", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith("input error:")
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+@pytest.mark.parametrize("field", ["labels", "mult", "value"])
+def test_category_entry_missing_field_is_input_error(tmp_path, table, field):
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    del doc[table][-1][field]
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-category", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith(f"input error: malformed {table} entry")
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+def test_duplicate_category_entry_is_input_error(tmp_path, table):
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    doc[table].append({**doc[table][-1], "value": [0.5, 0.0]})
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-category", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith(f"input error: duplicate {table} entry")
+
+
+@pytest.mark.parametrize("table", ["F", "R", "twist"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_category_entry_is_input_error(tmp_path, table, value):
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    if table == "twist":
+        doc["twist"][-1] = [value, 0.0]
+    else:
+        doc[table][-1]["value"] = [value, 0.0]
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-category", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith("input error:")
 
 
 def test_empty_report_summary():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc import diagonal_frobenius as df
+from mtcalc.deligne_double import DoubleMorphism
 
 BUILTINS = fd.BUILTIN_NAMES
 PHI = (1 + math.sqrt(5)) / 2
@@ -215,8 +217,6 @@ def test_comult_tensor_extractable(algebras):
 
 
 def test_structure_morphism_accessors(algebras):
-    from mtcalc.deligne_double import DoubleMorphism
-
     alg = algebras["ising"]
     f1 = (alg.object,)
     ident = DoubleMorphism.identity(alg.data, f1)
@@ -227,3 +227,86 @@ def test_structure_morphism_accessors(algebras):
     cl = df.counit_layer(alg, (alg.object,) * 2, 0) @ alg.coproduct_morphism()
     assert cl.distance(ident) < 1e-12
     assert alg.unit_morphism().cod == f1
+
+
+# -- the coproduct layer against its diagram oracle ------------------------------
+
+# 2-letter words on Z_5 are left out: the diagram alone takes about 16 s there
+ORACLE_CASES = [(name, n) for name in BUILTINS for n in (1, 2)]
+ORACLE_CASES += [("z3", 1), ("z3", 2), ("z5", 1)]
+
+
+@pytest.mark.parametrize("name, letters", ORACLE_CASES)
+def test_comult_layer_matches_diagram(algebras, pointed_category, name, letters):
+    if name in algebras:
+        alg = algebras[name]
+    else:
+        alg = df.build_diagonal_algebra(pointed_category(int(name[1:])))
+    word = (alg.object,) * letters
+    for k in range(letters):
+        local = df.comult_layer(alg, word, k)
+        diagram = df._comult_diagram(alg, word, k)
+        assert (local.dom, local.cod) == (diagram.dom, diagram.cod)
+        assert local.distance(diagram) < 1e-12, (name, letters, k)
+
+
+def test_comult_tensor_reads_the_diagram(categories, monkeypatch):
+    alg = df.build_diagonal_algebra(categories["ising"])
+
+    def refuse(*args):
+        raise AssertionError("the coproduct tensor must not come from the layer")
+
+    monkeypatch.setattr(df, "comult_layer", refuse)
+    delta = df.comult_tensor(alg)
+    diagram = df._comult_diagram(alg, (alg.object,), 0)
+    sidx = alg.summand_index
+    for (a1, a2, a3), block in delta.items():
+        key = ((sidx[a3],), (sidx[a1], sidx[a2]), a3, alg.data.dual(a3))
+        assert np.array_equal(block.ravel(), diagram.blocks[key].ravel())
+    assert set(delta) == set(alg.mult)
+
+
+# -- memoized layers ---------------------------------------------------------------
+
+
+def test_verify_frobenius_repeats_exactly(categories):
+    alg = df.build_diagonal_algebra(categories["ising"])
+    first, second = (df.verify_frobenius(alg, 1e-9) for _ in range(2))
+    records = lambda rep: [(r.id, r.instance, r.residual) for r in rep.records]
+    assert records(first) == records(second)
+
+
+def test_scaled_phi_after_memoized_layers(categories):
+    # as test_scaled_phi_detected, but the unscaled algebra memoizes its
+    # coproduct first; the scaled copies share mult and must not reuse it
+    alg = df.build_diagonal_algebra(categories["fibonacci"])
+    assert df.verify_frobenius(alg, 1e-9).passed
+    phi = {**alg.phi, 1: 2.0 * alg.phi[1]}
+    for scaled in (
+        df.FullFieldAlgebraData(alg.data, alg.object, alg.mult, phi),
+        dataclasses.replace(alg, phi=phi),
+    ):
+        res = {r.id: r.residual for r in df.verify_frobenius(scaled, 1e-9).records}
+        assert res["coassociativity"] < 1e-9
+        assert res["counit_left"] < 1e-9 and res["counit_right"] < 1e-9
+        assert res["frobenius_left"] > 1e-2 and res["frobenius_right"] > 1e-2
+    assert df.verify_frobenius(alg, 1e-9).passed
+
+
+def test_memoized_layers_never_change(categories):
+    alg = df.build_diagonal_algebra(categories["ising"])
+    df.verify_frobenius(alg, 1e-9)
+    saved = {
+        key: (m, {b: mat.copy() for b, mat in m.blocks.items()})
+        for key, m in alg._memo.items()
+        if isinstance(m, DoubleMorphism)
+    }
+    assert {key[0] for key in saved} >= {"comult_layer", "mult_layer", "counit_layer"}
+    for suite in (df.verify_algebra_axioms, df.verify_frobenius, df.verify_invariant_form):
+        suite(alg, 1e-9)
+    for key, (m, blocks) in saved.items():
+        assert alg._memo[key] is m
+        assert m.blocks.keys() == blocks.keys()
+        for b, mat in m.blocks.items():
+            assert not mat.flags.writeable
+            assert np.array_equal(mat, blocks[b]), key

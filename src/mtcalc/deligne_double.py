@@ -23,7 +23,6 @@ __all__ = [
     "double_tensor",
     "double_braiding",
     "double_twist",
-    "double_identity",
     "double_braid_layer",
     "pair_layer",
     "assignments",

@@ -76,32 +76,17 @@ def pairing_coefficient_general(data: CategoryData, fl: gc.CovertexVector,
     dim3 = gc.categorical_dim(data, a3)
     a1p, a2p, a3p = data.dual(a1), data.dual(a2), data.dual(a3)
     m = dim3 * gc.cup_morphism(data, (), 0, a3, a3p)
-    m = _covertex_vec(data, (a3, a3p), 0, fl) @ m
-    m = _covertex_vec(data, (a1, a2, a3p), 2, fr) @ m
+    m = fl.at(data, (a3, a3p), 0) @ m
+    m = fr.at(data, (a1, a2, a3p), 2) @ m
     m = gc.braid_morphism(data, (a1, a2, a1p, a2p), 1, sense) @ m
     m = gc.cap_morphism(data, (a1, a1p, a2, a2p), 0, a1, a1p) @ m
     m = gc.cap_morphism(data, (a2, a2p), 0, a2, a2p) @ m
     return m.scalar() / dim3
 
 
-def _covertex_vec(data, word, k, f: gc.CovertexVector) -> gc.Morphism:
-    cod = word[:k] + (f.a1, f.a2) + word[k + 1:]
-    out = gc.Morphism.zero(data, word, cod)
-    for mu, coef in enumerate(f.vec):
-        if coef != 0:
-            out = out + complex(coef) * gc.covertex_morphism(
-                data, word, k, f.a1, f.a2, f.a3, mu
-            )
-    return out
-
-
 def pairing_coefficient(data: CategoryData, a1, a2, a3, i=0, j=0,
                         sense: str = None) -> complex:
     """Pairing of the basis covertices (a1 a2 <- a3; i) and its dual-label twin."""
-    if i >= data.n(a1, a2, a3) or j >= data.n(
-        data.dual(a1), data.dual(a2), data.dual(a3)
-    ):
-        raise ValueError("multiplicity index out of range")
     fl = gc.CovertexVector.basis(data, a1, a2, a3, i)
     fr = gc.CovertexVector.basis(
         data, data.dual(a1), data.dual(a2), data.dual(a3), j

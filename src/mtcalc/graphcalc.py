@@ -9,6 +9,7 @@ morphism, so blocks compose by plain matrix multiplication.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ __all__ = [
     "duality_fusing_scalar",
     "categorical_dim",
     "evaluate_diagram",
+    "weighted_vertex",
+    "weighted_covertex",
     "vertex_morphism",
     "covertex_morphism",
     "unit_insert_morphism",
@@ -235,37 +238,73 @@ def _f_trees(data, p, a, b, q, inverse=False):
     return right, data.f_block(p, a, b, q)[:, perm]
 
 
-def _check_mult(data, a, b, c, mu):
-    if not 0 <= mu < data.n(a, b, c):
+@functools.cache
+def _unit_weights(n, mu) -> tuple:
+    """Weights of basis vector ``mu`` among ``n`` multiplicities."""
+    if not 0 <= mu < n:
         raise ValueError("multiplicity index out of range")
+    return tuple(complex(i == mu) for i in range(n))
+
+
+def _channel_weights(data, right, p, c, q, weights) -> np.ndarray:
+    """(N_pc^q x right basis) matrix: row nu weighs the channels (c, nu, mu)."""
+    w = np.zeros((data.n(p, c, q), len(right)), complex)
+    for mu, coef in enumerate(weights):
+        for nu in range(len(w)):
+            w[nu, right[(c, nu, mu)]] = coef
+    return w
+
+
+def _check_weights(data, a, b, c, weights):
+    if len(weights) != data.n(a, b, c):
+        raise ValueError(
+            f"vector of length {len(weights)} for N_ab^c = {data.n(a, b, c)}"
+        )
+
+
+def weighted_vertex(data, word, k, a, b, c, weights) -> Morphism:
+    """Apply the vertex vector ``weights`` of hom(a b, c) at letters (k, k+1).
+
+    ``weights`` is a tuple over the N_ab^c multiplicities; it keys the memo
+    of the local block, so the basis vertices reuse cached unit tuples.
+    """
+    word = tuple(word)
+    if word[k] != a or word[k + 1] != b:
+        raise ValueError("vertex labels do not match the word")
+    _check_weights(data, a, b, c, weights)
+
+    def local(p, q):
+        right, f = _f_trees(data, p, a, b, q)
+        return _channel_weights(data, right, p, c, q, weights) @ f
+
+    key = ("vertex", a, b, c, weights)
+    return _replace_window(data, word, k, 2, (c,), key, local)
+
+
+def weighted_covertex(data, word, k, a, b, c, weights) -> Morphism:
+    """Apply the covertex vector ``weights`` of hom(c, a b) at letter k; see
+    ``weighted_vertex``."""
+    word = tuple(word)
+    if word[k] != c:
+        raise ValueError("covertex label does not match the word")
+    _check_weights(data, a, b, c, weights)
+
+    def local(p, q):
+        right, finv = _f_trees(data, p, a, b, q, inverse=True)
+        return finv @ _channel_weights(data, right, p, c, q, weights).T
+
+    key = ("covertex", a, b, c, weights)
+    return _replace_window(data, word, k, 1, (a, b), key, local)
 
 
 def vertex_morphism(data, word, k, a, b, c, mu) -> Morphism:
     """Apply the fusion vertex (a, b) -> c at letters (k, k+1)."""
-    word = tuple(word)
-    if word[k] != a or word[k + 1] != b:
-        raise ValueError("vertex labels do not match the word")
-    _check_mult(data, a, b, c, mu)
-
-    def local(p, q):
-        right, f = _f_trees(data, p, a, b, q)
-        return f[[right[(c, nu, mu)] for nu in range(data.n(p, c, q))], :]
-
-    return _replace_window(data, word, k, 2, (c,), ("vertex", a, b, c, mu), local)
+    return weighted_vertex(data, word, k, a, b, c, _unit_weights(data.n(a, b, c), mu))
 
 
 def covertex_morphism(data, word, k, a, b, c, mu) -> Morphism:
     """Apply the splitting covertex c -> (a, b) at letter k."""
-    word = tuple(word)
-    if word[k] != c:
-        raise ValueError("covertex label does not match the word")
-    _check_mult(data, a, b, c, mu)
-
-    def local(p, q):
-        right, finv = _f_trees(data, p, a, b, q, inverse=True)
-        return finv[:, [right[(c, nu, mu)] for nu in range(data.n(p, c, q))]]
-
-    return _replace_window(data, word, k, 1, (a, b), ("covertex", a, b, c, mu), local)
+    return weighted_covertex(data, word, k, a, b, c, _unit_weights(data.n(a, b, c), mu))
 
 
 def braid_morphism(data, word, k, sense: str) -> Morphism:
@@ -512,59 +551,44 @@ def r_move(data: CategoryData, a, b, sense: str) -> Morphism:
 
 
 @dataclass(frozen=True)
-class VertexVector:
+class _LegVector:
+    """Labels (a1, a2, a3) and the weights ``vec`` over the N_{a1 a2}^{a3}
+    multiplicities of a vertex or covertex vector."""
+
+    a1: int
+    a2: int
+    a3: int
+    vec: tuple
+
+    @classmethod
+    def basis(cls, data, a1, a2, a3, mu=0):
+        return cls(a1, a2, a3, _unit_weights(data.n(a1, a2, a3), mu))
+
+    @property
+    def array(self):
+        return np.array(self.vec, dtype=complex)
+
+
+class VertexVector(_LegVector):
     """Element of hom(a1 (x) a2, a3) in the fusion-vertex basis."""
 
-    a1: int
-    a2: int
-    a3: int
-    vec: tuple
-
-    @classmethod
-    def basis(cls, data, a1, a2, a3, mu=0):
-        dim = data.n(a1, a2, a3)
-        if mu >= dim:
-            raise ValueError("multiplicity index out of range")
-        v = np.zeros(dim, complex)
-        v[mu] = 1.0
-        return cls(a1, a2, a3, tuple(v))
-
-    @property
-    def array(self):
-        return np.array(self.vec, dtype=complex)
+    def at(self, data, word, k) -> Morphism:
+        """This vector applied at letters (k, k+1) of ``word``."""
+        return weighted_vertex(data, word, k, self.a1, self.a2, self.a3, self.vec)
 
     def morphism(self, data) -> Morphism:
-        out = Morphism.zero(data, (self.a1, self.a2), (self.a3,))
-        out.blocks[self.a3][0, :] = self.array
-        return out
+        return self.at(data, (self.a1, self.a2), 0)
 
 
-@dataclass(frozen=True)
-class CovertexVector:
+class CovertexVector(_LegVector):
     """Element of hom(a3, a1 (x) a2) in the dual (splitting) basis."""
 
-    a1: int
-    a2: int
-    a3: int
-    vec: tuple
-
-    @classmethod
-    def basis(cls, data, a1, a2, a3, mu=0):
-        dim = data.n(a1, a2, a3)
-        if mu >= dim:
-            raise ValueError("multiplicity index out of range")
-        v = np.zeros(dim, complex)
-        v[mu] = 1.0
-        return cls(a1, a2, a3, tuple(v))
-
-    @property
-    def array(self):
-        return np.array(self.vec, dtype=complex)
+    def at(self, data, word, k) -> Morphism:
+        """This vector applied at letter k of ``word``."""
+        return weighted_covertex(data, word, k, self.a1, self.a2, self.a3, self.vec)
 
     def morphism(self, data) -> Morphism:
-        out = Morphism.zero(data, (self.a3,), (self.a1, self.a2))
-        out.blocks[self.a3][:, 0] = self.array
-        return out
+        return self.at(data, (self.a3,), 0)
 
 
 def _as_vertex_vector(data, m: Morphism) -> VertexVector:
@@ -605,15 +629,7 @@ def bend_vertex(data, v: VertexVector, sense: str) -> VertexVector:
     word = (a1, a3p)
     m = cup_morphism(data, word, 2, a2, a2p) * categorical_dim(data, a2)
     m = braid_morphism(data, m.cod, 1, sense) @ m
-    vert = sum(
-        (
-            complex(v.vec[mu])
-            * vertex_morphism(data, (a1, a2, a3p, a2p), 0, a1, a2, a3, mu)
-            for mu in range(len(v.vec))
-        ),
-        Morphism.zero(data, (a1, a2, a3p, a2p), (a3, a3p, a2p)),
-    )
-    m = vert @ m
+    m = v.at(data, (a1, a2, a3p, a2p), 0) @ m
     m = twist_morphism(data, (a3, a3p, a2p), 0, sense) @ m
     m = cap_morphism(data, (a3, a3p, a2p), 0, a3, a3p) @ m
     return _as_vertex_vector(data, m)
@@ -625,15 +641,7 @@ def unbend_vertex(data, v: VertexVector, sense: str) -> VertexVector:
     a2p, a3p = data.dual(a2), data.dual(a3)
     word = (a1, a3p)
     m = cup_morphism(data, word, 1, a2, a2p) * categorical_dim(data, a2)
-    vert = sum(
-        (
-            complex(v.vec[mu])
-            * vertex_morphism(data, (a1, a2, a2p, a3p), 0, a1, a2, a3, mu)
-            for mu in range(len(v.vec))
-        ),
-        Morphism.zero(data, (a1, a2, a2p, a3p), (a3, a2p, a3p)),
-    )
-    m = vert @ m
+    m = v.at(data, (a1, a2, a2p, a3p), 0) @ m
     # the bent leg here is the second input strand; its ribbon twist is a
     # scalar of the opposite sense
     theta = data.twist[a2]
@@ -654,15 +662,7 @@ def bend_covertex(data, f: CovertexVector, sense: str) -> CovertexVector:
     word = (a2p,)
     m = cup_morphism(data, word, 0, a3, a3p) * categorical_dim(data, a3)
     m = twist_morphism(data, (a3, a3p, a2p), 0, _OPP[sense]) @ m
-    cov = sum(
-        (
-            complex(f.vec[mu])
-            * covertex_morphism(data, (a3, a3p, a2p), 0, a1, a2, a3, mu)
-            for mu in range(len(f.vec))
-        ),
-        Morphism.zero(data, (a3, a3p, a2p), (a1, a2, a3p, a2p)),
-    )
-    m = cov @ m
+    m = f.at(data, (a3, a3p, a2p), 0) @ m
     m = braid_morphism(data, (a1, a2, a3p, a2p), 1, _OPP[sense]) @ m
     m = cap_morphism(data, (a1, a3p, a2, a2p), 2, a2, a2p) @ m
     scale = categorical_dim(data, a2) / categorical_dim(data, a3)
@@ -785,35 +785,18 @@ def _fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
         for io, yo in enumerate(outer_right[x]):
             for ii, yi in enumerate(inner_right[x]):
                 rights.append((x, io, ii))
-                comp = _embed_pair(data, (w0, x), 0, yo) @ _embed_pair(
-                    data, word, 1, yi
-                )
+                comp = yo.at(data, (w0, x), 0) @ yi.at(data, word, 1)
                 rvecs.append(comp.blocks[d][0, :])
     lefts, lvecs = [], []
     for y in sorted(outer_left):
         for io, yo in enumerate(outer_left[y]):
             for ii, yi in enumerate(inner_left[y]):
                 lefts.append((y, io, ii))
-                comp = _embed_pair(data, (y, w2), 0, yo) @ _embed_pair(
-                    data, word, 0, yi
-                )
+                comp = yo.at(data, (y, w2), 0) @ yi.at(data, word, 0)
                 lvecs.append(comp.blocks[d][0, :])
     U = np.array(rvecs).reshape(len(rights), len(tre))
     V = np.array(lvecs).reshape(len(lefts), len(tre))
     return rights, lefts, U @ np.linalg.inv(V)
-
-
-def _embed_pair(data, word, k, v: VertexVector) -> Morphism:
-    """Vertex vector applied at letters (k, k+1) of a word."""
-    target = word[:k] + (v.a3,) + word[k + 2:]
-    out = Morphism.zero(data, word, target)
-    for mu in range(len(v.vec)):
-        coef = complex(v.vec[mu])
-        if coef != 0:
-            out = out + coef * vertex_morphism(
-                data, word, k, v.a1, v.a2, v.a3, mu
-            )
-    return out
 
 
 def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:

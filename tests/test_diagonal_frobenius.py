@@ -40,8 +40,9 @@ def test_pairing_fibonacci_frozen(categories):
 
 
 def test_pairing_index_range(categories):
-    with pytest.raises(ValueError):
-        df.pairing_coefficient(categories["fibonacci"], 1, 1, 1, i=1)
+    for index in ({"i": 1}, {"i": -1}, {"j": -1}):
+        with pytest.raises(ValueError):
+            df.pairing_coefficient(categories["fibonacci"], 1, 1, 1, **index)
 
 
 # -- construction ------------------------------------------------------------

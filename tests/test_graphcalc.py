@@ -226,6 +226,23 @@ def test_yang_baxter(categories):
 # -- vertex calculus ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("cls", (VertexVector, CovertexVector))
+@pytest.mark.parametrize("mu", (-1, 1))
+def test_basis_multiplicity_out_of_range(categories, cls, mu):
+    # N_{tau tau}^{tau} = 1: a negative index must not wrap to the last one
+    with pytest.raises(ValueError, match="multiplicity"):
+        cls.basis(categories["fibonacci"], 1, 1, 1, mu)
+
+
+@pytest.mark.parametrize("vec", ((), (1.0, 0.0)))
+def test_vector_length_must_match_multiplicity(categories, vec):
+    fib = categories["fibonacci"]
+    with pytest.raises(ValueError, match="length"):
+        gc.bend_vertex(fib, VertexVector(1, 1, 0, vec), "+")
+    with pytest.raises(ValueError, match="length"):
+        gc.bend_covertex(fib, CovertexVector(1, 1, 0, vec), "+")
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_swap_vertex_inverse(categories, name):
     data = categories[name]
@@ -427,6 +444,37 @@ def test_generators_at_every_position(categories, name):
                 cup = gc.cup_morphism(data, word, k, a, ap)
                 cap = gc.cap_morphism(data, cup.cod, k, a, ap)
                 worst = max(worst, (cap @ cup).distance(ident))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("rep_a4_random",))
+def test_weighted_generators_match_basis_sums(categories, name):
+    """A weighted (co)vertex is the weighted sum of its basis (co)vertices."""
+    data = rep_a4_random() if name == "rep_a4_random" else categories[name]
+    rng = np.random.default_rng(5)
+
+    def defect(weighted, basis, word, k, a, b, c):
+        n = data.n(a, b, c)
+        w = tuple(complex(x, y) for x, y in rng.normal(size=(n, 2)))
+        got = weighted(data, word, k, a, b, c, w)
+        want = Morphism.zero(data, word, got.cod)
+        for mu in range(n):
+            want = want + w[mu] * basis(data, word, k, a, b, c, mu)
+        return got.distance(want)
+
+    labels = range(data.size)
+    worst = 0.0
+    for word in itertools.product(labels, repeat=3):
+        for k, a, b in itertools.product(range(3), labels, labels):
+            c = word[k]
+            if data.n(a, b, c):
+                d = defect(gc.weighted_covertex, gc.covertex_morphism, word, k, a, b, c)
+                worst = max(worst, d)
+        for k, c in itertools.product(range(2), labels):
+            a, b = word[k], word[k + 1]
+            if data.n(a, b, c):
+                d = defect(gc.weighted_vertex, gc.vertex_morphism, word, k, a, b, c)
+                worst = max(worst, d)
     assert worst < 1e-12
 
 

@@ -8,6 +8,7 @@ input, 3 verification failure.  Reports are emitted as stable-keyed JSON
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fusion_data, graphcalc, diagonal_frobenius, sewing_operad
@@ -82,6 +83,8 @@ def run_suite(argv) -> tuple:
         return EXIT_USAGE, f"usage error: {exc}\n"
     if args.command is None:
         return EXIT_USAGE, parser.format_usage()
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return EXIT_USAGE, f"usage error: --tol must be finite and positive, got {args.tol}\n"
 
     try:
         if args.command == "operad-check":
@@ -126,9 +129,9 @@ def run_suite(argv) -> tuple:
                 report.extend(sub)
         else:  # pragma: no cover - argparse guards the choices
             return EXIT_USAGE, f"unknown command {args.command}\n"
+        return _finish(report, args)
     except (CategoryDataError, ValueError, OSError) as exc:
         return EXIT_INPUT, f"input error: {exc}\n"
-    return _finish(report, args)
 
 
 def _finish(report: Report, args) -> tuple:

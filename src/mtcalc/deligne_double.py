@@ -8,6 +8,7 @@ and per charge pair, as Kronecker products of single-category blocks.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -70,39 +71,30 @@ def _factor_words(word, assign):
     return left, right
 
 
-class DoubleMorphism:
+class DoubleMorphism(gc.BlockMap):
     """Blockwise morphism between words of doubled objects.
 
     ``blocks[(src_assign, dst_assign, cL, cR)]`` is the Kronecker product of
     a left-category block and a right-category block; missing keys are zero.
     """
 
-    def __init__(self, data, dom, cod, blocks):
-        self.data = data
-        self.dom = tuple(dom)
-        self.cod = tuple(cod)
-        self.blocks = blocks
-
-    @classmethod
-    def zero(cls, data, dom, cod):
-        return cls(data, dom, cod, {})
-
     @classmethod
     def identity(cls, data, word):
+        return cls.scaled_identity(data, word, lambda assign, cl, cr: 1.0)
+
+    @classmethod
+    def scaled_identity(cls, data, word, scale):
+        """The identity of ``word`` with the block of (assign, cl, cr) scaled
+        by ``scale(assign, cl, cr)``."""
         word = tuple(word)
         blocks = {}
         for assign in assignments(word):
             left, right = _factor_words(word, assign)
-            for cl in range(data.size):
-                nl = len(gc.trees(data, left, cl))
-                if not nl:
-                    continue
-                for cr in range(data.size):
-                    nr = len(gc.trees(data, right, cr))
-                    if nr:
-                        blocks[(assign, assign, cl, cr)] = np.eye(
-                            nl * nr, dtype=complex
-                        )
+            for cl, tl in gc.word_trees(data, left).items():
+                for cr, tr in gc.word_trees(data, right).items():
+                    blocks[(assign, assign, cl, cr)] = scale(assign, cl, cr) * np.eye(
+                        len(tl) * len(tr), dtype=complex
+                    )
         return cls(data, word, word, blocks)
 
     def add_block(self, src_assign, dst_assign, cl, cr, mat):
@@ -124,53 +116,25 @@ class DoubleMorphism:
                 out.add_block(sa, da, cl, cr, hmat @ gmat)
         return out
 
-    def __mul__(self, scalar):
-        return DoubleMorphism(
-            self.data, self.dom, self.cod,
-            {k: scalar * m for k, m in self.blocks.items()},
+    def _shape(self, key) -> tuple:
+        sa, da, cl, cr = key
+        return tuple(
+            len(gc.trees(self.data, left, cl)) * len(gc.trees(self.data, right, cr))
+            for left, right in (
+                _factor_words(self.cod, da), _factor_words(self.dom, sa)
+            )
         )
 
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if (other.dom, other.cod) != (self.dom, self.cod):
-            raise ValueError("shape mismatch")
-        out = DoubleMorphism(self.data, self.dom, self.cod, dict(self.blocks))
-        for k, m in other.blocks.items():
-            out.add_block(*k, m)
-        return out
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def norm(self) -> float:
-        return max(
-            (float(np.max(np.abs(m))) for m in self.blocks.values() if m.size),
-            default=0.0,
-        )
-
-    def distance(self, other: "DoubleMorphism") -> float:
-        return (self - other).norm()
-
-    def scalar(self) -> complex:
-        if self.dom or self.cod:
-            raise ValueError("scalar() requires empty boundary words")
+    def _unit_key(self):
         e = self.data.unit
-        blk = self.blocks.get(((), (), e, e))
-        return complex(blk[0, 0]) if blk is not None else 0.0
+        return ((), (), e, e)
 
 
 def pair_layer(data, word, assign, dst_assign, left_m: gc.Morphism,
                right_m: gc.Morphism, out: DoubleMorphism, coeff=1.0):
     """Add Kron(left, right) blocks of one assignment pair into ``out``."""
-    for cl in range(data.size):
-        ml = left_m.blocks[cl]
-        if not ml.size:
-            continue
-        for cr in range(data.size):
-            mr = right_m.blocks[cr]
-            if not mr.size:
-                continue
+    for cl, ml in left_m.blocks.items():
+        for cr, mr in right_m.blocks.items():
             out.add_block(assign, dst_assign, cl, cr, coeff * np.kron(ml, mr))
 
 
@@ -265,30 +229,23 @@ def double_braiding(data: CategoryData, A: DoubleObject, B: DoubleObject,
 
 def double_twist(data: CategoryData, A: DoubleObject) -> DoubleMorphism:
     """Twist acting as theta_left / theta_right per summand."""
-    word = (A,)
-    out = DoubleMorphism.zero(data, word, word)
-    for i, (l, r) in enumerate(A.summands):
-        scalar = data.twist[l] / data.twist[r]
-        ident = gc.Morphism.identity(data, (l,))
-        identr = gc.Morphism.identity(data, (r,))
-        pair_layer(data, word, (i,), (i,), ident, identr, out, coeff=scalar)
-    return out
+    return _double_twist_on_word(data, (A,))
 
 
 def _cluster_braid_word(data, word3, sense) -> gc.Morphism:
     """Single-category braiding of letter 0 past the fused pair (1, 2)."""
     a, b, c = word3
     cod = (b, c, a)
-    out = gc.Morphism.zero(data, word3, cod)
-    for tot in range(data.size):
-        src = gc.trees(data, word3, tot)
-        dst = gc.trees(data, cod, tot)
-        if not src or not dst:
+    targets = gc.word_trees(data, cod)
+    blocks = {}
+    for tot, src in gc.word_trees(data, word3).items():
+        dst = targets.get(tot)
+        if not dst:
             continue
         fabc = data.f_block(a, b, c, tot)
         fr = data.f_right_basis(a, b, c, tot)
         fl = data.f_left_basis(a, b, c, tot)
-        mat = out.blocks[tot]
+        mat = blocks[tot] = np.zeros((len(dst), len(src)), complex)
         for di, dt in enumerate(dst):
             x, beta = dt[0]
             app = dt[1][1]
@@ -303,7 +260,7 @@ def _cluster_braid_word(data, word3, sense) -> gc.Morphism:
                 for si, st in enumerate(src):
                     li = fl.index((st[0][0], st[1][1], st[0][1]))
                     mat[di, si] += rx[app, alpha] * fabc[ri, li]
-    return out
+    return gc.Morphism(data, word3, cod, blocks)
 
 
 def double_cluster_braid(data, word3, variant: str) -> DoubleMorphism:
@@ -396,34 +353,17 @@ def verify_double_braiding(data: CategoryData, objects, tol: float = DEFAULT_TOL
 
 def _double_twist_on_word(data, word) -> DoubleMorphism:
     """Twist of the fused word: theta ratio per total charge pair."""
-    out = DoubleMorphism.zero(data, word, word)
-    for assign in assignments(word):
-        left, right = _factor_words(word, assign)
-        for cl in range(data.size):
-            nl = len(gc.trees(data, left, cl))
-            if not nl:
-                continue
-            for cr in range(data.size):
-                nr = len(gc.trees(data, right, cr))
-                if nr:
-                    scalar = data.twist[cl] / data.twist[cr]
-                    out.add_block(
-                        assign, assign, cl, cr,
-                        scalar * np.eye(nl * nr, dtype=complex),
-                    )
-    return out
+    return DoubleMorphism.scaled_identity(
+        data, word, lambda assign, cl, cr: data.twist[cl] / data.twist[cr]
+    )
 
 
 def _tensor_twists(data, word) -> DoubleMorphism:
-    out = DoubleMorphism.identity(data, word)
-    for (sa, da, cl, cr) in list(out.blocks):
-        assign = sa
-        scalar = 1.0 + 0j
-        for t, i in enumerate(assign):
-            l, r = word[t].summands[i]
-            scalar *= data.twist[l] / data.twist[r]
-        out.blocks[(sa, da, cl, cr)] = scalar * out.blocks[(sa, da, cl, cr)]
-    return out
+    twists = [
+        {i: data.twist[l] / data.twist[r] for i, (l, r) in enumerate(A.summands)}
+        for A in word
+    ]
+    return _tensor_endos(data, word, twists)
 
 
 def _random_endomorphism(data, A: DoubleObject, rng) -> dict:
@@ -432,10 +372,8 @@ def _random_endomorphism(data, A: DoubleObject, rng) -> dict:
 
 
 def _tensor_endos(data, word, endos) -> DoubleMorphism:
-    out = DoubleMorphism.identity(data, word)
-    for (sa, da, cl, cr) in list(out.blocks):
-        scalar = 1.0 + 0j
-        for t, i in enumerate(sa):
-            scalar *= endos[t][i]
-        out.blocks[(sa, da, cl, cr)] = scalar * out.blocks[(sa, da, cl, cr)]
-    return out
+    """Tensor product of one scalar-per-summand endomorphism per letter."""
+    return DoubleMorphism.scaled_identity(
+        data, word,
+        lambda assign, cl, cr: math.prod(endos[t][i] for t, i in enumerate(assign)),
+    )

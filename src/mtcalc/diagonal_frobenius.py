@@ -376,13 +376,10 @@ def _transpose_single(data, m: gc.Morphism) -> gc.Morphism:
 
 def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
     """Diagonal action of the form coefficient on letter k."""
-    data = alg.data
-    out = DoubleMorphism.identity(data, tuple(word))
-    for key in list(out.blocks):
-        sa = key[0]
-        a = word[k].summands[sa[k]][0]
-        out.blocks[key] = (alg.phi[a] ** power) * out.blocks[key]
-    return out
+    return DoubleMorphism.scaled_identity(
+        alg.data, word,
+        lambda assign, cl, cr: alg.phi[word[k].summands[assign[k]][0]] ** power,
+    )
 
 
 @_memoized

@@ -153,7 +153,7 @@ class CategoryData:
         self._ficache: dict = {}
         self._rcache: dict = {}
         self._ricache: dict = {}
-        self._tree_cache: dict = {}   # (word, target) -> fusion trees
+        self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
         self._validate_tables()
         self.h = tuple((cmath.phase(t) / (2 * math.pi)) % 1.0 for t in self.twist)

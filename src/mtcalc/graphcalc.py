@@ -2,9 +2,10 @@
 
 Words are left-parenthesized tuples of label ids; rebracketing is implicit
 and performed through F-block insertions.  A morphism between words is stored
-block-wise per total charge: the block entry ``M[s, t]`` is the coefficient of
-the source tree ``t`` in the composite of the target tree ``s`` with the
-morphism, so blocks compose by plain matrix multiplication.
+block-wise per total charge, and a charge without a stored block is zero: the
+block entry ``M[s, t]`` is the coefficient of the source tree ``t`` in the
+composite of the target tree ``s`` with the morphism, so blocks compose by
+plain matrix multiplication.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .report import Report
 
 __all__ = [
     "HomSpace",
+    "BlockMap",
     "Morphism",
     "Diagram",
     "Gen",
@@ -27,6 +29,7 @@ __all__ = [
     "CovertexVector",
     "DualityMaps",
     "hom_space",
+    "word_trees",
     "trees",
     "f_move",
     "FusingMove",
@@ -56,37 +59,35 @@ __all__ = [
 # fusion trees
 
 
-def trees(data: CategoryData, word: tuple, target: int) -> tuple:
-    """Deterministic fusion-tree basis of hom(word, target).
+def word_trees(data: CategoryData, word: tuple) -> dict:
+    """Fusion-tree bases of ``word`` by total charge, built in one walk.
 
     A tree is a tuple of ``(internal_label, mult)`` pairs, one per letter
-    after the first; internal labels ascend first, multiplicities second.
+    after the first; within a charge, internal labels ascend first,
+    multiplicities second.  Charges without trees are absent.
     """
     word = tuple(word)
     cache = data._tree_cache
-    key = (word, target)
-    if key in cache:
-        return cache[key]
-    n = len(word)
-    if n == 0:
-        out = ((),) if target == data.unit else ()
-    elif n == 1:
-        out = ((),) if word[0] == target else ()
-    else:
-        partial = [((), word[0])]
-        for t in range(1, n):
-            nxt = []
-            for prefix, state in partial:
-                for x in range(data.size):
-                    mult = data.n(state, word[t], x)
-                    if t == n - 1 and x != target:
-                        continue
-                    for mu in range(mult):
-                        nxt.append((prefix + ((x, mu),), x))
-            partial = nxt
-        out = tuple(prefix for prefix, _ in partial)
-    cache[key] = out
-    return out
+    if word in cache:
+        return cache[word]
+    partial = [((), word[0] if word else data.unit)]
+    for letter in word[1:]:
+        partial = [
+            (prefix + ((x, mu),), x)
+            for prefix, state in partial
+            for x in range(data.size)
+            for mu in range(data.n(state, letter, x))
+        ]
+    by_charge = {}
+    for prefix, charge in partial:
+        by_charge.setdefault(charge, []).append(prefix)
+    cache[word] = {d: tuple(by_charge[d]) for d in sorted(by_charge)}
+    return cache[word]
+
+
+def trees(data: CategoryData, word: tuple, target: int) -> tuple:
+    """Deterministic fusion-tree basis of hom(word, target); see ``word_trees``."""
+    return word_trees(data, word).get(target, ())
 
 
 @dataclass(frozen=True)
@@ -111,54 +112,51 @@ def hom_space(data: CategoryData, word, target: int) -> HomSpace:
 # morphisms between words
 
 
-class Morphism:
-    """Block matrix between the fusion-tree bases of two words."""
+class BlockMap:
+    """Map between two words stored as a dict of blocks; a missing key is a
+    zero block.
+
+    Subclasses fix the key: ``Morphism`` keys a block by its total charge,
+    ``deligne_double.DoubleMorphism`` by summand assignments and a charge
+    pair.  Each gives the shape of a key's block (``_shape``), the key of a
+    closed diagram's value (``_unit_key``) and the keyed composition.
+    Blocks are never written in place once a map is built, so maps may
+    share them.
+    """
 
     def __init__(self, data: CategoryData, dom: tuple, cod: tuple, blocks: dict):
         self.data = data
         self.dom = tuple(dom)
         self.cod = tuple(cod)
-        self.blocks = blocks  # charge -> ndarray (codtrees x domtrees)
+        self.blocks = blocks
 
     @classmethod
     def zero(cls, data, dom, cod):
-        blocks = {
-            d: np.zeros((len(trees(data, cod, d)), len(trees(data, dom, d))), complex)
-            for d in range(data.size)
-        }
-        return cls(data, dom, cod, blocks)
+        """The empty map: every block is zero."""
+        return cls(data, dom, cod, {})
 
-    @classmethod
-    def identity(cls, data, word):
-        blocks = {
-            d: np.eye(len(trees(data, word, d)), dtype=complex)
-            for d in range(data.size)
-        }
-        return cls(data, word, word, blocks)
+    def block(self, key) -> np.ndarray:
+        """The block at ``key``, or zeros of its shape if it is not stored."""
+        mat = self.blocks.get(key)
+        return np.zeros(self._shape(key), complex) if mat is None else mat
 
-    def __matmul__(self, other: "Morphism") -> "Morphism":
-        if other.cod != self.dom:
-            raise ValueError(f"cannot compose {other.cod} -> {self.dom}")
-        blocks = {d: self.blocks[d] @ other.blocks[d] for d in self.blocks}
-        return Morphism(self.data, other.dom, self.cod, blocks)
-
-    def __mul__(self, scalar: complex) -> "Morphism":
-        return Morphism(
+    def __mul__(self, scalar: complex):
+        return type(self)(
             self.data, self.dom, self.cod,
-            {d: scalar * m for d, m in self.blocks.items()},
+            {key: scalar * m for key, m in self.blocks.items()},
         )
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "Morphism") -> "Morphism":
+    def __add__(self, other):
         if (other.dom, other.cod) != (self.dom, self.cod):
             raise ValueError("shape mismatch")
-        return Morphism(
-            self.data, self.dom, self.cod,
-            {d: self.blocks[d] + other.blocks[d] for d in self.blocks},
-        )
+        blocks = dict(self.blocks)
+        for key, m in other.blocks.items():
+            blocks[key] = blocks[key] + m if key in blocks else m
+        return type(self)(self.data, self.dom, self.cod, blocks)
 
-    def __sub__(self, other: "Morphism") -> "Morphism":
+    def __sub__(self, other):
         return self + (-1.0) * other
 
     def norm(self) -> float:
@@ -167,14 +165,44 @@ class Morphism:
             default=0.0,
         )
 
-    def distance(self, other: "Morphism") -> float:
+    def distance(self, other) -> float:
         return (self - other).norm()
 
     def scalar(self) -> complex:
         """Value of a closed diagram (empty boundary words)."""
         if self.dom or self.cod:
             raise ValueError("scalar() requires empty boundary words")
-        return complex(self.blocks[self.data.unit][0, 0])
+        return complex(self.block(self._unit_key())[0, 0])
+
+
+class Morphism(BlockMap):
+    """Block matrix between the fusion-tree bases of two words, one block
+    (codtrees x domtrees) per total charge."""
+
+    # bound in this class body too: perfbench/spans.py wraps the attributes
+    # it finds in the class's own namespace
+    zero = classmethod(BlockMap.zero.__func__)
+
+    @classmethod
+    def identity(cls, data, word):
+        blocks = {
+            d: np.eye(len(t), dtype=complex) for d, t in word_trees(data, word).items()
+        }
+        return cls(data, word, word, blocks)
+
+    def __matmul__(self, other: "Morphism") -> "Morphism":
+        if other.cod != self.dom:
+            raise ValueError(f"cannot compose {other.cod} -> {self.dom}")
+        blocks = {
+            d: m @ other.blocks[d] for d, m in self.blocks.items() if d in other.blocks
+        }
+        return Morphism(self.data, other.dom, self.cod, blocks)
+
+    def _shape(self, d) -> tuple:
+        return len(trees(self.data, self.cod, d)), len(trees(self.data, self.dom, d))
+
+    def _unit_key(self):
+        return self.data.unit
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +222,16 @@ def _replace_window(data, word, k, width, new, key, local) -> Morphism:
     word = tuple(word)
     cod = word[:k] + new + word[k + width:]
     old = word[k:k + width]
-    out = Morphism.zero(data, word, cod)
     head = ((data.unit, 0),) + tuple((w, 0) for w in word[:1])
     cache = data._local_cache
-    for d, mat in out.blocks.items():
-        if not mat.size:
+    targets = word_trees(data, cod)
+    blocks = {}
+    for d, src in word_trees(data, word).items():
+        if d not in targets:
             continue
-        index = {s: i for i, s in enumerate(trees(data, cod, d))}
-        for ti, t in enumerate(trees(data, word, d)):
+        index = {s: i for i, s in enumerate(targets[d])}
+        mat = blocks[d] = np.zeros((len(index), len(src)), complex)
+        for ti, t in enumerate(src):
             ext = head + t
             p, q = ext[k][0], ext[k + width][0]
             block = cache.get((key, p, q))
@@ -210,7 +240,7 @@ def _replace_window(data, word, k, width, new, key, local) -> Morphism:
             for s_win, coef in block[ext[k + 1:k + 1 + width]]:
                 s = (ext[:k + 1] + s_win + ext[k + 1 + width:])[2:]
                 mat[index[s], ti] = coef
-    return out
+    return Morphism(data, word, cod, blocks)
 
 
 def _sparse_block(data, old, new, p, q, local) -> dict:
@@ -595,14 +625,14 @@ def _as_vertex_vector(data, m: Morphism) -> VertexVector:
     if len(m.dom) != 2 or len(m.cod) != 1:
         raise ValueError("not a vertex-shaped morphism")
     c = m.cod[0]
-    return VertexVector(m.dom[0], m.dom[1], c, tuple(m.blocks[c][0, :]))
+    return VertexVector(m.dom[0], m.dom[1], c, tuple(m.block(c)[0, :]))
 
 
 def _as_covertex_vector(data, m: Morphism) -> CovertexVector:
     if len(m.dom) != 1 or len(m.cod) != 2:
         raise ValueError("not a covertex-shaped morphism")
     c = m.dom[0]
-    return CovertexVector(m.cod[0], m.cod[1], c, tuple(m.blocks[c][:, 0]))
+    return CovertexVector(m.cod[0], m.cod[1], c, tuple(m.block(c)[:, 0]))
 
 
 def swap_vertex(data, v: VertexVector, sense: str) -> VertexVector:
@@ -786,14 +816,14 @@ def _fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
             for ii, yi in enumerate(inner_right[x]):
                 rights.append((x, io, ii))
                 comp = yo.at(data, (w0, x), 0) @ yi.at(data, word, 1)
-                rvecs.append(comp.blocks[d][0, :])
+                rvecs.append(comp.block(d)[0, :])
     lefts, lvecs = [], []
     for y in sorted(outer_left):
         for io, yo in enumerate(outer_left[y]):
             for ii, yi in enumerate(inner_left[y]):
                 lefts.append((y, io, ii))
                 comp = yo.at(data, (y, w2), 0) @ yi.at(data, word, 0)
-                lvecs.append(comp.blocks[d][0, :])
+                lvecs.append(comp.block(d)[0, :])
     U = np.array(rvecs).reshape(len(rights), len(tre))
     V = np.array(lvecs).reshape(len(lefts), len(tre))
     return rights, lefts, U @ np.linalg.inv(V)

@@ -122,6 +122,29 @@ def test_operad_trials_below_one_is_usage_error(trials):
     assert out.startswith("usage error: --trials must be at least 1")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_tol_not_finite_positive_is_usage_error(tol):
+    status, out = run_suite(["verify-category", "builtin:trivial", f"--tol={tol}"])
+    assert status == EXIT_USAGE
+    assert out.startswith("usage error: --tol must be finite and positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-category", "builtin:trivial"],
+    ["rigidity", "builtin:trivial"],
+    ["fusing-symmetries", "builtin:trivial"],
+    ["verify-ffa", "builtin:trivial"],
+    ["build-ffa", "builtin:trivial"],
+    ["operad-check", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_input_error(tmp_path, argv):
+    out_path = tmp_path / "missing-dir" / "report.json"
+    status, out = run_suite(argv + ["--out", str(out_path)])
+    assert status == EXIT_INPUT
+    assert out.startswith("input error:")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "cmd",
     ["verify-category", "rigidity", "fusing-symmetries", "build-ffa", "verify-ffa"],

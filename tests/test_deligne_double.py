@@ -98,8 +98,28 @@ def test_double_twist_offdiagonal_value(categories):
     data = categories["fibonacci"]
     te = dd.DoubleObject(((1, 0),))
     tw = dd.double_twist(data, te)
-    blk = tw.blocks[((0,), (0,), 1, 0)]
+    blk = tw.block(((0,), (0,), 1, 0))
     assert abs(blk[0, 0] - cmath.exp(4j * math.pi / 5)) < 1e-9
+
+
+def test_omitted_double_block_is_zero(categories):
+    data = categories["fibonacci"]
+    word = (dd.DoubleObject(((1, 1), (1, 0))),) * 3
+    ident = dd.DoubleMorphism.identity(data, word)
+    zero = dd.DoubleMorphism.zero(data, word, word)
+    assert max(m.shape[0] for m in ident.blocks.values()) == 4
+    for key, mat in ident.blocks.items():
+        assert np.array_equal(zero.block(key), np.zeros(mat.shape))
+    for got, want in [
+        (ident + zero, ident),
+        (zero + ident, ident),
+        (zero - ident, -1.0 * ident),
+        (ident @ zero, zero),
+        (zero @ ident, zero),
+    ]:
+        for key, mat in ident.blocks.items():
+            assert np.array_equal(got.block(key), want.block(key))
+    assert dd.DoubleMorphism.zero(data, (), ()).scalar() == 0.0
 
 
 def test_braiding_inverse_pairing(categories):

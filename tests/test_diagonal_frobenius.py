@@ -263,7 +263,7 @@ def test_comult_tensor_reads_the_diagram(categories, monkeypatch):
     sidx = alg.summand_index
     for (a1, a2, a3), block in delta.items():
         key = ((sidx[a3],), (sidx[a1], sidx[a2]), a3, alg.data.dual(a3))
-        assert np.array_equal(block.ravel(), diagram.blocks[key].ravel())
+        assert np.array_equal(block.ravel(), diagram.block(key).ravel())
     assert set(delta) == set(alg.mult)
 
 

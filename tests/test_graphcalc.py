@@ -58,6 +58,70 @@ def test_hom_dimension_is_iterated_multiplicity_sum(categories):
             assert gc.hom_space(data, word, target).dim == want
 
 
+def _per_target_trees(data, word, target):
+    """The former ``trees``: one walk of the whole chain per target charge."""
+    word = tuple(word)
+    n = len(word)
+    if n == 0:
+        return ((),) if target == data.unit else ()
+    if n == 1:
+        return ((),) if word[0] == target else ()
+    partial = [((), word[0])]
+    for t in range(1, n):
+        nxt = []
+        for prefix, state in partial:
+            for x in range(data.size):
+                mult = data.n(state, word[t], x)
+                if t == n - 1 and x != target:
+                    continue
+                for mu in range(mult):
+                    nxt.append((prefix + ((x, mu),), x))
+        partial = nxt
+    return tuple(prefix for prefix, _ in partial)
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci"])
+def test_one_walk_trees_match_per_target_walk(name):
+    data = fd.builtin_category(name)
+    for length in range(5):
+        for word in itertools.product(range(data.size), repeat=length):
+            by_charge = gc.word_trees(data, word)
+            assert all(by_charge.values())
+            for target in range(data.size):
+                want = _per_target_trees(data, word, target)
+                assert gc.trees(data, word, target) == want
+                assert by_charge.get(target, ()) == want
+
+
+def test_omitted_block_is_zero(categories):
+    data = categories["fibonacci"]
+    full = 2.0 * gc.braid_morphism(data, (1, 1), 0, "+")
+    back = gc.braid_morphism(data, (1, 1), 0, "-")
+    assert set(full.blocks) == {0, 1}
+    sparse = Morphism(data, (1, 1), (1, 1), {1: full.blocks[1]})
+    dense = Morphism(
+        data, (1, 1), (1, 1), {0: np.zeros((1, 1), complex), 1: full.blocks[1]}
+    )
+    assert sparse.distance(dense) == 0.0 and dense.distance(sparse) == 0.0
+    assert np.array_equal(sparse.block(0), np.zeros((1, 1)))
+    for got, want in [
+        (full + sparse, full + dense),
+        (sparse + full, dense + full),
+        (full - sparse, full - dense),
+        (sparse - full, dense - full),
+        (back @ sparse, back @ dense),
+        (sparse @ back, dense @ back),
+    ]:
+        # blockwise, so that no arithmetic under test judges itself
+        for d in range(data.size):
+            assert np.array_equal(got.block(d), want.block(d))
+    # a closed diagram whose unit block is omitted has the value zero
+    loop = gc.cap_morphism(data, (1, 1), 0, 1, 1) @ gc.cup_morphism(data, (), 0, 1, 1)
+    assert abs(loop.scalar()) > 0.1
+    assert Morphism(data, (), (), {}).scalar() == 0.0
+    assert Morphism.zero(data, (), ()).scalar() == 0.0
+
+
 def test_morphism_composition_associative_and_identity_exact(categories):
     data = categories["fibonacci"]
     word = (1, 1, 1)
@@ -121,7 +185,7 @@ def test_double_braiding_ribbon_identity(categories, name):
                 n = data.n(a, b, c)
                 if n:
                     want = data.twist[c] / (data.twist[a] * data.twist[b])
-                    res = np.max(np.abs(dbl.blocks[c] - want * np.eye(n)))
+                    res = np.max(np.abs(dbl.block(c) - want * np.eye(n)))
                     assert res < 1e-9
 
 
@@ -347,7 +411,7 @@ def test_bent_covertex_prefactor(categories):
     ei = gc.bend_vertex(data, VertexVector.basis(data, 1, 1, 0), "+")
     fj = gc.bend_covertex(data, CovertexVector.basis(data, 1, 1, 0), "+")
     unscaled = (1.0 / ratio) * (ei.morphism(data) @ fj.morphism(data))
-    assert abs(unscaled.blocks[1][0, 0] - 1 / PHI) < 1e-9
+    assert abs(unscaled.block(1)[0, 0] - 1 / PHI) < 1e-9
 
 
 @pytest.mark.parametrize("name", BUILTINS)

@@ -1,0 +1,51 @@
+"""The benchmark tracer (perfbench/spans.py) wraps mtcalc functions and
+methods by name; this test pins the names and signatures it relies on."""
+
+import sys
+from pathlib import Path
+
+import mtcalc.cli_io as cli_io
+import mtcalc.deligne_double as dd
+import mtcalc.graphcalc as gc
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bindings():
+    """Every attribute of every loaded mtcalc module and morphism class."""
+    owners = [
+        m for n, m in sys.modules.items()
+        if m is not None and (n == "mtcalc" or n.startswith("mtcalc."))
+    ]
+    out = {(id(o), k): v for o in owners for k, v in vars(o).items()}
+    for cls in (gc.Morphism, dd.DoubleMorphism):
+        out.update({(id(cls), k): v for k, v in vars(cls).items()})
+    return out
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    before = _bindings()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job("verify-ffa trivial")
+        status, _ = cli_io.run_suite(["verify-ffa", "builtin:trivial"])
+        assert status == cli_io.EXIT_OK
+        values = spans.layer_values(tracer.summary())
+    finally:
+        tracer.uninstall()
+    assert set(values) == set(spans.layer_units())
+    for name in (
+        "graphcalc.trees.calls",
+        "graphcalc.Morphism.matmul.calls",
+        "deligne_double.add_block.calls",
+        "deligne_double.DoubleMorphism.matmul.calls",
+        "deligne_double.DoubleMorphism.identity.calls",
+    ):
+        assert values[name] > 0, name
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())

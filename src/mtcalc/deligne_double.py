@@ -130,8 +130,8 @@ class DoubleMorphism(gc.BlockMap):
         return ((), (), e, e)
 
 
-def pair_layer(data, word, assign, dst_assign, left_m: gc.Morphism,
-               right_m: gc.Morphism, out: DoubleMorphism, coeff=1.0):
+def pair_layer(assign, dst_assign, left_m: gc.Morphism, right_m: gc.Morphism,
+               out: DoubleMorphism, coeff=1.0):
     """Add Kron(left, right) blocks of one assignment pair into ``out``."""
     for cl, ml in left_m.blocks.items():
         for cr, mr in right_m.blocks.items():
@@ -217,7 +217,7 @@ def double_braid_layer(data, word, k, variant: str) -> DoubleMorphism:
         dst = assign[:k] + (assign[k + 1], assign[k]) + assign[k + 2:]
         lm = gc.braid_morphism(data, left, k, s1)
         rm = gc.braid_morphism(data, right, k, s2)
-        pair_layer(data, word, assign, dst, lm, rm, out)
+        pair_layer(assign, dst, lm, rm, out)
     return out
 
 
@@ -274,7 +274,7 @@ def double_cluster_braid(data, word3, variant: str) -> DoubleMorphism:
         dst = (assign[1], assign[2], assign[0])
         lm = _cluster_braid_word(data, left, s1)
         rm = _cluster_braid_word(data, right, s2)
-        pair_layer(data, word3, assign, dst, lm, rm, out)
+        pair_layer(assign, dst, lm, rm, out)
     return out
 
 

@@ -245,7 +245,7 @@ def mult_layer(alg, word, k) -> DoubleMorphism:
             for i, j, coef in entries:
                 lm = gc.vertex_morphism(data, left, k, a1, a2, a3, i)
                 rm = gc.vertex_morphism(data, right, k, a1p, a2p, a3p, j)
-                pair_layer(data, word, assign, dst, lm, rm, out, coeff=coef)
+                pair_layer(assign, dst, lm, rm, out, coeff=coef)
     return out
 
 
@@ -264,7 +264,7 @@ def ev_layer(alg, word, k) -> DoubleMorphism:
         dst = assign[:k] + assign[k + 2:]
         lm = gc.cap_morphism(data, left, k, b, a)
         rm = gc.cap_morphism(data, right, k, data.dual(b), data.dual(a))
-        pair_layer(data, word, assign, dst, lm, rm, out)
+        pair_layer(assign, dst, lm, rm, out)
     return out
 
 
@@ -291,7 +291,7 @@ def comult_layer(alg, word, k) -> DoubleMorphism:
             for i, j, coef in entries:
                 lm = gc.covertex_morphism(data, left, k, a1, a2, a3, i)
                 rm = gc.covertex_morphism(data, right, k, a1p, a2p, a3p, j)
-                pair_layer(data, word, assign, dst, lm, rm, out, coeff=coef)
+                pair_layer(assign, dst, lm, rm, out, coeff=coef)
     return out
 
 
@@ -346,7 +346,7 @@ def unit_layer(alg, word, k) -> DoubleMorphism:
         dst = assign[:k] + (eidx,) + assign[k:]
         lm = gc.unit_insert_morphism(data, left, k)
         rm = gc.unit_insert_morphism(data, right, k)
-        pair_layer(data, word, assign, dst, lm, rm, out)
+        pair_layer(assign, dst, lm, rm, out)
     return out
 
 
@@ -365,7 +365,7 @@ def counit_layer(alg, word, k) -> DoubleMorphism:
         dl, dr = _factor_words(cod, dst)
         lm = _transpose_single(data, gc.unit_insert_morphism(data, dl, k))
         rm = _transpose_single(data, gc.unit_insert_morphism(data, dr, k))
-        pair_layer(data, word, assign, dst, lm, rm, out)
+        pair_layer(assign, dst, lm, rm, out)
     return out
 
 
@@ -397,7 +397,7 @@ def coev_layer(alg, word, k) -> DoubleMorphism:
             dst = assign[:k] + (sidx[a], sidx[ap]) + assign[k:]
             lm = dim * gc.cup_morphism(data, left, k, a, ap)
             rm = dim * gc.cup_morphism(data, right, k, ap, a)
-            pair_layer(data, word, assign, dst, lm, rm, out)
+            pair_layer(assign, dst, lm, rm, out)
     return out
 
 

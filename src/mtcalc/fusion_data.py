@@ -68,12 +68,18 @@ class Label:
 
 @dataclass(frozen=True)
 class FusionRing:
-    """Fusion multiplicities of a finite set of labels with unit and duals."""
+    """Fusion multiplicities of a finite set of labels with unit and duals.
+
+    ``channels`` maps every label pair (a, b) to the ascending tuple of the
+    channels c with N_{ab}^c > 0; it is built once, on validation, and every
+    enumeration of fusion channels walks it.
+    """
 
     labels: tuple[Label, ...]
     unit: int
     dual: tuple[int, ...]
     N: dict = field(hash=False)  # (a, b, c) -> positive int; absent means 0
+    channels: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         self._validate()
@@ -85,9 +91,16 @@ class FusionRing:
     def n(self, a: int, b: int, c: int) -> int:
         return self.N.get((a, b, c), 0)
 
-    def outcomes(self, a: int, b: int):
+    def outcomes(self, a: int, b: int) -> tuple:
         """Channels c with N_{ab}^c > 0, ascending."""
-        return [c for c in range(self.size) if self.n(a, b, c) > 0]
+        return self.channels[a, b]
+
+    def totals(self, word) -> tuple:
+        """Totals t with a nonzero hom(word, t), ascending; ``word`` nonempty."""
+        states = {word[0]}
+        for b in word[1:]:
+            states = {c for a in states for c in self.channels[a, b]}
+        return tuple(sorted(states))
 
     def fusion_matrix(self, a: int) -> np.ndarray:
         """(N_a)_{bc} = N_{ab}^c as an integer matrix."""
@@ -113,6 +126,11 @@ class FusionRing:
         for (a, b, c), v in self.N.items():
             if v < 0 or not all(0 <= x < n for x in (a, b, c)):
                 raise CategoryDataError(f"bad fusion entry {(a, b, c)} -> {v}")
+        channels = {(a, b): () for a in range(n) for b in range(n)}
+        for (a, b, c), v in sorted(self.N.items()):
+            if v > 0:
+                channels[a, b] += (c,)
+        object.__setattr__(self, "channels", channels)
         for a in range(n):
             for b in range(n):
                 if self.n(e, a, b) != (1 if a == b else 0):
@@ -124,16 +142,21 @@ class FusionRing:
                     raise CategoryDataError(
                         f"duality channel N[{a},{b}]^e must be {want}"
                     )
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        lhs = sum(self.n(a, b, x) * self.n(x, c, d) for x in range(n))
-                        rhs = sum(self.n(b, c, y) * self.n(a, y, d) for y in range(n))
-                        if lhs != rhs:
-                            raise CategoryDataError(
-                                f"fusion ring not associative at {(a, b, c, d)}"
-                            )
+        # (a x b) x c and a x (b x c) agree channel by channel; the first
+        # failing (a, b, c, d) in lexicographic order is reported
+        for a, b, c in itertools.product(range(n), repeat=3):
+            lhs, rhs = {}, {}
+            for x in self.outcomes(a, b):
+                for d in self.outcomes(x, c):
+                    lhs[d] = lhs.get(d, 0) + self.N[a, b, x] * self.N[x, c, d]
+            for y in self.outcomes(b, c):
+                for d in self.outcomes(a, y):
+                    rhs[d] = rhs.get(d, 0) + self.N[b, c, y] * self.N[a, y, d]
+            if lhs != rhs:
+                d = min(d for d in lhs.keys() | rhs.keys() if lhs.get(d) != rhs.get(d))
+                raise CategoryDataError(
+                    f"fusion ring not associative at {(a, b, c, d)}"
+                )
 
 
 class CategoryData:
@@ -185,7 +208,7 @@ class CategoryData:
     def f_right_basis(self, a, b, c, d):
         """Right-tree triples (x, i, j) of the word (a,b,c) -> d."""
         out = []
-        for x in range(self.size):
+        for x in self.ring.outcomes(b, c):
             for i in range(self.n(a, x, d)):
                 for j in range(self.n(b, c, x)):
                     out.append((x, i, j))
@@ -194,7 +217,7 @@ class CategoryData:
     def f_left_basis(self, a, b, c, d):
         """Left-tree triples (y, k, l) of the word (a,b,c) -> d."""
         out = []
-        for y in range(self.size):
+        for y in self.ring.outcomes(a, b):
             for k in range(self.n(y, c, d)):
                 for l in range(self.n(a, b, y)):
                     out.append((y, k, l))
@@ -288,28 +311,30 @@ class CategoryData:
             if i >= ring.n(b, a, c) or j >= ring.n(a, b, c):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
         # completeness of coverage for every admissible block
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for i in range(ring.n(b, a, c)):
-                        for j in range(ring.n(a, b, c)):
-                            if (a, b, c, i, j) not in self.R:
-                                raise CategoryDataError(
-                                    f"missing R entry for channel {(a, b, c)}"
-                                )
-                    for d in range(n):
-                        for (x, i, j) in self.f_right_basis(a, b, c, d):
-                            for (y, k, l) in self.f_left_basis(a, b, c, d):
-                                if (a, b, c, d, x, y, i, j, k, l) not in self.F:
-                                    raise CategoryDataError(
-                                        f"missing F entry for block {(a, b, c, d)}"
-                                    )
+        for (a, b), channels in ring.channels.items():
+            for c in channels:
+                for i in range(ring.n(b, a, c)):
+                    for j in range(ring.n(a, b, c)):
+                        if (a, b, c, i, j) not in self.R:
+                            raise CategoryDataError(
+                                f"missing R entry for channel {(a, b, c)}"
+                            )
+        for a, b, c in itertools.product(range(n), repeat=3):
+            for d in ring.totals((a, b, c)):
+                for (x, i, j) in self.f_right_basis(a, b, c, d):
+                    for (y, k, l) in self.f_left_basis(a, b, c, d):
+                        if (a, b, c, d, x, y, i, j, k, l) not in self.F:
+                            raise CategoryDataError(
+                                f"missing F entry for block {(a, b, c, d)}"
+                            )
         # unit gauge: fusion trees and unit insertion give unit vertices the
         # coefficient 1, which agrees with the F-moves only for identity blocks
-        for a, b, c, d in itertools.product(range(n), repeat=4):
-            if ring.unit in (a, b, c):
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if ring.unit not in (a, b, c):
+                continue
+            for d in ring.totals((a, b, c)):
                 mat = self.f_block(a, b, c, d)
-                if mat.size and np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12:
+                if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12:
                     raise CategoryDataError(
                         f"F block {(a, b, c, d)} with a unit label is not the identity"
                     )
@@ -334,38 +359,30 @@ def pentagon_residuals(data: CategoryData):
     """Yield ((a,b,c,d,total), residual) over all pentagon instances.
 
     Both routes from the fully right-nested to the fully left-nested fusion
-    of a four-letter word are expanded through F-blocks and compared.
+    of a four-letter word are expanded through F-blocks and compared.  Only
+    the totals the word reaches are visited.
     """
-    n = data.size
-    rng5 = range(n)
-    for a in rng5:
-        for b in rng5:
-            for c in rng5:
-                for d in rng5:
-                    for tot in rng5:
-                        res = _pentagon_instance(data, a, b, c, d, tot)
-                        if res is not None:
-                            yield (a, b, c, d, tot), res
+    for a, b, c, d in itertools.product(range(data.size), repeat=4):
+        for tot in data.ring.totals((a, b, c, d)):
+            yield (a, b, c, d, tot), _pentagon_instance(data, a, b, c, d, tot)
 
 
 def _pentagon_instance(data, a, b, c, d, tot):
-    n = data.size
+    outcomes = data.ring.outcomes
     rn = []  # right-nested source basis: (x, k, y, j, i)
-    for x in range(n):
+    for x in outcomes(c, d):
         for k in range(data.n(c, d, x)):
-            for y in range(n):
+            for y in outcomes(b, x):
                 for j in range(data.n(b, x, y)):
                     for i in range(data.n(a, y, tot)):
                         rn.append((x, k, y, j, i))
     ln = []  # left-nested target basis: (u, q, v, s, r)
-    for u in range(n):
+    for u in outcomes(a, b):
         for q in range(data.n(a, b, u)):
-            for v in range(n):
+            for v in outcomes(u, c):
                 for s in range(data.n(u, c, v)):
                     for r in range(data.n(v, d, tot)):
                         ln.append((u, q, v, s, r))
-    if not rn or not ln:
-        return None
     p1 = np.zeros((len(rn), len(ln)), dtype=complex)
     p2 = np.zeros_like(p1)
     for si, (x, k, y, j, i) in enumerate(rn):
@@ -377,7 +394,7 @@ def _pentagon_instance(data, a, b, c, d, tot):
                 acc1 += f1 * f2
             p1[si, ti] = acc1
             acc2 = 0j
-            for w in range(n):
+            for w in outcomes(b, c):
                 for t in range(data.n(w, d, y)):
                     for z in range(data.n(b, c, w)):
                         f3 = data.F.get((b, c, d, y, x, w, j, k, t, z), 0)
@@ -388,29 +405,27 @@ def _pentagon_instance(data, a, b, c, d, tot):
                             f5 = data.F.get((a, b, c, v, w, u, g, z, s, q), 0)
                             acc2 += f3 * f4 * f5
             p2[si, ti] = acc2
-    return float(np.max(np.abs(p1 - p2))) if p1.size else None
+    return float(np.max(np.abs(p1 - p2)))
 
 
 def hexagon_residuals(data: CategoryData):
     """Yield ((sense, a, b, c, total), residual) over all hexagon instances.
 
     Braiding a past the fused pair (b, c) must equal braiding past b and c
-    one at a time, for both braiding senses.
+    one at a time, for both braiding senses.  Only the totals the word
+    reaches are visited.
     """
-    n = data.size
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for tot in range(n):
-                    for sense in (+1, -1):
-                        res = _hexagon_instance(data, a, b, c, tot, sense)
-                        if res is not None:
-                            yield (("+" if sense > 0 else "-"), a, b, c, tot), res
+    for a, b, c in itertools.product(range(data.size), repeat=3):
+        for tot in data.ring.totals((a, b, c)):
+            for sense in (+1, -1):
+                res = _hexagon_instance(data, a, b, c, tot, sense)
+                if res is not None:
+                    yield (("+" if sense > 0 else "-"), a, b, c, tot), res
 
 
 def _tree_basis3(data, w1, w2, w3, tot):
     out = []
-    for y in range(data.size):
+    for y in data.ring.outcomes(w1, w2):
         for l in range(data.n(w1, w2, y)):
             for m in range(data.n(y, w3, tot)):
                 out.append((y, l, m))
@@ -478,9 +493,9 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     for a in range(data.size):
         for b in range(data.size):
             for c in range(data.size):
-                for d in range(data.size):
+                for d in data.ring.totals((a, b, c)):
                     fmat = data.f_block(a, b, c, d)
-                    if fmat.size == 0 or fmat.shape[0] != fmat.shape[1]:
+                    if fmat.shape[0] != fmat.shape[1]:
                         continue
                     try:
                         inv = np.linalg.inv(fmat)
@@ -740,8 +755,11 @@ def loads_category(text: str) -> CategoryData:
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed category document: {exc}") from exc
     labels = tuple(Label(i, str(s)) for i, s in enumerate(names))
-    N = {}
+    N, rows = {}, set()
     for a, b, c, v in fusion:
+        if (a, b, c) in rows:
+            raise CategoryDataError(f"duplicate fusion row {(a, b, c)}")
+        rows.add((a, b, c))
         if v:
             N[(a, b, c)] = v
     ring = FusionRing(labels, unit, tuple(dual), N)

@@ -11,6 +11,7 @@ plain matrix multiplication.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -880,54 +881,51 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
         )
 
     # braid-conjugation symmetry of the fusing matrices
+    images = {}  # (operator, sense, a1, a2, a3, mu) -> image of a basis vertex
     for key in _nonempty_fusing_words(data):
         a1, a2, a3, a4 = key
-        res = _braid_conjugation_defect(data, a1, a2, a3, a4)
+        res = _braid_conjugation_defect(data, images, a1, a2, a3, a4)
         report.add("fusing_braid_conjugation", key, res)
-        res = _bend_conjugation_defect(data, a1, a2, a3, a4)
+        res = _bend_conjugation_defect(data, images, a1, a2, a3, a4)
         report.add("fusing_bend_conjugation", key, res)
     report.wall_time = time.perf_counter() - t0
     return report
 
 
 def _nonempty_fusing_words(data):
+    n = data.size
+    return [
+        (a1, a2, a3, a4)
+        for a1, a2, a3 in itertools.product(range(n), repeat=3)
+        for a4 in data.ring.totals((a1, a2, a3))
+    ]
+
+
+def _basis_images(data, images, op, sense, a1, a2, a3):
+    """``op`` (swap_vertex or bend_vertex) of every basis vertex of
+    hom(a1 a2, a3), each computed once per ``images`` memo."""
     out = []
-    for a1 in range(data.size):
-        for a2 in range(data.size):
-            for a3 in range(data.size):
-                for a4 in range(data.size):
-                    if data.f_right_basis(a1, a2, a3, a4) and data.f_left_basis(
-                        a1, a2, a3, a4
-                    ):
-                        out.append((a1, a2, a3, a4))
+    for mu in range(data.n(a1, a2, a3)):
+        key = (op, sense, a1, a2, a3, mu)
+        if key not in images:
+            images[key] = op(data, VertexVector.basis(data, a1, a2, a3, mu), sense)
+        out.append(images[key])
     return out
 
 
-def _braid_conjugation_defect(data, a1, a2, a3, a4) -> float:
+def _braid_conjugation_defect(data, images, a1, a2, a3, a4) -> float:
     """Stored F equals the inverse fusing matrix in swap-transformed bases."""
     word = (a3, a2, a1)
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
-    for x in range(data.size):
-        if data.n(a2, a3, x) and data.n(a1, x, a4):
-            outer_left[x] = [
-                swap_vertex(data, VertexVector.basis(data, a1, x, a4, i), "+")
-                for i in range(data.n(a1, x, a4))
-            ]
-            inner_left[x] = [
-                swap_vertex(data, VertexVector.basis(data, a2, a3, x, j), "+")
-                for j in range(data.n(a2, a3, x))
-            ]
-    for y in range(data.size):
-        if data.n(a1, a2, y) and data.n(y, a3, a4):
-            outer_right[y] = [
-                swap_vertex(data, VertexVector.basis(data, y, a3, a4, k), "+")
-                for k in range(data.n(y, a3, a4))
-            ]
-            inner_right[y] = [
-                swap_vertex(data, VertexVector.basis(data, a1, a2, y, l), "+")
-                for l in range(data.n(a1, a2, y))
-            ]
+    for x in data.ring.outcomes(a2, a3):
+        if data.n(a1, x, a4):
+            outer_left[x] = _basis_images(data, images, swap_vertex, "+", a1, x, a4)
+            inner_left[x] = _basis_images(data, images, swap_vertex, "+", a2, a3, x)
+    for y in data.ring.outcomes(a1, a2):
+        if data.n(y, a3, a4):
+            outer_right[y] = _basis_images(data, images, swap_vertex, "+", y, a3, a4)
+            inner_right[y] = _basis_images(data, images, swap_vertex, "+", a1, a2, y)
     rights, lefts, mat = _fusing_matrix_in_bases(
         data, word, a4, outer_right, inner_right, outer_left, inner_left
     )
@@ -945,33 +943,21 @@ def _braid_conjugation_defect(data, a1, a2, a3, a4) -> float:
     return res
 
 
-def _bend_conjugation_defect(data, a1, a2, a3, a4) -> float:
+def _bend_conjugation_defect(data, images, a1, a2, a3, a4) -> float:
     """Stored F equals the fusing matrix in bent/swapped bases."""
     a3p, a4p = data.dual(a3), data.dual(a4)
     word = (a2, a1, a4p)
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
-    for x in range(data.size):
-        if data.n(a2, a3, x) and data.n(a1, x, a4):
+    for x in data.ring.outcomes(a2, a3):
+        if data.n(a1, x, a4):
             xp = data.dual(x)
-            outer_right[xp] = [
-                bend_vertex(data, VertexVector.basis(data, a2, a3, x, j), "+")
-                for j in range(data.n(a2, a3, x))
-            ]
-            inner_right[xp] = [
-                bend_vertex(data, VertexVector.basis(data, a1, x, a4, i), "+")
-                for i in range(data.n(a1, x, a4))
-            ]
-    for y in range(data.size):
-        if data.n(a1, a2, y) and data.n(y, a3, a4):
-            outer_left[y] = [
-                bend_vertex(data, VertexVector.basis(data, y, a3, a4, k), "+")
-                for k in range(data.n(y, a3, a4))
-            ]
-            inner_left[y] = [
-                swap_vertex(data, VertexVector.basis(data, a1, a2, y, l), "-")
-                for l in range(data.n(a1, a2, y))
-            ]
+            outer_right[xp] = _basis_images(data, images, bend_vertex, "+", a2, a3, x)
+            inner_right[xp] = _basis_images(data, images, bend_vertex, "+", a1, x, a4)
+    for y in data.ring.outcomes(a1, a2):
+        if data.n(y, a3, a4):
+            outer_left[y] = _basis_images(data, images, bend_vertex, "+", y, a3, a4)
+            inner_left[y] = _basis_images(data, images, swap_vertex, "-", a1, a2, y)
     rights, lefts, mat = _fusing_matrix_in_bases(
         data, word, a3p, outer_right, inner_right, outer_left, inner_left
     )

@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from mtcalc import fusion_data
@@ -47,6 +49,46 @@ def pointed_category():
         return fusion_data.CategoryData(ring, F, R, [w ** (a * a) for a in range(n)])
 
     return make
+
+
+@pytest.fixture(scope="session")
+def rep_a4_random():
+    """Rep(A4) fusion ring (N_33^3 = 2) with random invertible F and R.
+
+    Unit-slot F-blocks are the identity and nothing else is coherent, so only
+    identities that hold for any invertible F and R apply, and its pentagon
+    and hexagon residuals are not zero.  It is the one input with fusion
+    multiplicities.
+    """
+    n = 4
+    N = {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)}
+    for a in range(3):
+        N[(a, 3, 3)] = N[(3, a, 3)] = N[(3, 3, a)] = 1
+    N[(3, 3, 3)] = 2
+    labels = tuple(
+        fusion_data.Label(i, s) for i, s in enumerate(("1", "1'", "1''", "3"))
+    )
+    ring = fusion_data.FusionRing(labels, 0, (0, 2, 1, 3), N)
+    rng = np.random.default_rng(3)
+    F = {}
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        right = [(x, i, j) for x in range(n)
+                 for i in range(ring.n(a, x, d)) for j in range(ring.n(b, c, x))]
+        left = [(y, k, l) for y in range(n)
+                for k in range(ring.n(y, c, d)) for l in range(ring.n(a, b, y))]
+        m = len(right)
+        block = np.eye(m) if 0 in (a, b, c) else (
+            rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        )
+        for (ri, r), (li, l) in itertools.product(enumerate(right), enumerate(left)):
+            F[(a, b, c, d) + r[:1] + l[:1] + r[1:] + l[1:]] = complex(block[ri, li])
+    R = {
+        (a, b, c, i, j): complex(rng.normal(), rng.normal())
+        for a, b, c in itertools.product(range(n), repeat=3)
+        for i in range(ring.n(b, a, c))
+        for j in range(ring.n(a, b, c))
+    }
+    return fusion_data.CategoryData(ring, F, R, [1.0] * n)
 
 
 @pytest.fixture(scope="session")

@@ -96,6 +96,17 @@ def test_unparseable_file_is_input_error(tmp_path):
     assert status == EXIT_INPUT
 
 
+@pytest.mark.parametrize("row", [[1, 1, 1, 1], [1, 1, 1, 0]], ids=["same", "zero"])
+def test_repeated_fusion_row_is_input_error(tmp_path, row):
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    doc["fusion"].append(row)
+    path = tmp_path / "fib_repeated_row.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-category", str(path)])
+    assert status == EXIT_INPUT
+    assert out.startswith("input error:") and "duplicate fusion row (1, 1, 1)" in out
+
+
 def test_missing_file_is_input_error():
     status, _ = run_suite(["verify-category", "/no/such/file.json"])
     assert status == EXIT_INPUT

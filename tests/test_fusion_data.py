@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,12 +139,55 @@ def test_label_range_violation():
 
 
 def test_ring_associativity_violation():
+    # dropping the (t,t)->t channel of Fibonacci leaves the associative Z_2
+    # ring, so that file fails on its F entries of the dropped channel
     doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
-    # drop the (t,t)->t channel: breaks associativity of the ring
     doc["fusion"] = [row for row in doc["fusion"] if row[:3] != [1, 1, 1]]
-    doc["F"] = [e for e in doc["F"] if True]
-    with pytest.raises(fd.CategoryDataError):
+    N = {(a, b, c): v for a, b, c, v in doc["fusion"]}
+    assert _dense_associativity_failure(len(doc["labels"]), N) is None
+    with pytest.raises(fd.CategoryDataError, match="outside multiplicity range"):
         fd.loads_category(json.dumps(doc))
+    # dropping Ising's (sigma, sigma) -> psi channel breaks associativity:
+    # psi (sigma sigma) = psi, but (psi sigma) sigma = 1
+    doc = json.loads(fd.emit_category(fd.builtin_category("ising")))
+    doc["fusion"] = [row for row in doc["fusion"] if row[:3] != [1, 1, 2]]
+    N = {(a, b, c): v for a, b, c, v in doc["fusion"]}
+    first = _dense_associativity_failure(len(doc["labels"]), N)
+    assert first is not None
+    with pytest.raises(
+        fd.CategoryDataError, match=re.escape(f"associative at {first}")
+    ):
+        fd.loads_category(json.dumps(doc))
+
+
+def test_ring_associativity_first_failure_matches_dense_loop():
+    """Random self-dual rings with the unit and duality rows fixed: the
+    channel walk rejects the rings the dense loop rejects and names the same
+    first failing (a, b, c, d).  (The oracle inputs below are rings both
+    accept.)"""
+    rng = np.random.default_rng(11)
+    failures = 0
+    for trial in range(60):
+        n = 3 + trial % 2
+        N = {}
+        for a, b in itertools.product(range(n), repeat=2):
+            if 0 in (a, b):
+                N[a, b, a + b] = 1
+                continue
+            N[a, b, 0] = int(a == b)
+            for c in range(1, n):
+                N[a, b, c] = int(rng.integers(0, 2)) * int(rng.integers(1, 3))
+        labels = tuple(fd.Label(i, str(i)) for i in range(n))
+        first = _dense_associativity_failure(n, N)
+        if first is None:
+            fd.FusionRing(labels, 0, tuple(range(n)), N)
+            continue
+        failures += 1
+        with pytest.raises(
+            fd.CategoryDataError, match=re.escape(f"associative at {first}")
+        ):
+            fd.FusionRing(labels, 0, tuple(range(n)), N)
+    assert failures
 
 
 # -- negative controls -------------------------------------------------------
@@ -180,3 +225,180 @@ def test_nonunitary_gauge_reported(categories):
     rep = fd.verify_coherence(bad, 1e-9)
     runit = max(r.residual for r in rep.records if r.id == "r_unitary")
     assert runit > 1.0
+
+
+# -- channel walk against the dense scans ------------------------------------
+#
+# The functions below are the dense loops the channel walk replaced: every
+# label at every index, filtered by a multiplicity test.  They are the oracle
+# of the walk, which must give the same bases, records, order and floats.
+
+
+def _dense_associativity_failure(n, N):
+    """First (a, b, c, d) at which (ab)c and a(bc) differ, or None."""
+
+    def mult(a, b, c):
+        return N.get((a, b, c), 0)
+
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        lhs = sum(mult(a, b, x) * mult(x, c, d) for x in range(n))
+        rhs = sum(mult(b, c, y) * mult(a, y, d) for y in range(n))
+        if lhs != rhs:
+            return (a, b, c, d)
+    return None
+
+
+def _dense_f_right_basis(self, a, b, c, d):
+    out = []
+    for x in range(self.size):
+        for i in range(self.n(a, x, d)):
+            for j in range(self.n(b, c, x)):
+                out.append((x, i, j))
+    return out
+
+
+def _dense_f_left_basis(self, a, b, c, d):
+    out = []
+    for y in range(self.size):
+        for k in range(self.n(y, c, d)):
+            for l in range(self.n(a, b, y)):
+                out.append((y, k, l))
+    return out
+
+
+def _dense_tree_basis3(data, w1, w2, w3, tot):
+    out = []
+    for y in range(data.size):
+        for l in range(data.n(w1, w2, y)):
+            for m in range(data.n(y, w3, tot)):
+                out.append((y, l, m))
+    return out
+
+
+def _dense_pentagon_residuals(data):
+    n = data.size
+    rng5 = range(n)
+    for a in rng5:
+        for b in rng5:
+            for c in rng5:
+                for d in rng5:
+                    for tot in rng5:
+                        res = _dense_pentagon_instance(data, a, b, c, d, tot)
+                        if res is not None:
+                            yield (a, b, c, d, tot), res
+
+
+def _dense_pentagon_instance(data, a, b, c, d, tot):
+    n = data.size
+    rn = []  # right-nested source basis: (x, k, y, j, i)
+    for x in range(n):
+        for k in range(data.n(c, d, x)):
+            for y in range(n):
+                for j in range(data.n(b, x, y)):
+                    for i in range(data.n(a, y, tot)):
+                        rn.append((x, k, y, j, i))
+    ln = []  # left-nested target basis: (u, q, v, s, r)
+    for u in range(n):
+        for q in range(data.n(a, b, u)):
+            for v in range(n):
+                for s in range(data.n(u, c, v)):
+                    for r in range(data.n(v, d, tot)):
+                        ln.append((u, q, v, s, r))
+    if not rn or not ln:
+        return None
+    p1 = np.zeros((len(rn), len(ln)), dtype=complex)
+    p2 = np.zeros_like(p1)
+    for si, (x, k, y, j, i) in enumerate(rn):
+        for ti, (u, q, v, s, r) in enumerate(ln):
+            acc1 = 0j
+            for p in range(data.n(u, x, tot)):
+                f1 = data.F.get((a, b, x, tot, y, u, i, j, p, q), 0)
+                f2 = data.F.get((u, c, d, tot, x, v, p, k, r, s), 0)
+                acc1 += f1 * f2
+            p1[si, ti] = acc1
+            acc2 = 0j
+            for w in range(n):
+                for t in range(data.n(w, d, y)):
+                    for z in range(data.n(b, c, w)):
+                        f3 = data.F.get((b, c, d, y, x, w, j, k, t, z), 0)
+                        if f3 == 0:
+                            continue
+                        for g in range(data.n(a, w, v)):
+                            f4 = data.F.get((a, w, d, tot, y, v, i, t, r, g), 0)
+                            f5 = data.F.get((a, b, c, v, w, u, g, z, s, q), 0)
+                            acc2 += f3 * f4 * f5
+            p2[si, ti] = acc2
+    return float(np.max(np.abs(p1 - p2))) if p1.size else None
+
+
+def _dense_hexagon_residuals(data):
+    n = data.size
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for tot in range(n):
+                    for sense in (+1, -1):
+                        res = fd._hexagon_instance(data, a, b, c, tot, sense)
+                        if res is not None:
+                            yield (("+" if sense > 0 else "-"), a, b, c, tot), res
+
+
+ORACLE_INPUTS = BUILTINS + ("z5", "rep_a4_random")
+
+
+@pytest.fixture
+def oracle_input(categories, pointed_category, rep_a4_random):
+    def get(name):
+        if name == "z5":
+            return pointed_category(5)
+        if name == "rep_a4_random":
+            return rep_a4_random
+        return categories[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_channel_walk_bases_match_dense_scan(oracle_input, name):
+    data = oracle_input(name)
+    for a, b, c, d in itertools.product(range(data.size), repeat=4):
+        assert data.f_right_basis(a, b, c, d) == _dense_f_right_basis(data, a, b, c, d)
+        assert data.f_left_basis(a, b, c, d) == _dense_f_left_basis(data, a, b, c, d)
+        assert fd._tree_basis3(data, a, b, c, d) == _dense_tree_basis3(data, a, b, c, d)
+    assert _dense_associativity_failure(data.size, data.ring.N) is None
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, name):
+    data = oracle_input(name)
+    pent = list(fd.pentagon_residuals(data))
+    hexa = list(fd.hexagon_residuals(data))
+    assert pent == list(_dense_pentagon_residuals(data))
+    if name == "rep_a4_random":
+        assert max(r for _, r in pent) > 0.1 and max(r for _, r in hexa) > 0.1
+    # the hexagon instance again, on its dense bases and a fresh copy of the
+    # data, so that no F-block cached by the walk is reused
+    monkeypatch.setattr(fd, "_tree_basis3", _dense_tree_basis3)
+    monkeypatch.setattr(fd.CategoryData, "f_right_basis", _dense_f_right_basis)
+    monkeypatch.setattr(fd.CategoryData, "f_left_basis", _dense_f_left_basis)
+    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    assert hexa == list(_dense_hexagon_residuals(fresh))
+
+
+def test_coherence_visits_only_reachable_totals(pointed_category, monkeypatch):
+    """On Z_7 every pentagon and hexagon instance visited yields a record:
+    one per word and sense, where the dense scan tried all 7 totals."""
+    data = pointed_category(7)
+    calls = {"pentagon": 0, "hexagon": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    for kind in calls:
+        name = f"_{kind}_instance"
+        monkeypatch.setattr(fd, name, counted(kind, getattr(fd, name)))
+    assert len(list(fd.pentagon_residuals(data))) == calls["pentagon"] == 7 ** 4
+    assert len(list(fd.hexagon_residuals(data))) == calls["hexagon"] == 2 * 7 ** 3

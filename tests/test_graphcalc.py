@@ -434,46 +434,10 @@ def test_vertex_covertex_duality_exact(categories, name):
                     assert (down @ up).distance(Morphism.identity(data, (c,))) == 0.0
 
 
-def rep_a4_random():
-    """Rep(A4) fusion ring (N_33^3 = 2) with random invertible F and R.
-
-    Unit-slot F-blocks are the identity and nothing else is coherent, so only
-    identities that hold for any invertible F and R apply.  It is the one
-    input with fusion multiplicities.
-    """
-    n = 4
-    N = {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)}
-    for a in range(3):
-        N[(a, 3, 3)] = N[(3, a, 3)] = N[(3, 3, a)] = 1
-    N[(3, 3, 3)] = 2
-    labels = tuple(fd.Label(i, s) for i, s in enumerate(("1", "1'", "1''", "3")))
-    ring = fd.FusionRing(labels, 0, (0, 2, 1, 3), N)
-    rng = np.random.default_rng(3)
-    F = {}
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        right = [(x, i, j) for x in range(n)
-                 for i in range(ring.n(a, x, d)) for j in range(ring.n(b, c, x))]
-        left = [(y, k, l) for y in range(n)
-                for k in range(ring.n(y, c, d)) for l in range(ring.n(a, b, y))]
-        m = len(right)
-        block = np.eye(m) if 0 in (a, b, c) else (
-            rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        )
-        for (ri, r), (li, l) in itertools.product(enumerate(right), enumerate(left)):
-            F[(a, b, c, d) + r[:1] + l[:1] + r[1:] + l[1:]] = complex(block[ri, li])
-    R = {
-        (a, b, c, i, j): complex(rng.normal(), rng.normal())
-        for a, b, c in itertools.product(range(n), repeat=3)
-        for i in range(ring.n(b, a, c))
-        for j in range(ring.n(a, b, c))
-    }
-    return fd.CategoryData(ring, F, R, [1.0] * n)
-
-
 @pytest.mark.parametrize("name", BUILTINS + ("rep_a4_random",))
-def test_generators_at_every_position(categories, name):
+def test_generators_at_every_position(categories, rep_a4_random, name):
     """Inverse pairs of generators on every 3-letter word and every position."""
-    data = rep_a4_random() if name == "rep_a4_random" else categories[name]
+    data = rep_a4_random if name == "rep_a4_random" else categories[name]
     e = data.unit
     worst = 0.0
     for word in itertools.product(range(data.size), repeat=3):
@@ -512,9 +476,9 @@ def test_generators_at_every_position(categories, name):
 
 
 @pytest.mark.parametrize("name", BUILTINS + ("rep_a4_random",))
-def test_weighted_generators_match_basis_sums(categories, name):
+def test_weighted_generators_match_basis_sums(categories, rep_a4_random, name):
     """A weighted (co)vertex is the weighted sum of its basis (co)vertices."""
-    data = rep_a4_random() if name == "rep_a4_random" else categories[name]
+    data = rep_a4_random if name == "rep_a4_random" else categories[name]
     rng = np.random.default_rng(5)
 
     def defect(weighted, basis, word, k, a, b, c):

@@ -8,6 +8,7 @@ input, 3 verification failure.  Reports are emitted as stable-keyed JSON
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -68,7 +69,11 @@ def _load_input(spec: str):
             text = fh.read()
     except OSError as exc:
         raise CategoryDataError(f"cannot read {spec}: {exc}") from exc
-    if '"mult"' in text and '"category"' in text:
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None  # loads_category names the parse error
+    if isinstance(doc, dict) and "category" in doc:
         alg = diagonal_frobenius.loads_algebra(text)
         return alg.data, alg
     return fusion_data.loads_category(text), None

@@ -26,6 +26,7 @@ __all__ = [
     "double_twist",
     "double_braid_layer",
     "pair_layer",
+    "doubled_layer",
     "assignments",
     "verify_double_braiding",
 ]
@@ -138,6 +139,23 @@ def pair_layer(assign, dst_assign, left_m: gc.Morphism, right_m: gc.Morphism,
             out.add_block(assign, dst_assign, cl, cr, coeff * np.kron(ml, mr))
 
 
+def doubled_layer(data, word, k, width, letters, rule) -> DoubleMorphism:
+    """The layer that replaces ``word[k:k+width]`` by the doubled ``letters``.
+
+    Per summand assignment, ``rule(window, left, right)`` gets the window's
+    summand indices and the factor words, and yields each term of the layer
+    as (summand indices of ``letters``, coefficient, left and right morphism).
+    """
+    word = tuple(word)
+    cod = word[:k] + tuple(letters) + word[k + width:]
+    out = DoubleMorphism.zero(data, word, cod)
+    for assign in assignments(word):
+        left, right = _factor_words(word, assign)
+        for new, coeff, lm, rm in rule(assign[k:k + width], left, right):
+            pair_layer(assign, assign[:k] + new + assign[k + width:], lm, rm, out, coeff)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # tensor bookkeeping
 
@@ -208,17 +226,14 @@ def _senses(variant: str):
 
 def double_braid_layer(data, word, k, variant: str) -> DoubleMorphism:
     """Braid letters (k, k+1) of a doubled word, factor senses per variant."""
-    word = tuple(word)
     s1, s2 = _senses(variant)
-    cod = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
-    out = DoubleMorphism.zero(data, word, cod)
-    for assign in assignments(word):
-        left, right = _factor_words(word, assign)
-        dst = assign[:k] + (assign[k + 1], assign[k]) + assign[k + 2:]
-        lm = gc.braid_morphism(data, left, k, s1)
-        rm = gc.braid_morphism(data, right, k, s2)
-        pair_layer(assign, dst, lm, rm, out)
-    return out
+
+    def rule(window, left, right):
+        i, j = window
+        yield ((j, i), 1.0, gc.braid_morphism(data, left, k, s1),
+               gc.braid_morphism(data, right, k, s2))
+
+    return doubled_layer(data, word, k, 2, (word[k + 1], word[k]), rule)
 
 
 def double_braiding(data: CategoryData, A: DoubleObject, B: DoubleObject,
@@ -265,17 +280,14 @@ def _cluster_braid_word(data, word3, sense) -> gc.Morphism:
 
 def double_cluster_braid(data, word3, variant: str) -> DoubleMorphism:
     """Doubled braiding of letter 0 past the fused pair of letters (1, 2)."""
-    word3 = tuple(word3)
     s1, s2 = _senses(variant)
-    cod = (word3[1], word3[2], word3[0])
-    out = DoubleMorphism.zero(data, word3, cod)
-    for assign in assignments(word3):
-        left, right = _factor_words(word3, assign)
-        dst = (assign[1], assign[2], assign[0])
-        lm = _cluster_braid_word(data, left, s1)
-        rm = _cluster_braid_word(data, right, s2)
-        pair_layer(assign, dst, lm, rm, out)
-    return out
+
+    def rule(window, left, right):
+        i, j, l = window
+        yield ((j, l, i), 1.0, _cluster_braid_word(data, left, s1),
+               _cluster_braid_word(data, right, s2))
+
+    return doubled_layer(data, word3, 0, 3, (word3[1], word3[2], word3[0]), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ from . import graphcalc as gc
 from .deligne_double import (
     DoubleObject,
     DoubleMorphism,
-    assignments,
     double_braid_layer,
-    pair_layer,
-    _factor_words,
+    doubled_layer,
 )
 
 __all__ = [
@@ -231,41 +229,35 @@ def _comult_index(alg) -> dict:
 def mult_layer(alg, word, k) -> DoubleMorphism:
     """Multiplication applied at letters (k, k+1) of a doubled word."""
     data = alg.data
-    cod = word[:k] + (alg.object,) + word[k + 2:]
-    out = DoubleMorphism.zero(data, word, cod)
     sidx = alg.summand_index
     index = _mult_index(alg)
-    for assign in assignments(word):
-        left, right = _factor_words(word, assign)
-        a1, a1p = word[k].summands[assign[k]]
-        a2, a2p = word[k + 1].summands[assign[k + 1]]
+
+    def rule(window, left, right):
+        a1, a1p = word[k].summands[window[0]]
+        a2, a2p = word[k + 1].summands[window[1]]
         for a3, entries in index.get((a1, a2), ()):
             a3p = data.dual(a3)
-            dst = assign[:k] + (sidx[a3],) + assign[k + 2:]
             for i, j, coef in entries:
-                lm = gc.vertex_morphism(data, left, k, a1, a2, a3, i)
-                rm = gc.vertex_morphism(data, right, k, a1p, a2p, a3p, j)
-                pair_layer(assign, dst, lm, rm, out, coeff=coef)
-    return out
+                yield ((sidx[a3],), coef,
+                       gc.vertex_morphism(data, left, k, a1, a2, a3, i),
+                       gc.vertex_morphism(data, right, k, a1p, a2p, a3p, j))
+
+    return doubled_layer(data, word, k, 2, (alg.object,), rule)
 
 
 @_memoized
 def ev_layer(alg, word, k) -> DoubleMorphism:
     """Pair the dual-object letter k against the algebra letter k+1."""
     data = alg.data
-    cod = word[:k] + word[k + 2:]
-    out = DoubleMorphism.zero(data, word, cod)
-    for assign in assignments(word):
-        b = word[k].summands[assign[k]][0]
-        a = word[k + 1].summands[assign[k + 1]][0]
-        if b != data.dual(a):
-            continue
-        left, right = _factor_words(word, assign)
-        dst = assign[:k] + assign[k + 2:]
-        lm = gc.cap_morphism(data, left, k, b, a)
-        rm = gc.cap_morphism(data, right, k, data.dual(b), data.dual(a))
-        pair_layer(assign, dst, lm, rm, out)
-    return out
+
+    def rule(window, left, right):
+        b = word[k].summands[window[0]][0]
+        a = word[k + 1].summands[window[1]][0]
+        if b == data.dual(a):
+            yield ((), 1.0, gc.cap_morphism(data, left, k, b, a),
+                   gc.cap_morphism(data, right, k, data.dual(b), data.dual(a)))
+
+    return doubled_layer(data, word, k, 2, (), rule)
 
 
 @_memoized
@@ -278,21 +270,19 @@ def comult_layer(alg, word, k) -> DoubleMorphism:
     oracle of this layer.
     """
     data = alg.data
-    cod = word[:k] + (alg.object, alg.object) + word[k + 1:]
-    out = DoubleMorphism.zero(data, word, cod)
     sidx = alg.summand_index
     index = _comult_index(alg)
-    for assign in assignments(word):
-        left, right = _factor_words(word, assign)
-        a3, a3p = word[k].summands[assign[k]]
+
+    def rule(window, left, right):
+        a3, a3p = word[k].summands[window[0]]
         for a1, a2, entries in index.get(a3, ()):
             a1p, a2p = data.dual(a1), data.dual(a2)
-            dst = assign[:k] + (sidx[a1], sidx[a2]) + assign[k + 1:]
             for i, j, coef in entries:
-                lm = gc.covertex_morphism(data, left, k, a1, a2, a3, i)
-                rm = gc.covertex_morphism(data, right, k, a1p, a2p, a3p, j)
-                pair_layer(assign, dst, lm, rm, out, coeff=coef)
-    return out
+                yield ((sidx[a1], sidx[a2]), coef,
+                       gc.covertex_morphism(data, left, k, a1, a2, a3, i),
+                       gc.covertex_morphism(data, right, k, a1p, a2p, a3p, j))
+
+    return doubled_layer(data, word, k, 1, (alg.object, alg.object), rule)
 
 
 def _comult_diagram(alg, word, k) -> DoubleMorphism:
@@ -338,40 +328,27 @@ def comult_tensor(alg) -> dict:
 def unit_layer(alg, word, k) -> DoubleMorphism:
     """Inclusion of the unit summand as a new letter at position k."""
     data = alg.data
-    cod = word[:k] + (alg.object,) + word[k:]
-    out = DoubleMorphism.zero(data, word, cod)
     eidx = alg.summand_index[data.unit]
-    for assign in assignments(word):
-        left, right = _factor_words(word, assign)
-        dst = assign[:k] + (eidx,) + assign[k:]
-        lm = gc.unit_insert_morphism(data, left, k)
-        rm = gc.unit_insert_morphism(data, right, k)
-        pair_layer(assign, dst, lm, rm, out)
-    return out
+
+    def rule(window, left, right):
+        yield ((eidx,), 1.0, gc.unit_insert_morphism(data, left, k),
+               gc.unit_insert_morphism(data, right, k))
+
+    return doubled_layer(data, word, k, 0, (alg.object,), rule)
 
 
 @_memoized
 def counit_layer(alg, word, k) -> DoubleMorphism:
     """Projection of letter k onto the unit summand (counit normalization 1)."""
     data = alg.data
-    cod = word[:k] + word[k + 1:]
-    out = DoubleMorphism.zero(data, word, cod)
     eidx = alg.summand_index[data.unit]
-    for assign in assignments(word):
-        if assign[k] != eidx:
-            continue
-        left, right = _factor_words(word, assign)
-        dst = assign[:k] + assign[k + 1:]
-        dl, dr = _factor_words(cod, dst)
-        lm = _transpose_single(data, gc.unit_insert_morphism(data, dl, k))
-        rm = _transpose_single(data, gc.unit_insert_morphism(data, dr, k))
-        pair_layer(assign, dst, lm, rm, out)
-    return out
 
+    def rule(window, left, right):
+        if window == (eidx,):
+            yield ((), 1.0, gc.unit_remove_morphism(data, left, k),
+                   gc.unit_remove_morphism(data, right, k))
 
-def _transpose_single(data, m: gc.Morphism) -> gc.Morphism:
-    blocks = {d: mat.T.copy() for d, mat in m.blocks.items()}
-    return gc.Morphism(data, m.cod, m.dom, blocks)
+    return doubled_layer(data, word, k, 1, (), rule)
 
 
 def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
@@ -386,19 +363,17 @@ def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
 def coev_layer(alg, word, k) -> DoubleMorphism:
     """Insert a dual pair of algebra letters created from the unit at k."""
     data = alg.data
-    cod = word[:k] + (alg.object, alg.object) + word[k:]
-    out = DoubleMorphism.zero(data, word, cod)
     sidx = alg.summand_index
-    for assign in assignments(word):
-        left, right = _factor_words(word, assign)
+
+    def rule(window, left, right):
         for a in range(data.size):
             ap = data.dual(a)
             dim = gc.categorical_dim(data, a)
-            dst = assign[:k] + (sidx[a], sidx[ap]) + assign[k:]
-            lm = dim * gc.cup_morphism(data, left, k, a, ap)
-            rm = dim * gc.cup_morphism(data, right, k, ap, a)
-            pair_layer(assign, dst, lm, rm, out)
-    return out
+            yield ((sidx[a], sidx[ap]), 1.0,
+                   dim * gc.cup_morphism(data, left, k, a, ap),
+                   dim * gc.cup_morphism(data, right, k, ap, a))
+
+    return doubled_layer(data, word, k, 0, (alg.object, alg.object), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,10 @@ class CategoryData:
                 or l >= ring.n(a, b, y)
             ):
                 raise CategoryDataError(f"F entry {key} outside multiplicity range")
+        # an R-block maps hom(a b, c) to hom(b a, c), so it must be square
+        for a, b, c in sorted(ring.N):
+            if ring.n(a, b, c) != ring.n(b, a, c):
+                raise CategoryDataError(f"fusion rules not commutative at {(a, b, c)}")
         for key in self.R:
             a, b, c, i, j = key
             if i >= ring.n(b, a, c) or j >= ring.n(a, b, c):

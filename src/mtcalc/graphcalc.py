@@ -44,6 +44,7 @@ __all__ = [
     "vertex_morphism",
     "covertex_morphism",
     "unit_insert_morphism",
+    "unit_remove_morphism",
     "swap_vertex",
     "bend_vertex",
     "unbend_vertex",
@@ -386,6 +387,14 @@ def unit_insert_morphism(data, word, k) -> Morphism:
     return _replace_window(
         data, word, k, 0, (data.unit,), ("unit",), lambda p, q: np.ones((1, 1))
     )
+
+
+def unit_remove_morphism(data, word, k) -> Morphism:
+    """Remove the unit letter at position k; undoes ``unit_insert_morphism``."""
+    if word[k] != data.unit:
+        raise ValueError("only a unit letter can be removed")
+    return _replace_window(data, word, k, 1, (), ("unit_remove",),
+                           lambda p, q: np.ones((1, 1)))
 
 
 def twist_morphism(data, word, k, sense: str) -> Morphism:

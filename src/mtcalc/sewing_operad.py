@@ -193,14 +193,6 @@ class PuncturedSphere:
     def is_exact(self) -> bool:
         return _is_exact(self.a)
 
-    def approx(self) -> "PuncturedSphere":
-        """Floating-point image of the element."""
-        return PuncturedSphere(
-            tuple(complex(v) for v in self.z),
-            complex(self.a),
-            tuple(complex(v) for v in self.scales),
-        )
-
     def distance(self, other: "PuncturedSphere") -> float:
         if self.arity != other.arity:
             return float("inf")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import subprocess
 import sys
@@ -38,16 +39,28 @@ def test_all_suites_pass_on_builtins(cmd, name):
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize(
-    "cmd", ["verify-category", "rigidity", "fusing-symmetries", "verify-ffa"]
-)
-@pytest.mark.parametrize("name", fd.BUILTIN_NAMES)
-def test_reports_match_golden(cmd, name):
+GOLDEN_CASES = [
+    (name, cmd) for name in fd.BUILTIN_NAMES
+    for cmd in ("fusing-symmetries", "rigidity", "verify-category", "verify-ffa")
+] + [("z3", "build-ffa"), ("z3", "verify-ffa")]
+
+
+@pytest.mark.parametrize("name, cmd", GOLDEN_CASES)
+def test_reports_match_golden(tmp_path, pointed_category, name, cmd):
     # golden reports were captured before the generators were rebuilt on one
-    # tree-window routine; records must not change, residuals only by round-off
+    # tree-window routine; records must not change, residuals only by round-off.
+    # z3 is the pointed Z_3 category, whose labels 1 and 2 are not self-dual.
     want = json.loads((GOLDEN / f"{cmd}__{name}.json").read_text())
-    status, out = run_suite([cmd, f"builtin:{name}"])
+    source = f"builtin:{name}"
+    if name == "z3":
+        source = tmp_path / "z3.json"
+        source.write_text(fd.emit_category(pointed_category(3)))
+    status, out = run_suite([cmd, str(source)])
     got = json.loads(out)
+    if cmd == "build-ffa":
+        assert status == EXIT_OK
+        _assert_algebra_close(got, want)
+        return
     assert status == (EXIT_OK if want["summary"]["pass"] else EXIT_VERIFY)
 
     def flags(doc):
@@ -60,6 +73,19 @@ def test_reports_match_golden(cmd, name):
         default=0.0,
     )
     assert drift <= 1e-12
+
+
+def _assert_algebra_close(got, want):
+    """Equal build-ffa documents up to round-off in the numeric values."""
+    assert got["category"] == want["category"]
+    assert got["summands"] == want["summands"]
+    for key in ("mult", "phi"):
+        assert [row[:-2] for row in got[key]] == [row[:-2] for row in want[key]]
+        drift = max(
+            abs(complex(*g[-2:]) - complex(*w[-2:]))
+            for g, w in zip(got[key], want[key])
+        )
+        assert drift <= 1e-12, key
 
 
 def test_rigidity_record_count():
@@ -105,6 +131,60 @@ def test_repeated_fusion_row_is_input_error(tmp_path, row):
     status, out = run_suite(["verify-category", str(path)])
     assert status == EXIT_INPUT
     assert out.startswith("input error:") and "duplicate fusion row (1, 1, 1)" in out
+
+
+def _vec_s3_text():
+    """Vec_S3 with trivial F-symbols: a fusion category whose fusion rules
+    are not commutative, with R = 1 on the commuting pairs only."""
+    perms = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(perms)}
+
+    def mul(a, b):
+        return index[tuple(perms[a][perms[b][t]] for t in range(3))]
+
+    labels = range(len(perms))
+    one = [1.0, 0.0]
+    doc = {
+        "labels": ["".join(map(str, g)) for g in perms],
+        "unit": 0,
+        "dual": [next(b for b in labels if mul(a, b) == 0) for a in labels],
+        "fusion": [[a, b, mul(a, b), 1] for a in labels for b in labels],
+        "F": [
+            {"labels": [a, b, c, mul(mul(a, b), c), mul(b, c), mul(a, b)],
+             "mult": [0, 0, 0, 0], "value": one}
+            for a in labels for b in labels for c in labels
+        ],
+        "R": [
+            {"labels": [a, b, mul(a, b)], "mult": [0, 0], "value": one}
+            for a in labels for b in labels if mul(a, b) == mul(b, a)
+        ],
+        "twist": [one for _ in labels],
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    ["verify-category", "rigidity", "fusing-symmetries", "build-ffa", "verify-ffa"],
+)
+def test_noncommutative_fusion_rules_are_input_error(tmp_path, cmd):
+    path = tmp_path / "vec_s3.json"
+    path.write_text(_vec_s3_text())
+    status, out = run_suite([cmd, str(path)])
+    assert status == EXIT_INPUT
+    assert out.startswith("input error: fusion rules not commutative at (1, 2, ")
+
+
+def test_category_file_is_not_read_as_algebra_by_its_labels(tmp_path):
+    # the F entries of every category file carry a "mult" key; a label named
+    # "category" must not make the file look like a build-ffa document
+    doc = json.loads(fd.emit_category(fd.builtin_category("z2_semion")))
+    doc["labels"] = ["category", "mult"]
+    path = tmp_path / "semion_named.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("verify-category", "verify-ffa"):
+        status, out = run_suite([cmd, str(path)])
+        assert status == EXIT_OK, out
 
 
 def test_missing_file_is_input_error():

@@ -8,7 +8,7 @@ import pytest
 from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc import diagonal_frobenius as df
-from mtcalc.deligne_double import DoubleMorphism
+from mtcalc.deligne_double import DoubleMorphism, assignments, pair_layer
 
 BUILTINS = fd.BUILTIN_NAMES
 PHI = (1 + math.sqrt(5)) / 2
@@ -265,6 +265,48 @@ def test_comult_tensor_reads_the_diagram(categories, monkeypatch):
         key = ((sidx[a3],), (sidx[a1], sidx[a2]), a3, alg.data.dual(a3))
         assert np.array_equal(block.ravel(), diagram.block(key).ravel())
     assert set(delta) == set(alg.mult)
+
+
+# -- the counit layer against the transposed unit insertion ---------------------
+
+
+def _counit_by_transpose(alg, word, k):
+    """The counit as the transpose of the unit insertion on the codomain
+    factor words of each assignment whose letter k is the unit summand."""
+    data = alg.data
+    cod = word[:k] + word[k + 1:]
+    out = DoubleMorphism.zero(data, word, cod)
+    eidx = alg.summand_index[data.unit]
+
+    def transposed_insert(factor_word):
+        m = gc.unit_insert_morphism(data, factor_word, k)
+        return gc.Morphism(
+            data, m.cod, m.dom, {d: mat.T.copy() for d, mat in m.blocks.items()}
+        )
+
+    for assign in assignments(word):
+        if assign[k] != eidx:
+            continue
+        dst = assign[:k] + assign[k + 1:]
+        dl = tuple(cod[t].summands[i][0] for t, i in enumerate(dst))
+        dr = tuple(cod[t].summands[i][1] for t, i in enumerate(dst))
+        pair_layer(assign, dst, transposed_insert(dl), transposed_insert(dr), out)
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("z3",))
+def test_counit_layer_matches_transposed_unit_insertion(algebras, pointed_category,
+                                                        name):
+    alg = algebras.get(name) or df.build_diagonal_algebra(pointed_category(3))
+    for letters in (1, 2, 3):
+        word = (alg.object,) * letters
+        for k in range(letters):
+            got = df.counit_layer(alg, word, k)
+            want = _counit_by_transpose(alg, word, k)
+            assert (got.dom, got.cod) == (want.dom, want.cod)
+            assert list(got.blocks) == list(want.blocks), (name, letters, k)
+            for key, mat in want.blocks.items():
+                assert np.array_equal(got.blocks[key], mat), (name, letters, k, key)
 
 
 # -- memoized layers ---------------------------------------------------------------

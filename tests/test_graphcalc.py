@@ -472,6 +472,9 @@ def test_generators_at_every_position(categories, rep_a4_random, name):
                 cup = gc.cup_morphism(data, word, k, a, ap)
                 cap = gc.cap_morphism(data, cup.cod, k, a, ap)
                 worst = max(worst, (cap @ cup).distance(ident))
+            ins = gc.unit_insert_morphism(data, word, k)
+            out = gc.unit_remove_morphism(data, ins.cod, k)
+            assert (out @ ins).distance(ident) == 0.0, (word, k)
     assert worst < 1e-12
 
 

@@ -42,6 +42,11 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         "graphcalc.trees.calls",
         "graphcalc.Morphism.matmul.calls",
         "deligne_double.add_block.calls",
+        # the doubled-layer walk must reach the wrapped module globals, or
+        # these per-layer counts read 0 on working code
+        "deligne_double.assignments.calls",
+        "deligne_double.pair_layer.calls",
+        "deligne_double.add_block.kron_calls",
         "deligne_double.DoubleMorphism.matmul.calls",
         "deligne_double.DoubleMorphism.identity.calls",
     ):

@@ -96,6 +96,9 @@ def run_suite(argv) -> tuple:
             if args.trials < 1:
                 msg = f"--trials must be at least 1, got {args.trials}"
                 return EXIT_USAGE, f"usage error: {msg}\n"
+            if args.seed < 0:
+                msg = f"--seed must be non-negative, got {args.seed}"
+                return EXIT_USAGE, f"usage error: {msg}\n"
             report = sewing_operad.verify_operad_axioms(
                 trials=args.trials, seed=args.seed, tol=args.tol,
                 exact=args.exact,

@@ -14,8 +14,9 @@ Gaussian rationals (`GaussRat`) for the tolerance-free mode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, sqrt
 
 import numpy as np
 
@@ -48,81 +49,124 @@ class SewingError(ValueError):
 # exact scalars
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """Gaussian rational: exact complex number with Fraction parts."""
+    """Gaussian rational (x + iy)/d: exact complex number over three ints.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    The form is canonical (d > 0 and gcd(x, y, d) = 1), so equal values have
+    equal parts; ``re`` and ``im`` read the parts back as Fractions.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
+
+    def __new__(cls, re, im=0):
+        re, im = Fraction(re), Fraction(im)
+        return cls._make(re.numerator * im.denominator,
+                         im.numerator * re.denominator,
+                         re.denominator * im.denominator)
 
     @classmethod
     def of(cls, re, im=0):
-        return cls(Fraction(re), Fraction(im))
+        return cls(re, im)
+
+    @classmethod
+    def _make(cls, x, y, d):
+        """(x + iy)/d for d > 0, reduced by one gcd."""
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+        out = object.__new__(cls)
+        object.__setattr__(out, "_x", x)
+        object.__setattr__(out, "_y", y)
+        object.__setattr__(out, "_d", d)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussRat is immutable; cannot set {name!r}")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     def __add__(self, o):
-        o = _coerce(o)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        x, y, d = _parts(o)
+        e = self._d
+        return GaussRat._make(self._x * d + x * e, self._y * d + y * e, e * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return GaussRat._make(-self._x, -self._y, self._d)
 
     def __sub__(self, o):
-        return self + (-_coerce(o))
+        x, y, d = _parts(o)
+        e = self._d
+        return GaussRat._make(self._x * d - x * e, self._y * d - y * e, e * d)
 
     def __rsub__(self, o):
-        return _coerce(o) + (-self)
+        return -self + o
 
     def __mul__(self, o):
-        o = _coerce(o)
-        return GaussRat(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        x, y, d = _parts(o)
+        a, b = self._x, self._y
+        return GaussRat._make(a * x - b * y, a * y + b * x, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = _coerce(o)
-        n = o.abs2()
+        # (a + ib)/e / ((x + iy)/d) = (a + ib)(x - iy) d / (e (x^2 + y^2))
+        x, y, d = _parts(o)
+        n = x * x + y * y
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        a, b = self._x, self._y
+        return GaussRat._make((a * x + b * y) * d, (b * x - a * y) * d, self._d * n)
 
     def __rtruediv__(self, o):
-        return _coerce(o) / self
+        return GaussRat._make(*_parts(o)) / self
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._x) or bool(self._y)
 
     def __eq__(self, o):
         try:
-            o = _coerce(o)
+            x, y, d = _parts(o)
         except TypeError:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._x == x and self._y == y and self._d == d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the Fraction (and int) it equals
+        if self._y == 0:
+            return hash(Fraction(self._x, self._d))
+        return hash((self._x, self._y, self._d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as Fraction.__float__ is
+        return complex(self._x / self._d, self._y / self._d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: setattr refuses
+        return GaussRat, (self.re, self.im)
 
-def _coerce(x):
+
+def _parts(x):
+    """Canonical (x, y, d) of an exact scalar; floats are refused."""
     if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(Fraction(x))
+        return x._x, x._y, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
     if isinstance(x, complex):
         raise TypeError("cannot mix floats into exact arithmetic")
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
@@ -135,8 +179,11 @@ def _abs2(x):
     return x.real * x.real + x.imag * x.imag
 
 
+_ZERO = GaussRat(0)
+
+
 def _zero_like(x):
-    return GaussRat(Fraction(0)) if isinstance(x, GaussRat) else 0j
+    return _ZERO if isinstance(x, GaussRat) else 0j
 
 
 def _is_exact(x) -> bool:
@@ -159,6 +206,7 @@ class PuncturedSphere:
     z: tuple
     a: object
     scales: tuple
+    _positions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(self.z))
@@ -168,7 +216,8 @@ class PuncturedSphere:
             raise SewingError("puncture list does not match the arity")
         if n == 0 and self.a != _zero_like(self.a):
             raise SewingError("the arity-0 element has zero infinity parameter")
-        pos = self.positions()
+        pos = self.z + (_zero_like(self.a),) if n else ()
+        object.__setattr__(self, "_positions", pos)
         for i, p in enumerate(pos[:-1] if n else ()):
             if not p:
                 raise SewingError("punctures must be nonzero")
@@ -186,9 +235,7 @@ class PuncturedSphere:
 
     def positions(self) -> tuple:
         """All finite puncture positions, the implicit last one included."""
-        if self.arity == 0:
-            return ()
-        return self.z + (_zero_like(self.a),)
+        return self._positions
 
     def is_exact(self) -> bool:
         return _is_exact(self.a)
@@ -240,7 +287,7 @@ def rescaling_sphere(c, exact: bool = False) -> PuncturedSphere:
 def _sew_bounds(P: PuncturedSphere, i: int, Q: PuncturedSphere):
     """(inner, outer): the chart-radius window for sewing slot i of P."""
     b = Q.a
-    inner = max((_abs2(xi - b) for xi in Q.positions()), default=Fraction(0))
+    inner = max((_abs2(xi - b) for xi in Q.positions()), default=0)
     s2 = _abs2(P.scales[i - 1])
     zi = P.positions()[i - 1]
     outer = None
@@ -265,13 +312,23 @@ def is_sewable(P: PuncturedSphere, i: int, Q: PuncturedSphere) -> bool:
     if inner == 0.0:
         return outer > 0.0
     # scan a log-spaced grid of candidate radii with a safety margin
-    lo, hi = np.sqrt(inner), np.sqrt(outer)
-    if not hi > lo * (1.0 + SEW_MARGIN):
+    lo, hi = sqrt(inner), sqrt(outer)
+    start = lo * (1.0 + SEW_MARGIN)
+    if not hi > start:
         return False
-    for r in np.geomspace(lo * (1.0 + SEW_MARGIN), hi / (1.0 + SEW_MARGIN), 9):
-        if inner < r * r * (1.0 - SEW_MARGIN) and r * r * (1.0 + SEW_MARGIN) < outer:
-            return True
-    return False
+    # the grid's first point is exactly ``start``: where it fits, the grid
+    # accepts.  Away from overflow and underflow it fits wherever the grid
+    # runs upward; only a grid that runs downward (hi < start * (1+M)) needs
+    # its other points
+    if _radius_fits(start, inner, outer):
+        return True
+    grid = np.geomspace(start, hi / (1.0 + SEW_MARGIN), 9)
+    return any(_radius_fits(r, inner, outer) for r in grid[1:])
+
+
+def _radius_fits(r, inner, outer) -> bool:
+    """Does the chart radius r clear both squared bounds with the margin?"""
+    return inner < r * r * (1.0 - SEW_MARGIN) and r * r * (1.0 + SEW_MARGIN) < outer
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,20 @@ def test_all_suites_pass_on_builtins(cmd, name):
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
+# operad-check reports depend on every sampling decision (the sewability
+# test, and in exact mode every Gaussian-rational operation), so they are
+# compared byte for byte
+OPERAD_GOLDEN_ARGS = {
+    "float": ("--trials", "50", "--seed", "42"),
+    "exact": ("--trials", "25", "--seed", "7", "--exact"),
+}
+
 GOLDEN_CASES = [
     (name, cmd) for name in fd.BUILTIN_NAMES
     for cmd in ("fusing-symmetries", "rigidity", "verify-category", "verify-ffa")
-] + [("z3", "build-ffa"), ("z3", "verify-ffa")]
+] + [("z3", "build-ffa"), ("z3", "verify-ffa")] + [
+    (name, "operad-check") for name in OPERAD_GOLDEN_ARGS
+]
 
 
 @pytest.mark.parametrize("name, cmd", GOLDEN_CASES)
@@ -50,7 +60,11 @@ def test_reports_match_golden(tmp_path, pointed_category, name, cmd):
     # golden reports were captured before the generators were rebuilt on one
     # tree-window routine; records must not change, residuals only by round-off.
     # z3 is the pointed Z_3 category, whose labels 1 and 2 are not self-dual.
-    want = json.loads((GOLDEN / f"{cmd}__{name}.json").read_text())
+    text = (GOLDEN / f"{cmd}__{name}.json").read_text()
+    if cmd == "operad-check":
+        assert run_suite([cmd, *OPERAD_GOLDEN_ARGS[name]]) == (EXIT_OK, text)
+        return
+    want = json.loads(text)
     source = f"builtin:{name}"
     if name == "z3":
         source = tmp_path / "z3.json"
@@ -211,6 +225,13 @@ def test_operad_trials_below_one_is_usage_error(trials):
     status, out = run_suite(["operad-check", "--trials", trials])
     assert status == EXIT_USAGE
     assert out.startswith("usage error: --trials must be at least 1")
+
+
+@pytest.mark.parametrize("seed", ["-1", "-42"])
+def test_operad_negative_seed_is_usage_error(seed):
+    status, out = run_suite(["operad-check", "--trials", "1", "--seed", seed])
+    assert status == EXIT_USAGE
+    assert out == f"usage error: --seed must be non-negative, got {seed}\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])

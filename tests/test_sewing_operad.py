@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -142,8 +143,10 @@ def test_operad_axioms_float_suite():
 
 
 def test_misindexed_composition_detected():
-    # deliberately wrong inner slot in the nested composition
+    # deliberately wrong inner slot in the nested composition; a rescaling
+    # that is not the identity makes the wrong slot give a different element
     rng = np.random.default_rng(5)
+    r = rescaling_sphere(1.5 + 0.5j)
     found = False
     for _ in range(200):
         p, i, q = so._sample_sewable(rng, exact=False)
@@ -151,13 +154,13 @@ def test_misindexed_composition_detected():
             continue
         j = i  # first inserted slot
         try:
-            lhs = sew(sew(p, i, q), j, identity_sphere())
-            bad = sew(p, i, sew(q, 2, identity_sphere()))  # should be slot 1
-            good = sew(p, i, sew(q, 1, identity_sphere()))
+            lhs = sew(sew(p, i, q), j, r)
+            bad = sew(p, i, sew(q, 2, r))  # should be slot 1
+            good = sew(p, i, sew(q, 1, r))
         except SewingError:
             continue
         assert lhs.distance(good) < 1e-12
-        # identity sewing keeps elements equal, so use arity-2 inner instead
+        assert lhs.distance(bad) > 1e-6
         found = True
         break
     assert found
@@ -241,3 +244,135 @@ def test_gauss_rational_field_ops():
     assert x.abs2() == Fraction(1, 4) + Fraction(1, 9)
     with pytest.raises(TypeError):
         x + 0.25
+
+
+def test_gauss_rational_hash_matches_equality():
+    one = GaussRat.of(1)
+    assert one == 1 and hash(one) == hash(1)
+    assert len({one, 1}) == 1
+    half = GaussRat.of(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(2, 4), GaussRat(Fraction(1, 2), 0)}) == 1
+    assert {GaussRat.of(1, 1): "x"}[GaussRat.of(Fraction(2, 2), 1)] == "x"
+
+
+def test_gauss_rational_is_immutable():
+    x = GaussRat.of(1, 2)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(3)
+    with pytest.raises(AttributeError):
+        x._x = 3
+    assert x == GaussRat.of(1, 2)
+
+
+@dataclass(frozen=True)
+class _FractionPair:
+    """The Fraction-pair Gaussian rational that ``GaussRat`` replaced; it is
+    the oracle of the integer form."""
+
+    re: Fraction
+    im: Fraction
+
+    def __add__(self, o):
+        return _FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _FractionPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _FractionPair(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    def __truediv__(self, o):
+        n = o.abs2()
+        return _FractionPair(
+            (self.re * o.re + self.im * o.im) / n,
+            (self.im * o.re - self.re * o.im) / n,
+        )
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _random_fraction(rng):
+    num = int(rng.integers(-40, 41))
+    return Fraction(num, int(rng.integers(1, 13))) * Fraction(10) ** int(rng.integers(-3, 4))
+
+
+def test_gauss_rational_matches_fraction_pair_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        parts = [_random_fraction(rng) for _ in range(4)]
+        if rng.random() < 0.2:
+            parts[1] = Fraction(0)  # real values as well
+        x, y = GaussRat.of(*parts[:2]), GaussRat.of(*parts[2:])
+        fx, fy = _FractionPair(*parts[:2]), _FractionPair(*parts[2:])
+        ops = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy)]
+        if fy.abs2():
+            ops.append((x / y, fx / fy))
+        for got, want in ops:
+            assert (got.re, got.im) == (want.re, want.im)
+            assert got.abs2() == want.abs2()
+            assert complex(got).real.hex() == complex(want).real.hex()
+            assert complex(got).imag.hex() == complex(want).imag.hex()
+            assert got == GaussRat(want.re, want.im)
+            assert (got == want.re) == (want.im == 0)
+        assert (x == y) == (fx == fy)
+
+
+def _grid_is_sewable(P, i, Q, points=9):
+    """The sewability test as a scan of the whole 9-point radius grid; the
+    oracle of ``is_sewable``, which tries the grid's first point alone first.
+    ``points=1`` scans that first point only."""
+    inner, outer = so._sew_bounds(P, i, Q)
+    if outer is None:
+        return True
+    inner, outer = float(inner), float(outer)
+    if inner == 0.0:
+        return outer > 0.0
+    lo, hi = np.sqrt(inner), np.sqrt(outer)
+    margin = so.SEW_MARGIN
+    if not hi > lo * (1.0 + margin):
+        return False
+    for r in np.geomspace(lo * (1.0 + margin), hi / (1.0 + margin), points):
+        if inner < r * r * (1.0 - margin) and r * r * (1.0 + margin) < outer:
+            return True
+    return False
+
+
+def test_is_sewable_matches_grid_scan_on_random_pairs():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(3000):
+        P = so.random_sphere(rng, int(rng.integers(1, 4)))
+        Q = so.random_sphere(rng, int(rng.integers(0, 4)))
+        i = int(rng.integers(1, P.arity + 1))
+        want = _grid_is_sewable(P, i, Q)
+        assert is_sewable(P, i, Q) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_sewable_matches_grid_scan_near_the_boundary():
+    # hi/lo in (1+M, (1+M)^2): the grid runs downward from its first point,
+    # and below hi/lo = (1+M)^1.5 the first point fails where a later one fits
+    rng = np.random.default_rng(29)
+    margin = so.SEW_MARGIN
+    decided_later = 0
+    for _ in range(3000):
+        lo = float(np.exp(rng.uniform(-5.0, 5.0)))
+        ratio = (1.0 + margin) ** float(rng.uniform(1.0, 2.0))
+        phase = complex(np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+        # slot 2 of P sits at 0 with scaling `ratio`, its other puncture at
+        # distance lo: outer = (ratio * lo)^2; Q's one puncture lies at
+        # distance lo from its infinity parameter: inner = lo^2
+        P = PuncturedSphere((lo * phase,), 0j, (1 + 0j, ratio + 0j))
+        Q = PuncturedSphere((), lo * phase, (1 + 0j,))
+        want = _grid_is_sewable(P, 2, Q)
+        assert is_sewable(P, 2, Q) == want
+        decided_later += want and not _grid_is_sewable(P, 2, Q, points=1)
+    assert decided_later > 500

@@ -4,6 +4,8 @@ methods by name; this test pins the names and signatures it relies on."""
 import sys
 from pathlib import Path
 
+import pytest
+
 import mtcalc.cli_io as cli_io
 import mtcalc.deligne_double as dd
 import mtcalc.graphcalc as gc
@@ -54,3 +56,26 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+
+@pytest.mark.parametrize("extra", [(), ("--exact",)], ids=["float", "exact"])
+def test_tracer_counts_operad_layers(monkeypatch, extra):
+    # the operad workload's per-layer counts come from wrapped module globals;
+    # an inlined call (is_sewable inside sew, say) would read 0 on working code
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    argv = ["operad-check", "--trials", "3", *extra]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(" ".join(argv))
+        status, _ = cli_io.run_suite(argv)
+        assert status == cli_io.EXIT_OK
+        values = spans.layer_values(tracer.summary())
+    finally:
+        tracer.uninstall()
+    for name in ("is_sewable", "sew", "geometric_sew_oracle", "random_sphere",
+                 "permute"):
+        assert values[f"sewing_operad.{name}.calls"] > 0, name

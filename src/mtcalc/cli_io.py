@@ -72,11 +72,14 @@ def _load_input(spec: str):
     try:
         doc = json.loads(text)
     except ValueError:
-        doc = None  # loads_category names the parse error
-    if isinstance(doc, dict) and "category" in doc:
-        alg = diagonal_frobenius.loads_algebra(text)
+        doc = None
+    if not isinstance(doc, dict):
+        # not a JSON object: loads_category names what is wrong with it
+        return fusion_data.loads_category(text), None
+    if "category" in doc:
+        alg = diagonal_frobenius.loads_algebra(doc)
         return alg.data, alg
-    return fusion_data.loads_category(text), None
+    return fusion_data.loads_category(doc), None
 
 
 def run_suite(argv) -> tuple:

@@ -133,10 +133,17 @@ class DoubleMorphism(gc.BlockMap):
 
 def pair_layer(assign, dst_assign, left_m: gc.Morphism, right_m: gc.Morphism,
                out: DoubleMorphism, coeff=1.0):
-    """Add Kron(left, right) blocks of one assignment pair into ``out``."""
+    """Add Kron(left, right) blocks of one assignment pair into ``out``.
+
+    Each block is the outer product reshaped, which multiplies the same
+    entry pairs as ``np.kron`` without its generic n-d set-up.
+    """
     for cl, ml in left_m.blocks.items():
+        p, q = ml.shape
         for cr, mr in right_m.blocks.items():
-            out.add_block(assign, dst_assign, cl, cr, coeff * np.kron(ml, mr))
+            r, t = mr.shape
+            kron = (ml[:, None, :, None] * mr[None, :, None, :]).reshape(p * r, q * t)
+            out.add_block(assign, dst_assign, cl, cr, coeff * kron)
 
 
 def doubled_layer(data, word, k, width, letters, rule) -> DoubleMorphism:

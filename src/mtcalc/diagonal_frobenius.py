@@ -545,16 +545,17 @@ def emit_algebra(alg: FullFieldAlgebraData) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def loads_algebra(text: str) -> FullFieldAlgebraData:
-    """Parse a build-ffa file; a malformed one raises CategoryDataError.
+def loads_algebra(source: str | dict) -> FullFieldAlgebraData:
+    """Parse a build-ffa file's text, or the dict it parses to; a malformed
+    one raises CategoryDataError.
 
-    The summands must be the diagonal object, each mult entry must name an
-    admissible channel and multiplicity pair once, with a finite value, and
-    phi must give every label one finite nonzero coefficient (the coproduct
-    divides by it).
+    The embedded category must be a JSON object, the summands must be the
+    diagonal object, each mult entry must name an admissible channel and
+    multiplicity pair once, with a finite value, and phi must give every
+    label one finite nonzero coefficient (the coproduct divides by it).
     """
     try:
-        doc = json.loads(text)
+        doc = source if isinstance(source, dict) else json.loads(source)
         category = doc["category"]
         summands = tuple((int(l), int(r)) for l, r in doc["summands"])
         mult_rows = [
@@ -564,7 +565,9 @@ def loads_algebra(text: str) -> FullFieldAlgebraData:
         phi_rows = [(int(a), complex(re, im)) for a, re, im in doc["phi"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed algebra document: {exc}") from exc
-    data = loads_category(json.dumps(category))
+    if not isinstance(category, dict):
+        raise CategoryDataError("malformed algebra document: category is not an object")
+    data = loads_category(category)
     labels = range(data.size)
     if summands != tuple((a, data.dual(a)) for a in labels):
         raise CategoryDataError("summands must be the pairs (a, dual a), one per label")

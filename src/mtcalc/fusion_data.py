@@ -742,12 +742,16 @@ def _entry_table(entries, name: str, n_labels: int, n_mult: int) -> dict:
     return out
 
 
-def loads_category(text: str) -> CategoryData:
-    """Parse a category file; structural invariants checked, coherence not."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CategoryDataError(f"not valid JSON: {exc}") from exc
+def loads_category(source: str | dict) -> CategoryData:
+    """Parse a category file's text, or the dict it parses to; structural
+    invariants are checked, coherence is not."""
+    if isinstance(source, dict):
+        doc = source
+    else:
+        try:
+            doc = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise CategoryDataError(f"not valid JSON: {exc}") from exc
     try:
         names = list(doc["labels"])
         unit = int(doc["unit"])

@@ -134,6 +134,22 @@ def test_unparseable_file_is_input_error(tmp_path):
     path.write_text("{broken")
     status, out = run_suite(["verify-category", str(path)])
     assert status == EXIT_INPUT
+    assert out.startswith("input error: not valid JSON")
+
+
+@pytest.mark.parametrize("cmd", ["verify-category", "verify-ffa"])
+def test_input_file_parsed_once(tmp_path, monkeypatch, fibonacci_algebra_doc, cmd):
+    # the loaders take the dict _load_input parsed, the embedded category too
+    doc = fibonacci_algebra_doc if cmd == "verify-ffa" else fibonacci_algebra_doc["category"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    status, out = run_suite([cmd, str(path)])
+    monkeypatch.undo()
+    assert status == EXIT_OK, out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("row", [[1, 1, 1, 1], [1, 1, 1, 0]], ids=["same", "zero"])
@@ -373,6 +389,10 @@ def _summands_off_diagonal(doc):
     doc["summands"] = [[0, 0], [1, 0]]
 
 
+def _category_as_text(doc):
+    doc["category"] = json.dumps(doc["category"])
+
+
 @pytest.fixture(scope="module")
 def fibonacci_algebra_doc():
     status, text = run_suite(["build-ffa", "builtin:fibonacci"])
@@ -383,7 +403,7 @@ def fibonacci_algebra_doc():
 @pytest.mark.parametrize("corrupt", [
     _drop_phi, _short_phi, _zero_phi, _nan_phi, _inf_phi,
     _mult_label_out_of_range, _mult_index_out_of_range, _duplicate_mult_entry,
-    _summands_not_diagonal, _summands_off_diagonal,
+    _summands_not_diagonal, _summands_off_diagonal, _category_as_text,
 ])
 def test_malformed_algebra_file_is_input_error(tmp_path, fibonacci_algebra_doc, corrupt):
     doc = copy.deepcopy(fibonacci_algebra_doc)

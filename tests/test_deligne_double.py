@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,28 @@ def test_omitted_double_block_is_zero(categories):
         for key, mat in ident.blocks.items():
             assert np.array_equal(got.block(key), want.block(key))
     assert dd.DoubleMorphism.zero(data, (), ()).scalar() == 0.0
+
+
+def test_pair_layer_blocks_equal_np_kron():
+    # pair_layer's reshaped outer product multiplies the same entry pairs as
+    # np.kron, so each block is bitwise equal to it, empty shapes included
+    rng = np.random.default_rng(11)
+    shapes = [(p, q) for p in range(4) for q in range(4)]
+
+    def morphism():
+        return SimpleNamespace(blocks={
+            s: rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes
+        })
+
+    left, right = morphism(), morphism()
+    coeff = 0.3 - 1.7j
+    out = dd.DoubleMorphism.zero(None, (), ())
+    dd.pair_layer((0,), (1,), left, right, out, coeff)
+    assert len(out.blocks) == len(shapes) ** 2
+    for (_, _, cl, cr), mat in out.blocks.items():
+        want = coeff * np.kron(left.blocks[cl], right.blocks[cr])
+        assert mat.shape == want.shape
+        assert (mat == want).all()
 
 
 def test_braiding_inverse_pairing(categories):

@@ -79,3 +79,23 @@ def test_tracer_counts_operad_layers(monkeypatch, extra):
     for name in ("is_sewable", "sew", "geometric_sew_oracle", "random_sphere",
                  "permute"):
         assert values[f"sewing_operad.{name}.calls"] > 0, name
+
+
+def test_tracer_wraps_report_writer(monkeypatch):
+    # the report counters come from the wrapped emit_report; a writer the
+    # tracer did not reach would read 0 bytes on working code
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    argv = ["verify-category", "builtin:fibonacci"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(" ".join(argv))
+        status, out = cli_io.run_suite(argv)
+        values = spans.layer_values(tracer.summary())
+    finally:
+        tracer.uninstall()
+    assert status == cli_io.EXIT_OK
+    assert values["cli_io.emit_report.calls"] > 0
+    assert values["cli_io.report_bytes"] == len(out)

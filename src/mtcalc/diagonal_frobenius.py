@@ -25,7 +25,7 @@ from .fusion_data import (
     CategoryDataError,
     DEFAULT_TOL,
     loads_category,
-    emit_category,
+    category_document,
 )
 from .report import Report
 from . import graphcalc as gc
@@ -532,7 +532,7 @@ def _phi_from_frobenius(alg) -> DoubleMorphism:
 
 def emit_algebra(alg: FullFieldAlgebraData) -> str:
     doc = {
-        "category": json.loads(emit_category(alg.data)),
+        "category": category_document(alg.data),
         "summands": [list(p) for p in alg.object.summands],
         "mult": sorted(
             [a1, a2, a3, i, j, block[i, j].real, block[i, j].imag]

@@ -42,6 +42,7 @@ __all__ = [
     "load_category",
     "loads_category",
     "emit_category",
+    "category_document",
     "quantum_dimension",
     "verify_coherence",
     "pentagon_residuals",
@@ -178,6 +179,7 @@ class CategoryData:
         self._ricache: dict = {}
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
+        self._hexagon_frame = (None, None)  # last (a, b, c, tot) and its frame
         self._validate_tables()
         self.h = tuple((cmath.phase(t) / (2 * math.pi)) % 1.0 for t in self.twist)
         self.qdim = tuple(
@@ -198,7 +200,7 @@ class CategoryData:
         return self.ring.dual[a]
 
     def n(self, a: int, b: int, c: int) -> int:
-        return self.ring.n(a, b, c)
+        return self.ring.N.get((a, b, c), 0)
 
     def label_name(self, a: int) -> str:
         return self.ring.labels[a].name
@@ -207,21 +209,19 @@ class CategoryData:
 
     def f_right_basis(self, a, b, c, d):
         """Right-tree triples (x, i, j) of the word (a,b,c) -> d."""
-        out = []
-        for x in self.ring.outcomes(b, c):
-            for i in range(self.n(a, x, d)):
-                for j in range(self.n(b, c, x)):
-                    out.append((x, i, j))
-        return out
+        n = self.ring.N.get
+        return [
+            (x, i, j) for x in self.ring.channels[b, c]
+            for i in range(n((a, x, d), 0)) for j in range(n((b, c, x)))
+        ]
 
     def f_left_basis(self, a, b, c, d):
         """Left-tree triples (y, k, l) of the word (a,b,c) -> d."""
-        out = []
-        for y in self.ring.outcomes(a, b):
-            for k in range(self.n(y, c, d)):
-                for l in range(self.n(a, b, y)):
-                    out.append((y, k, l))
-        return out
+        n = self.ring.N.get
+        return [
+            (y, k, l) for y in self.ring.channels[a, b]
+            for k in range(n((y, c, d), 0)) for l in range(n((a, b, y)))
+        ]
 
     def f_block(self, a, b, c, d) -> np.ndarray:
         """F-block as a (right x left) matrix; raises on missing entries."""
@@ -242,16 +242,13 @@ class CategoryData:
         return mat
 
     def f_block_inv(self, a, b, c, d) -> np.ndarray:
-        """Inverse F-block, (left x right); exact inverse, computed once."""
+        """Inverse F-block, (left x right); exact inverse, computed once.
+
+        A singular block raises CategoryDataError naming it.
+        """
         key = (a, b, c, d)
         if key not in self._ficache:
-            mat = self.f_block(a, b, c, d)
-            if mat.size == 0:
-                inv = mat.T.copy()
-            else:
-                inv = np.linalg.inv(mat)
-            inv.setflags(write=False)
-            self._ficache[key] = inv
+            self._ficache[key] = _inverse(self.f_block(a, b, c, d), "F", key)
         return self._ficache[key]
 
     def r_block(self, a, b, c) -> np.ndarray:
@@ -272,13 +269,14 @@ class CategoryData:
         return mat
 
     def r_block_inv(self, a, b, c) -> np.ndarray:
-        """Negative-braiding block of a (x) b -> b (x) a on channel c; computed once."""
+        """Negative-braiding block of a (x) b -> b (x) a on channel c; computed once.
+
+        It inverts the R-block (b, a, c); a singular one raises
+        CategoryDataError naming it.
+        """
         key = (a, b, c)
         if key not in self._ricache:
-            mat = self.r_block(b, a, c)
-            inv = mat.T.copy() if mat.size == 0 else np.linalg.inv(mat)
-            inv.setflags(write=False)
-            self._ricache[key] = inv
+            self._ricache[key] = _inverse(self.r_block(b, a, c), "R", (b, a, c))
         return self._ricache[key]
 
     # -- validation ----------------------------------------------------
@@ -344,6 +342,20 @@ class CategoryData:
                     )
 
 
+def _inverse(mat, name, key) -> np.ndarray:
+    """Read-only inverse of a square block; an empty block inverts to its
+    transpose."""
+    if mat.size == 0:
+        inv = mat.T.copy()
+    else:
+        try:
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            raise CategoryDataError(f"{name} block {key} is singular") from None
+    inv.setflags(write=False)
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # quantum dimensions
 
@@ -364,52 +376,64 @@ def pentagon_residuals(data: CategoryData):
 
     Both routes from the fully right-nested to the fully left-nested fusion
     of a four-letter word are expanded through F-blocks and compared.  Only
-    the totals the word reaches are visited.
+    the totals the word reaches are visited.  Every instance appends its
+    entrywise differences to one list; the residuals are then one ``np.abs``
+    over the list and one maximum per instance.
     """
-    for a, b, c, d in itertools.product(range(data.size), repeat=4):
-        for tot in data.ring.totals((a, b, c, d)):
-            yield (a, b, c, d, tot), _pentagon_instance(data, a, b, c, d, tot)
+    keys, starts, diffs = [], [], []
+    ring = data.ring
+    for a, b, c in itertools.product(range(data.size), repeat=3):
+        abc = ring.totals((a, b, c))
+        for d in range(data.size):
+            # ring.totals((a, b, c, d)), extended from the totals of (a, b, c)
+            for tot in sorted({t for s in abc for t in ring.channels[s, d]}):
+                keys.append((a, b, c, d, tot))
+                starts.append(len(diffs))
+                _pentagon_instance(data, a, b, c, d, tot, diffs)
+    if keys:
+        res = np.maximum.reduceat(np.abs(np.array(diffs, dtype=complex)), starts)
+        yield from zip(keys, res.tolist())
 
 
-def _pentagon_instance(data, a, b, c, d, tot):
-    outcomes = data.ring.outcomes
-    rn = []  # right-nested source basis: (x, k, y, j, i)
-    for x in outcomes(c, d):
-        for k in range(data.n(c, d, x)):
-            for y in outcomes(b, x):
-                for j in range(data.n(b, x, y)):
-                    for i in range(data.n(a, y, tot)):
-                        rn.append((x, k, y, j, i))
-    ln = []  # left-nested target basis: (u, q, v, s, r)
-    for u in outcomes(a, b):
-        for q in range(data.n(a, b, u)):
-            for v in outcomes(u, c):
-                for s in range(data.n(u, c, v)):
-                    for r in range(data.n(v, d, tot)):
-                        ln.append((u, q, v, s, r))
-    p1 = np.zeros((len(rn), len(ln)), dtype=complex)
-    p2 = np.zeros_like(p1)
-    for si, (x, k, y, j, i) in enumerate(rn):
-        for ti, (u, q, v, s, r) in enumerate(ln):
+def _pentagon_instance(data, a, b, c, d, tot, diffs):
+    """Append p1 - p2 of the instance (a, b, c, d, tot) to ``diffs``, row by
+    row; p1 and p2 are the two routes over (right-nested x left-nested)
+    bases, which are nonempty for a total the word reaches."""
+    ch = data.ring.channels
+    n = data.ring.N.get
+    F = data.F.get
+    rn = [  # right-nested source basis: (x, k, y, j, i)
+        (x, k, y, j, i)
+        for x in ch[c, d] for k in range(n((c, d, x)))
+        for y in ch[b, x] for j in range(n((b, x, y)))
+        for i in range(n((a, y, tot), 0))
+    ]
+    ln = [  # left-nested target basis: (u, q, v, s, r)
+        (u, q, v, s, r)
+        for u in ch[a, b] for q in range(n((a, b, u)))
+        for v in ch[u, c] for s in range(n((u, c, v)))
+        for r in range(n((v, d, tot), 0))
+    ]
+    append = diffs.append
+    for x, k, y, j, i in rn:
+        for u, q, v, s, r in ln:
             acc1 = 0j
-            for p in range(data.n(u, x, tot)):
-                f1 = data.F.get((a, b, x, tot, y, u, i, j, p, q), 0)
-                f2 = data.F.get((u, c, d, tot, x, v, p, k, r, s), 0)
+            for p in range(n((u, x, tot), 0)):
+                f1 = F((a, b, x, tot, y, u, i, j, p, q), 0)
+                f2 = F((u, c, d, tot, x, v, p, k, r, s), 0)
                 acc1 += f1 * f2
-            p1[si, ti] = acc1
             acc2 = 0j
-            for w in outcomes(b, c):
-                for t in range(data.n(w, d, y)):
-                    for z in range(data.n(b, c, w)):
-                        f3 = data.F.get((b, c, d, y, x, w, j, k, t, z), 0)
+            for w in ch[b, c]:
+                for t in range(n((w, d, y), 0)):
+                    for z in range(n((b, c, w))):
+                        f3 = F((b, c, d, y, x, w, j, k, t, z), 0)
                         if f3 == 0:
                             continue
-                        for g in range(data.n(a, w, v)):
-                            f4 = data.F.get((a, w, d, tot, y, v, i, t, r, g), 0)
-                            f5 = data.F.get((a, b, c, v, w, u, g, z, s, q), 0)
+                        for g in range(n((a, w, v), 0)):
+                            f4 = F((a, w, d, tot, y, v, i, t, r, g), 0)
+                            f5 = F((a, b, c, v, w, u, g, z, s, q), 0)
                             acc2 += f3 * f4 * f5
-            p2[si, ti] = acc2
-    return float(np.max(np.abs(p1 - p2)))
+            append(acc1 - acc2)
 
 
 def hexagon_residuals(data: CategoryData):
@@ -428,58 +452,98 @@ def hexagon_residuals(data: CategoryData):
 
 
 def _tree_basis3(data, w1, w2, w3, tot):
-    out = []
-    for y in data.ring.outcomes(w1, w2):
-        for l in range(data.n(w1, w2, y)):
-            for m in range(data.n(y, w3, tot)):
-                out.append((y, l, m))
-    return out
+    n = data.ring.N.get
+    return [
+        (y, l, m) for y in data.ring.channels[w1, w2]
+        for l in range(n((w1, w2, y))) for m in range(n((y, w3, tot), 0))
+    ]
 
 
-def _hexagon_instance(data, a, b, c, tot, sense):
+def _hexagon_frame(data, a, b, c, tot):
+    """What the hexagon at (a, b, c, tot) needs besides R-blocks, or None
+    when the word has no trees of charge ``tot``.
+
+    The frame holds the shapes and index lists of the braid (1,2), the braid
+    (2,3) inside the fused cluster and the cluster braid, with their F-block
+    entries, in the order the instance accumulates them.  The two senses of
+    one instance follow each other, so the last frame is kept on ``data``.
+    """
+    key = (a, b, c, tot)
+    last, frame = data._hexagon_frame
+    if last == key:
+        return frame
     src = _tree_basis3(data, a, b, c, tot)
     mid = _tree_basis3(data, b, a, c, tot)
     dst = _tree_basis3(data, b, c, a, tot)
-    if not src or not dst:
-        return None
+    frame = None
+    if src and dst:
+        # braid (1,2): src (y, l, m) -> mid (y, l2, m), entry R^{ab}_y[l2, l]
+        b12 = [
+            (y, [(mi, si, l2, l) for mi, (y2, l2, m2) in enumerate(mid)
+                 if y2 == y and m2 == m])
+            for si, (y, l, m) in enumerate(src)
+        ]
+        # braid (2,3): F(b, a, c), R^{ac}_z on the cluster z, F(b, c, a)^-1
+        f_mid = data.f_block(b, a, c, tot)
+        midr = data.f_right_basis(b, a, c, tot)
+        f_dst_inv = data.f_block_inv(b, c, a, tot)
+        dstr = data.f_right_basis(b, c, a, tot)
+        b23 = [
+            (mi, z, f_mid[ri, mi], [
+                (f_dst_inv[:, ri2], j3, j2)
+                for ri2, (z2, i3, j3) in enumerate(dstr) if z2 == z and i3 == i2
+            ])
+            for mi in range(len(mid))
+            for ri, (z, i2, j2) in enumerate(midr) if f_mid[ri, mi] != 0
+        ]
+        # cluster braid: F(a, b, c), then R^{a x}_tot on the fused pair x
+        fabc = data.f_block(a, b, c, tot)
+        fr = data.f_right_basis(a, b, c, tot)
+        cluster = [
+            (di, x, [
+                (app, alpha, fabc[ri, :])
+                for ri, (x2, alpha, beta2) in enumerate(fr)
+                if x2 == x and beta2 == beta
+            ])
+            for di, (x, beta, app) in enumerate(dst)
+        ]
+        frame = (len(src), len(mid), len(dst), b12, b23, cluster)
+    data._hexagon_frame = (key, frame)
+    return frame
 
-    def rmat(p, q, ch):
-        return data.r_block(p, q, ch) if sense > 0 else data.r_block_inv(p, q, ch)
+
+def _hexagon_instance(data, a, b, c, tot, sense):
+    """Residual of one hexagon, None when the word has no trees of charge
+    ``tot``, and inf when a block it inverts is singular."""
+    rmat = data.r_block if sense > 0 else data.r_block_inv
+    try:
+        frame = _hexagon_frame(data, a, b, c, tot)
+        if frame is None:
+            return None
+        n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
+        r12 = [rmat(a, b, y) for y, _ in b12_walk]
+        r23 = [rmat(a, c, z) for _, z, _, _ in b23_walk]
+        r_cluster = [rmat(a, x, tot) for _, x, _ in cluster_walk]
+    except CategoryDataError:  # a singular F- or R-block has no inverse
+        return math.inf
 
     # one-at-a-time route: braid (1,2) then (2,3)
-    b12 = np.zeros((len(mid), len(src)), dtype=complex)
-    for si, (y, l, m) in enumerate(src):
-        rm = rmat(a, b, y)
-        for mi, (y2, l2, m2) in enumerate(mid):
-            if y2 == y and m2 == m:
-                b12[mi, si] = rm[l2, l]
-    b23 = np.zeros((len(dst), len(mid)), dtype=complex)
-    f_mid = data.f_block(b, a, c, tot)
-    midr = data.f_right_basis(b, a, c, tot)
-    f_dst_inv = data.f_block_inv(b, c, a, tot)
-    dstr = data.f_right_basis(b, c, a, tot)
-    for mi in range(len(mid)):
-        for ri, (z, i2, j2) in enumerate(midr):
-            fm = f_mid[ri, mi]
-            if fm == 0:
-                continue
-            rz = rmat(a, c, z)  # braid (a, c) inside the fused cluster z
-            for ri2, (z2, i3, j3) in enumerate(dstr):
-                if z2 != z or i3 != i2:
-                    continue
-                b23[:, mi] += f_dst_inv[:, ri2] * rz[j3, j2] * fm
+    b12 = np.zeros((n_mid, n_src), dtype=complex)
+    for rm, (_, hits) in zip(r12, b12_walk):
+        for mi, si, l2, l in hits:
+            b12[mi, si] = rm[l2, l]
+    b23 = np.zeros((n_dst, n_mid), dtype=complex)
+    for rz, (mi, _, fm, hits) in zip(r23, b23_walk):
+        # braid (a, c) inside the fused cluster z
+        for col, j3, j2 in hits:
+            b23[:, mi] += col * rz[j3, j2] * fm
     route = b23 @ b12
 
     # cluster route: braid a past the fused pair (b, c) in one move
-    cluster = np.zeros((len(dst), len(src)), dtype=complex)
-    fabc = data.f_block(a, b, c, tot)
-    fr = data.f_right_basis(a, b, c, tot)
-    for di, (x, beta, app) in enumerate(dst):
-        rx = rmat(a, x, tot)
-        for ri, (x2, alpha, beta2) in enumerate(fr):
-            if x2 != x or beta2 != beta:
-                continue
-            cluster[di, :] += rx[app, alpha] * fabc[ri, :]
+    cluster = np.zeros((n_dst, n_src), dtype=complex)
+    for rx, (di, _, hits) in zip(r_cluster, cluster_walk):
+        for app, alpha, row in hits:
+            cluster[di, :] += rx[app, alpha] * row
     return float(np.max(np.abs(cluster - route)))
 
 
@@ -494,6 +558,7 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
         report.add("pentagon", inst, res)
     for inst, res in hexagon_residuals(data):
         report.add("hexagon", inst, res)
+    channels = data.ring.channels
     for a in range(data.size):
         for b in range(data.size):
             for c in range(data.size):
@@ -502,19 +567,19 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
                     if fmat.shape[0] != fmat.shape[1]:
                         continue
                     try:
-                        inv = np.linalg.inv(fmat)
+                        inv = data.f_block_inv(a, b, c, d)
                         res = float(
                             np.max(np.abs(fmat @ inv - np.eye(len(fmat))))
                         )
-                    except np.linalg.LinAlgError:
+                    except CategoryDataError:  # singular
                         res = 1.0
                     report.add("f_invertible", (a, b, c, d), res)
                     gram = fmat @ fmat.conj().T - np.eye(fmat.shape[0])
                     report.add(
                         "f_unitary", (a, b, c, d), float(np.max(np.abs(gram)))
                     )
-                unitary = data.r_block(a, b, c)
-                if unitary.size:
+                if c in channels[a, b]:
+                    unitary = data.r_block(a, b, c)
                     gram = unitary @ unitary.conj().T - np.eye(unitary.shape[0])
                     report.add(
                         "r_unitary", (a, b, c), float(np.max(np.abs(gram)))
@@ -695,10 +760,11 @@ def _c2pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def emit_category(data: CategoryData) -> str:
-    """Serialize to the category file format (stable key order)."""
+def category_document(data: CategoryData) -> dict:
+    """The category file's document: the dict ``emit_category`` writes and
+    ``loads_category`` reads."""
     ring = data.ring
-    doc = {
+    return {
         "labels": [l.name for l in ring.labels],
         "unit": ring.unit,
         "dual": list(ring.dual),
@@ -717,7 +783,11 @@ def emit_category(data: CategoryData) -> str:
         ],
         "twist": [_c2pair(t) for t in data.twist],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def emit_category(data: CategoryData) -> str:
+    """Serialize to the category file format (stable key order)."""
+    return json.dumps(category_document(data), sort_keys=True, indent=2) + "\n"
 
 
 def _entry_table(entries, name: str, n_labels: int, n_mult: int) -> dict:

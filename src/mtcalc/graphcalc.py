@@ -72,13 +72,14 @@ def word_trees(data: CategoryData, word: tuple) -> dict:
     cache = data._tree_cache
     if word in cache:
         return cache[word]
+    channels, n = data.ring.channels, data.ring.N
     partial = [((), word[0] if word else data.unit)]
     for letter in word[1:]:
         partial = [
             (prefix + ((x, mu),), x)
             for prefix, state in partial
-            for x in range(data.size)
-            for mu in range(data.n(state, letter, x))
+            for x in channels[state, letter]
+            for mu in range(n[state, letter, x])
         ]
     by_charge = {}
     for prefix, charge in partial:
@@ -306,11 +307,24 @@ def weighted_vertex(data, word, k, a, b, c, weights) -> Morphism:
     _check_weights(data, a, b, c, weights)
 
     def local(p, q):
-        right, f = _f_trees(data, p, a, b, q)
-        return _channel_weights(data, right, p, c, q, weights) @ f
+        return _vertex_block(data, a, b, c, weights, p, q)
 
     key = ("vertex", a, b, c, weights)
     return _replace_window(data, word, k, 2, (c,), key, local)
+
+
+def _vertex_block(data, a, b, c, weights, p, q) -> np.ndarray:
+    """Local block of the vertex ``weights`` of hom(a b, c), dense: from the
+    trees of (p, a, b) to those of (p, c) with charge q; memoized on
+    ``data`` and read-only."""
+    key = ("vertex_block", a, b, c, weights, p, q)
+    block = data._local_cache.get(key)
+    if block is None:
+        right, f = _f_trees(data, p, a, b, q)
+        block = _channel_weights(data, right, p, c, q, weights) @ f
+        block.setflags(write=False)
+        data._local_cache[key] = block
+    return block
 
 
 def weighted_covertex(data, word, k, a, b, c, weights) -> Morphism:
@@ -815,25 +829,39 @@ def _fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
 
     ``outer_right[x]`` is a list of VertexVector in hom(w0 x, d), etc.
     Returns (right_index_list, left_index_list, matrix).
+
+    Each row is the composite of two vertices read on the tree basis of
+    (word) -> d, taken from their dense local blocks.  A right row applies
+    the inner vertex at letters (1, 2) above the chain state w0 and then
+    the outer one above the unit, so it is the product of the two blocks.
+    A left row is nonzero on the trees ((y, mu), (d, nu)) only, where it is
+    the outer vertex's entry nu times the inner one's entry mu.
     """
     w0, w1, w2 = word
     tre = trees(data, word, d)
     if not tre:
         return [], [], np.zeros((0, 0))
+    e = data.unit
     rights, rvecs = [], []
     for x in sorted(outer_right):
         for io, yo in enumerate(outer_right[x]):
+            outer = _vertex_block(data, yo.a1, yo.a2, yo.a3, yo.vec, e, d)
             for ii, yi in enumerate(inner_right[x]):
                 rights.append((x, io, ii))
-                comp = yo.at(data, (w0, x), 0) @ yi.at(data, word, 1)
-                rvecs.append(comp.block(d)[0, :])
+                inner = _vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, w0, d)
+                rvecs.append((outer @ inner)[0])
     lefts, lvecs = [], []
     for y in sorted(outer_left):
+        cols = [(n, mu, nu) for n, ((y2, mu), (_, nu)) in enumerate(tre) if y2 == y]
         for io, yo in enumerate(outer_left[y]):
+            outer = _vertex_block(data, yo.a1, yo.a2, yo.a3, yo.vec, e, d)[0]
             for ii, yi in enumerate(inner_left[y]):
                 lefts.append((y, io, ii))
-                comp = yo.at(data, (y, w2), 0) @ yi.at(data, word, 0)
-                lvecs.append(comp.block(d)[0, :])
+                inner = _vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, e, y)[0]
+                row = np.zeros(len(tre), complex)
+                for n, mu, nu in cols:
+                    row[n] = outer[nu] * inner[mu]
+                lvecs.append(row)
     U = np.array(rvecs).reshape(len(rights), len(tre))
     V = np.array(lvecs).reshape(len(lefts), len(tre))
     return rights, lefts, U @ np.linalg.inv(V)

@@ -205,6 +205,59 @@ def test_noncommutative_fusion_rules_are_input_error(tmp_path, cmd):
     assert out.startswith("input error: fusion rules not commutative at (1, 2, ")
 
 
+# Pointed Z_3 with one block set to zero, the block named as the error
+# names it, and the hexagons that invert it: F(b, c, a, tot) for every
+# sense, and R(x, a, tot) for the negative sense only.
+SINGULAR_BLOCKS = {
+    "F": ((1, 1, 1, 0), {("+", 1, 1, 1, 0), ("-", 1, 1, 1, 0)}),
+    "R": ((1, 2, 0), {
+        ("-", 2, 0, 1, 0), ("-", 2, 1, 0, 0), ("-", 2, 1, 1, 1),
+        ("-", 2, 1, 2, 2), ("-", 2, 2, 1, 2), ("-", 2, 2, 2, 0),
+    }),
+}
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+def test_singular_block(tmp_path, pointed_category, table):
+    block, inverted_by = SINGULAR_BLOCKS[table]
+    coherent = tmp_path / "z3.json"
+    coherent.write_text(fd.emit_category(pointed_category(3)))
+    doc = json.loads(coherent.read_text())
+    for entry in doc[table]:
+        if tuple(entry["labels"][:len(block)]) == block:
+            entry["value"] = [0.0, 0.0]
+    path = tmp_path / "z3_singular.json"
+    path.write_text(json.dumps(doc))
+
+    # a verification failure: the hexagons that need the inverse read inf
+    status, report = run_suite(["verify-category", str(path)])
+    assert status == EXIT_VERIFY
+    records = json.loads(report)["records"]
+    infinite = {
+        (r["id"], *r["instance"]) for r in records if r["residual"] == float("inf")
+    }
+    assert infinite == {("hexagon", *inst) for inst in inverted_by}
+    if table == "F":
+        assert [
+            (r["pass"], r["residual"]) for r in records
+            if r["id"] == "f_invertible" and tuple(r["instance"]) == block
+        ] == [(False, 1.0)]
+    # build-ffa and verify-ffa stop at that report
+    assert run_suite(["build-ffa", str(path)]) == (EXIT_VERIFY, report)
+    status, out = run_suite(["verify-ffa", str(path)])
+    assert status == EXIT_VERIFY and json.loads(out)["records"] == records
+    # the zigzags and the completeness sums invert neither block
+    assert run_suite(["rigidity", str(path)])[0] == EXIT_OK
+    # the suites that invert the block without a coherence gate name it
+    message = f"input error: {table} block {block} is singular\n"
+    assert run_suite(["fusing-symmetries", str(path)]) == (EXIT_INPUT, message)
+    algebra = json.loads(run_suite(["build-ffa", str(coherent)])[1])
+    algebra["category"] = doc
+    alg_path = tmp_path / "z3_singular_ffa.json"
+    alg_path.write_text(json.dumps(algebra))
+    assert run_suite(["verify-ffa", str(alg_path)]) == (EXIT_INPUT, message)
+
+
 def test_category_file_is_not_read_as_algebra_by_its_labels(tmp_path):
     # the F entries of every category file carry a "mult" key; a label named
     # "category" must not make the file look like a build-ffa document

@@ -526,3 +526,92 @@ def test_trivialized_twist_detected(categories):
     worst = max(r.residual for r in phase)
     expected = abs(1 - data.twist[1])
     assert worst > 0.5 and abs(worst - expected) < 0.2
+
+
+# -- fusing matrices against Morphism composition -----------------------------
+
+
+def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
+                                     outer_left, inner_left):
+    """The oracle: each row is the composite Morphism of the two vertices,
+    applied to the words through ``VertexVector.at``, read at charge d."""
+    w0, w1, w2 = word
+    tre = gc.trees(data, word, d)
+    if not tre:
+        return [], [], np.zeros((0, 0))
+    rights, rvecs = [], []
+    for x in sorted(outer_right):
+        for io, yo in enumerate(outer_right[x]):
+            for ii, yi in enumerate(inner_right[x]):
+                rights.append((x, io, ii))
+                comp = yo.at(data, (w0, x), 0) @ yi.at(data, word, 1)
+                rvecs.append(comp.block(d)[0, :])
+    lefts, lvecs = [], []
+    for y in sorted(outer_left):
+        for io, yo in enumerate(outer_left[y]):
+            for ii, yi in enumerate(inner_left[y]):
+                lefts.append((y, io, ii))
+                comp = yo.at(data, (y, w2), 0) @ yi.at(data, word, 0)
+                lvecs.append(comp.block(d)[0, :])
+    U = np.array(rvecs).reshape(len(rights), len(tre))
+    V = np.array(lvecs).reshape(len(lefts), len(tre))
+    return rights, lefts, U @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("z5", "rep_a4_random"))
+def test_fusing_matrices_match_morphism_composition(
+    categories, pointed_category, rep_a4_random, monkeypatch, name
+):
+    """Every fusing matrix the suite builds, in the braid bases and in the
+    bend bases, equals the composed-Morphism route: exactly where every
+    multiplicity is 1, to 1e-12 relative on Rep(A4) (N_33^3 = 2)."""
+    if name == "z5":
+        data = pointed_category(5)
+    elif name == "rep_a4_random":
+        data = rep_a4_random
+    else:
+        data = categories[name]
+    fast, compared = gc._fusing_matrix_in_bases, []
+
+    def checked(data, word, d, *bases):
+        rights, lefts, mat = fast(data, word, d, *bases)
+        want_r, want_l, want = _composed_fusing_matrix_in_bases(data, word, d, *bases)
+        assert (rights, lefts) == (want_r, want_l)
+        assert mat.shape == want.shape
+        if name != "rep_a4_random":
+            assert np.array_equal(mat, want), (word, d)
+        elif want.size:
+            assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
+        compared.append(word)
+        return rights, lefts, mat
+
+    monkeypatch.setattr(gc, "_fusing_matrix_in_bases", checked)
+    gc.verify_fusing_symmetries(data)
+    # one braid and one bend matrix per nonempty fusing word
+    assert len(compared) == 2 * len(gc._nonempty_fusing_words(data))
+
+
+def test_fusing_matrices_read_local_blocks(pointed_category, monkeypatch):
+    """On Z_7 the fusing matrices are assembled from local blocks: no tree
+    window is rewritten while ``_fusing_matrix_in_bases`` runs."""
+    data = pointed_category(7)
+    inside, seen = [0], {"fusing": 0, "window": 0}
+    fusing, window = gc._fusing_matrix_in_bases, gc._replace_window
+
+    def fusing_spy(*args):
+        seen["fusing"] += 1
+        inside[0] += 1
+        try:
+            return fusing(*args)
+        finally:
+            inside[0] -= 1
+
+    def window_spy(*args):
+        seen["window"] += inside[0] > 0
+        return window(*args)
+
+    monkeypatch.setattr(gc, "_fusing_matrix_in_bases", fusing_spy)
+    monkeypatch.setattr(gc, "_replace_window", window_spy)
+    rep = gc.verify_fusing_symmetries(data)
+    assert rep.passed
+    assert seen == {"fusing": 2 * len(gc._nonempty_fusing_words(data)), "window": 0}

@@ -1,6 +1,7 @@
 """The benchmark tracer (perfbench/spans.py) wraps mtcalc functions and
 methods by name; this test pins the names and signatures it relies on."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -99,3 +100,27 @@ def test_tracer_wraps_report_writer(monkeypatch):
     assert status == cli_io.EXIT_OK
     assert values["cli_io.emit_report.calls"] > 0
     assert values["cli_io.report_bytes"] == len(out)
+
+
+def test_tracer_counts_coherence_items(monkeypatch):
+    # the pentagon and hexagon counts come from the wrapped generators; a
+    # batched route the wrapper did not reach would count 0 items, or fewer
+    # items than records, on working code
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    argv = ["verify-category", "builtin:ising"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(" ".join(argv))
+        status, out = cli_io.run_suite(argv)
+        values = spans.layer_values(tracer.summary())
+    finally:
+        tracer.uninstall()
+    assert status == cli_io.EXIT_OK
+    records = json.loads(out)["records"]
+    for kind in ("pentagon", "hexagon"):
+        want = sum(r["id"] == kind for r in records)
+        assert want > 0
+        assert values[f"fusion_data.{kind}_residuals.items"] == want, kind

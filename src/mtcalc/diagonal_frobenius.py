@@ -39,7 +39,6 @@ from .deligne_double import (
 __all__ = [
     "FullFieldAlgebraData",
     "PAIRING_SENSE",
-    "pairing_coefficient",
     "pairing_coefficient_general",
     "build_diagonal_algebra",
     "verify_algebra_axioms",
@@ -82,16 +81,6 @@ def pairing_coefficient_general(data: CategoryData, fl: gc.CovertexVector,
     return m.scalar() / dim3
 
 
-def pairing_coefficient(data: CategoryData, a1, a2, a3, i=0, j=0,
-                        sense: str = None) -> complex:
-    """Pairing of the basis covertices (a1 a2 <- a3; i) and its dual-label twin."""
-    fl = gc.CovertexVector.basis(data, a1, a2, a3, i)
-    fr = gc.CovertexVector.basis(
-        data, data.dual(a1), data.dual(a2), data.dual(a3), j
-    )
-    return pairing_coefficient_general(data, fl, fr, sense)
-
-
 # ---------------------------------------------------------------------------
 # algebra data
 
@@ -118,23 +107,6 @@ class FullFieldAlgebraData:
     @property
     def summand_index(self) -> dict:
         return {l: i for i, (l, _) in enumerate(self.object.summands)}
-
-    def mult_entry(self, a1, a2, a3, i=0, j=0) -> complex:
-        block = self.mult.get((a1, a2, a3))
-        return complex(block[i, j]) if block is not None else 0.0
-
-    def unit_morphism(self) -> "DoubleMorphism":
-        """Inclusion of the unit pair as a morphism from the empty word."""
-        return unit_layer(self, (), 0)
-
-    def counit_morphism(self) -> "DoubleMorphism":
-        return counit_layer(self, (self.object,), 0)
-
-    def coproduct_morphism(self) -> "DoubleMorphism":
-        return comult_layer(self, (self.object,), 0)
-
-    def mult_morphism(self) -> "DoubleMorphism":
-        return mult_layer(self, (self.object, self.object), 0)
 
 
 def build_diagonal_algebra(data: CategoryData,

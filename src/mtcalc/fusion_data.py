@@ -202,9 +202,6 @@ class CategoryData:
     def n(self, a: int, b: int, c: int) -> int:
         return self.ring.N.get((a, b, c), 0)
 
-    def label_name(self, a: int) -> str:
-        return self.ring.labels[a].name
-
     # -- block assembly ------------------------------------------------
 
     def f_right_basis(self, a, b, c, d):
@@ -293,15 +290,16 @@ class CategoryData:
             for key, value in table.items():
                 if not cmath.isfinite(value):
                     raise CategoryDataError(f"{name} entry {key} is not finite")
+        mult = ring.N.get
         for key in self.F:
             if len(key) != 10:
                 raise CategoryDataError(f"malformed F key {key}")
             a, b, c, d, x, y, i, j, k, l = key
             if (
-                i >= ring.n(a, x, d)
-                or j >= ring.n(b, c, x)
-                or k >= ring.n(y, c, d)
-                or l >= ring.n(a, b, y)
+                i >= mult((a, x, d), 0)
+                or j >= mult((b, c, x), 0)
+                or k >= mult((y, c, d), 0)
+                or l >= mult((a, b, y), 0)
             ):
                 raise CategoryDataError(f"F entry {key} outside multiplicity range")
         # an R-block maps hom(a b, c) to hom(b a, c), so it must be square
@@ -323,8 +321,9 @@ class CategoryData:
                             )
         for a, b, c in itertools.product(range(n), repeat=3):
             for d in ring.totals((a, b, c)):
+                left = self.f_left_basis(a, b, c, d)
                 for (x, i, j) in self.f_right_basis(a, b, c, d):
-                    for (y, k, l) in self.f_left_basis(a, b, c, d):
+                    for (y, k, l) in left:
                         if (a, b, c, d, x, y, i, j, k, l) not in self.F:
                             raise CategoryDataError(
                                 f"missing F entry for block {(a, b, c, d)}"
@@ -790,13 +789,39 @@ def emit_category(data: CategoryData) -> str:
     return json.dumps(category_document(data), sort_keys=True, indent=2) + "\n"
 
 
+def _int(v) -> int:
+    """``v`` if it is a JSON integer; anything else (a float, a bool, a
+    string) raises ValueError rather than being rounded to one."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _fusion_rows(rows) -> dict:
+    """{(a, b, c): N} of the nonzero rows ``[a, b, c, N]`` of a category file."""
+    N, seen = {}, set()
+    for row in rows:
+        try:
+            a, b, c, v = (_int(x) for x in row)
+        except (TypeError, ValueError) as exc:
+            raise CategoryDataError(f"malformed fusion row {row!r}: {exc}") from exc
+        if (a, b, c) in seen:
+            raise CategoryDataError(f"duplicate fusion row {(a, b, c)}")
+        seen.add((a, b, c))
+        if v:
+            N[(a, b, c)] = v
+    return N
+
+
 def _entry_table(entries, name: str, n_labels: int, n_mult: int) -> dict:
     """{labels + mult: value} of the F or R entries of a category file."""
+    if not isinstance(entries, list):
+        raise CategoryDataError(f"{name} table must be a list of entries")
     out = {}
     for ent in entries:
         try:
-            labels = tuple(int(v) for v in ent["labels"])
-            mult = tuple(int(v) for v in ent["mult"])
+            labels = tuple(_int(v) for v in ent["labels"])
+            mult = tuple(_int(v) for v in ent["mult"])
             re, im = ent["value"]
             value = complex(re, im)
         except (KeyError, TypeError, ValueError) as exc:
@@ -824,23 +849,16 @@ def loads_category(source: str | dict) -> CategoryData:
             raise CategoryDataError(f"not valid JSON: {exc}") from exc
     try:
         names = list(doc["labels"])
-        unit = int(doc["unit"])
-        dual = [int(x) for x in doc["dual"]]
-        fusion = [tuple(int(v) for v in row) for row in doc["fusion"]]
+        unit = _int(doc["unit"])
+        dual = [_int(x) for x in doc["dual"]]
+        fusion = list(doc["fusion"])
         f_entries = doc["F"]
         r_entries = doc["R"]
         twist = [complex(re, im) for re, im in doc["twist"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed category document: {exc}") from exc
     labels = tuple(Label(i, str(s)) for i, s in enumerate(names))
-    N, rows = {}, set()
-    for a, b, c, v in fusion:
-        if (a, b, c) in rows:
-            raise CategoryDataError(f"duplicate fusion row {(a, b, c)}")
-        rows.add((a, b, c))
-        if v:
-            N[(a, b, c)] = v
-    ring = FusionRing(labels, unit, tuple(dual), N)
+    ring = FusionRing(labels, unit, tuple(dual), _fusion_rows(fusion))
     F = _entry_table(f_entries, "F", 6, 4)
     R = _entry_table(r_entries, "R", 3, 2)
     return CategoryData(ring, F, R, twist)

@@ -248,21 +248,6 @@ class PuncturedSphere:
         vals += [complex(x) - complex(y) for x, y in zip(self.scales, other.scales)]
         return max(abs(v) for v in vals)
 
-    def to_literal(self) -> dict:
-        pair = lambda v: [complex(v).real, complex(v).imag]
-        return {
-            "z": [pair(v) for v in self.z],
-            "a": pair(self.a),
-            "a0": [pair(v) for v in self.scales],
-        }
-
-    @classmethod
-    def from_literal(cls, doc: dict) -> "PuncturedSphere":
-        z = tuple(complex(re, im) for re, im in doc["z"])
-        a = complex(doc["a"][0], doc["a"][1])
-        scales = tuple(complex(re, im) for re, im in doc["a0"])
-        return cls(z, a, scales)
-
 
 def vacuum_sphere(exact: bool = False) -> PuncturedSphere:
     zero = GaussRat.of(0) if exact else 0j

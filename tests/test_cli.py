@@ -506,6 +506,49 @@ def test_non_finite_category_entry_is_input_error(tmp_path, table, value):
     assert out.startswith("input error:")
 
 
+CATEGORY_COMMANDS = [
+    "verify-category", "rigidity", "fusing-symmetries", "build-ffa", "verify-ffa",
+]
+
+
+def _write_doc(tmp_path, fibonacci_algebra_doc, kind, corrupt):
+    """Fibonacci as a category or an algebra file, its category corrupted."""
+    doc = copy.deepcopy(fibonacci_algebra_doc)
+    corrupt(doc["category"])
+    path = tmp_path / f"fib_{kind}.json"
+    path.write_text(json.dumps(doc if kind == "algebra" else doc["category"]))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["category", "algebra"])
+@pytest.mark.parametrize("table", ["F", "R"])
+@pytest.mark.parametrize("value", [None, 5, 3.5, True], ids=["null", "int", "float", "bool"])
+def test_entry_table_not_a_list_is_input_error(
+    tmp_path, fibonacci_algebra_doc, kind, table, value
+):
+    path = _write_doc(tmp_path, fibonacci_algebra_doc, kind,
+                      lambda cat: cat.update({table: value}))
+    for cmd in CATEGORY_COMMANDS:
+        status, out = run_suite([cmd, str(path)])
+        assert status == EXIT_INPUT, (cmd, out)
+        assert out == f"input error: {table} table must be a list of entries\n"
+
+
+@pytest.mark.parametrize("kind", ["category", "algebra"])
+@pytest.mark.parametrize("row", [
+    [1, 1, 1, 1.9], [1, 1, 1, True], [1, 1, 1, "1"], [1.0, 1, 1, 1], [1, 1, 1],
+], ids=["fraction", "bool", "string", "float-label", "short"])
+def test_fusion_row_not_integers_is_input_error(tmp_path, fibonacci_algebra_doc, kind, row):
+    def corrupt(cat):
+        cat["fusion"] = [r for r in cat["fusion"] if r[:3] != [1, 1, 1]] + [row]
+
+    path = _write_doc(tmp_path, fibonacci_algebra_doc, kind, corrupt)
+    for cmd in CATEGORY_COMMANDS:
+        status, out = run_suite([cmd, str(path)])
+        assert status == EXIT_INPUT, (cmd, out)
+        assert out.startswith(f"input error: malformed fusion row {row!r}"), out
+
+
 def test_empty_report_summary():
     from mtcalc.report import Report, emit_report
     import json as _json

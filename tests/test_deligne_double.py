@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mtcalc import fusion_data as fd
 from mtcalc import deligne_double as dd
+
+import double_braiding as db
 
 
 def singles(data):
@@ -19,61 +20,13 @@ def diagonal(data):
     return dd.DoubleObject(tuple((a, data.dual(a)) for a in range(data.size)))
 
 
-def test_unit_tensor_is_neutral(categories):
-    data = categories["fibonacci"]
-    unit = dd.DoubleObject.unit(data)
-    x = dd.DoubleObject(((1, 1), (1, 0)))
-    t = dd.double_tensor(data, unit, x)
-    assert sorted(t.object.summands) == sorted(x.summands)
-
-
-def test_fibonacci_double_square(categories):
-    data = categories["fibonacci"]
-    tt = dd.DoubleObject(((1, 1),))
-    t = dd.double_tensor(data, tt, tt)
-    assert t.object.summands == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert all(m == 1 for _, m in t.multiplicities)
-
-
-def test_tensor_addressing(categories):
-    data = categories["ising"]
-    A = dd.DoubleObject(((1, 1), (2, 2)))
-    B = dd.DoubleObject(((1, 1),))
-    t = dd.double_tensor(data, A, B)
-    assert len(t.addressing) == len(t.object.summands)
-    for slot, (i, j, x, y, ml, mr) in zip(t.object.summands, t.addressing):
-        assert slot == (x, y)
-        al, ar = A.summands[i]
-        bl, br = B.summands[j]
-        assert ml < data.n(al, bl, x) and mr < data.n(ar, br, y)
-    # the sigma x sigma part contributes (1+psi) x (1+psi)
-    assert t.multiplicity(0, 0) == 1 and t.multiplicity(0, 2) == 1
-    assert t.slots(2, 0) == [
-        s for s, p in enumerate(t.object.summands) if p == (2, 0)
-    ]
-
-
-def test_tensor_additive_over_summands(categories):
-    data = categories["ising"]
-    x = dd.DoubleObject(((1, 1),))
-    a = dd.DoubleObject(((1, 2),))
-    b = dd.DoubleObject(((2, 1),))
-    ab = dd.DoubleObject(a.summands + b.summands)
-    joint = dd.double_tensor(data, ab, x)
-    split = {}
-    for part in (a, b):
-        for pair, m in dd.double_tensor(data, part, x).multiplicities:
-            split[pair] = split.get(pair, 0) + m
-    assert dict(joint.multiplicities) == split
-
-
 @pytest.mark.parametrize("name", ("trivial", "z2_semion", "fibonacci", "ising"))
 def test_double_braiding_suite(categories, name):
     data = categories[name]
     objs = singles(data) + [diagonal(data)]
     if name == "ising":
         objs = singles(data)[:4] + [diagonal(data)]  # keep the suite quick
-    rep = dd.verify_double_braiding(data, objs, 1e-9)
+    rep = db.verify_double_braiding(data, objs, 1e-9)
     assert rep.passed, [r for r in rep.records if not r.ok][:4]
 
 
@@ -82,14 +35,14 @@ def test_variant_distinguished_on_semion(categories):
     # right-factor braiding fails to be involutive
     data = categories["z2_semion"]
     s = dd.DoubleObject(((1, 1),))
-    mixed = dd.double_braiding(data, s, s, "+-")
-    same = dd.double_braiding(data, s, s, "++")
+    mixed = db.double_braiding(data, s, s, "+-")
+    same = db.double_braiding(data, s, s, "++")
     assert mixed.distance(same) > 1e-2
 
 
 def test_double_twist_diagonal_pairs(categories):
     data = categories["fibonacci"]
-    tw = dd.double_twist(data, diagonal(data))
+    tw = db.double_twist(data, diagonal(data))
     ident = dd.DoubleMorphism.identity(data, (diagonal(data),))
     assert tw.distance(ident) == 0.0
 
@@ -99,7 +52,7 @@ def test_double_twist_offdiagonal_value(categories):
 
     data = categories["fibonacci"]
     te = dd.DoubleObject(((1, 0),))
-    tw = dd.double_twist(data, te)
+    tw = db.double_twist(data, te)
     blk = tw.block(((0,), (0,), 1, 0))
     assert abs(blk[0, 0] - cmath.exp(4j * math.pi / 5)) < 1e-9
 
@@ -150,7 +103,7 @@ def test_braiding_inverse_pairing(categories):
     data = categories["fibonacci"]
     A = dd.DoubleObject(((1, 1), (0, 1)))
     B = dd.DoubleObject(((1, 0),))
-    fwd = dd.double_braiding(data, A, B, "+-")
-    back = dd.double_braiding(data, B, A, "-+")
+    fwd = db.double_braiding(data, A, B, "+-")
+    back = db.double_braiding(data, B, A, "-+")
     ident = dd.DoubleMorphism.identity(data, (A, B))
     assert (back @ fwd).distance(ident) < 1e-12

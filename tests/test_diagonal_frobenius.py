@@ -21,28 +21,31 @@ FIB_TT1 = -0.49999999999999983 - 0.3632712640026806j
 # -- pairing -----------------------------------------------------------------
 
 
-def test_pairing_trivial(categories):
-    assert df.pairing_coefficient(categories["trivial"], 0, 0, 0) == 1.0
+# The product tensor's entry mult[(a1, a2, a3)][i, j] is the pairing of the
+# basis covertex (a1 a2 <- a3; i) with its dual-label twin j.
+
+
+def test_pairing_trivial(algebras):
+    assert algebras["trivial"].mult[(0, 0, 0)][0, 0] == 1.0
 
 
 @pytest.mark.parametrize("name", BUILTINS)
-def test_pairing_unit_entries(categories, name):
-    data = categories[name]
-    for a in range(data.size):
-        assert abs(df.pairing_coefficient(data, data.unit, a, a) - 1.0) < 1e-12
-        assert abs(df.pairing_coefficient(data, a, data.unit, a) - 1.0) < 1e-12
+def test_pairing_unit_entries(algebras, name):
+    alg = algebras[name]
+    e = alg.data.unit
+    for a in range(alg.data.size):
+        assert abs(alg.mult[(e, a, a)][0, 0] - 1.0) < 1e-12
+        assert abs(alg.mult[(a, e, a)][0, 0] - 1.0) < 1e-12
 
 
-def test_pairing_fibonacci_frozen(categories):
-    data = categories["fibonacci"]
-    assert abs(df.pairing_coefficient(data, 1, 1, 1) - FIB_TTT) < 1e-12
-    assert abs(df.pairing_coefficient(data, 1, 1, 0) - FIB_TT1) < 1e-12
-
-
-def test_pairing_index_range(categories):
-    for index in ({"i": 1}, {"i": -1}, {"j": -1}):
-        with pytest.raises(ValueError):
-            df.pairing_coefficient(categories["fibonacci"], 1, 1, 1, **index)
+def test_pairing_fibonacci_frozen(algebras):
+    alg = algebras["fibonacci"]
+    data = alg.data
+    for key, want in (((1, 1, 1), FIB_TTT), ((1, 1, 0), FIB_TT1)):
+        assert abs(alg.mult[key][0, 0] - want) < 1e-12
+        fl = gc.CovertexVector.basis(data, *key)
+        fr = gc.CovertexVector.basis(data, *(data.dual(a) for a in key))
+        assert df.pairing_coefficient_general(data, fl, fr) == alg.mult[key][0, 0]
 
 
 # -- construction ------------------------------------------------------------
@@ -51,7 +54,7 @@ def test_pairing_index_range(categories):
 def test_build_trivial(algebras):
     alg = algebras["trivial"]
     assert alg.object.summands == ((0, 0),)
-    assert alg.mult_entry(0, 0, 0) == 1.0
+    assert alg.mult[(0, 0, 0)][0, 0] == 1.0
     assert alg.phi[0] == 1.0
 
 
@@ -191,7 +194,7 @@ def test_dropped_phase_breaks_invariance(algebras):
     broken = df.FullFieldAlgebraData(data, alg.object, alg.mult, nophase)
     rep = df.verify_invariant_form(broken, 1e-9)
     worst = {r.id: r.residual for r in rep.records}
-    floor = abs(1 - data.twist[1] ** 2) * abs(alg.mult_entry(1, 1, 1)) * 0.5
+    floor = abs(1 - data.twist[1] ** 2) * abs(alg.mult[(1, 1, 1)][0, 0]) * 0.5
     assert worst["form_invariance"] > min(floor, 1e-1)
 
 
@@ -222,12 +225,13 @@ def test_structure_morphism_accessors(algebras):
     f1 = (alg.object,)
     ident = DoubleMorphism.identity(alg.data, f1)
     # multiplying against the unit from either side is the identity
-    lu = alg.mult_morphism() @ df.unit_layer(alg, f1, 0)
+    lu = df.mult_layer(alg, f1 * 2, 0) @ df.unit_layer(alg, f1, 0)
     assert lu.distance(ident) < 1e-12
     # counit and coproduct compose to the identity as well
-    cl = df.counit_layer(alg, (alg.object,) * 2, 0) @ alg.coproduct_morphism()
+    cl = df.counit_layer(alg, f1 * 2, 0) @ df.comult_layer(alg, f1, 0)
     assert cl.distance(ident) < 1e-12
-    assert alg.unit_morphism().cod == f1
+    assert df.unit_layer(alg, (), 0).cod == f1
+    assert df.counit_layer(alg, f1, 0).cod == ()
 
 
 # -- the coproduct layer against its diagram oracle ------------------------------

@@ -14,6 +14,8 @@ from mtcalc import graphcalc as gc
 from mtcalc import sewing_operad as so
 from mtcalc.report import CheckRecord, Report, emit_report
 
+import double_braiding as db
+
 
 def _record_dict(r: CheckRecord) -> dict:
     return {
@@ -63,7 +65,7 @@ def test_double_braiding_report_matches_oracle(categories):
     # its instances are strings of label names
     data = categories["z2_semion"]
     objs = [dd.DoubleObject(((a, b),)) for a in range(2) for b in range(2)]
-    rep = dd.verify_double_braiding(data, objs, 1e-9)
+    rep = db.verify_double_braiding(data, objs, 1e-9)
     assert isinstance(rep.records[0].instance[0], str)
     assert emit_report(rep, "json") == oracle(rep)
 

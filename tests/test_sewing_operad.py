@@ -40,11 +40,6 @@ def test_vacuum_and_identity():
     assert ident.arity == 1 and ident.scales == (1 + 0j,)
 
 
-def test_literal_roundtrip():
-    p = PuncturedSphere((3 + 1j,), 0.5j, (1 + 0j, 2 + 0j))
-    assert PuncturedSphere.from_literal(p.to_literal()) == p
-
-
 # -- sewing ---------------------------------------------------------------------
 
 

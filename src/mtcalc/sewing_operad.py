@@ -211,21 +211,36 @@ class PuncturedSphere:
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(self.z))
         object.__setattr__(self, "scales", tuple(self.scales))
-        n = self.arity
-        if len(self.z) != max(n - 1, 0):
+        self._validate()
+
+    @classmethod
+    def _from_tuples(cls, z: tuple, a, scales: tuple) -> "PuncturedSphere":
+        """The element of tuples this module built: validated like any
+        other, without the dataclass ``__init__`` and its tuple copies."""
+        out = object.__new__(cls)
+        out.__dict__.update(z=z, a=a, scales=scales)
+        out._validate()
+        return out
+
+    def _validate(self):
+        """Set the positions and check the invariants of an element."""
+        z, a, scales = self.z, self.a, self.scales
+        n = len(scales)
+        if len(z) != max(n - 1, 0):
             raise SewingError("puncture list does not match the arity")
-        if n == 0 and self.a != _zero_like(self.a):
+        zero = _zero_like(a)
+        if n == 0 and a != zero:
             raise SewingError("the arity-0 element has zero infinity parameter")
-        pos = self.z + (_zero_like(self.a),) if n else ()
-        object.__setattr__(self, "_positions", pos)
-        for i, p in enumerate(pos[:-1] if n else ()):
+        pos = z + (zero,) if n else ()
+        self.__dict__["_positions"] = pos
+        for p in z:
             if not p:
                 raise SewingError("punctures must be nonzero")
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if pos[i] == pos[j]:
+        for k, p in enumerate(pos):
+            for q in pos[k + 1:]:
+                if p == q:
                     raise SewingError("punctures must be pairwise distinct")
-        for s in self.scales:
+        for s in scales:
             if not s:
                 raise SewingError("scalings must be nonzero")
 
@@ -243,10 +258,13 @@ class PuncturedSphere:
     def distance(self, other: "PuncturedSphere") -> float:
         if self.arity != other.arity:
             return float("inf")
-        vals = [complex(self.a) - complex(other.a)]
-        vals += [complex(x) - complex(y) for x, y in zip(self.z, other.z)]
-        vals += [complex(x) - complex(y) for x, y in zip(self.scales, other.scales)]
-        return max(abs(v) for v in vals)
+        # a running maximum seeded by the first term, as ``max`` does
+        worst = abs(complex(self.a) - complex(other.a))
+        for x, y in zip(self.z + self.scales, other.z + other.scales):
+            d = abs(complex(x) - complex(y))
+            if d > worst:
+                worst = d
+        return worst
 
 
 def vacuum_sphere(exact: bool = False) -> PuncturedSphere:
@@ -271,16 +289,22 @@ def rescaling_sphere(c, exact: bool = False) -> PuncturedSphere:
 
 def _sew_bounds(P: PuncturedSphere, i: int, Q: PuncturedSphere):
     """(inner, outer): the chart-radius window for sewing slot i of P."""
+    # running extremes seeded by the first term, as ``max`` and ``min`` do
     b = Q.a
-    inner = max((_abs2(xi - b) for xi in Q.positions()), default=0)
+    qpos = Q._positions
+    inner = _abs2(qpos[0] - b) if qpos else 0
+    for xi in qpos[1:]:
+        d = _abs2(xi - b)
+        if d > inner:
+            inner = d
     s2 = _abs2(P.scales[i - 1])
-    zi = P.positions()[i - 1]
+    ppos = P._positions
+    zi = ppos[i - 1]
     outer = None
-    for j, p in enumerate(P.positions()):
-        if j == i - 1:
-            continue
+    for p in ppos[:i - 1] + ppos[i:]:
         cand = s2 * _abs2(p - zi)
-        outer = cand if outer is None else min(outer, cand)
+        if outer is None or cand < outer:
+            outer = cand
     return inner, outer  # squared radii
 
 
@@ -320,13 +344,18 @@ def _radius_fits(r, inner, outer) -> bool:
 # the closed sewing formula
 
 
-def _canonical(positions, a, scales) -> PuncturedSphere:
-    """Translate so the last puncture is at 0; the arity-0 case resets a."""
+def _canonical(positions: tuple, a, scales: tuple) -> PuncturedSphere:
+    """Translate so the last puncture is at 0; the arity-0 case resets a.
+
+    The result is validated after the translation.  Two punctures that
+    coincide before it still coincide after it (or one lands on 0), so that
+    check also catches every coincidence the inputs had.
+    """
     if not scales:
-        return PuncturedSphere((), _zero_like(a), ())
+        return PuncturedSphere._from_tuples((), _zero_like(a), ())
     t = positions[-1]
     z = tuple(p - t for p in positions[:-1])
-    return PuncturedSphere(z, a - t, tuple(scales))
+    return PuncturedSphere._from_tuples(z, a - t, scales)
 
 
 def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
@@ -336,7 +365,9 @@ def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     The inserted punctures are the Q punctures translated by the parameter
     of Q's infinity coordinate and rescaled by the slot scaling; scalings
     multiply, and the whole configuration is re-translated into canonical
-    form (a no-op unless the last slot is sewn).
+    form (a no-op unless the last slot is sewn).  Coincident punctures in
+    the result raise SewingError.  ``check=False`` skips the sewability
+    test, for a triple already known to pass it.
     """
     if not 1 <= i <= P.arity:
         raise SewingError(f"slot {i} out of range for arity {P.arity}")
@@ -353,10 +384,6 @@ def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
         + tuple(s * t for t in Q.scales)
         + P.scales[i:]
     )
-    for x in range(len(positions)):
-        for y in range(x + 1, len(positions)):
-            if positions[x] == positions[y]:
-                raise SewingError("sewing produced coincident punctures")
     return _canonical(positions, P.a, scales)
 
 
@@ -463,7 +490,7 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
         pos = norm_inv.apply(p)
         positions.append(pos)
         scales.append(moved.derivative(pos))
-    return PuncturedSphere(tuple(positions[:-1]), a_new, tuple(scales))
+    return PuncturedSphere._from_tuples(tuple(positions[:-1]), a_new, tuple(scales))
 
 
 # ---------------------------------------------------------------------------
@@ -525,29 +552,37 @@ def insertion_permutation(sigma, i: int, inner_arity: int) -> tuple:
 
 def random_sphere(rng, arity: int, exact: bool = False,
                   spread: float = 4.0) -> PuncturedSphere:
-    """Random element with well-separated punctures."""
+    """Random element with well-separated punctures.
+
+    An attempt draws its numbers in one call, in the order of one scalar
+    draw per part (z, then a, then the scalings; real part first), so the
+    random stream is that of the scalar draws.  A float number is what
+    ``rng.normal(0, spread)`` gives; an exact one is p/q + i r/s with
+    p, r in [-8, 8] and q, s in [1, 4].
+    """
+    if arity == 0:
+        # the vacuum still spends the draws of its infinity parameter
+        if exact:
+            rng.integers([-8, 1, -8, 1], [9, 5, 9, 5])
+        else:
+            rng.standard_normal(2)
+        return vacuum_sphere(exact)
+    n = 2 * arity  # numbers per attempt
     while True:
         if exact:
-            def num():
-                return GaussRat.of(
-                    Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
-                    Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
-                )
-            z = tuple(num() for _ in range(max(arity - 1, 0)))
-            a = num()
-            scales = tuple(num() for _ in range(arity))
-            if any(not s for s in scales) or any(not p for p in z):
-                continue
+            v = rng.integers([-8, 1, -8, 1] * n, [9, 5, 9, 5] * n).tolist()
+            nums = [GaussRat._make(p * s, r * q, q * s)
+                    for p, q, r, s in zip(v[0::4], v[1::4], v[2::4], v[3::4])]
+            a = nums[arity - 1]
+            scales = tuple(nums[arity:])
         else:
-            def num():
-                return complex(rng.normal(0, spread), rng.normal(0, spread))
-            z = tuple(num() for _ in range(max(arity - 1, 0)))
-            a = complex(rng.normal(0, 1), rng.normal(0, 1))
-            scales = tuple(num() + 0.3 for _ in range(arity))
-        if arity == 0:
-            return vacuum_sphere(exact)
+            v = rng.standard_normal(2 * n).tolist()
+            nums = [complex(0.0 + spread * x, 0.0 + spread * y)
+                    for x, y in zip(v[0::2], v[1::2])]
+            a = complex(0.0 + v[n - 2], 0.0 + v[n - 1])
+            scales = tuple(c + 0.3 for c in nums[arity:])
         try:
-            return PuncturedSphere(z, a, scales)
+            return PuncturedSphere._from_tuples(tuple(nums[:arity - 1]), a, scales)
         except SewingError:
             continue
 
@@ -586,8 +621,9 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
             report.add("identity_left", (tr,), left.distance(P))
             report.add("identity_right", (tr,), right.distance(P))
 
-        got = sew(P, i, Q)
-        oracle = geometric_sew_oracle(P, i, Q)
+        # _sample_sewable has tested (P, i, Q), and (Pa, ia, Qa) below
+        got = sew(P, i, Q, check=False)
+        oracle = geometric_sew_oracle(P, i, Q, check=False)
         report.add("formula_vs_oracle", (tr, i), got.distance(oracle))
 
         if Q.arity == 0:
@@ -609,7 +645,7 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
             j = ia + int(rng.integers(0, Qa.arity))
             k = j - ia + 1
             try:
-                lhs = sew(sew(Pa, ia, Qa), j, Ra)
+                lhs = sew(sew(Pa, ia, Qa, check=False), j, Ra)
                 rhs = sew(Pa, ia, sew(Qa, k, Ra))
             except SewingError:
                 continue

@@ -468,6 +468,33 @@ def test_malformed_algebra_file_is_input_error(tmp_path, fibonacci_algebra_doc, 
     assert out.startswith("input error:")
 
 
+def _fractional_mult_label(doc):
+    doc["mult"][0][0] = 0.9
+
+
+def _fractional_phi_label(doc):
+    doc["phi"][1][0] = 1.5
+
+
+def _boolean_summand_label(doc):
+    doc["summands"][1][0] = True
+
+
+@pytest.mark.parametrize("corrupt", [
+    _fractional_mult_label, _fractional_phi_label, _boolean_summand_label,
+])
+def test_non_integer_algebra_label_is_input_error(tmp_path, fibonacci_algebra_doc, corrupt):
+    # int() would read each of these as the label it truncates to (0, 1, 1),
+    # and the file would verify
+    doc = copy.deepcopy(fibonacci_algebra_doc)
+    corrupt(doc)
+    path = tmp_path / "fib_ffa.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-ffa", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith("input error: malformed algebra document"), out
+
+
 @pytest.mark.parametrize("table", ["F", "R"])
 @pytest.mark.parametrize("field", ["labels", "mult", "value"])
 def test_category_entry_missing_field_is_input_error(tmp_path, table, field):

@@ -32,6 +32,32 @@ def test_element_invariants():
         PuncturedSphere((2 + 0j,), 0j, (0j, 1 + 0j))  # zero scaling
     with pytest.raises(SewingError):
         PuncturedSphere((), 1 + 0j, ())  # arity 0 must have a = 0
+    # lists and iterators through the public constructor are validated too
+    with pytest.raises(SewingError):
+        PuncturedSphere([2 + 0j, 2 + 0j], 0j, [1 + 0j] * 3)  # coincident
+    with pytest.raises(SewingError):
+        PuncturedSphere([0j], 0j, iter([1 + 0j, 1 + 0j]))  # zero puncture
+    with pytest.raises(SewingError):
+        PuncturedSphere(iter([2 + 0j]), 0j, [1 + 0j, 0j])  # zero scaling
+    with pytest.raises(SewingError):
+        PuncturedSphere([1j, 2j], 0j, [1 + 0j] * 2)  # arity mismatch
+    with pytest.raises(SewingError):
+        PuncturedSphere([], 1 + 0j, [])  # arity 0 must have a = 0
+    with pytest.raises(SewingError):  # exact: the implicit 0 is a puncture
+        PuncturedSphere([GaussRat(1), GaussRat(0)], GaussRat(0), [GaussRat(1)] * 3)
+    p = PuncturedSphere([1j], 0j, iter([1 + 0j, 2 + 0j]))
+    assert p.z == (1j,) and p.scales == (1 + 0j, 2 + 0j)
+    assert p.positions() == (1j, 0j)
+    assert p == PuncturedSphere((1j,), 0j, (1 + 0j, 2 + 0j))
+
+
+def test_coincidence_after_translation_raises():
+    # the four positions are distinct, but moving the last slot translates by
+    # 1e16, and 1, 1 + 2**-52 and 0 all round to 1e16 there
+    p = PuncturedSphere((1 + 0j, 1 + 2**-52 + 0j, -1e16 + 0j), 0j, (1 + 0j,) * 4)
+    assert len(set(p.positions())) == 4
+    with pytest.raises(SewingError):
+        permute(p, (1, 2, 4, 3))
 
 
 def test_vacuum_and_identity():
@@ -317,6 +343,111 @@ def test_gauss_rational_matches_fraction_pair_oracle():
             assert got == GaussRat(want.re, want.im)
             assert (got == want.re) == (want.im == 0)
         assert (x == y) == (fx == fy)
+
+
+def _scalar_random_sphere(rng, arity, exact=False, spread=4.0):
+    """``random_sphere`` with one scalar draw per part: the oracle of the
+    one-call-per-attempt draw, whose random stream must be this one."""
+    while True:
+        if exact:
+            def num():
+                return GaussRat.of(
+                    Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
+                    Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
+                )
+            z = tuple(num() for _ in range(max(arity - 1, 0)))
+            a = num()
+            scales = tuple(num() for _ in range(arity))
+            if any(not s for s in scales) or any(not p for p in z):
+                continue
+        else:
+            def num():
+                return complex(rng.normal(0, spread), rng.normal(0, spread))
+            z = tuple(num() for _ in range(max(arity - 1, 0)))
+            a = complex(rng.normal(0, 1), rng.normal(0, 1))
+            scales = tuple(num() + 0.3 for _ in range(arity))
+        if arity == 0:
+            return vacuum_sphere(exact)
+        try:
+            return PuncturedSphere(z, a, scales)
+        except SewingError:
+            continue
+
+
+def _exact_parts(P):
+    """Every number of P, floats as the hex of their two parts."""
+    vals = (P.a,) + P.z + P.scales
+    if P.is_exact():
+        return tuple((v.re, v.im) for v in vals)
+    return tuple((v.real.hex(), v.imag.hex()) for v in map(complex, vals))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_random_sphere_matches_scalar_draws(exact):
+    # one rng per seed serves every arity in turn, so a stream that drifted
+    # after one draw would show in the next
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for arity in (0, 1, 2, 3, 4, 0, 4, 1):
+            got = so.random_sphere(rng, arity, exact)
+            want = _scalar_random_sphere(ref, arity, exact)
+            assert got == want
+            assert _exact_parts(got) == _exact_parts(want)
+            assert got.positions() == want.positions()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _distance_with_max(P, Q):
+    """``PuncturedSphere.distance`` through ``max``: the running maximum's
+    oracle."""
+    if P.arity != Q.arity:
+        return float("inf")
+    vals = [complex(P.a) - complex(Q.a)]
+    vals += [complex(x) - complex(y) for x, y in zip(P.z, Q.z)]
+    vals += [complex(x) - complex(y) for x, y in zip(P.scales, Q.scales)]
+    return max(abs(v) for v in vals)
+
+
+def _sew_bounds_with_max(P, i, Q):
+    """``_sew_bounds`` through ``max`` and ``min``: the loops' oracle."""
+    inner = max((so._abs2(xi - Q.a) for xi in Q.positions()), default=0)
+    s2 = so._abs2(P.scales[i - 1])
+    zi = P.positions()[i - 1]
+    outer = None
+    for j, p in enumerate(P.positions()):
+        if j != i - 1:
+            cand = s2 * so._abs2(p - zi)
+            outer = cand if outer is None else min(outer, cand)
+    return inner, outer
+
+
+def _same(x, y):
+    return x == y or (x != x and y != y)  # NaN matches NaN
+
+
+def test_running_extremes_match_max_and_min():
+    rng = np.random.default_rng(31)
+    nan = complex(float("nan"), 0.0)
+    for trial in range(400):
+        exact = trial % 4 == 3
+        P = so.random_sphere(rng, int(rng.integers(1, 5)), exact)
+        Q = so.random_sphere(rng, int(rng.integers(0, 5)), exact)
+        if not exact and trial % 4 == 1:
+            # a NaN first or later in either element
+            z = list(P.z)
+            if z:
+                z[int(rng.integers(0, len(z)))] = nan
+            P = PuncturedSphere(z, P.a if trial % 8 == 1 else nan, P.scales)
+            z = list(Q.z)
+            if z:
+                z[int(rng.integers(0, len(z)))] = nan
+                Q = PuncturedSphere(z, Q.a, Q.scales)
+        for R in (P, Q, so.random_sphere(rng, P.arity, exact)):
+            assert _same(P.distance(R), _distance_with_max(P, R))
+        for i in range(1, P.arity + 1):
+            got, want = so._sew_bounds(P, i, Q), _sew_bounds_with_max(P, i, Q)
+            assert _same(got[0], want[0])
+            assert got[1] is None if want[1] is None else _same(got[1], want[1])
 
 
 def _grid_is_sewable(P, i, Q, points=9):

@@ -10,6 +10,7 @@ import pytest
 import mtcalc.cli_io as cli_io
 import mtcalc.deligne_double as dd
 import mtcalc.graphcalc as gc
+import mtcalc.sewing_operad as so
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,6 +68,13 @@ def test_tracer_counts_operad_layers(monkeypatch, extra):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
+    # every triple _sample_sewable returns has passed one traced is_sewable
+    # call; the suite sews those triples unchecked, so is_sewable counts
+    # fall, but never below the samples
+    samples = []
+    sample = so._sample_sewable
+    monkeypatch.setattr(so, "_sample_sewable",
+                        lambda *a, **k: samples.append(1) or sample(*a, **k))
     argv = ["operad-check", "--trials", "3", *extra]
     tracer = spans.Tracer()
     tracer.install()
@@ -74,12 +82,16 @@ def test_tracer_counts_operad_layers(monkeypatch, extra):
         tracer.begin_job(" ".join(argv))
         status, _ = cli_io.run_suite(argv)
         assert status == cli_io.EXIT_OK
-        values = spans.layer_values(tracer.summary())
+        summary = tracer.summary()
+        values = spans.layer_values(summary)
     finally:
         tracer.uninstall()
     for name in ("is_sewable", "sew", "geometric_sew_oracle", "random_sphere",
                  "permute"):
         assert values[f"sewing_operad.{name}.calls"] > 0, name
+    assert len(samples) >= 3 * 3  # main, associativity, equivariance
+    assert values["sewing_operad.is_sewable.calls"] >= len(samples)
+    assert summary["counters"]["sewing_operad.is_sewable.accepted"] >= len(samples)
 
 
 def test_tracer_wraps_report_writer(monkeypatch):

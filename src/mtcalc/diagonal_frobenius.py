@@ -25,6 +25,7 @@ from .fusion_data import (
     CategoryDataError,
     DEFAULT_TOL,
     _int,
+    _num,
     loads_category,
     category_document,
 )
@@ -523,20 +524,22 @@ def loads_algebra(source: str | dict) -> FullFieldAlgebraData:
     one raises CategoryDataError.
 
     The embedded category must be a JSON object, every label and index must
-    be a JSON integer, the summands must be the diagonal object, each mult
-    entry must name an admissible channel and multiplicity pair once, with
-    a finite value, and phi must give every label one finite nonzero
-    coefficient (the coproduct divides by it).
+    be a JSON integer and every real or imaginary part a JSON number, the
+    summands must be the diagonal object, each mult entry must name an
+    admissible channel and multiplicity pair once, with a finite value, and
+    phi must give every label one finite nonzero coefficient (the coproduct
+    divides by it).
     """
     try:
         doc = source if isinstance(source, dict) else json.loads(source)
         category = doc["category"]
         summands = tuple((_int(l), _int(r)) for l, r in doc["summands"])
         mult_rows = [
-            ((_int(a1), _int(a2), _int(a3), _int(i), _int(j)), complex(re, im))
+            ((_int(a1), _int(a2), _int(a3), _int(i), _int(j)),
+             complex(_num(re), _num(im)))
             for a1, a2, a3, i, j, re, im in doc["mult"]
         ]
-        phi_rows = [(_int(a), complex(re, im)) for a, re, im in doc["phi"]]
+        phi_rows = [(_int(a), complex(_num(re), _num(im))) for a, re, im in doc["phi"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed algebra document: {exc}") from exc
     if not isinstance(category, dict):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .report import Report
+from .table_arrays import Table, hexagon_batch, pentagon_batch, unitarity
 
 __all__ = [
     "Label",
@@ -179,8 +180,9 @@ class CategoryData:
         self._ricache: dict = {}
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
-        self._hexagon_frame = (None, None)  # last (a, b, c, tot) and its frame
-        self._validate_tables()
+        self._mult_bound = max(ring.N.values())  # radix of multiplicity indices
+        self._r_table = None
+        self._validate_tables()  # builds self._f_table
         self.h = tuple((cmath.phase(t) / (2 * math.pi)) % 1.0 for t in self.twist)
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
@@ -295,11 +297,11 @@ class CategoryData:
             if len(key) != 10:
                 raise CategoryDataError(f"malformed F key {key}")
             a, b, c, d, x, y, i, j, k, l = key
-            if (
-                i >= mult((a, x, d), 0)
-                or j >= mult((b, c, x), 0)
-                or k >= mult((y, c, d), 0)
-                or l >= mult((a, b, y), 0)
+            if not (
+                0 <= i < mult((a, x, d), 0)
+                and 0 <= j < mult((b, c, x), 0)
+                and 0 <= k < mult((y, c, d), 0)
+                and 0 <= l < mult((a, b, y), 0)
             ):
                 raise CategoryDataError(f"F entry {key} outside multiplicity range")
         # an R-block maps hom(a b, c) to hom(b a, c), so it must be square
@@ -308,7 +310,7 @@ class CategoryData:
                 raise CategoryDataError(f"fusion rules not commutative at {(a, b, c)}")
         for key in self.R:
             a, b, c, i, j = key
-            if i >= ring.n(b, a, c) or j >= ring.n(a, b, c):
+            if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
         # completeness of coverage for every admissible block
         for (a, b), channels in ring.channels.items():
@@ -328,17 +330,29 @@ class CategoryData:
                             raise CategoryDataError(
                                 f"missing F entry for block {(a, b, c, d)}"
                             )
+        m = self._mult_bound
+        self._f_table = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
         # unit gauge: fusion trees and unit insertion give unit vertices the
-        # coefficient 1, which agrees with the F-moves only for identity blocks
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if ring.unit not in (a, b, c):
-                continue
-            for d in ring.totals((a, b, c)):
-                mat = self.f_block(a, b, c, d)
-                if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12:
-                    raise CategoryDataError(
-                        f"F block {(a, b, c, d)} with a unit label is not the identity"
-                    )
+        # coefficient 1, which agrees with the F-moves only for identity
+        # blocks; the first failing block in lexicographic order is named
+        off = self._f_table.per_block(
+            lambda mats: np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2))
+        )
+        a, b, c, _ = labels = self._f_table.labels
+        unit = (a == ring.unit) | (b == ring.unit) | (c == ring.unit)
+        failed = np.flatnonzero(unit & (off > 1e-12))
+        if len(failed):
+            block = tuple(lab[failed[0]].item() for lab in labels)
+            raise CategoryDataError(
+                f"F block {block} with a unit label is not the identity"
+            )
+
+    def _tables(self):
+        """The F- and R-tables as arrays (``Table``), built once."""
+        if self._r_table is None:
+            dims = (self.size,) * 3 + (self._mult_bound,) * 2
+            self._r_table = Table(self.R, dims, 3, [3], [4])
+        return self._f_table, self._r_table
 
 
 def _inverse(mat, name, key) -> np.ndarray:
@@ -374,65 +388,13 @@ def pentagon_residuals(data: CategoryData):
     """Yield ((a,b,c,d,total), residual) over all pentagon instances.
 
     Both routes from the fully right-nested to the fully left-nested fusion
-    of a four-letter word are expanded through F-blocks and compared.  Only
-    the totals the word reaches are visited.  Every instance appends its
-    entrywise differences to one list; the residuals are then one ``np.abs``
-    over the list and one maximum per instance.
+    of a four-letter word are expanded through F-symbols and compared,
+    entry by entry; the residual is the largest difference.  Only the totals
+    the word reaches are visited.  All instances are evaluated at once, on
+    the first item.
     """
-    keys, starts, diffs = [], [], []
-    ring = data.ring
-    for a, b, c in itertools.product(range(data.size), repeat=3):
-        abc = ring.totals((a, b, c))
-        for d in range(data.size):
-            # ring.totals((a, b, c, d)), extended from the totals of (a, b, c)
-            for tot in sorted({t for s in abc for t in ring.channels[s, d]}):
-                keys.append((a, b, c, d, tot))
-                starts.append(len(diffs))
-                _pentagon_instance(data, a, b, c, d, tot, diffs)
-    if keys:
-        res = np.maximum.reduceat(np.abs(np.array(diffs, dtype=complex)), starts)
-        yield from zip(keys, res.tolist())
-
-
-def _pentagon_instance(data, a, b, c, d, tot, diffs):
-    """Append p1 - p2 of the instance (a, b, c, d, tot) to ``diffs``, row by
-    row; p1 and p2 are the two routes over (right-nested x left-nested)
-    bases, which are nonempty for a total the word reaches."""
-    ch = data.ring.channels
-    n = data.ring.N.get
-    F = data.F.get
-    rn = [  # right-nested source basis: (x, k, y, j, i)
-        (x, k, y, j, i)
-        for x in ch[c, d] for k in range(n((c, d, x)))
-        for y in ch[b, x] for j in range(n((b, x, y)))
-        for i in range(n((a, y, tot), 0))
-    ]
-    ln = [  # left-nested target basis: (u, q, v, s, r)
-        (u, q, v, s, r)
-        for u in ch[a, b] for q in range(n((a, b, u)))
-        for v in ch[u, c] for s in range(n((u, c, v)))
-        for r in range(n((v, d, tot), 0))
-    ]
-    append = diffs.append
-    for x, k, y, j, i in rn:
-        for u, q, v, s, r in ln:
-            acc1 = 0j
-            for p in range(n((u, x, tot), 0)):
-                f1 = F((a, b, x, tot, y, u, i, j, p, q), 0)
-                f2 = F((u, c, d, tot, x, v, p, k, r, s), 0)
-                acc1 += f1 * f2
-            acc2 = 0j
-            for w in ch[b, c]:
-                for t in range(n((w, d, y), 0)):
-                    for z in range(n((b, c, w))):
-                        f3 = F((b, c, d, y, x, w, j, k, t, z), 0)
-                        if f3 == 0:
-                            continue
-                        for g in range(n((a, w, v), 0)):
-                            f4 = F((a, w, d, tot, y, v, i, t, r, g), 0)
-                            f5 = F((a, b, c, v, w, u, g, z, s, q), 0)
-                            acc2 += f3 * f4 * f5
-            append(acc1 - acc2)
+    keys, res = pentagon_batch(data._f_table)
+    yield from zip(keys, res)
 
 
 def hexagon_residuals(data: CategoryData):
@@ -440,110 +402,13 @@ def hexagon_residuals(data: CategoryData):
 
     Braiding a past the fused pair (b, c) must equal braiding past b and c
     one at a time, for both braiding senses.  Only the totals the word
-    reaches are visited.
+    reaches are visited.  All instances are evaluated at once, on the first
+    item.
     """
-    for a, b, c in itertools.product(range(data.size), repeat=3):
-        for tot in data.ring.totals((a, b, c)):
-            for sense in (+1, -1):
-                res = _hexagon_instance(data, a, b, c, tot, sense)
-                if res is not None:
-                    yield (("+" if sense > 0 else "-"), a, b, c, tot), res
-
-
-def _tree_basis3(data, w1, w2, w3, tot):
-    n = data.ring.N.get
-    return [
-        (y, l, m) for y in data.ring.channels[w1, w2]
-        for l in range(n((w1, w2, y))) for m in range(n((y, w3, tot), 0))
-    ]
-
-
-def _hexagon_frame(data, a, b, c, tot):
-    """What the hexagon at (a, b, c, tot) needs besides R-blocks, or None
-    when the word has no trees of charge ``tot``.
-
-    The frame holds the shapes and index lists of the braid (1,2), the braid
-    (2,3) inside the fused cluster and the cluster braid, with their F-block
-    entries, in the order the instance accumulates them.  The two senses of
-    one instance follow each other, so the last frame is kept on ``data``.
-    """
-    key = (a, b, c, tot)
-    last, frame = data._hexagon_frame
-    if last == key:
-        return frame
-    src = _tree_basis3(data, a, b, c, tot)
-    mid = _tree_basis3(data, b, a, c, tot)
-    dst = _tree_basis3(data, b, c, a, tot)
-    frame = None
-    if src and dst:
-        # braid (1,2): src (y, l, m) -> mid (y, l2, m), entry R^{ab}_y[l2, l]
-        b12 = [
-            (y, [(mi, si, l2, l) for mi, (y2, l2, m2) in enumerate(mid)
-                 if y2 == y and m2 == m])
-            for si, (y, l, m) in enumerate(src)
-        ]
-        # braid (2,3): F(b, a, c), R^{ac}_z on the cluster z, F(b, c, a)^-1
-        f_mid = data.f_block(b, a, c, tot)
-        midr = data.f_right_basis(b, a, c, tot)
-        f_dst_inv = data.f_block_inv(b, c, a, tot)
-        dstr = data.f_right_basis(b, c, a, tot)
-        b23 = [
-            (mi, z, f_mid[ri, mi], [
-                (f_dst_inv[:, ri2], j3, j2)
-                for ri2, (z2, i3, j3) in enumerate(dstr) if z2 == z and i3 == i2
-            ])
-            for mi in range(len(mid))
-            for ri, (z, i2, j2) in enumerate(midr) if f_mid[ri, mi] != 0
-        ]
-        # cluster braid: F(a, b, c), then R^{a x}_tot on the fused pair x
-        fabc = data.f_block(a, b, c, tot)
-        fr = data.f_right_basis(a, b, c, tot)
-        cluster = [
-            (di, x, [
-                (app, alpha, fabc[ri, :])
-                for ri, (x2, alpha, beta2) in enumerate(fr)
-                if x2 == x and beta2 == beta
-            ])
-            for di, (x, beta, app) in enumerate(dst)
-        ]
-        frame = (len(src), len(mid), len(dst), b12, b23, cluster)
-    data._hexagon_frame = (key, frame)
-    return frame
-
-
-def _hexagon_instance(data, a, b, c, tot, sense):
-    """Residual of one hexagon, None when the word has no trees of charge
-    ``tot``, and inf when a block it inverts is singular."""
-    rmat = data.r_block if sense > 0 else data.r_block_inv
-    try:
-        frame = _hexagon_frame(data, a, b, c, tot)
-        if frame is None:
-            return None
-        n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
-        r12 = [rmat(a, b, y) for y, _ in b12_walk]
-        r23 = [rmat(a, c, z) for _, z, _, _ in b23_walk]
-        r_cluster = [rmat(a, x, tot) for _, x, _ in cluster_walk]
-    except CategoryDataError:  # a singular F- or R-block has no inverse
-        return math.inf
-
-    # one-at-a-time route: braid (1,2) then (2,3)
-    b12 = np.zeros((n_mid, n_src), dtype=complex)
-    for rm, (_, hits) in zip(r12, b12_walk):
-        for mi, si, l2, l in hits:
-            b12[mi, si] = rm[l2, l]
-    b23 = np.zeros((n_dst, n_mid), dtype=complex)
-    for rz, (mi, _, fm, hits) in zip(r23, b23_walk):
-        # braid (a, c) inside the fused cluster z
-        for col, j3, j2 in hits:
-            b23[:, mi] += col * rz[j3, j2] * fm
-    route = b23 @ b12
-
-    # cluster route: braid a past the fused pair (b, c) in one move
-    cluster = np.zeros((n_dst, n_src), dtype=complex)
-    for rx, (di, _, hits) in zip(r_cluster, cluster_walk):
-        for app, alpha, row in hits:
-            cluster[di, :] += rx[app, alpha] * row
-    return float(np.max(np.abs(cluster - route)))
+    keys, plus, minus = hexagon_batch(*data._tables())
+    for key, rp, rm in zip(keys, plus, minus):
+        yield ("+", *key), rp
+        yield ("-", *key), rm
 
 
 def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
@@ -557,32 +422,30 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
         report.add("pentagon", inst, res)
     for inst, res in hexagon_residuals(data):
         report.add("hexagon", inst, res)
-    channels = data.ring.channels
-    for a in range(data.size):
-        for b in range(data.size):
-            for c in range(data.size):
-                for d in data.ring.totals((a, b, c)):
-                    fmat = data.f_block(a, b, c, d)
-                    if fmat.shape[0] != fmat.shape[1]:
-                        continue
-                    try:
-                        inv = data.f_block_inv(a, b, c, d)
-                        res = float(
-                            np.max(np.abs(fmat @ inv - np.eye(len(fmat))))
-                        )
-                    except CategoryDataError:  # singular
-                        res = 1.0
-                    report.add("f_invertible", (a, b, c, d), res)
-                    gram = fmat @ fmat.conj().T - np.eye(fmat.shape[0])
-                    report.add(
-                        "f_unitary", (a, b, c, d), float(np.max(np.abs(gram)))
-                    )
-                if c in channels[a, b]:
-                    unitary = data.r_block(a, b, c)
-                    gram = unitary @ unitary.conj().T - np.eye(unitary.shape[0])
-                    report.add(
-                        "r_unitary", (a, b, c), float(np.max(np.abs(gram)))
-                    )
+    # block checks, stacked by shape, reported per (a, b, c): the F-blocks
+    # over the totals d, then the R-block of the channel c of (a, b)
+    F, R = data._tables()
+    f_invertible = np.ones(len(F.blocks))
+    for (members, mats), (inv, singular) in zip(F.stacks, F.inverses()):
+        if mats.shape[1] == mats.shape[2]:
+            res = np.max(np.abs(mats @ inv - np.eye(mats.shape[1])), axis=(1, 2))
+            f_invertible[members] = np.where(singular, 1.0, res)  # singular: 1.0
+    f_unitary = F.per_block(unitarity)
+    r_keys = list(zip(*(lab.tolist() for lab in R.labels)))
+    r_unitary = R.per_block(unitarity).tolist()
+    ri = 0
+    for key, square, inv_res, uni_res in zip(
+        zip(*(lab.tolist() for lab in F.labels)),
+        (F.nrows == F.ncols).tolist(), f_invertible.tolist(), f_unitary.tolist(),
+    ):
+        while ri < len(r_keys) and r_keys[ri] < key[:3]:
+            report.add("r_unitary", r_keys[ri], r_unitary[ri])
+            ri += 1
+        if square:
+            report.add("f_invertible", key, inv_res)
+            report.add("f_unitary", key, uni_res)
+    for key, res in zip(r_keys[ri:], r_unitary[ri:]):
+        report.add("r_unitary", key, res)
     for a in range(data.size):
         report.add(
             "twist_dual",
@@ -797,6 +660,18 @@ def _int(v) -> int:
     return v
 
 
+def _num(v) -> float:
+    """``v`` as a float if it is a JSON number; a bool, a string or an
+    integer too large for a float raises ValueError rather than being read
+    as one."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{v!r} is not a number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{v!r} is too large for a float") from None
+
+
 def _fusion_rows(rows) -> dict:
     """{(a, b, c): N} of the nonzero rows ``[a, b, c, N]`` of a category file."""
     N, seen = {}, set()
@@ -823,7 +698,7 @@ def _entry_table(entries, name: str, n_labels: int, n_mult: int) -> dict:
             labels = tuple(_int(v) for v in ent["labels"])
             mult = tuple(_int(v) for v in ent["mult"])
             re, im = ent["value"]
-            value = complex(re, im)
+            value = complex(_num(re), _num(im))
         except (KeyError, TypeError, ValueError) as exc:
             raise CategoryDataError(f"malformed {name} entry {ent!r}: {exc}") from exc
         if (len(labels), len(mult)) != (n_labels, n_mult):
@@ -854,7 +729,7 @@ def loads_category(source: str | dict) -> CategoryData:
         fusion = list(doc["fusion"])
         f_entries = doc["F"]
         r_entries = doc["R"]
-        twist = [complex(re, im) for re, im in doc["twist"]]
+        twist = [complex(_num(re), _num(im)) for re, im in doc["twist"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed category document: {exc}") from exc
     labels = tuple(Label(i, str(s)) for i, s in enumerate(names))

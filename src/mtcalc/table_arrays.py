@@ -1,0 +1,385 @@
+"""The F- and R-tables as index arrays, and the coherence identities
+evaluated over them for a whole category at once.
+
+``fusion_data`` keeps the category model and the suites; this module holds
+what the batched suites compute with:
+
+* ``Table``: one row per table entry, with its block and its row and
+  column in the block, and the blocks stacked by shape;
+* ``pentagon_batch`` and ``hexagon_batch``: the residual of every pentagon
+  and hexagon instance of a category;
+* ``unitarity``: the unitarity defect of each matrix of a stack.
+
+Labels and multiplicity indices are packed into int64 keys (mixed radix,
+so keys sort as the tuples do), and the terms of an identity are found by
+joining keys.  The results are those of the per-instance routes
+(``tests/coherence_oracle.py``) bit for bit: sums run in the order of
+their loops (``np.bincount`` adds in input order), a product of two Python
+complex numbers is formed from real and imaginary parts as CPython forms
+it (numpy's complex multiply rounds many products differently), and
+stacked ``np.linalg.inv`` and ``@`` compute each matrix as the unstacked
+calls do.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["Table", "pentagon_batch", "hexagon_batch", "unitarity"]
+
+
+def _pack(cols, dims) -> np.ndarray:
+    """One int64 key per row of the integer columns ``cols`` with radices
+    ``dims``; ValueError for a digit out of range or keys beyond int64."""
+    return np.ravel_multi_index(tuple(cols), tuple(dims))
+
+
+def _join(left, right):
+    """All index pairs (i, j) with ``left[i] == right[j]``, ordered by i,
+    then by j."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    counts = np.searchsorted(ordered, left, "right") - lo
+    i = np.repeat(np.arange(len(left)), counts)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return i, order[np.arange(len(i)) + shift]
+
+
+def _cmul(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi), rounded as CPython
+    rounds a complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _distinct(keys) -> np.ndarray:
+    """The distinct values of ``keys``, ascending.  (``np.unique`` would do,
+    but its first call imports ``numpy.ma``, half a megabyte.)"""
+    keys = np.sort(keys, kind="stable")  # the kind the joins' argsort uses
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _ranks(block, cols, dims, n_blocks):
+    """Each entry's position among the distinct trees ``cols`` of its block,
+    in lexicographic order; also the distinct (block, tree) keys and where
+    each block starts among them."""
+    key = _pack((block, *cols), (n_blocks, *dims))
+    distinct = _distinct(key)
+    starts = np.searchsorted(distinct, np.arange(n_blocks + 1) * math.prod(dims))
+    return np.searchsorted(distinct, key) - starts[block], distinct, starts
+
+
+class Table:
+    """An F- or R-table as arrays.
+
+    ``cols`` holds the key columns of all entries and ``vals`` their values.
+    Blocks are numbered in the lexicographic order of their labels (the
+    first ``width`` columns); ``row`` and ``col`` place each entry in its
+    block as ``CategoryData.f_block`` and ``r_block`` do, and ``stacks``
+    holds the blocks stacked by shape, as (block numbers, matrices).
+    """
+
+    def __init__(self, table: dict, dims: tuple, width: int, row_cols, col_cols):
+        # the narrowest integer type holding every digit keeps the gathered
+        # index columns small
+        digit = np.min_scalar_type(max(dims) - 1)
+        self.cols = np.array(list(table), dtype=digit).reshape(len(table), len(dims)).T
+        self.vals = np.array(list(table.values()), dtype=complex)
+        self.dims = dims
+        block = _pack(self.cols[:width], dims[:width])
+        self.blocks = _distinct(block)
+        self.block = np.searchsorted(self.blocks, block)
+        self.labels = np.unravel_index(self.blocks, dims[:width])
+        nb = len(self.blocks)
+        self.row, self.row_keys, self.row_starts = _ranks(
+            self.block, self.cols[row_cols], [dims[c] for c in row_cols], nb
+        )
+        self.col, self.col_keys, self.col_starts = _ranks(
+            self.block, self.cols[col_cols], [dims[c] for c in col_cols], nb
+        )
+        self.nrows = np.diff(self.row_starts)
+        self.ncols = np.diff(self.col_starts)
+        shape = self.nrows * (self.ncols.max() + 1) + self.ncols
+        self.stacks = []
+        for s in _distinct(shape):
+            members = np.flatnonzero(shape == s)
+            slot = np.full(nb, -1)
+            slot[members] = np.arange(len(members))
+            at = slot[self.block]
+            sel = at >= 0
+            mats = np.zeros(
+                (len(members), self.nrows[members[0]], self.ncols[members[0]]),
+                dtype=complex,
+            )
+            mats[at[sel], self.row[sel], self.col[sel]] = self.vals[sel]
+            self.stacks.append((members, mats))
+        self._inverses = None
+
+    def block_of(self, *labels) -> np.ndarray:
+        """Numbers of the blocks with the given label columns; each must exist."""
+        return np.searchsorted(self.blocks, _pack(labels, self.dims[:len(labels)]))
+
+    def per_block(self, fn) -> np.ndarray:
+        """``fn(matrices)`` over every stack, one value per block."""
+        out = np.empty(len(self.blocks))
+        for members, mats in self.stacks:
+            out[members] = fn(mats)
+        return out
+
+    def inverses(self) -> list:
+        """Per stack, the inverse matrices and the mask of the singular
+        blocks (whose inverse is left zero); computed once."""
+        if self._inverses is None:
+            self._inverses = [_stack_inverse(mats) for _, mats in self.stacks]
+        return self._inverses
+
+    def inverse_entries(self):
+        """(block, row, col, value) of every entry of every block's inverse,
+        and the mask of the singular blocks."""
+        parts, singular = [], np.zeros(len(self.blocks), dtype=bool)
+        for (members, _), (inv, bad) in zip(self.stacks, self.inverses()):
+            singular[members] = bad
+            g, r, c = inv.shape
+            parts.append((
+                np.repeat(members, r * c),
+                np.tile(np.repeat(np.arange(r), c), g),
+                np.tile(np.arange(c), g * r),
+                inv.ravel(),
+            ))
+        return (*map(np.concatenate, zip(*parts)), singular)
+
+
+def _stack_inverse(mats):
+    """Inverses of a stack of blocks and the mask of the singular ones, whose
+    inverse is left zero.  ``np.linalg.inv`` inverts each matrix of a stack
+    as it inverts the matrix alone, but it raises for the whole stack when
+    one is singular; the blocks are then inverted one by one to tell which."""
+    singular = np.zeros(len(mats), dtype=bool)
+    try:
+        return np.linalg.inv(mats), singular
+    except np.linalg.LinAlgError:
+        inv = np.zeros_like(mats)
+    for g, mat in enumerate(mats):
+        try:
+            inv[g] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            singular[g] = True
+    return inv, singular
+
+
+def pentagon_batch(F: Table):
+    """The pentagon instances of the F-table ``F`` in lexicographic order,
+    as label tuples, and their residuals.
+
+    Entry ((x,k,y,j,i), (u,q,v,s,r)) of instance (a,b,c,d,t) has the routes
+      p1 = sum_p F(a,b,x,t; y,u; i,j,p,q) F(u,c,d,t; x,v; p,k,r,s)
+      p2 = sum_(w,t',z,g) F(b,c,d,y; x,w; j,k,t',z) F(a,w,d,t; y,v; i,t',r,g)
+                          F(a,b,c,v; w,u; g,z,s,q)
+    summed in that index order, the p2 terms with a zero first factor left
+    out.  Each term comes from joining table entries on their shared
+    indices; every reachable instance has a p1 term.
+    """
+    n, m = F.dims[0], F.dims[-1]
+
+    def key(cols, radix):
+        return _pack(cols, [n if ch == "n" else m for ch in radix])
+
+    # each term as (instance + right tree, left tree, place in its sum, value)
+    p1 = _pentagon_p1(F, key)
+    n1 = len(p1[0])
+    right, left, place, re, im = (
+        np.concatenate(pair) for pair in zip(p1, _pentagon_p2(F, key))
+    )
+    del p1  # the terms are large; keep one copy of them alive
+    order = np.lexsort((place, left, right))
+    right, left = right[order], left[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (right[1:] != right[:-1]) | (left[1:] != left[:-1])
+    entry = np.cumsum(new) - 1
+    n_entries = int(entry[-1]) + 1
+    first = order < n1
+    diff = np.empty(n_entries, dtype=complex)
+    for part, w in ((diff.real, re[order]), (diff.imag, im[order])):
+        part[:] = (
+            np.bincount(entry[first], w[first], n_entries)
+            - np.bincount(entry[~first], w[~first], n_entries)
+        )
+    inst = right[new] // (n * m * n * m * m)
+    starts = np.flatnonzero(np.concatenate(([True], inst[1:] != inst[:-1])))
+    res = np.maximum.reduceat(np.abs(diff), starts)
+    labels = np.unravel_index(inst[starts], (n,) * 5)
+    return list(zip(*(col.tolist() for col in labels))), res.tolist()
+
+
+def _pentagon_p1(F, key):
+    """The p1 terms: F(a,b,x,t; y,u; i,j,p,q) joined with F(u,c,d,t; x,v;
+    p,k,r,s) on (x, t, u, p)."""
+    A, B, C, D, X, Y, I, J, K, L = F.cols
+    re, im = F.vals.real, F.vals.imag
+    f1, f2 = _join(key((C, D, Y, K), "nnnm"), key((X, D, A, I), "nnnm"))
+    right = (A[f1], B[f1], B[f2], C[f2], D[f1], C[f1], J[f2], X[f1], J[f1], I[f1])
+    left = (Y[f1], L[f1], Y[f2], L[f2], K[f2])
+    return (
+        key(right, "nnnnnnmnmm"), key(left, "nmnmm"), K[f1].astype(np.int64),
+        *_cmul(re[f1], im[f1], re[f2], im[f2]),
+    )
+
+
+def _pentagon_p2(F, key):
+    """The p2 terms: F(b,c,d,y; x,w; j,k,t',z), when not zero, joined with
+    F(a,w,d,t; y,v; i,t',r,g) on (w, d, y, t'), then with F(a,b,c,v; w,u;
+    g,z,s,q) on (a, b, c, v, w, g, z)."""
+    A, B, C, D, X, Y, I, J, K, L = F.cols
+    re, im = F.vals.real, F.vals.imag
+    nz = np.flatnonzero((re != 0) | (im != 0))
+    f3, f4 = _join(key((Y[nz], C[nz], D[nz], K[nz]), "nnnm"), key((B, C, X, J), "nnnm"))
+    f3 = nz[f3]
+    t, f5 = _join(
+        key((A[f4], A[f3], B[f3], Y[f4], Y[f3], L[f4], L[f3]), "nnnnnmm"),
+        key((A, B, C, D, X, I, J), "nnnnnmm"),
+    )
+    f3, f4 = f3[t], f4[t]
+    right = (A[f4], A[f3], B[f3], C[f3], D[f4], X[f3], J[f3], D[f3], I[f3], I[f4])
+    left = (Y[f5], L[f5], Y[f4], K[f5], K[f4])
+    return (
+        key(right, "nnnnnnmnmm"), key(left, "nmnmm"),
+        key((Y[f3], K[f3], L[f3], L[f4]), "nmmm"),
+        *_cmul(*_cmul(re[f3], im[f3], re[f4], im[f4]), re[f5], im[f5]),
+    )
+
+
+def hexagon_batch(F: Table, R: Table):
+    """The hexagon instances (a, b, c, total) of the F- and R-tables in
+    lexicographic order and the residuals of the positive and the negative
+    sense.
+
+    Instance g is the F-block (a,b,c,t).  Its three matrices are indexed by
+    left-nested trees (y, l, m) of a word, ordered by y, l, m (l indexes
+    the vertex of the first two letters), and by F-block rows and columns:
+    * braid (1,2), mid x src: R(a,b,y)[l2, l] from src (y, l, m) of (a,b,c)
+      to mid (y, l2, m) of (b,a,c);
+    * braid (2,3), dst x mid: column mi (a column of F(b,a,c,t)) sums
+      (F(b,c,a,t)^-1[:, ri2] * R(a,c,z)[j3, j2]) * F(b,a,c,t)[ri, mi] over
+      the nonzero F entries, row ri = (z, i2, j2), and the columns
+      ri2 = (z, i2, j3) of the inverse, in the order (ri, ri2);
+    * cluster braid, dst x src: row di = (x, beta, app) of (b,c,a) sums
+      R(a,x,t)[app, alpha] * F(a,b,c,t)[(x, alpha, beta), :] over alpha.
+    The residual is the largest entry of cluster - (braid 2,3) @ (braid 1,2),
+    stacked by shape; it is inf when a block the sense inverts is singular.
+    The braid terms are numpy complex products, as in the matrix route.
+    """
+    n, m = F.dims[0], F.dims[-1]
+    ba, bb, bc, bd = F.labels
+    nb = len(F.blocks)
+    mid = F.block_of(bb, ba, bc, bd)
+    dst = F.block_of(bb, bc, ba, bd)
+    nsrc, nmid, ndst = F.ncols, F.ncols[mid], F.ncols[dst]
+
+    # R entries by key, with the entries of the inverse blocks: the negative
+    # braiding of (a, b, c) is the inverse of R(b, a, c)
+    rkey = _pack(R.cols, R.dims)
+    rorder = np.argsort(rkey, kind="stable")
+    rsorted = rkey[rorder]
+
+    def r_entry(*cols):
+        return rorder[np.searchsorted(rsorted, _pack(cols, R.dims))]
+
+    blk, row, col, val, r_singular = R.inverse_entries()
+    ra, rb, rc = R.labels
+    neg = np.zeros(len(rkey), dtype=complex)
+    neg[r_entry(rb[blk], ra[blk], rc[blk], row, col)] = val
+
+    def neg_singular(a, b, c):  # whether the negative braiding of (a, b, c) fails
+        return r_singular[R.block_of(b, a, c)]
+
+    # F's columns (y, k, l) and their place among the trees ordered (y, l, k)
+    cb, cy, ck, cl = np.unravel_index(F.col_keys, (nb, n, m, m))
+    t3 = np.empty(len(cb), dtype=np.int64)
+    by_t3 = np.lexsort((ck, cl, cy, cb))
+    t3[by_t3] = np.arange(len(cb)) - F.col_starts[cb[by_t3]]
+    X, I, J = F.cols[4], F.cols[6], F.cols[7]  # row tree (x, i, j) of an entry
+
+    # braid (1,2): every column of block g is a src tree of instance g
+    s, t = _join(_pack((mid[cb], cy, ck), (nb, n, m)), _pack((cb, cy, ck), (nb, n, m)))
+    g12 = cb[s]
+    r12 = r_entry(ba[g12], bb[g12], cy[s], cl[t], cl[s])
+    at12 = t3[t] * nsrc[g12] + t3[s]
+    bad = np.zeros(nb, dtype=bool)
+    bad[cb[neg_singular(ba[cb], bb[cb], cy)]] = True
+
+    # cluster braid: every column of block (b,c,a,t) is a dst tree of (a,b,c,t)
+    g_dst = F.block_of(bc[cb], ba[cb], bb[cb], bd[cb])
+    s, e = _join(_pack((g_dst, cy, cl), (nb, n, m)), _pack((F.block, X, J), (nb, n, m)))
+    gcl = g_dst[s]
+    rcl = r_entry(ba[gcl], cy[s], bd[gcl], ck[s], I[e])
+    atcl = t3[s] * nsrc[gcl] + F.col[e]
+    bycl = np.argsort(F.row[e], kind="stable")
+    fcl = F.vals[e]
+    bad[g_dst[neg_singular(ba[g_dst], cy, bd[g_dst])]] = True
+
+    # braid (2,3): nonzero entries of F(b,a,c,t) against F(b,c,a,t)^-1
+    nzf = np.flatnonzero(F.vals != 0)
+    h = F.block[nzf]
+    g_mid = F.block_of(bb[h], ba[h], bc[h], bd[h])
+    bad[g_mid[neg_singular(bb[h], bc[h], X[nzf])]] = True
+    iblk, irow, icol, ival, f_singular = F.inverse_entries()
+    rt = F.row_starts[iblk] + icol  # the inverse's column is a row tree (z, i, j)
+    _, rz, ri, rj = np.unravel_index(F.row_keys[rt], (nb, n, m, m))
+    u, v = _join(
+        _pack((dst[g_mid], X[nzf], I[nzf]), (nb, n, m)),
+        _pack((iblk, rz, ri), (nb, n, m)),
+    )
+    e = nzf[u]
+    g23 = g_mid[u]
+    r23 = r_entry(ba[g23], bc[g23], X[e], rj[v], J[e])
+    at23 = irow[v] * nmid[g23] + F.col[e]
+    by23 = np.lexsort((icol[v], F.row[e]))
+    finv, f23 = ival[v], F.vals[e]
+
+    sizes = (nmid * nsrc, ndst * nmid, ndst * nsrc)
+    offsets = [np.cumsum(size) - size for size in sizes]
+    radix = nsrc.max() + 1
+    shapes = (nsrc * radix + nmid) * radix + ndst
+    out = []
+    for rvals in (R.vals, neg):
+        b12 = np.zeros(sizes[0].sum(), dtype=complex)
+        b12[offsets[0][g12] + at12] = rvals[r12]
+        b23 = _summed(
+            offsets[1][g23] + at23, (finv * rvals[r23]) * f23, by23, sizes[1].sum()
+        )
+        cluster = _summed(
+            offsets[2][gcl] + atcl, rvals[rcl] * fcl, bycl, sizes[2].sum()
+        )
+        res = np.empty(nb)
+        for shape in _distinct(shapes):
+            gs = np.flatnonzero(shapes == shape)
+            ns, nm, nd = nsrc[gs[0]], nmid[gs[0]], ndst[gs[0]]
+            route = (
+                b23[offsets[1][gs, None] + np.arange(nd * nm)].reshape(-1, nd, nm)
+                @ b12[offsets[0][gs, None] + np.arange(nm * ns)].reshape(-1, nm, ns)
+            )
+            cl = cluster[offsets[2][gs, None] + np.arange(nd * ns)].reshape(-1, nd, ns)
+            res[gs] = np.max(np.abs(cl - route), axis=(1, 2))
+        res[f_singular[dst]] = math.inf
+        out.append(res)
+    out[1][bad] = math.inf
+    keys = list(zip(*(lab.tolist() for lab in F.labels)))
+    return keys, out[0].tolist(), out[1].tolist()
+
+
+def _summed(at, terms, order, size) -> np.ndarray:
+    """Complex sums of ``terms`` into the slots ``at``, each slot adding its
+    terms in the order ``order`` puts them."""
+    out = np.empty(size, dtype=complex)
+    at = at[order]
+    out.real = np.bincount(at, terms.real[order], size)
+    out.imag = np.bincount(at, terms.imag[order], size)
+    return out
+
+
+def unitarity(mats) -> np.ndarray:
+    """Largest entry of M M^dagger - 1 for each matrix M of a stack."""
+    gram = mats @ mats.conj().transpose(0, 2, 1) - np.eye(mats.shape[1])
+    return np.max(np.abs(gram), axis=(1, 2))

@@ -1,0 +1,241 @@
+"""Per-instance coherence routes, as oracles of the batched suites.
+
+``fusion_data.pentagon_residuals`` and ``hexagon_residuals`` evaluate every
+instance of a category at once, from joins over the F- and R-tables, and
+``verify_coherence`` checks the F- and R-blocks stacked by shape.  The
+routines here evaluate one instance, or one block, at a time:
+
+* ``dense_pentagon_instance`` expands both pentagon routes over bases
+  scanned label by label;
+* ``hexagon_instance`` builds the three braid matrices of one hexagon from
+  the tree bases and the F- and R-blocks of ``CategoryData``;
+* ``verify_coherence`` is the suite assembled from these routines and a
+  loop over the blocks.
+
+They compute the same floating-point operations in the same order, so the
+batched suites must give the same records, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from mtcalc import fusion_data as fd
+from mtcalc.report import Report
+
+
+def dense_pentagon_residuals(data):
+    """((a,b,c,d,total), residual) over every total a four-letter word
+    reaches, found by trying all totals."""
+    n = data.size
+    rng5 = range(n)
+    for a in rng5:
+        for b in rng5:
+            for c in rng5:
+                for d in rng5:
+                    for tot in rng5:
+                        res = dense_pentagon_instance(data, a, b, c, d, tot)
+                        if res is not None:
+                            yield (a, b, c, d, tot), res
+
+
+def dense_pentagon_instance(data, a, b, c, d, tot):
+    """Residual of one pentagon, None when the word has no trees of charge
+    ``tot``."""
+    n = data.size
+    rn = []  # right-nested source basis: (x, k, y, j, i)
+    for x in range(n):
+        for k in range(data.n(c, d, x)):
+            for y in range(n):
+                for j in range(data.n(b, x, y)):
+                    for i in range(data.n(a, y, tot)):
+                        rn.append((x, k, y, j, i))
+    ln = []  # left-nested target basis: (u, q, v, s, r)
+    for u in range(n):
+        for q in range(data.n(a, b, u)):
+            for v in range(n):
+                for s in range(data.n(u, c, v)):
+                    for r in range(data.n(v, d, tot)):
+                        ln.append((u, q, v, s, r))
+    if not rn or not ln:
+        return None
+    p1 = np.zeros((len(rn), len(ln)), dtype=complex)
+    p2 = np.zeros_like(p1)
+    for si, (x, k, y, j, i) in enumerate(rn):
+        for ti, (u, q, v, s, r) in enumerate(ln):
+            acc1 = 0j
+            for p in range(data.n(u, x, tot)):
+                f1 = data.F.get((a, b, x, tot, y, u, i, j, p, q), 0)
+                f2 = data.F.get((u, c, d, tot, x, v, p, k, r, s), 0)
+                acc1 += f1 * f2
+            p1[si, ti] = acc1
+            acc2 = 0j
+            for w in range(n):
+                for t in range(data.n(w, d, y)):
+                    for z in range(data.n(b, c, w)):
+                        f3 = data.F.get((b, c, d, y, x, w, j, k, t, z), 0)
+                        if f3 == 0:
+                            continue
+                        for g in range(data.n(a, w, v)):
+                            f4 = data.F.get((a, w, d, tot, y, v, i, t, r, g), 0)
+                            f5 = data.F.get((a, b, c, v, w, u, g, z, s, q), 0)
+                            acc2 += f3 * f4 * f5
+            p2[si, ti] = acc2
+    return float(np.max(np.abs(p1 - p2))) if p1.size else None
+
+
+def dense_hexagon_residuals(data):
+    """((sense, a, b, c, total), residual) over every total a three-letter
+    word reaches, found by trying all totals."""
+    n = data.size
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for tot in range(n):
+                    for sense in (+1, -1):
+                        res = hexagon_instance(data, a, b, c, tot, sense)
+                        if res is not None:
+                            yield (("+" if sense > 0 else "-"), a, b, c, tot), res
+
+
+def tree_basis3(data, w1, w2, w3, tot):
+    """Left-nested trees (y, l, m) of the word (w1, w2, w3) with charge tot."""
+    n = data.ring.N.get
+    return [
+        (y, l, m) for y in data.ring.channels[w1, w2]
+        for l in range(n((w1, w2, y))) for m in range(n((y, w3, tot), 0))
+    ]
+
+
+def hexagon_frame(data, a, b, c, tot):
+    """What the hexagon at (a, b, c, tot) needs besides R-blocks, or None
+    when the word has no trees of charge ``tot``.
+
+    The frame holds the shapes and index lists of the braid (1,2), the braid
+    (2,3) inside the fused cluster and the cluster braid, with their F-block
+    entries, in the order the instance accumulates them.
+    """
+    src = tree_basis3(data, a, b, c, tot)
+    mid = tree_basis3(data, b, a, c, tot)
+    dst = tree_basis3(data, b, c, a, tot)
+    if not (src and dst):
+        return None
+    # braid (1,2): src (y, l, m) -> mid (y, l2, m), entry R^{ab}_y[l2, l]
+    b12 = [
+        (y, [(mi, si, l2, l) for mi, (y2, l2, m2) in enumerate(mid)
+             if y2 == y and m2 == m])
+        for si, (y, l, m) in enumerate(src)
+    ]
+    # braid (2,3): F(b, a, c), R^{ac}_z on the cluster z, F(b, c, a)^-1
+    f_mid = data.f_block(b, a, c, tot)
+    midr = data.f_right_basis(b, a, c, tot)
+    f_dst_inv = data.f_block_inv(b, c, a, tot)
+    dstr = data.f_right_basis(b, c, a, tot)
+    b23 = [
+        (mi, z, f_mid[ri, mi], [
+            (f_dst_inv[:, ri2], j3, j2)
+            for ri2, (z2, i3, j3) in enumerate(dstr) if z2 == z and i3 == i2
+        ])
+        for mi in range(len(mid))
+        for ri, (z, i2, j2) in enumerate(midr) if f_mid[ri, mi] != 0
+    ]
+    # cluster braid: F(a, b, c), then R^{a x}_tot on the fused pair x
+    fabc = data.f_block(a, b, c, tot)
+    fr = data.f_right_basis(a, b, c, tot)
+    cluster = [
+        (di, x, [
+            (app, alpha, fabc[ri, :])
+            for ri, (x2, alpha, beta2) in enumerate(fr)
+            if x2 == x and beta2 == beta
+        ])
+        for di, (x, beta, app) in enumerate(dst)
+    ]
+    return (len(src), len(mid), len(dst), b12, b23, cluster)
+
+
+def hexagon_instance(data, a, b, c, tot, sense):
+    """Residual of one hexagon, None when the word has no trees of charge
+    ``tot``, and inf when a block it inverts is singular."""
+    rmat = data.r_block if sense > 0 else data.r_block_inv
+    try:
+        frame = hexagon_frame(data, a, b, c, tot)
+        if frame is None:
+            return None
+        n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
+        r12 = [rmat(a, b, y) for y, _ in b12_walk]
+        r23 = [rmat(a, c, z) for _, z, _, _ in b23_walk]
+        r_cluster = [rmat(a, x, tot) for _, x, _ in cluster_walk]
+    except fd.CategoryDataError:  # a singular F- or R-block has no inverse
+        return math.inf
+
+    # one-at-a-time route: braid (1,2) then (2,3)
+    b12 = np.zeros((n_mid, n_src), dtype=complex)
+    for rm, (_, hits) in zip(r12, b12_walk):
+        for mi, si, l2, l in hits:
+            b12[mi, si] = rm[l2, l]
+    b23 = np.zeros((n_dst, n_mid), dtype=complex)
+    for rz, (mi, _, fm, hits) in zip(r23, b23_walk):
+        # braid (a, c) inside the fused cluster z
+        for col, j3, j2 in hits:
+            b23[:, mi] += col * rz[j3, j2] * fm
+    route = b23 @ b12
+
+    # cluster route: braid a past the fused pair (b, c) in one move
+    cluster = np.zeros((n_dst, n_src), dtype=complex)
+    for rx, (di, _, hits) in zip(r_cluster, cluster_walk):
+        for app, alpha, row in hits:
+            cluster[di, :] += rx[app, alpha] * row
+    return float(np.max(np.abs(cluster - route)))
+
+
+def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
+    """The coherence suite from the per-instance routes and a loop over the
+    blocks; the same records as ``fusion_data.verify_coherence``."""
+    report = Report(suite="verify-category", tol=tol)
+    n = data.size
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    for tot in data.ring.totals((a, b, c, d)):
+                        res = dense_pentagon_instance(data, a, b, c, d, tot)
+                        report.add("pentagon", (a, b, c, d, tot), res)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for tot in data.ring.totals((a, b, c)):
+                    for sense in (+1, -1):
+                        res = hexagon_instance(data, a, b, c, tot, sense)
+                        report.add("hexagon", ("+-"[sense < 0], a, b, c, tot), res)
+    channels = data.ring.channels
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in data.ring.totals((a, b, c)):
+                    fmat = data.f_block(a, b, c, d)
+                    if fmat.shape[0] != fmat.shape[1]:
+                        continue
+                    try:
+                        inv = data.f_block_inv(a, b, c, d)
+                        res = float(
+                            np.max(np.abs(fmat @ inv - np.eye(len(fmat))))
+                        )
+                    except fd.CategoryDataError:  # singular
+                        res = 1.0
+                    report.add("f_invertible", (a, b, c, d), res)
+                    gram = fmat @ fmat.conj().T - np.eye(fmat.shape[0])
+                    report.add(
+                        "f_unitary", (a, b, c, d), float(np.max(np.abs(gram)))
+                    )
+                if c in channels[a, b]:
+                    unitary = data.r_block(a, b, c)
+                    gram = unitary @ unitary.conj().T - np.eye(unitary.shape[0])
+                    report.add(
+                        "r_unitary", (a, b, c), float(np.max(np.abs(gram)))
+                    )
+    # the scalar checks after the blocks are the suite's own
+    tail = fd.verify_coherence(data, tol).records
+    report.records.extend(r for r in tail if r.id.startswith(("twist_", "qdim_")))
+    return report

@@ -51,25 +51,11 @@ def pointed_category():
     return make
 
 
-@pytest.fixture(scope="session")
-def rep_a4_random():
-    """Rep(A4) fusion ring (N_33^3 = 2) with random invertible F and R.
-
-    Unit-slot F-blocks are the identity and nothing else is coherent, so only
-    identities that hold for any invertible F and R apply, and its pentagon
-    and hexagon residuals are not zero.  It is the one input with fusion
-    multiplicities.
-    """
-    n = 4
-    N = {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)}
-    for a in range(3):
-        N[(a, 3, 3)] = N[(3, a, 3)] = N[(3, 3, a)] = 1
-    N[(3, 3, 3)] = 2
-    labels = tuple(
-        fusion_data.Label(i, s) for i, s in enumerate(("1", "1'", "1''", "3"))
-    )
-    ring = fusion_data.FusionRing(labels, 0, (0, 2, 1, 3), N)
-    rng = np.random.default_rng(3)
+def _random_tables(ring, seed):
+    """``ring`` with random F and R: unit-slot F-blocks are the identity,
+    every other block random and invertible, twists 1."""
+    n = ring.size
+    rng = np.random.default_rng(seed)
     F = {}
     for a, b, c, d in itertools.product(range(n), repeat=4):
         right = [(x, i, j) for x in range(n)
@@ -89,6 +75,38 @@ def rep_a4_random():
         for j in range(ring.n(a, b, c))
     }
     return fusion_data.CategoryData(ring, F, R, [1.0] * n)
+
+
+@pytest.fixture(scope="session")
+def rep_a4_random():
+    """Rep(A4) fusion ring (N_33^3 = 2) with random invertible F and R.
+
+    Unit-slot F-blocks are the identity and nothing else is coherent, so only
+    identities that hold for any invertible F and R apply, and its pentagon
+    and hexagon residuals are not zero.
+    """
+    N = {(a, b, (a + b) % 3): 1 for a in range(3) for b in range(3)}
+    for a in range(3):
+        N[(a, 3, 3)] = N[(3, a, 3)] = N[(3, 3, a)] = 1
+    N[(3, 3, 3)] = 2
+    labels = tuple(
+        fusion_data.Label(i, s) for i, s in enumerate(("1", "1'", "1''", "3"))
+    )
+    ring = fusion_data.FusionRing(labels, 0, (0, 2, 1, 3), N)
+    return _random_tables(ring, 3)
+
+
+@pytest.fixture(scope="session")
+def near_group_random():
+    """The near-group ring rho (x) rho = 1 + 3 rho with random invertible F
+    and R, as ``rep_a4_random``.  With N_rr^r = 3, sums over a multiplicity
+    index have three terms, the fewest for which the order of a
+    floating-point sum can change it; the (rho, rho, rho, rho) F-block is
+    10 x 10.
+    """
+    labels = (fusion_data.Label(0, "1"), fusion_data.Label(1, "rho"))
+    N = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 3}
+    return _random_tables(fusion_data.FusionRing(labels, 0, (0, 1), N), 5)
 
 
 @pytest.fixture(scope="session")

@@ -585,3 +585,54 @@ def test_empty_report_summary():
     assert doc["summary"]["checks"] == 0
     assert doc["summary"]["pass"] is True
     assert doc["summary"]["max_residual"] == 0.0
+
+
+def _first_entry(rows, value_of, want):
+    """The first row whose value ``value_of(row)`` equals ``want``."""
+    return next(row for row in rows if value_of(row) == want)
+
+
+@pytest.mark.parametrize("site", ["F", "R", "twist"])
+@pytest.mark.parametrize("number", [True, 10 ** 400], ids=["bool", "huge-int"])
+def test_category_number_not_a_float_is_input_error(tmp_path, site, number):
+    # [true, false] would read as 1 + 0i, the value it replaces, and the file
+    # would verify; an integer beyond the float range would not convert
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    if site == "twist":
+        pair = _first_entry(doc["twist"], lambda p: p, [1.0, 0.0])
+    else:
+        pair = _first_entry(doc[site], lambda e: e["value"], [1.0, 0.0])["value"]
+    pair[:] = [number, False] if number is True else [number, 0.0]
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-category", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith("input error: malformed"), out
+
+
+@pytest.mark.parametrize("site", ["mult", "phi"])
+def test_algebra_number_not_a_float_is_input_error(tmp_path, fibonacci_algebra_doc, site):
+    # an imaginary part of 0.0 spelled false reads as the same value
+    doc = copy.deepcopy(fibonacci_algebra_doc)
+    row = _first_entry(doc[site], lambda r: r[-1], 0.0)
+    row[-1] = False
+    path = tmp_path / "fib_ffa.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-ffa", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith("input error: malformed algebra document"), out
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+def test_negative_multiplicity_index_is_input_error(tmp_path, table):
+    # an index below 0 names no basis vector, and no block would read the
+    # entry
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    extra = copy.deepcopy(doc[table][0])
+    extra["mult"][0] = -1
+    doc[table].append(extra)
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    status, out = run_suite(["verify-category", str(path)])
+    assert status == EXIT_INPUT, out
+    assert out.startswith(f"input error: {table} entry") and "outside multiplicity range" in out

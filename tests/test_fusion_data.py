@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from mtcalc import fusion_data as fd
+from mtcalc.report import emit_report
+
+import coherence_oracle as oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 BUILTINS = fd.BUILTIN_NAMES
@@ -275,84 +278,18 @@ def _dense_tree_basis3(data, w1, w2, w3, tot):
     return out
 
 
-def _dense_pentagon_residuals(data):
-    n = data.size
-    rng5 = range(n)
-    for a in rng5:
-        for b in rng5:
-            for c in rng5:
-                for d in rng5:
-                    for tot in rng5:
-                        res = _dense_pentagon_instance(data, a, b, c, d, tot)
-                        if res is not None:
-                            yield (a, b, c, d, tot), res
-
-
-def _dense_pentagon_instance(data, a, b, c, d, tot):
-    n = data.size
-    rn = []  # right-nested source basis: (x, k, y, j, i)
-    for x in range(n):
-        for k in range(data.n(c, d, x)):
-            for y in range(n):
-                for j in range(data.n(b, x, y)):
-                    for i in range(data.n(a, y, tot)):
-                        rn.append((x, k, y, j, i))
-    ln = []  # left-nested target basis: (u, q, v, s, r)
-    for u in range(n):
-        for q in range(data.n(a, b, u)):
-            for v in range(n):
-                for s in range(data.n(u, c, v)):
-                    for r in range(data.n(v, d, tot)):
-                        ln.append((u, q, v, s, r))
-    if not rn or not ln:
-        return None
-    p1 = np.zeros((len(rn), len(ln)), dtype=complex)
-    p2 = np.zeros_like(p1)
-    for si, (x, k, y, j, i) in enumerate(rn):
-        for ti, (u, q, v, s, r) in enumerate(ln):
-            acc1 = 0j
-            for p in range(data.n(u, x, tot)):
-                f1 = data.F.get((a, b, x, tot, y, u, i, j, p, q), 0)
-                f2 = data.F.get((u, c, d, tot, x, v, p, k, r, s), 0)
-                acc1 += f1 * f2
-            p1[si, ti] = acc1
-            acc2 = 0j
-            for w in range(n):
-                for t in range(data.n(w, d, y)):
-                    for z in range(data.n(b, c, w)):
-                        f3 = data.F.get((b, c, d, y, x, w, j, k, t, z), 0)
-                        if f3 == 0:
-                            continue
-                        for g in range(data.n(a, w, v)):
-                            f4 = data.F.get((a, w, d, tot, y, v, i, t, r, g), 0)
-                            f5 = data.F.get((a, b, c, v, w, u, g, z, s, q), 0)
-                            acc2 += f3 * f4 * f5
-            p2[si, ti] = acc2
-    return float(np.max(np.abs(p1 - p2))) if p1.size else None
-
-
-def _dense_hexagon_residuals(data):
-    n = data.size
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for tot in range(n):
-                    for sense in (+1, -1):
-                        res = fd._hexagon_instance(data, a, b, c, tot, sense)
-                        if res is not None:
-                            yield (("+" if sense > 0 else "-"), a, b, c, tot), res
-
-
-ORACLE_INPUTS = BUILTINS + ("z5", "rep_a4_random")
+ORACLE_INPUTS = BUILTINS + ("z5", "rep_a4_random", "near_group_random")
 
 
 @pytest.fixture
-def oracle_input(categories, pointed_category, rep_a4_random):
+def oracle_input(categories, pointed_category, rep_a4_random, near_group_random):
     def get(name):
-        if name == "z5":
-            return pointed_category(5)
+        if name in ("z3", "z5", "z7"):
+            return pointed_category(int(name[1:]))
         if name == "rep_a4_random":
             return rep_a4_random
+        if name == "near_group_random":
+            return near_group_random
         return categories[name]
 
     return get
@@ -364,7 +301,7 @@ def test_channel_walk_bases_match_dense_scan(oracle_input, name):
     for a, b, c, d in itertools.product(range(data.size), repeat=4):
         assert data.f_right_basis(a, b, c, d) == _dense_f_right_basis(data, a, b, c, d)
         assert data.f_left_basis(a, b, c, d) == _dense_f_left_basis(data, a, b, c, d)
-        assert fd._tree_basis3(data, a, b, c, d) == _dense_tree_basis3(data, a, b, c, d)
+        assert oracle.tree_basis3(data, a, b, c, d) == _dense_tree_basis3(data, a, b, c, d)
     assert _dense_associativity_failure(data.size, data.ring.N) is None
 
 
@@ -373,32 +310,84 @@ def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, na
     data = oracle_input(name)
     pent = list(fd.pentagon_residuals(data))
     hexa = list(fd.hexagon_residuals(data))
-    assert pent == list(_dense_pentagon_residuals(data))
-    if name == "rep_a4_random":
+    assert pent == list(oracle.dense_pentagon_residuals(data))
+    if name.endswith("_random"):
         assert max(r for _, r in pent) > 0.1 and max(r for _, r in hexa) > 0.1
-    # the hexagon instance again, on its dense bases and a fresh copy of the
-    # data, so that no F-block cached by the walk is reused
-    monkeypatch.setattr(fd, "_tree_basis3", _dense_tree_basis3)
+    # the hexagon instance on its dense bases and a fresh copy of the data,
+    # over every total, so that no block cached on ``data`` is reused
+    monkeypatch.setattr(oracle, "tree_basis3", _dense_tree_basis3)
     monkeypatch.setattr(fd.CategoryData, "f_right_basis", _dense_f_right_basis)
     monkeypatch.setattr(fd.CategoryData, "f_left_basis", _dense_f_left_basis)
     fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
-    assert hexa == list(_dense_hexagon_residuals(fresh))
+    assert hexa == list(oracle.dense_hexagon_residuals(fresh))
 
 
 def test_coherence_visits_only_reachable_totals(pointed_category, monkeypatch):
-    """On Z_7 every pentagon and hexagon instance visited yields a record:
-    one per word and sense, where the dense scan tried all 7 totals."""
+    """On Z_7 the batched suites evaluate one pentagon per word and one
+    hexagon per word and sense, each yielding one record, where the dense
+    scan tried all 7 totals."""
     data = pointed_category(7)
-    calls = {"pentagon": 0, "hexagon": 0}
+    evaluated = {}
 
     def counted(kind, fn):
-        def wrapper(*args):
-            calls[kind] += 1
-            return fn(*args)
+        def wrapper(*tables):
+            keys, *residuals = out = fn(*tables)
+            evaluated[kind] = sum(map(len, residuals))
+            return out
         return wrapper
 
-    for kind in calls:
-        name = f"_{kind}_instance"
+    for kind in ("pentagon", "hexagon"):
+        name = f"{kind}_batch"
         monkeypatch.setattr(fd, name, counted(kind, getattr(fd, name)))
-    assert len(list(fd.pentagon_residuals(data))) == calls["pentagon"] == 7 ** 4
-    assert len(list(fd.hexagon_residuals(data))) == calls["hexagon"] == 2 * 7 ** 3
+    assert len(list(fd.pentagon_residuals(data))) == evaluated["pentagon"] == 7 ** 4
+    assert len(list(fd.hexagon_residuals(data))) == evaluated["hexagon"] == 2 * 7 ** 3
+
+
+def _zero_block(data, table, block):
+    """``data`` with every entry of one F- or R-block set to zero."""
+    tables = {"F": dict(data.F), "R": dict(data.R)}
+    for key in tables[table]:
+        if key[:len(block)] == block:
+            tables[table][key] = 0j
+    return fd.CategoryData(data.ring, tables["F"], tables["R"], data.twist)
+
+
+def _perturbed_f(data):
+    key = (1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+    return fd.CategoryData(
+        data.ring, {**data.F, key: data.F[key] * 1.5}, data.R, data.twist
+    )
+
+
+def _negated_r(data):
+    key = (1, 1, 0, 0, 0)
+    return fd.CategoryData(data.ring, data.F, {**data.R, key: -data.R[key]}, data.twist)
+
+
+INCOHERENT = {
+    "ising_perturbed_f": lambda get: _perturbed_f(get("ising")),
+    "fibonacci_negated_r": lambda get: _negated_r(get("fibonacci")),
+    "z3_singular_f": lambda get: _zero_block(get("z3"), "F", (1, 1, 1, 0)),
+    "z3_singular_r": lambda get: _zero_block(get("z3"), "R", (1, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + ("z7",) + tuple(INCOHERENT))
+def test_batched_report_matches_oracle_bytes(oracle_input, name):
+    """The batched suite writes the report the per-instance routes and the
+    per-block loop write, byte for byte, on coherent and incoherent data."""
+    make = INCOHERENT.get(name)
+    data = make(oracle_input) if make else oracle_input(name)
+    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    got = emit_report(fd.verify_coherence(data, 1e-9))
+    assert got == emit_report(oracle.verify_coherence(fresh, 1e-9))
+    if name.startswith("z3_singular"):
+        records = json.loads(got)["records"]
+        assert any(r["id"] == "hexagon" and r["residual"] == math.inf for r in records)
+        if name == "z3_singular_f":
+            assert [
+                r["residual"] for r in records
+                if r["id"] == "f_invertible" and r["instance"] == [1, 1, 1, 0]
+            ] == [1.0]
+    elif make:
+        assert not json.loads(got)["summary"]["pass"]

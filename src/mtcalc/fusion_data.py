@@ -1,13 +1,14 @@
 """Skeletal modular-tensor-category data: fusion ring, F/R-symbols, twists.
 
-Conventions used throughout the package (all blocks are complex matrices over
-deterministically enumerated bases; internal labels ascending, multiplicity
-indices ascending):
+Conventions used throughout the package.  ``CategoryData`` holds the F- and
+R-blocks in two ``table_arrays.Table`` stores, which lay each block out (its
+rows and its columns are its trees in lexicographic order), and serves
+``f_block``, ``r_block`` and their inverses as read-only views of them:
 
 * ``F[a, b, c, d]`` is the block relating the two ways of fusing the word
-  ``(a, b, c)`` into ``d``.  Rows are indexed by right-tree triples
+  ``(a, b, c)`` into ``d``.  Rows are the right-tree triples
   ``(x, i, j)`` with ``j`` a vertex ``b (x) c -> x`` and ``i`` a vertex
-  ``a (x) x -> d``; columns by left-tree triples ``(y, k, l)`` with ``l`` a
+  ``a (x) x -> d``; columns the left-tree triples ``(y, k, l)`` with ``l`` a
   vertex ``a (x) b -> y`` and ``k`` a vertex ``y (x) c -> d``.  The right-tree
   composite equals ``sum_(y,k,l) F[(x,i,j),(y,k,l)] *`` left-tree composite.
 * ``R[a, b, c]`` is the block of the positive braiding ``a (x) b -> b (x) a``
@@ -174,15 +175,9 @@ class CategoryData:
         self.F = dict(F)
         self.R = dict(R)
         self.twist = tuple(complex(t) for t in twist)
-        self._fcache: dict = {}
-        self._ficache: dict = {}
-        self._rcache: dict = {}
-        self._ricache: dict = {}
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
-        self._mult_bound = max(ring.N.values())  # radix of multiplicity indices
-        self._r_table = None
-        self._validate_tables()  # builds self._f_table
+        self._validate_tables()  # builds self._f_table and self._r_table
         self.h = tuple((cmath.phase(t) / (2 * math.pi)) % 1.0 for t in self.twist)
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
@@ -204,10 +199,11 @@ class CategoryData:
     def n(self, a: int, b: int, c: int) -> int:
         return self.ring.N.get((a, b, c), 0)
 
-    # -- block assembly ------------------------------------------------
+    # -- blocks --------------------------------------------------------
 
     def f_right_basis(self, a, b, c, d):
-        """Right-tree triples (x, i, j) of the word (a,b,c) -> d."""
+        """Right-tree triples (x, i, j) of the word (a,b,c) -> d: the rows
+        of the F-block, in order."""
         n = self.ring.N.get
         return [
             (x, i, j) for x in self.ring.channels[b, c]
@@ -215,7 +211,8 @@ class CategoryData:
         ]
 
     def f_left_basis(self, a, b, c, d):
-        """Left-tree triples (y, k, l) of the word (a,b,c) -> d."""
+        """Left-tree triples (y, k, l) of the word (a,b,c) -> d: the
+        columns of the F-block, in order."""
         n = self.ring.N.get
         return [
             (y, k, l) for y in self.ring.channels[a, b]
@@ -223,60 +220,29 @@ class CategoryData:
         ]
 
     def f_block(self, a, b, c, d) -> np.ndarray:
-        """F-block as a (right x left) matrix; raises on missing entries."""
-        key = (a, b, c, d)
-        if key in self._fcache:
-            return self._fcache[key]
-        right = self.f_right_basis(a, b, c, d)
-        left = self.f_left_basis(a, b, c, d)
-        mat = np.zeros((len(right), len(left)), dtype=complex)
-        for ri, (x, i, j) in enumerate(right):
-            for li, (y, k, l) in enumerate(left):
-                fkey = (a, b, c, d, x, y, i, j, k, l)
-                if fkey not in self.F:
-                    raise CategoryDataError(f"missing F entry {fkey}")
-                mat[ri, li] = self.F[fkey]
-        mat.setflags(write=False)
-        self._fcache[key] = mat
-        return mat
+        """F-block as a (right x left) matrix, read-only; 0 x 0 when the
+        word (a, b, c) does not reach d."""
+        return self._f_table.matrix((a, b, c, d))
 
     def f_block_inv(self, a, b, c, d) -> np.ndarray:
-        """Inverse F-block, (left x right); exact inverse, computed once.
+        """Inverse F-block, (left x right), read-only.
 
         A singular block raises CategoryDataError naming it.
         """
-        key = (a, b, c, d)
-        if key not in self._ficache:
-            self._ficache[key] = _inverse(self.f_block(a, b, c, d), "F", key)
-        return self._ficache[key]
+        return _block_inverse(self._f_table, "F", (a, b, c, d))
 
     def r_block(self, a, b, c) -> np.ndarray:
-        """Positive-braiding block on channel c, shape N_{ba}^c x N_{ab}^c."""
-        key = (a, b, c)
-        if key in self._rcache:
-            return self._rcache[key]
-        rows, cols = self.n(b, a, c), self.n(a, b, c)
-        mat = np.zeros((rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                rkey = (a, b, c, i, j)
-                if rkey not in self.R:
-                    raise CategoryDataError(f"missing R entry {rkey}")
-                mat[i, j] = self.R[rkey]
-        mat.setflags(write=False)
-        self._rcache[key] = mat
-        return mat
+        """Positive-braiding block on channel c, shape N_{ba}^c x N_{ab}^c,
+        read-only."""
+        return self._r_table.matrix((a, b, c))
 
     def r_block_inv(self, a, b, c) -> np.ndarray:
-        """Negative-braiding block of a (x) b -> b (x) a on channel c; computed once.
+        """Negative-braiding block of a (x) b -> b (x) a on channel c, read-only.
 
         It inverts the R-block (b, a, c); a singular one raises
         CategoryDataError naming it.
         """
-        key = (a, b, c)
-        if key not in self._ricache:
-            self._ricache[key] = _inverse(self.r_block(b, a, c), "R", (b, a, c))
-        return self._ricache[key]
+        return _block_inverse(self._r_table, "R", (b, a, c))
 
     # -- validation ----------------------------------------------------
 
@@ -312,26 +278,21 @@ class CategoryData:
             a, b, c, i, j = key
             if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
-        # completeness of coverage for every admissible block
-        for (a, b), channels in ring.channels.items():
-            for c in channels:
-                for i in range(ring.n(b, a, c)):
-                    for j in range(ring.n(a, b, c)):
-                        if (a, b, c, i, j) not in self.R:
-                            raise CategoryDataError(
-                                f"missing R entry for channel {(a, b, c)}"
-                            )
-        for a, b, c in itertools.product(range(n), repeat=3):
-            for d in ring.totals((a, b, c)):
-                left = self.f_left_basis(a, b, c, d)
-                for (x, i, j) in self.f_right_basis(a, b, c, d):
-                    for (y, k, l) in left:
-                        if (a, b, c, d, x, y, i, j, k, l) not in self.F:
-                            raise CategoryDataError(
-                                f"missing F entry for block {(a, b, c, d)}"
-                            )
-        m = self._mult_bound
+        m = max(ring.N.values())  # radix of multiplicity indices
         self._f_table = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
+        self._r_table = Table(self.R, (n,) * 3 + (m,) * 2, 3, [3], [4])
+        # completeness: the range checks put every entry inside its block and
+        # keys are unique, so a block is complete exactly when it holds
+        # rows x columns entries: N_ba^c N_ab^c for R(a,b,c), and
+        # sum_x N_bc^x N_ax^d times sum_y N_ab^y N_yc^d for F(a,b,c,d)
+        N = np.zeros((n,) * 3, dtype=np.int64)
+        N[tuple(np.array(list(ring.N)).T)] = list(ring.N.values())
+        _check_complete(self._r_table, N.transpose(1, 0, 2) * N, "R entry for channel")
+        _check_complete(
+            self._f_table,
+            np.einsum("bcx,axd->abcd", N, N) * np.einsum("aby,ycd->abcd", N, N),
+            "F entry for block",
+        )
         # unit gauge: fusion trees and unit insertion give unit vertices the
         # coefficient 1, which agrees with the F-moves only for identity
         # blocks; the first failing block in lexicographic order is named
@@ -347,26 +308,25 @@ class CategoryData:
                 f"F block {block} with a unit label is not the identity"
             )
 
-    def _tables(self):
-        """The F- and R-tables as arrays (``Table``), built once."""
-        if self._r_table is None:
-            dims = (self.size,) * 3 + (self._mult_bound,) * 2
-            self._r_table = Table(self.R, dims, 3, [3], [4])
-        return self._f_table, self._r_table
+
+def _block_inverse(table: Table, name: str, key: tuple) -> np.ndarray:
+    """``table.matrix(key, inverse=True)``; a singular block raises
+    CategoryDataError naming it."""
+    try:
+        return table.matrix(key, inverse=True)
+    except np.linalg.LinAlgError:
+        raise CategoryDataError(f"{name} block {key} is singular") from None
 
 
-def _inverse(mat, name, key) -> np.ndarray:
-    """Read-only inverse of a square block; an empty block inverts to its
-    transpose."""
-    if mat.size == 0:
-        inv = mat.T.copy()
-    else:
-        try:
-            inv = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            raise CategoryDataError(f"{name} block {key} is singular") from None
-    inv.setflags(write=False)
-    return inv
+def _check_complete(table: Table, want: np.ndarray, what: str):
+    """Raise CategoryDataError naming the first block, in lexicographic
+    order, that holds fewer entries than ``want`` (indexed by labels)."""
+    have = np.zeros(want.size, dtype=np.int64)
+    have[table.blocks] = np.bincount(table.block, minlength=len(table.blocks))
+    short = np.flatnonzero(have < want.ravel())
+    if len(short):
+        block = tuple(int(i) for i in np.unravel_index(short[0], want.shape))
+        raise CategoryDataError(f"missing {what} {block}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +365,7 @@ def hexagon_residuals(data: CategoryData):
     reaches are visited.  All instances are evaluated at once, on the first
     item.
     """
-    keys, plus, minus = hexagon_batch(*data._tables())
+    keys, plus, minus = hexagon_batch(data._f_table, data._r_table)
     for key, rp, rm in zip(keys, plus, minus):
         yield ("+", *key), rp
         yield ("-", *key), rm
@@ -423,27 +383,24 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     for inst, res in hexagon_residuals(data):
         report.add("hexagon", inst, res)
     # block checks, stacked by shape, reported per (a, b, c): the F-blocks
-    # over the totals d, then the R-block of the channel c of (a, b)
-    F, R = data._tables()
-    f_invertible = np.ones(len(F.blocks))
+    # over the totals d, then the R-block of the channel c of (a, b); every
+    # block is square, as the ring is associative and the tables complete
+    F, R = data._f_table, data._r_table
+    f_invertible = np.empty(len(F.blocks))
     for (members, mats), (inv, singular) in zip(F.stacks, F.inverses()):
-        if mats.shape[1] == mats.shape[2]:
-            res = np.max(np.abs(mats @ inv - np.eye(mats.shape[1])), axis=(1, 2))
-            f_invertible[members] = np.where(singular, 1.0, res)  # singular: 1.0
+        res = np.max(np.abs(mats @ inv - np.eye(mats.shape[1])), axis=(1, 2))
+        f_invertible[members] = np.where(singular, 1.0, res)  # singular: 1.0
     f_unitary = F.per_block(unitarity)
     r_keys = list(zip(*(lab.tolist() for lab in R.labels)))
     r_unitary = R.per_block(unitarity).tolist()
     ri = 0
-    for key, square, inv_res, uni_res in zip(
-        zip(*(lab.tolist() for lab in F.labels)),
-        (F.nrows == F.ncols).tolist(), f_invertible.tolist(), f_unitary.tolist(),
-    ):
+    f_keys = zip(*(lab.tolist() for lab in F.labels))
+    for key, inv_res, uni_res in zip(f_keys, f_invertible.tolist(), f_unitary.tolist()):
         while ri < len(r_keys) and r_keys[ri] < key[:3]:
             report.add("r_unitary", r_keys[ri], r_unitary[ri])
             ri += 1
-        if square:
-            report.add("f_invertible", key, inv_res)
-            report.add("f_unitary", key, uni_res)
+        report.add("f_invertible", key, inv_res)
+        report.add("f_unitary", key, uni_res)
     for key, res in zip(r_keys[ri:], r_unitary[ri:]):
         report.add("r_unitary", key, res)
     for a in range(data.size):
@@ -483,45 +440,20 @@ def _ring(names, unit, dual, channels):
     return FusionRing(labels, unit, tuple(dual), N)
 
 
-def _complete_unit_tables(ring, F, R):
-    """Fill in all unit-gauge entries (value 1) the tables leave implicit."""
-    n = ring.size
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if ring.n(a, b, c) and (a, b, c, 0, 0) not in R:
-                    raise CategoryDataError(f"builtin table missing R{(a, b, c)}")
-                for d in range(n):
-                    # multiplicity-free builtins: one entry per (x, y) pair
-                    for x in range(n):
-                        if not (ring.n(b, c, x) and ring.n(a, x, d)):
-                            continue
-                        for y in range(n):
-                            if not (ring.n(a, b, y) and ring.n(y, c, d)):
-                                continue
-                            key = (a, b, c, d, x, y, 0, 0, 0, 0)
-                            if key in F:
-                                continue
-                            if ring.unit in (a, b, c):
-                                F[key] = 1.0 + 0j
-                            else:
-                                raise CategoryDataError(
-                                    f"builtin table missing F block {(a, b, c, d)}"
-                                )
-    return F, R
-
-
 def _make_builtin(names, unit, dual, channels, fvals, rvals, twist):
+    """The category of the given tables, multiplicity-free, with the entries
+    of the blocks with a unit label that the tables leave out set to 1 (unit
+    gauge); ``CategoryData`` checks that no other entry is missing."""
     ring = _ring(names, unit, dual, channels)
     F = {(a, b, c, d, x, y, 0, 0, 0, 0): complex(v) for (a, b, c, d, x, y), v in fvals.items()}
     R = {(a, b, c, 0, 0): complex(v) for (a, b, c), v in rvals.items()}
-    for a in range(ring.size):
-        for b in range(ring.size):
-            for c in range(ring.size):
-                if ring.n(a, b, c) and (a, b, c, 0, 0) not in R:
-                    if unit in (a, b):
-                        R[(a, b, c, 0, 0)] = 1.0 + 0j
-    F, R = _complete_unit_tables(ring, F, R)
+    n = ring.n
+    for a, b, c in itertools.product(range(ring.size), repeat=3):
+        if n(a, b, c) and unit in (a, b):
+            R.setdefault((a, b, c, 0, 0), 1.0 + 0j)
+    for a, b, c, d, x, y in itertools.product(range(ring.size), repeat=6):
+        if unit in (a, b, c) and n(b, c, x) and n(a, x, d) and n(a, b, y) and n(y, c, d):
+            F.setdefault((a, b, c, d, x, y, 0, 0, 0, 0), 1.0 + 0j)
     return CategoryData(ring, F, R, twist)
 
 

@@ -2,10 +2,11 @@
 evaluated over them for a whole category at once.
 
 ``fusion_data`` keeps the category model and the suites; this module holds
-what the batched suites compute with:
+the block store and what the batched suites compute with:
 
-* ``Table``: one row per table entry, with its block and its row and
-  column in the block, and the blocks stacked by shape;
+* ``Table``: the one store of the F- or R-blocks; one row per table
+  entry, with its block and its row and column in the block, which define
+  the block layout, and the blocks and their inverses stacked by shape;
 * ``pentagon_batch`` and ``hexagon_batch``: the residual of every pentagon
   and hexagon instance of a category;
 * ``unitarity``: the unitarity defect of each matrix of a stack.
@@ -28,6 +29,9 @@ import math
 import numpy as np
 
 __all__ = ["Table", "pentagon_batch", "hexagon_batch", "unitarity"]
+
+_EMPTY = np.zeros((0, 0), dtype=complex)
+_EMPTY.setflags(write=False)
 
 
 def _pack(cols, dims) -> np.ndarray:
@@ -58,7 +62,9 @@ def _distinct(keys) -> np.ndarray:
     """The distinct values of ``keys``, ascending.  (``np.unique`` would do,
     but its first call imports ``numpy.ma``, half a megabyte.)"""
     keys = np.sort(keys, kind="stable")  # the kind the joins' argsort uses
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _ranks(block, cols, dims, n_blocks):
@@ -72,13 +78,17 @@ def _ranks(block, cols, dims, n_blocks):
 
 
 class Table:
-    """An F- or R-table as arrays.
+    """An F- or R-table as arrays; the one store of its blocks.
 
     ``cols`` holds the key columns of all entries and ``vals`` their values.
-    Blocks are numbered in the lexicographic order of their labels (the
-    first ``width`` columns); ``row`` and ``col`` place each entry in its
-    block as ``CategoryData.f_block`` and ``r_block`` do, and ``stacks``
-    holds the blocks stacked by shape, as (block numbers, matrices).
+    A block is the set of entries that share their first ``width`` columns,
+    its labels; blocks are numbered in the lexicographic order of their
+    labels.  The rows of a block are the distinct values of the columns
+    ``row_cols`` among its entries, in lexicographic order, and its columns
+    those of ``col_cols``: for F(a,b,c,d) the right trees (x, i, j) and the
+    left trees (y, k, l), for R(a,b,c) the indices i and j.  ``row`` and
+    ``col`` place each entry in its block, and ``stacks`` holds the blocks
+    stacked by shape, as (block numbers, read-only matrices).
     """
 
     def __init__(self, table: dict, dims: tuple, width: int, row_cols, col_cols):
@@ -101,21 +111,45 @@ class Table:
         )
         self.nrows = np.diff(self.row_starts)
         self.ncols = np.diff(self.col_starts)
-        shape = self.nrows * (self.ncols.max() + 1) + self.ncols
+        shape = self.nrows * (self.ncols.max(initial=0) + 1) + self.ncols
+        shapes = _distinct(shape)
+        stack = np.searchsorted(shapes, shape)
+        entry_stack = stack[self.block]
+        slot = np.empty(nb, dtype=np.intp)
         self.stacks = []
-        for s in _distinct(shape):
-            members = np.flatnonzero(shape == s)
-            slot = np.full(nb, -1)
+        for k in range(len(shapes)):
+            members = np.flatnonzero(stack == k)
             slot[members] = np.arange(len(members))
-            at = slot[self.block]
-            sel = at >= 0
+            sel = entry_stack == k
             mats = np.zeros(
                 (len(members), self.nrows[members[0]], self.ncols[members[0]]),
                 dtype=complex,
             )
-            mats[at[sel], self.row[sel], self.col[sel]] = self.vals[sel]
+            mats[slot[self.block[sel]], self.row[sel], self.col[sel]] = self.vals[sel]
+            mats.setflags(write=False)
             self.stacks.append((members, mats))
+        # the stack and the place in it of the block of each label tuple;
+        # stack -1 where the table holds no entry
+        self._stack = np.full(dims[:width], -1)
+        self._stack.flat[self.blocks] = stack
+        self._slot = np.zeros(dims[:width], dtype=np.intp)
+        self._slot.flat[self.blocks] = slot
         self._inverses = None
+
+    def matrix(self, labels: tuple, inverse: bool = False) -> np.ndarray:
+        """The block ``labels``, or its inverse, read-only; 0 x 0 when the
+        table holds no entry of it.  The inverse of a singular block raises
+        ``np.linalg.LinAlgError``."""
+        k = self._stack[labels]
+        if k < 0:
+            return _EMPTY
+        g = self._slot[labels]
+        if not inverse:
+            return self.stacks[k][1][g]
+        inv, singular = self.inverses()[k]
+        if singular[g]:
+            raise np.linalg.LinAlgError(f"block {labels} is singular")
+        return inv[g]
 
     def block_of(self, *labels) -> np.ndarray:
         """Numbers of the blocks with the given label columns; each must exist."""
@@ -133,6 +167,8 @@ class Table:
         blocks (whose inverse is left zero); computed once."""
         if self._inverses is None:
             self._inverses = [_stack_inverse(mats) for _, mats in self.stacks]
+            for inv, _ in self._inverses:
+                inv.setflags(write=False)
         return self._inverses
 
     def inverse_entries(self):

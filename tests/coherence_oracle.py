@@ -5,10 +5,13 @@ instance of a category at once, from joins over the F- and R-tables, and
 ``verify_coherence`` checks the F- and R-blocks stacked by shape.  The
 routines here evaluate one instance, or one block, at a time:
 
+* ``f_block``, ``r_block`` and their inverses assemble one block from the
+  ``F`` and ``R`` dicts, entry by entry in the order of the tree bases, and
+  invert it alone, with no ``table_arrays.Table`` involved;
 * ``dense_pentagon_instance`` expands both pentagon routes over bases
   scanned label by label;
 * ``hexagon_instance`` builds the three braid matrices of one hexagon from
-  the tree bases and the F- and R-blocks of ``CategoryData``;
+  the tree bases and those blocks;
 * ``verify_coherence`` is the suite assembled from these routines and a
   loop over the blocks.
 
@@ -24,6 +27,46 @@ import numpy as np
 
 from mtcalc import fusion_data as fd
 from mtcalc.report import Report
+
+
+def f_block(data, a, b, c, d):
+    """F-block (a, b, c, d) over ``f_right_basis`` x ``f_left_basis``; 0 x 0
+    when the word (a, b, c) does not reach d."""
+    right = data.f_right_basis(a, b, c, d)
+    left = data.f_left_basis(a, b, c, d)
+    mat = np.zeros((len(right), len(left)), dtype=complex)
+    for ri, (x, i, j) in enumerate(right):
+        for li, (y, k, l) in enumerate(left):
+            mat[ri, li] = data.F[(a, b, c, d, x, y, i, j, k, l)]
+    return mat
+
+
+def r_block(data, a, b, c):
+    """R-block (a, b, c), N_ba^c x N_ab^c; 0 x 0 off the channels of (a, b)."""
+    mat = np.zeros((data.n(b, a, c), data.n(a, b, c)), dtype=complex)
+    for i, j in np.ndindex(mat.shape):
+        mat[i, j] = data.R[(a, b, c, i, j)]
+    return mat
+
+
+def _inverse(mat, name, key):
+    """``np.linalg.inv`` of one block; an empty block inverts to its
+    transpose, and a singular one raises CategoryDataError naming it."""
+    if mat.size == 0:
+        return mat.T.copy()
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise fd.CategoryDataError(f"{name} block {key} is singular") from None
+
+
+def f_block_inv(data, a, b, c, d):
+    return _inverse(f_block(data, a, b, c, d), "F", (a, b, c, d))
+
+
+def r_block_inv(data, a, b, c):
+    """The negative braiding of (a, b, c): the inverse of R-block (b, a, c)."""
+    return _inverse(r_block(data, b, a, c), "R", (b, a, c))
 
 
 def dense_pentagon_residuals(data):
@@ -129,9 +172,9 @@ def hexagon_frame(data, a, b, c, tot):
         for si, (y, l, m) in enumerate(src)
     ]
     # braid (2,3): F(b, a, c), R^{ac}_z on the cluster z, F(b, c, a)^-1
-    f_mid = data.f_block(b, a, c, tot)
+    f_mid = f_block(data, b, a, c, tot)
     midr = data.f_right_basis(b, a, c, tot)
-    f_dst_inv = data.f_block_inv(b, c, a, tot)
+    f_dst_inv = f_block_inv(data, b, c, a, tot)
     dstr = data.f_right_basis(b, c, a, tot)
     b23 = [
         (mi, z, f_mid[ri, mi], [
@@ -142,7 +185,7 @@ def hexagon_frame(data, a, b, c, tot):
         for ri, (z, i2, j2) in enumerate(midr) if f_mid[ri, mi] != 0
     ]
     # cluster braid: F(a, b, c), then R^{a x}_tot on the fused pair x
-    fabc = data.f_block(a, b, c, tot)
+    fabc = f_block(data, a, b, c, tot)
     fr = data.f_right_basis(a, b, c, tot)
     cluster = [
         (di, x, [
@@ -158,15 +201,15 @@ def hexagon_frame(data, a, b, c, tot):
 def hexagon_instance(data, a, b, c, tot, sense):
     """Residual of one hexagon, None when the word has no trees of charge
     ``tot``, and inf when a block it inverts is singular."""
-    rmat = data.r_block if sense > 0 else data.r_block_inv
+    rblock = r_block if sense > 0 else r_block_inv
     try:
         frame = hexagon_frame(data, a, b, c, tot)
         if frame is None:
             return None
         n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
-        r12 = [rmat(a, b, y) for y, _ in b12_walk]
-        r23 = [rmat(a, c, z) for _, z, _, _ in b23_walk]
-        r_cluster = [rmat(a, x, tot) for _, x, _ in cluster_walk]
+        r12 = [rblock(data, a, b, y) for y, _ in b12_walk]
+        r23 = [rblock(data, a, c, z) for _, z, _, _ in b23_walk]
+        r_cluster = [rblock(data, a, x, tot) for _, x, _ in cluster_walk]
     except fd.CategoryDataError:  # a singular F- or R-block has no inverse
         return math.inf
 
@@ -214,11 +257,11 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
         for b in range(n):
             for c in range(n):
                 for d in data.ring.totals((a, b, c)):
-                    fmat = data.f_block(a, b, c, d)
+                    fmat = f_block(data, a, b, c, d)
                     if fmat.shape[0] != fmat.shape[1]:
                         continue
                     try:
-                        inv = data.f_block_inv(a, b, c, d)
+                        inv = f_block_inv(data, a, b, c, d)
                         res = float(
                             np.max(np.abs(fmat @ inv - np.eye(len(fmat))))
                         )
@@ -230,7 +273,7 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
                         "f_unitary", (a, b, c, d), float(np.max(np.abs(gram)))
                     )
                 if c in channels[a, b]:
-                    unitary = data.r_block(a, b, c)
+                    unitary = r_block(data, a, b, c)
                     gram = unitary @ unitary.conj().T - np.eye(unitary.shape[0])
                     report.add(
                         "r_unitary", (a, b, c), float(np.max(np.abs(gram)))

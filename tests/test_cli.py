@@ -636,3 +636,48 @@ def test_negative_multiplicity_index_is_input_error(tmp_path, table):
     status, out = run_suite(["verify-category", str(path)])
     assert status == EXIT_INPUT, out
     assert out.startswith(f"input error: {table} entry") and "outside multiplicity range" in out
+
+
+# Category files with F or R entries left out, as (source, the label and
+# multiplicity prefixes of the entries removed from each table, loader
+# message).  The loader checks R before F and names the first incomplete
+# block in lexicographic order.
+INCOMPLETE = {
+    "ising_f_entry": ("ising", {"F": [(1, 1, 1, 1, 2, 2)]},
+                      "missing F entry for block (1, 1, 1, 1)"),
+    "ising_f_row": ("ising", {"F": [(1, 1, 1, 1, 0)]},
+                    "missing F entry for block (1, 1, 1, 1)"),
+    "ising_two_f_blocks": ("ising", {"F": [(2, 2, 2, 2), (1, 1, 1, 1, 2, 2)]},
+                           "missing F entry for block (1, 1, 1, 1)"),
+    "rep_a4_f_entry": ("rep_a4_random", {"F": [(3, 3, 3, 3, 3, 3, 1, 0, 1, 1)]},
+                       "missing F entry for block (3, 3, 3, 3)"),
+    "rep_a4_r_entry": ("rep_a4_random", {"R": [(3, 3, 3, 1, 0)]},
+                       "missing R entry for channel (3, 3, 3)"),
+    "rep_a4_two_r_channels": ("rep_a4_random", {"R": [(3, 3, 3, 0, 1), (1, 3, 3)]},
+                              "missing R entry for channel (1, 3, 3)"),
+    "rep_a4_r_before_f": ("rep_a4_random", {"F": [(1, 3, 3, 3)], "R": [(3, 3, 3, 1, 1)]},
+                          "missing R entry for channel (3, 3, 3)"),
+    "fibonacci_no_r": ("fibonacci", {"R": [()]},
+                       "missing R entry for channel (0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", INCOMPLETE)
+def test_incomplete_table_is_input_error(tmp_path, rep_a4_random, case):
+    source, dropped, message = INCOMPLETE[case]
+    data = rep_a4_random if source == "rep_a4_random" else fd.builtin_category(source)
+    doc = json.loads(fd.emit_category(data))
+    for table, prefixes in dropped.items():
+        kept = [
+            e for e in doc[table]
+            if not any(tuple(e["labels"] + e["mult"])[:len(p)] == p for p in prefixes)
+        ]
+        assert len(kept) < len(doc[table])
+        doc[table] = kept
+    with pytest.raises(fd.CategoryDataError) as exc:
+        fd.loads_category(doc)
+    assert str(exc.value) == message
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("verify-category", "rigidity", "fusing-symmetries", "build-ffa", "verify-ffa"):
+        assert run_suite([cmd, str(path)]) == (EXIT_INPUT, f"input error: {message}\n")

@@ -313,13 +313,12 @@ def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, na
     assert pent == list(oracle.dense_pentagon_residuals(data))
     if name.endswith("_random"):
         assert max(r for _, r in pent) > 0.1 and max(r for _, r in hexa) > 0.1
-    # the hexagon instance on its dense bases and a fresh copy of the data,
-    # over every total, so that no block cached on ``data`` is reused
+    # the hexagon instance over every total, on its dense bases; the
+    # oracle assembles its F-blocks over the dense bases too
     monkeypatch.setattr(oracle, "tree_basis3", _dense_tree_basis3)
     monkeypatch.setattr(fd.CategoryData, "f_right_basis", _dense_f_right_basis)
     monkeypatch.setattr(fd.CategoryData, "f_left_basis", _dense_f_left_basis)
-    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
-    assert hexa == list(oracle.dense_hexagon_residuals(fresh))
+    assert hexa == list(oracle.dense_hexagon_residuals(data))
 
 
 def test_coherence_visits_only_reachable_totals(pointed_category, monkeypatch):
@@ -391,3 +390,40 @@ def test_batched_report_matches_oracle_bytes(oracle_input, name):
             ] == [1.0]
     elif make:
         assert not json.loads(got)["summary"]["pass"]
+
+
+def _block_or_error(fn, *args):
+    try:
+        return fn(*args), None
+    except fd.CategoryDataError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + ("z3_singular_f", "z3_singular_r"))
+def test_table_blocks_match_entry_assembly(oracle_input, name):
+    """The blocks and inverses ``CategoryData`` serves from its tables equal,
+    bit for bit, the blocks assembled entry by entry and inverted one at a
+    time, for every label tuple, unreachable ones (0 x 0) included; a
+    singular block raises the same message on both routes."""
+    make = INCOHERENT.get(name)
+    data = make(oracle_input) if make else oracle_input(name)
+    errors = set()
+    for n_labels, accessors in (
+        (4, ((data.f_block, oracle.f_block), (data.f_block_inv, oracle.f_block_inv))),
+        (3, ((data.r_block, oracle.r_block), (data.r_block_inv, oracle.r_block_inv))),
+    ):
+        for labels in itertools.product(range(data.size), repeat=n_labels):
+            for served, assembled in accessors:
+                got, error = _block_or_error(served, *labels)
+                want, want_error = _block_or_error(assembled, data, *labels)
+                assert error == want_error, labels
+                if error:
+                    errors.add(error)
+                    continue
+                assert got.shape == want.shape and got.dtype == want.dtype, labels
+                assert got.tobytes() == want.tobytes(), labels
+                assert not got.flags.writeable
+    assert errors == {
+        "z3_singular_f": {"F block (1, 1, 1, 0) is singular"},
+        "z3_singular_r": {"R block (1, 2, 0) is singular"},
+    }.get(name, set())

@@ -136,3 +136,24 @@ def test_tracer_counts_coherence_items(monkeypatch):
         want = sum(r["id"] == kind for r in records)
         assert want > 0
         assert values[f"fusion_data.{kind}_residuals.items"] == want, kind
+
+
+def test_tracer_counts_block_inverses(monkeypatch):
+    # the inverse-block counts come from the wrapped CategoryData methods; a
+    # caller that reached the block store past them would count 0 on
+    # working code
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    argv = ["fusing-symmetries", "builtin:ising"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(" ".join(argv))
+        status, _ = cli_io.run_suite(argv)
+        values = spans.layer_values(tracer.summary())
+    finally:
+        tracer.uninstall()
+    assert status == cli_io.EXIT_OK
+    for name in ("f_block_inv", "r_block_inv"):
+        assert values[f"fusion_data.{name}.calls"] > 0, name

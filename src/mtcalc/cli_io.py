@@ -8,6 +8,7 @@ input, 3 verification failure.  Reports are emitted as stable-keyed JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of every call: ``parse_args`` keeps no state between calls."""
     parser = _Parser(prog="mtcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 

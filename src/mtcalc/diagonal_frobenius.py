@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -89,55 +90,69 @@ def pairing_coefficient_general(data: CategoryData, fl: gc.CovertexVector,
 
 @dataclass
 class FullFieldAlgebraData:
-    """Diagonal algebra: object, multiplication tensor, unit, form, coalgebra.
+    """Algebra in the double: object, multiplication tensor, form.
 
-    Treated as immutable once built: the coproduct tensor, the product index
-    and every algebra layer are memoized on the instance.  A new instance
-    (also one made by ``dataclasses.replace``) starts with an empty memo.
+    Everything is keyed by summand index s of ``object``, whose summand
+    ``object.summands[s]`` is a (left, right) label pair: ``mult`` maps
+    (s1, s2, s3) to the product block (s1 s2 -> s3) over (left
+    multiplicity, right multiplicity), and ``phi`` maps s to its form
+    coefficient.
+
+    Treated as immutable once built: the dual and unit summands, the
+    coproduct tensor, the product index and every algebra layer are
+    memoized on the instance.  A new instance (also one made by
+    ``dataclasses.replace``) starts with an empty memo.
     """
 
     data: CategoryData
     object: DoubleObject
-    mult: dict      # (a1, a2, a3) -> ndarray over (left mult, right mult)
-    phi: dict       # summand label a -> nonzero complex form coefficient
-    # "mult_index" / "comult_index" -> tensor entries by source labels, and
-    # (layer name, word, k) -> read-only DoubleMorphism
+    mult: dict      # (s1, s2, s3) -> ndarray over (left mult, right mult)
+    phi: dict       # summand s -> nonzero complex form coefficient
+    # "mult_index" / "comult_index" -> tensor entries by source summands,
+    # and (layer name, word, k) -> read-only DoubleMorphism
     _memo: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
-    def summand_index(self) -> dict:
-        return {l: i for i, (l, _) in enumerate(self.object.summands)}
+    @functools.cached_property
+    def dual_summand(self) -> tuple:
+        """s -> the summand (l', r') dual to summand s = (l, r)."""
+        pairs = self.object.summands
+        index = {p: s for s, p in enumerate(pairs)}
+        return tuple(index[self.data.dual(l), self.data.dual(r)] for l, r in pairs)
+
+    @functools.cached_property
+    def unit_summand(self) -> int:
+        """The summand (e, e) of the unit label."""
+        return self.object.summands.index((self.data.unit,) * 2)
+
+    def labels(self, key) -> tuple:
+        """(left labels, right labels) of the summands in ``key``."""
+        return tuple(zip(*(self.object.summands[s] for s in key)))
 
 
 def build_diagonal_algebra(data: CategoryData,
                            pairing=pairing_coefficient_general) -> FullFieldAlgebraData:
     """Assemble the diagonal algebra; requires coherent category data.
 
-    ``pairing`` may be swapped for a transformed-basis variant when testing
-    basis independence.
+    Its summand a is the pair (a, dual a), so summand and label indices
+    agree.  ``pairing`` may be swapped for a transformed-basis variant when
+    testing basis independence.
     """
     for a in range(data.size):
         if abs(gc.categorical_dim(data, a)) < 1e-12:
             raise ValueError(f"degenerate loop value for label {a}")
     obj = DoubleObject(tuple((a, data.dual(a)) for a in range(data.size)))
     mult = {}
-    for a1 in range(data.size):
-        for a2 in range(data.size):
-            for a3 in range(data.size):
-                n = data.n(a1, a2, a3)
-                if not n:
-                    continue
-                block = np.zeros((n, n), dtype=complex)
-                for i in range(n):
-                    fl = gc.CovertexVector.basis(data, a1, a2, a3, i)
-                    for j in range(n):
-                        fr = gc.CovertexVector.basis(
-                            data, data.dual(a1), data.dual(a2), data.dual(a3), j
-                        )
-                        block[i, j] = pairing(data, fl, fr)
-                mult[(a1, a2, a3)] = block
+    for key in itertools.product(range(data.size), repeat=3):
+        n = data.n(*key)
+        if n:
+            dual = tuple(data.dual(a) for a in key)
+            mult[key] = np.array([
+                [pairing(data, gc.CovertexVector.basis(data, *key, i),
+                         gc.CovertexVector.basis(data, *dual, j)) for j in range(n)]
+                for i in range(n)
+            ], dtype=complex)
     phi = {
         a: data.twist[a].conjugate() / gc.categorical_dim(data, a)
         for a in range(data.size)
@@ -180,22 +195,22 @@ def _entries(block):
 
 
 def _mult_index(alg) -> dict:
-    """(a1, a2) -> ((a3, entries), ...) of the product tensor, built once."""
+    """(s1, s2) -> ((s3, entries), ...) of the product tensor, built once."""
     index = alg._memo.get("mult_index")
     if index is None:
         index = alg._memo["mult_index"] = {}
-        for (a1, a2, a3), block in alg.mult.items():
-            index.setdefault((a1, a2), []).append((a3, _entries(block)))
+        for (s1, s2, s3), block in alg.mult.items():
+            index.setdefault((s1, s2), []).append((s3, _entries(block)))
     return index
 
 
 def _comult_index(alg) -> dict:
-    """a3 -> ((a1, a2, entries), ...) of the coproduct tensor, derived once."""
+    """s3 -> ((s1, s2, entries), ...) of the coproduct tensor, derived once."""
     index = alg._memo.get("comult_index")
     if index is None:
         index = alg._memo["comult_index"] = {}
-        for (a1, a2, a3), block in comult_tensor(alg).items():
-            index.setdefault(a3, []).append((a1, a2, _entries(block)))
+        for (s1, s2, s3), block in comult_tensor(alg).items():
+            index.setdefault(s3, []).append((s1, s2, _entries(block)))
     return index
 
 
@@ -203,18 +218,15 @@ def _comult_index(alg) -> dict:
 def mult_layer(alg, word, k) -> DoubleMorphism:
     """Multiplication applied at letters (k, k+1) of a doubled word."""
     data = alg.data
-    sidx = alg.summand_index
     index = _mult_index(alg)
 
     def rule(window, left, right):
-        a1, a1p = word[k].summands[window[0]]
-        a2, a2p = word[k + 1].summands[window[1]]
-        for a3, entries in index.get((a1, a2), ()):
-            a3p = data.dual(a3)
+        for s3, entries in index.get(window, ()):
+            ls, rs = alg.labels(window + (s3,))
             for i, j, coef in entries:
-                yield ((sidx[a3],), coef,
-                       gc.vertex_morphism(data, left, k, a1, a2, a3, i),
-                       gc.vertex_morphism(data, right, k, a1p, a2p, a3p, j))
+                yield ((s3,), coef,
+                       gc.vertex_morphism(data, left, k, *ls, i),
+                       gc.vertex_morphism(data, right, k, *rs, j))
 
     return doubled_layer(data, word, k, 2, (alg.object,), rule)
 
@@ -225,11 +237,10 @@ def ev_layer(alg, word, k) -> DoubleMorphism:
     data = alg.data
 
     def rule(window, left, right):
-        b = word[k].summands[window[0]][0]
-        a = word[k + 1].summands[window[1]][0]
-        if b == data.dual(a):
-            yield ((), 1.0, gc.cap_morphism(data, left, k, b, a),
-                   gc.cap_morphism(data, right, k, data.dual(b), data.dual(a)))
+        if window[0] == alg.dual_summand[window[1]]:
+            ls, rs = alg.labels(window)
+            yield ((), 1.0, gc.cap_morphism(data, left, k, *ls),
+                   gc.cap_morphism(data, right, k, *rs))
 
     return doubled_layer(data, word, k, 2, (), rule)
 
@@ -238,23 +249,21 @@ def ev_layer(alg, word, k) -> DoubleMorphism:
 def comult_layer(alg, word, k) -> DoubleMorphism:
     """Coproduct at letter k, applied as a local layer.
 
-    Each block (a1, a2 <- a3) of ``comult_tensor`` splits letter k by a pair
+    Each block (s1, s2 <- s3) of ``comult_tensor`` splits letter k by a pair
     of covertices, left and right factor, weighted by the tensor entry.  The
     tensor is read once per algebra off ``_comult_diagram``, which stays the
     oracle of this layer.
     """
     data = alg.data
-    sidx = alg.summand_index
     index = _comult_index(alg)
 
     def rule(window, left, right):
-        a3, a3p = word[k].summands[window[0]]
-        for a1, a2, entries in index.get(a3, ()):
-            a1p, a2p = data.dual(a1), data.dual(a2)
+        for s1, s2, entries in index.get(window[0], ()):
+            ls, rs = alg.labels((s1, s2) + window)
             for i, j, coef in entries:
-                yield ((sidx[a1], sidx[a2]), coef,
-                       gc.covertex_morphism(data, left, k, a1, a2, a3, i),
-                       gc.covertex_morphism(data, right, k, a1p, a2p, a3p, j))
+                yield ((s1, s2), coef,
+                       gc.covertex_morphism(data, left, k, *ls, i),
+                       gc.covertex_morphism(data, right, k, *rs, j))
 
     return doubled_layer(data, word, k, 1, (alg.object, alg.object), rule)
 
@@ -281,20 +290,19 @@ def _comult_diagram(alg, word, k) -> DoubleMorphism:
 
 
 def comult_tensor(alg) -> dict:
-    """Coproduct coefficients (a1, a2, a3) -> block over dual-vertex pairs.
+    """Coproduct coefficients (s1, s2, s3) -> block over dual-vertex pairs.
 
-    Read off the diagram construction on the one-letter word.
+    Keyed like ``alg.mult``: the block of (s1 s2 <- s3) is over (left
+    multiplicity, right multiplicity).  Read off the diagram construction
+    on the one-letter word.
     """
-    data = alg.data
     delta = _comult_diagram(alg, _fword(alg, 1), 0)
-    sidx = alg.summand_index
     out = {}
-    for (a1, a2, a3), block in alg.mult.items():
-        n = block.shape[0]
-        key = ((sidx[a3],), (sidx[a1], sidx[a2]), a3, data.dual(a3))
+    for (s1, s2, s3), block in alg.mult.items():
+        key = ((s3,), (s1, s2)) + alg.object.summands[s3]
         mat = delta.blocks.get(key)
         if mat is not None:
-            out[(a1, a2, a3)] = mat.reshape(n, n).copy()
+            out[(s1, s2, s3)] = mat.reshape(block.shape).copy()
     return out
 
 
@@ -302,10 +310,10 @@ def comult_tensor(alg) -> dict:
 def unit_layer(alg, word, k) -> DoubleMorphism:
     """Inclusion of the unit summand as a new letter at position k."""
     data = alg.data
-    eidx = alg.summand_index[data.unit]
+    unit = alg.unit_summand
 
     def rule(window, left, right):
-        yield ((eidx,), 1.0, gc.unit_insert_morphism(data, left, k),
+        yield ((unit,), 1.0, gc.unit_insert_morphism(data, left, k),
                gc.unit_insert_morphism(data, right, k))
 
     return doubled_layer(data, word, k, 0, (alg.object,), rule)
@@ -315,10 +323,10 @@ def unit_layer(alg, word, k) -> DoubleMorphism:
 def counit_layer(alg, word, k) -> DoubleMorphism:
     """Projection of letter k onto the unit summand (counit normalization 1)."""
     data = alg.data
-    eidx = alg.summand_index[data.unit]
+    unit = alg.unit_summand
 
     def rule(window, left, right):
-        if window == (eidx,):
+        if window == (unit,):
             yield ((), 1.0, gc.unit_remove_morphism(data, left, k),
                    gc.unit_remove_morphism(data, right, k))
 
@@ -328,8 +336,7 @@ def counit_layer(alg, word, k) -> DoubleMorphism:
 def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
     """Diagonal action of the form coefficient on letter k."""
     return DoubleMorphism.scaled_identity(
-        alg.data, word,
-        lambda assign, cl, cr: alg.phi[word[k].summands[assign[k]][0]] ** power,
+        alg.data, word, lambda assign, cl, cr: alg.phi[assign[k]] ** power
     )
 
 
@@ -337,15 +344,15 @@ def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
 def coev_layer(alg, word, k) -> DoubleMorphism:
     """Insert a dual pair of algebra letters created from the unit at k."""
     data = alg.data
-    sidx = alg.summand_index
+    pairs = tuple(enumerate(alg.dual_summand))
 
     def rule(window, left, right):
-        for a in range(data.size):
-            ap = data.dual(a)
-            dim = gc.categorical_dim(data, a)
-            yield ((sidx[a], sidx[ap]), 1.0,
-                   dim * gc.cup_morphism(data, left, k, a, ap),
-                   dim * gc.cup_morphism(data, right, k, ap, a))
+        for pair in pairs:
+            ls, rs = alg.labels(pair)
+            dim = gc.categorical_dim(data, ls[0])
+            yield (pair, 1.0,
+                   dim * gc.cup_morphism(data, left, k, *ls),
+                   dim * gc.cup_morphism(data, right, k, *rs))
 
     return doubled_layer(data, word, k, 0, (alg.object, alg.object), rule)
 
@@ -382,14 +389,10 @@ def verify_algebra_axioms(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
 
     # the same residual through the braid action on the tensor itself
     res_omega = 0.0
-    for (a1, a2, a3), block in alg.mult.items():
-        other = alg.mult.get((a2, a1, a3))
-        if other is None:
-            res_omega = max(res_omega, float(np.max(np.abs(block))))
-            continue
-        rl = data.r_block(a1, a2, a3)
-        rr = data.r_block_inv(data.dual(a1), data.dual(a2), data.dual(a3))
-        got = rl.T @ other @ rr
+    for (s1, s2, s3), block in alg.mult.items():
+        other = alg.mult.get((s2, s1, s3))
+        ls, rs = alg.labels((s1, s2, s3))
+        got = 0 if other is None else data.r_block(*ls).T @ other @ data.r_block_inv(*rs)
         res_omega = max(res_omega, float(np.max(np.abs(got - block))))
     report.add("commutativity_skew_route", (), res_omega)
     report.add("commutativity_routes_agree", (), abs(res_braid - res_omega))
@@ -419,7 +422,6 @@ def verify_frobenius(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -> Rep
     cr = counit_layer(alg, f2, 1) @ comult_layer(alg, f1, 0)
     report.add("counit_right", (), cr.distance(ident))
 
-    ident2 = DoubleMorphism.identity(data, f2)
     mid = comult_layer(alg, f1, 0) @ mult_layer(alg, f2, 0)
     lhs = mult_layer(alg, f3, 1) @ comult_layer(alg, f2, 0)
     rhs = mult_layer(alg, f3, 0) @ comult_layer(alg, f2, 1)
@@ -432,13 +434,8 @@ def verify_frobenius(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -> Rep
 
 def _pairing_degeneracy(alg) -> float:
     """0.0 iff every duality-channel pairing block is invertible."""
-    worst = 1.0
-    for a, ap in alg.object.summands:
-        block = alg.mult.get((a, ap, alg.data.unit))
-        if block is None or abs(np.linalg.det(block)) < 1e-12:
-            return 1.0
-        worst = min(worst, abs(np.linalg.det(block)))
-    return 0.0 if worst > 1e-12 else 1.0
+    blocks = [alg.mult.get((s, d, alg.unit_summand)) for s, d in enumerate(alg.dual_summand)]
+    return 0.0 if all(b is not None and abs(np.linalg.det(b)) > 1e-12 for b in blocks) else 1.0
 
 
 def verify_invariant_form(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -> Report:
@@ -451,25 +448,15 @@ def verify_invariant_form(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
     # (1) the bending identity: the multiplication tensor is fixed by
     # bending both factors and conjugating by the form coefficients
     res = 0.0
-    for (a1, a2, a3), block in alg.mult.items():
-        n = block.shape[0]
-        b0 = np.zeros((n, n), complex)
-        b1 = np.zeros((n, n), complex)
-        for i in range(n):
-            v = gc.VertexVector.basis(data, a1, a2, a3, i)
-            b0[:, i] = gc.bend_vertex(data, v, "+").array
-            vp = gc.VertexVector.basis(
-                data, data.dual(a1), data.dual(a2), data.dual(a3), i
-            )
-            b1[:, i] = gc.bend_vertex(data, vp, "-").array
-        target_key = (a1, data.dual(a3), data.dual(a2))
-        target = alg.mult.get(target_key)
-        scale = alg.phi[a3] / alg.phi[data.dual(a2)]
+    dual = alg.dual_summand
+    for (s1, s2, s3), block in alg.mult.items():
+        ls, rs = alg.labels((s1, s2, s3))
+        b0 = _bent_basis(data, ls, block.shape[0], "+")
+        b1 = _bent_basis(data, rs, block.shape[1], "-")
+        target = alg.mult.get((s1, dual[s3], dual[s2]))
+        scale = alg.phi[s3] / alg.phi[dual[s2]]
         got = scale * (b0 @ block @ b1.T)
-        if target is None:
-            res = max(res, float(np.max(np.abs(got))))
-        else:
-            res = max(res, float(np.max(np.abs(got - target))))
+        res = max(res, float(np.max(np.abs(got if target is None else got - target))))
     report.add("form_invariance", (), res)
 
     # (2) symmetry of the induced pairing under the doubled braiding
@@ -487,6 +474,14 @@ def verify_invariant_form(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
     return report
 
 
+def _bent_basis(data, labels, n, sense) -> np.ndarray:
+    """Columns: the n basis vertices of channel ``labels``, bent by ``sense``."""
+    out = np.zeros((n, n), complex)
+    for i in range(n):
+        out[:, i] = gc.bend_vertex(data, gc.VertexVector.basis(data, *labels, i), sense).array
+    return out
+
+
 def _phi_from_frobenius(alg) -> DoubleMorphism:
     """The canonical iso onto the dual object built from counit, product
     and the doubled dual pair; should reproduce the form coefficients."""
@@ -495,8 +490,8 @@ def _phi_from_frobenius(alg) -> DoubleMorphism:
     pair3 = mult_layer(alg, _fword(alg, 3), 0)          # multiply first two
     step = pair3 @ step                                 # (F, F)
     step = counit_layer(alg, _fword(alg, 2), 0) @ step  # (F)
-    # the output letter carries the dual-summand labels; the summand (a', a)
-    # of the dual object is the summand a' of the object itself
+    # the output letter carries the dual-summand labels; the summand (l', r')
+    # of the dual object is the dual summand of (l, r) in the object itself
     return step
 
 
@@ -509,12 +504,12 @@ def emit_algebra(alg: FullFieldAlgebraData) -> str:
         "category": category_document(alg.data),
         "summands": [list(p) for p in alg.object.summands],
         "mult": sorted(
-            [a1, a2, a3, i, j, block[i, j].real, block[i, j].imag]
-            for (a1, a2, a3), block in alg.mult.items()
+            [s1, s2, s3, i, j, block[i, j].real, block[i, j].imag]
+            for (s1, s2, s3), block in alg.mult.items()
             for i in range(block.shape[0])
             for j in range(block.shape[1])
         ),
-        "phi": [[a, alg.phi[a].real, alg.phi[a].imag] for a in sorted(alg.phi)],
+        "phi": [[s, alg.phi[s].real, alg.phi[s].imag] for s in sorted(alg.phi)],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -524,50 +519,52 @@ def loads_algebra(source: str | dict) -> FullFieldAlgebraData:
     one raises CategoryDataError.
 
     The embedded category must be a JSON object, every label and index must
-    be a JSON integer and every real or imaginary part a JSON number, the
-    summands must be the diagonal object, each mult entry must name an
-    admissible channel and multiplicity pair once, with a finite value, and
-    phi must give every label one finite nonzero coefficient (the coproduct
-    divides by it).
+    be a JSON integer and every real or imaginary part a JSON number, and
+    the summands must be the diagonal object.  Each mult row
+    [s1, s2, s3, i, j, re, im] names summand indices and a left
+    multiplicity i and right multiplicity j of the channel (s1 s2 -> s3);
+    it must be admissible, given once, with a finite value.  phi must give
+    every summand one finite nonzero coefficient (the coproduct divides by
+    it).
     """
     try:
         doc = source if isinstance(source, dict) else json.loads(source)
         category = doc["category"]
         summands = tuple((_int(l), _int(r)) for l, r in doc["summands"])
         mult_rows = [
-            ((_int(a1), _int(a2), _int(a3), _int(i), _int(j)),
+            ((_int(s1), _int(s2), _int(s3), _int(i), _int(j)),
              complex(_num(re), _num(im)))
-            for a1, a2, a3, i, j, re, im in doc["mult"]
+            for s1, s2, s3, i, j, re, im in doc["mult"]
         ]
-        phi_rows = [(_int(a), complex(_num(re), _num(im))) for a, re, im in doc["phi"]]
+        phi_rows = [(_int(s), complex(_num(re), _num(im))) for s, re, im in doc["phi"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed algebra document: {exc}") from exc
     if not isinstance(category, dict):
         raise CategoryDataError("malformed algebra document: category is not an object")
     data = loads_category(category)
-    labels = range(data.size)
-    if summands != tuple((a, data.dual(a)) for a in labels):
+    if summands != tuple((a, data.dual(a)) for a in range(data.size)):
         raise CategoryDataError("summands must be the pairs (a, dual a), one per label")
+    indices = range(len(summands))
     mult = {}
     seen = set()
     for key, value in mult_rows:
-        a1, a2, a3, i, j = key
-        if not all(a in labels for a in (a1, a2, a3)):
+        channel, (i, j) = key[:3], key[3:]
+        if not all(s in indices for s in channel):
             raise CategoryDataError(f"mult entry {key} has an unknown label")
-        n = data.n(a1, a2, a3)
-        if not (0 <= i < n and 0 <= j < n):
+        nl, nr = (data.n(*labels) for labels in zip(*(summands[s] for s in channel)))
+        if not (0 <= i < nl and 0 <= j < nr):
             raise CategoryDataError(f"mult entry {key} outside multiplicity range")
         if key in seen:
             raise CategoryDataError(f"duplicate mult entry {key}")
         if not cmath.isfinite(value):
             raise CategoryDataError(f"mult entry {key} is not finite")
         seen.add(key)
-        block = mult.setdefault((a1, a2, a3), np.zeros((n, n), complex))
+        block = mult.setdefault(channel, np.zeros((nl, nr), complex))
         block[i, j] = value
     phi = dict(phi_rows)
-    if len(phi_rows) != data.size or set(phi) != set(labels):
+    if len(phi_rows) != len(summands) or set(phi) != set(indices):
         raise CategoryDataError("phi must give exactly one coefficient per label")
-    for a, value in phi.items():
+    for s, value in phi.items():
         if value == 0 or not cmath.isfinite(value):
-            raise CategoryDataError(f"phi of label {a} must be finite and nonzero")
+            raise CategoryDataError(f"phi of label {s} must be finite and nonzero")
     return FullFieldAlgebraData(data, DoubleObject(summands), mult, phi)

@@ -178,7 +178,6 @@ class CategoryData:
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
         self._validate_tables()  # builds self._f_table and self._r_table
-        self.h = tuple((cmath.phase(t) / (2 * math.pi)) % 1.0 for t in self.twist)
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
         )

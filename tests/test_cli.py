@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -399,6 +400,29 @@ def test_package_runs_as_module():
     assert proc.stderr.startswith("usage error:")
 
 
+def test_calls_in_one_process_match_fresh_processes():
+    # one parser serves every call of a process: no call may see the
+    # arguments, defaults or errors of an earlier one (the text report's
+    # wall time is the one part that differs between runs)
+    def result(status, text):
+        return status, re.sub(r"wall_time=\S+", "wall_time=", text)
+
+    calls = [
+        ["operad-check", "--trials", "few"],
+        ["verify-category", "builtin:fibonacci", "--format", "text", "--tol", "1e-9"],
+        ["rigidity", "builtin:trivial"],
+        [],
+        ["operad-check", "--trials", "2", "--exact"],
+        ["verify-category", "builtin:fibonacci"],
+    ]
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtcalc", *argv], capture_output=True, text=True
+        )
+        want = result(proc.returncode, proc.stdout + proc.stderr)
+        assert result(*run_suite(argv)) == want, argv
+
+
 # -- malformed algebra and category files -------------------------------------
 
 
@@ -466,6 +490,44 @@ def test_malformed_algebra_file_is_input_error(tmp_path, fibonacci_algebra_doc, 
     status, out = run_suite(["verify-ffa", str(path)])
     assert status == EXIT_INPUT, out
     assert out.startswith("input error:")
+
+
+def _left_index_out_of_range(doc):
+    doc["mult"][0][3] = 1
+
+
+def _right_index_out_of_range(doc):
+    doc["mult"][0][4] = 1
+
+
+def _infinite_mult_entry(doc):
+    doc["mult"][0][5] = float("inf")
+
+
+# The loader's message for each malformed Fibonacci algebra file.  Its mult
+# rows are sorted: the first is (0, 0, 0, 0, 0), the last (1, 1, 1, 0, 0).
+ALGEBRA_MESSAGES = {
+    "unknown_index": (_mult_label_out_of_range,
+                      "mult entry (7, 0, 0, 0, 0) has an unknown label"),
+    "left_multiplicity": (_left_index_out_of_range,
+                          "mult entry (0, 0, 0, 1, 0) outside multiplicity range"),
+    "right_multiplicity": (_right_index_out_of_range,
+                           "mult entry (0, 0, 0, 0, 1) outside multiplicity range"),
+    "duplicate_row": (_duplicate_mult_entry, "duplicate mult entry (1, 1, 1, 0, 0)"),
+    "non_finite": (_infinite_mult_entry, "mult entry (0, 0, 0, 0, 0) is not finite"),
+    "phi_misses_summand": (_short_phi, "phi must give exactly one coefficient per label"),
+    "zero_phi": (_zero_phi, "phi of label 1 must be finite and nonzero"),
+}
+
+
+@pytest.mark.parametrize("case", ALGEBRA_MESSAGES)
+def test_malformed_algebra_messages(tmp_path, fibonacci_algebra_doc, case):
+    corrupt, message = ALGEBRA_MESSAGES[case]
+    doc = copy.deepcopy(fibonacci_algebra_doc)
+    corrupt(doc)
+    path = tmp_path / "fib_ffa.json"
+    path.write_text(json.dumps(doc))
+    assert run_suite(["verify-ffa", str(path)]) == (EXIT_INPUT, f"input error: {message}\n")
 
 
 def _fractional_mult_label(doc):

@@ -8,7 +8,7 @@ import pytest
 from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc import diagonal_frobenius as df
-from mtcalc.deligne_double import DoubleMorphism, assignments, pair_layer
+from mtcalc.deligne_double import DoubleMorphism, DoubleObject, assignments, pair_layer
 
 BUILTINS = fd.BUILTIN_NAMES
 PHI = (1 + math.sqrt(5)) / 2
@@ -264,9 +264,8 @@ def test_comult_tensor_reads_the_diagram(categories, monkeypatch):
     monkeypatch.setattr(df, "comult_layer", refuse)
     delta = df.comult_tensor(alg)
     diagram = df._comult_diagram(alg, (alg.object,), 0)
-    sidx = alg.summand_index
-    for (a1, a2, a3), block in delta.items():
-        key = ((sidx[a3],), (sidx[a1], sidx[a2]), a3, alg.data.dual(a3))
+    for (s1, s2, s3), block in delta.items():
+        key = ((s3,), (s1, s2)) + alg.object.summands[s3]
         assert np.array_equal(block.ravel(), diagram.block(key).ravel())
     assert set(delta) == set(alg.mult)
 
@@ -280,7 +279,7 @@ def _counit_by_transpose(alg, word, k):
     data = alg.data
     cod = word[:k] + word[k + 1:]
     out = DoubleMorphism.zero(data, word, cod)
-    eidx = alg.summand_index[data.unit]
+    eidx = alg.object.summands.index((data.unit, data.unit))
 
     def transposed_insert(factor_word):
         m = gc.unit_insert_morphism(data, factor_word, k)
@@ -357,3 +356,32 @@ def test_memoized_layers_never_change(categories):
         for b, mat in m.blocks.items():
             assert not mat.flags.writeable
             assert np.array_equal(mat, blocks[b]), key
+
+
+# -- summand order ------------------------------------------------------------------
+
+
+def _reversed_summands(alg):
+    """``alg`` with its summands listed in reverse, mult and phi re-keyed."""
+    n = len(alg.object.summands)
+    flip = lambda key: tuple(n - 1 - s for s in key)
+    return df.FullFieldAlgebraData(
+        alg.data,
+        DoubleObject(alg.object.summands[::-1]),
+        {flip(key): block for key, block in alg.mult.items()},
+        {n - 1 - s: value for s, value in alg.phi.items()},
+    )
+
+
+@pytest.mark.parametrize("name", ("fibonacci", "ising", "z5"))
+def test_suites_independent_of_summand_order(algebras, pointed_category, name):
+    # nothing but the summands' labels may tell a layer which pair it is on
+    alg = algebras.get(name) or df.build_diagonal_algebra(pointed_category(5))
+    flipped = _reversed_summands(alg)
+    for suite in (df.verify_algebra_axioms, df.verify_frobenius, df.verify_invariant_form):
+        want, got = (
+            sorted((r.id, r.instance, r.ok, r.residual) for r in suite(a, 1e-9).records)
+            for a in (alg, flipped)
+        )
+        assert got == want, suite.__name__
+        assert all(ok for _, _, ok, _ in got), suite.__name__

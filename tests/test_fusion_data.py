@@ -72,7 +72,7 @@ def test_fibonacci_twist_value(categories):
 
     theta = categories["fibonacci"].twist[1]
     assert abs(theta - cmath.exp(4j * math.pi / 5)) < 1e-12
-    assert abs(categories["fibonacci"].h[1] - 0.4) < 1e-12
+    assert abs(cmath.phase(theta) / (2 * math.pi) - 0.4) < 1e-12  # weight h = 2/5
 
 
 def test_semion_twist_value(categories):

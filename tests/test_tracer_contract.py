@@ -157,3 +157,23 @@ def test_tracer_counts_block_inverses(monkeypatch):
     assert status == cli_io.EXIT_OK
     for name in ("f_block_inv", "r_block_inv"):
         assert values[f"fusion_data.{name}.calls"] > 0, name
+
+
+def test_tracer_counts_algebra_layers(monkeypatch):
+    # the algebra layer counts come from the wrapped module globals; a layer
+    # that the suites reached past them would count 0 on working code
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    argv = ["verify-ffa", "builtin:ising"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(" ".join(argv))
+        status, _ = cli_io.run_suite(argv)
+        values = spans.layer_values(tracer.summary())
+    finally:
+        tracer.uninstall()
+    assert status == cli_io.EXIT_OK
+    for name in ("mult", "comult", "coev", "ev", "unit", "counit", "phi"):
+        assert values[f"diagonal_frobenius.{name}_layer.calls"] > 0, name

@@ -23,6 +23,7 @@ rows and its columns are its trees in lexicographic order), and serves
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -104,6 +105,13 @@ class FusionRing:
         for b in word[1:]:
             states = {c for a in states for c in self.channels[a, b]}
         return tuple(sorted(states))
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """N as a dense (n, n, n) integer array, ``array[a, b, c] = N_ab^c``."""
+        N = np.zeros((self.size,) * 3, dtype=np.int64)
+        N[tuple(np.array(list(self.N)).T)] = list(self.N.values())
+        return N
 
     def fusion_matrix(self, a: int) -> np.ndarray:
         """(N_a)_{bc} = N_{ab}^c as an integer matrix."""
@@ -284,8 +292,7 @@ class CategoryData:
         # keys are unique, so a block is complete exactly when it holds
         # rows x columns entries: N_ba^c N_ab^c for R(a,b,c), and
         # sum_x N_bc^x N_ax^d times sum_y N_ab^y N_yc^d for F(a,b,c,d)
-        N = np.zeros((n,) * 3, dtype=np.int64)
-        N[tuple(np.array(list(ring.N)).T)] = list(ring.N.values())
+        N = ring.array
         _check_complete(self._r_table, N.transpose(1, 0, 2) * N, "R entry for channel")
         _check_complete(
             self._f_table,

@@ -11,7 +11,6 @@ plain matrix multiplication.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .fusion_data import CategoryData, DEFAULT_TOL
 from .report import Report
+from .table_arrays import FusingWords
 
 __all__ = [
     "BlockMap",
@@ -681,50 +681,6 @@ def verify_rigidity(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     return report
 
 
-def _fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
-                            outer_left, inner_left):
-    """Fusing matrix of (word) -> d expressed in the given vertex families.
-
-    ``outer_right[x]`` is a list of VertexVector in hom(w0 x, d), etc.
-    Returns (right_index_list, left_index_list, matrix).
-
-    Each row is the composite of two vertices read on the tree basis of
-    (word) -> d, taken from their dense local blocks.  A right row applies
-    the inner vertex at letters (1, 2) above the chain state w0 and then
-    the outer one above the unit, so it is the product of the two blocks.
-    A left row is nonzero on the trees ((y, mu), (d, nu)) only, where it is
-    the outer vertex's entry nu times the inner one's entry mu.
-    """
-    w0, w1, w2 = word
-    tre = trees(data, word, d)
-    if not tre:
-        return [], [], np.zeros((0, 0))
-    e = data.unit
-    rights, rvecs = [], []
-    for x in sorted(outer_right):
-        for io, yo in enumerate(outer_right[x]):
-            outer = _vertex_block(data, yo.a1, yo.a2, yo.a3, yo.vec, e, d)
-            for ii, yi in enumerate(inner_right[x]):
-                rights.append((x, io, ii))
-                inner = _vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, w0, d)
-                rvecs.append((outer @ inner)[0])
-    lefts, lvecs = [], []
-    for y in sorted(outer_left):
-        cols = [(n, mu, nu) for n, ((y2, mu), (_, nu)) in enumerate(tre) if y2 == y]
-        for io, yo in enumerate(outer_left[y]):
-            outer = _vertex_block(data, yo.a1, yo.a2, yo.a3, yo.vec, e, d)[0]
-            for ii, yi in enumerate(inner_left[y]):
-                lefts.append((y, io, ii))
-                inner = _vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, e, y)[0]
-                row = np.zeros(len(tre), complex)
-                for n, mu, nu in cols:
-                    row[n] = outer[nu] * inner[mu]
-                lvecs.append(row)
-    U = np.array(rvecs).reshape(len(rights), len(tre))
-    V = np.array(lvecs).reshape(len(lefts), len(tre))
-    return rights, lefts, U @ np.linalg.inv(V)
-
-
 def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     """Conjugation symmetries of the fusing matrices and the phase identities.
 
@@ -732,11 +688,27 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
     (stored F equals the inverse fusing matrix in braid-transformed bases),
     the bend/braid symmetry, equality of the dual pair of duality fusing
     scalars, and the phase identities tying duality vertices to twists.
+    The conjugation symmetries of all fusing words are evaluated at once
+    (``table_arrays.FusingWords``) from the images of the basis vertices,
+    each computed once.
     """
     t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
-    e = data.unit
+    _duality_records(data, report)
+    words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
+    images = [_basis_images(data, *family) for family in words.families]
+    for key, braid, bend in zip(words.keys, *words.residuals(images)):
+        report.add("fusing_braid_conjugation", key, braid)
+        report.add("fusing_bend_conjugation", key, bend)
+    report.wall_time = time.perf_counter() - t0
+    return report
 
+
+def _duality_records(data, report):
+    """The records of each label a: the dual pair of duality fusing scalars
+    and their inverse routes, the duality vertex phases and the bent unit
+    vertices."""
+    e = data.unit
     for a in range(data.size):
         ap = data.dual(a)
         fa = duality_fusing_scalar(data, a)
@@ -771,95 +743,15 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
             float(np.max(np.abs(got.array - theta * want.array))),
         )
 
-    # braid-conjugation symmetry of the fusing matrices
-    images = {}  # (operator, sense, a1, a2, a3, mu) -> image of a basis vertex
-    for key in _nonempty_fusing_words(data):
-        a1, a2, a3, a4 = key
-        res = _braid_conjugation_defect(data, images, a1, a2, a3, a4)
-        report.add("fusing_braid_conjugation", key, res)
-        res = _bend_conjugation_defect(data, images, a1, a2, a3, a4)
-        report.add("fusing_bend_conjugation", key, res)
-    report.wall_time = time.perf_counter() - t0
-    return report
 
-
-def _nonempty_fusing_words(data):
-    n = data.size
-    return [
-        (a1, a2, a3, a4)
-        for a1, a2, a3 in itertools.product(range(n), repeat=3)
-        for a4 in data.ring.totals((a1, a2, a3))
-    ]
-
-
-def _basis_images(data, images, op, sense, a1, a2, a3):
-    """``op`` (swap_vertex or bend_vertex) of every basis vertex of
-    hom(a1 a2, a3), each computed once per ``images`` memo."""
-    out = []
-    for mu in range(data.n(a1, a2, a3)):
-        key = (op, sense, a1, a2, a3, mu)
-        if key not in images:
-            images[key] = op(data, VertexVector.basis(data, a1, a2, a3, mu), sense)
-        out.append(images[key])
-    return out
-
-
-def _braid_conjugation_defect(data, images, a1, a2, a3, a4) -> float:
-    """Stored F equals the inverse fusing matrix in swap-transformed bases."""
-    word = (a3, a2, a1)
-    outer_right, inner_right = {}, {}
-    outer_left, inner_left = {}, {}
-    for x in data.ring.outcomes(a2, a3):
-        if data.n(a1, x, a4):
-            outer_left[x] = _basis_images(data, images, swap_vertex, "+", a1, x, a4)
-            inner_left[x] = _basis_images(data, images, swap_vertex, "+", a2, a3, x)
-    for y in data.ring.outcomes(a1, a2):
-        if data.n(y, a3, a4):
-            outer_right[y] = _basis_images(data, images, swap_vertex, "+", y, a3, a4)
-            inner_right[y] = _basis_images(data, images, swap_vertex, "+", a1, a2, y)
-    rights, lefts, mat = _fusing_matrix_in_bases(
-        data, word, a4, outer_right, inner_right, outer_left, inner_left
-    )
-    if not rights:
-        return 0.0
-    inv = np.linalg.inv(mat)
-    stored = data.f_block(a1, a2, a3, a4)
-    sr = data.f_right_basis(a1, a2, a3, a4)
-    sl = data.f_left_basis(a1, a2, a3, a4)
-    res = 0.0
-    for xi, (x, i, j) in enumerate(sr):
-        for yi, (y, k, l) in enumerate(sl):
-            got = inv[lefts.index((x, i, j)), rights.index((y, k, l))]
-            res = max(res, abs(stored[xi, yi] - got))
-    return res
-
-
-def _bend_conjugation_defect(data, images, a1, a2, a3, a4) -> float:
-    """Stored F equals the fusing matrix in bent/swapped bases."""
-    a3p, a4p = data.dual(a3), data.dual(a4)
-    word = (a2, a1, a4p)
-    outer_right, inner_right = {}, {}
-    outer_left, inner_left = {}, {}
-    for x in data.ring.outcomes(a2, a3):
-        if data.n(a1, x, a4):
-            xp = data.dual(x)
-            outer_right[xp] = _basis_images(data, images, bend_vertex, "+", a2, a3, x)
-            inner_right[xp] = _basis_images(data, images, bend_vertex, "+", a1, x, a4)
-    for y in data.ring.outcomes(a1, a2):
-        if data.n(y, a3, a4):
-            outer_left[y] = _basis_images(data, images, bend_vertex, "+", y, a3, a4)
-            inner_left[y] = _basis_images(data, images, swap_vertex, "-", a1, a2, y)
-    rights, lefts, mat = _fusing_matrix_in_bases(
-        data, word, a3p, outer_right, inner_right, outer_left, inner_left
-    )
-    if not rights:
-        return 0.0
-    stored = data.f_block(a1, a2, a3, a4)
-    sr = data.f_right_basis(a1, a2, a3, a4)
-    sl = data.f_left_basis(a1, a2, a3, a4)
-    res = 0.0
-    for xi, (x, i, j) in enumerate(sr):
-        for yi, (y, k, l) in enumerate(sl):
-            got = mat[rights.index((data.dual(x), j, i)), lefts.index((y, k, l))]
-            res = max(res, abs(stored[xi, yi] - got))
-    return res
+def _basis_images(data, kind, a, b, c) -> tuple:
+    """The images under ``kind`` ("swap+", "swap-" or "bend+") of the basis
+    vertices of hom(a b, c): their weights, and the local block of each
+    above the unit, the row the fusing matrices read it as."""
+    move = swap_vertex if kind.startswith("swap") else bend_vertex
+    weights, rows = [], []
+    for mu in range(data.n(a, b, c)):
+        v = move(data, VertexVector.basis(data, a, b, c, mu), kind[-1])
+        weights.append(v.vec)
+        rows.append(_vertex_block(data, v.a1, v.a2, v.a3, v.vec, data.unit, v.a3)[0])
+    return weights, rows

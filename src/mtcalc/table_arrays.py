@@ -1,25 +1,28 @@
 """The F- and R-tables as index arrays, and the coherence identities
 evaluated over them for a whole category at once.
 
-``fusion_data`` keeps the category model and the suites; this module holds
-the block store and what the batched suites compute with:
+``fusion_data`` and ``graphcalc`` keep the category model and the suites;
+this module holds the block store and what the batched suites compute
+with:
 
 * ``Table``: the one store of the F- or R-blocks; one row per table
   entry, with its block and its row and column in the block, which define
   the block layout, and the blocks and their inverses stacked by shape;
 * ``pentagon_batch`` and ``hexagon_batch``: the residual of every pentagon
   and hexagon instance of a category;
-* ``unitarity``: the unitarity defect of each matrix of a stack.
+* ``unitarity``: the unitarity defect of each matrix of a stack;
+* ``FusingWords``: the fusing matrices of every fusing word in the
+  swapped and the bent vertex bases, and their conjugation residuals.
 
 Labels and multiplicity indices are packed into int64 keys (mixed radix,
 so keys sort as the tuples do), and the terms of an identity are found by
 joining keys.  The results are those of the per-instance routes
-(``tests/coherence_oracle.py``) bit for bit: sums run in the order of
-their loops (``np.bincount`` adds in input order), a product of two Python
-complex numbers is formed from real and imaginary parts as CPython forms
-it (numpy's complex multiply rounds many products differently), and
-stacked ``np.linalg.inv`` and ``@`` compute each matrix as the unstacked
-calls do.
+(``tests/coherence_oracle.py``, ``tests/fusing_oracle.py``) bit for bit:
+sums run in the order of their loops (``np.bincount`` adds in input
+order), a product of two Python complex numbers is formed from real and
+imaginary parts as CPython forms it (numpy's complex multiply rounds many
+products differently), and stacked ``np.linalg.inv`` and ``@`` compute
+each matrix as the unstacked calls do.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Table", "pentagon_batch", "hexagon_batch", "unitarity"]
+__all__ = ["Table", "pentagon_batch", "hexagon_batch", "unitarity", "FusingWords"]
 
 _EMPTY = np.zeros((0, 0), dtype=complex)
 _EMPTY.setflags(write=False)
@@ -330,11 +333,7 @@ def hexagon_batch(F: Table, R: Table):
     def neg_singular(a, b, c):  # whether the negative braiding of (a, b, c) fails
         return r_singular[R.block_of(b, a, c)]
 
-    # F's columns (y, k, l) and their place among the trees ordered (y, l, k)
-    cb, cy, ck, cl = np.unravel_index(F.col_keys, (nb, n, m, m))
-    t3 = np.empty(len(cb), dtype=np.int64)
-    by_t3 = np.lexsort((ck, cl, cy, cb))
-    t3[by_t3] = np.arange(len(cb)) - F.col_starts[cb[by_t3]]
+    cb, cy, ck, cl, t3 = _column_trees(F)
     X, I, J = F.cols[4], F.cols[6], F.cols[7]  # row tree (x, i, j) of an entry
 
     # braid (1,2): every column of block g is a src tree of instance g
@@ -405,6 +404,18 @@ def hexagon_batch(F: Table, R: Table):
     return keys, out[0].tolist(), out[1].tolist()
 
 
+def _column_trees(F: Table):
+    """F's columns (y, k, l), one per entry of ``F.col_keys``, as their
+    block, y, k and l, and their place among the block's trees ((y, l),
+    (d, k)) of the word (a, b, c) -> d, which are ordered by y, l, k."""
+    n, m = F.dims[0], F.dims[-1]
+    cb, cy, ck, cl = np.unravel_index(F.col_keys, (len(F.blocks), n, m, m))
+    t3 = np.empty(len(cb), dtype=np.int64)
+    by_t3 = np.lexsort((ck, cl, cy, cb))
+    t3[by_t3] = np.arange(len(cb)) - F.col_starts[cb[by_t3]]
+    return cb, cy, ck, cl, t3
+
+
 def _summed(at, terms, order, size) -> np.ndarray:
     """Complex sums of ``terms`` into the slots ``at``, each slot adding its
     terms in the order ``order`` puts them."""
@@ -419,3 +430,224 @@ def unitarity(mats) -> np.ndarray:
     """Largest entry of M M^dagger - 1 for each matrix M of a stack."""
     gram = mats @ mats.conj().transpose(0, 2, 1) - np.eye(mats.shape[1])
     return np.max(np.abs(gram), axis=(1, 2))
+
+
+# the moves of a basis vertex whose images make up the fusing-symmetry bases
+IMAGE_KINDS = ("swap+", "swap-", "bend+")
+
+
+class FusingWords:
+    """The fusing words of an F-table and their fusing matrices in the
+    swapped and the bent vertex bases.
+
+    The words (a1, a2, a3, a4) are the F-blocks, in block order; ``keys``
+    lists them.  Each is read by two routes as a word (w0, w1, w2) -> d:
+    ``braid`` reads (a3, a2, a1) -> a4 in the bases swapped in the
+    positive sense from those of (a1, a2, a3) -> a4; ``bend`` reads
+    (a2, a1, a4') -> a3' with the right-tree vertices and the outer
+    left-tree vertex bent, and the inner left-tree vertex swapped in the
+    negative sense.  A basis is the family of images of the basis
+    vertices of one hom(a b, c) under one move of ``IMAGE_KINDS``;
+    ``families`` lists those the words read, as (kind, a, b, c) in
+    lexicographic order (kind by its place in ``IMAGE_KINDS``).
+
+    ``matrices`` forms each route's fusing matrix U V^-1 of every word:
+    the right trees (x, i, j) of (w0, w1, w2) -> d in the new bases over
+    the left ones, both as rows on its fusion trees ((y, mu), (d, nu)).
+    A row of U is the local block of outer image i above the unit times
+    that of inner image j above w0, read off the F-block of the word with
+    its columns in tree order; a row of V is zero off the trees through
+    y, where it holds outer entry nu times inner entry mu.  Every product,
+    sum and inverse is formed as the per-word route
+    (``tests/fusing_oracle.py``) forms it: stacked ``@`` and
+    ``np.linalg.inv`` on matrices laid out as its matrices are, and the
+    entries of V as Python complex products.  A singular matrix raises
+    ``np.linalg.LinAlgError``, as ``np.linalg.inv`` does.
+
+    The braid matrix has the rows (y, k, l) and the columns (x, i, j) of
+    F(a1, a2, a3, a4) transposed, so ``residuals`` compares its inverse
+    with F; the bend matrix has F's columns and the rows (x', j, i),
+    which it puts in F's row order (x, i, j) first.
+    """
+
+    def __init__(self, F: Table, N: np.ndarray, dual):
+        n, m = F.dims[0], F.dims[-1]
+        nb = len(F.blocks)
+        dual = np.asarray(dual)
+        a1, a2, a3, a4 = F.labels
+        self.F = F
+        self.keys = list(zip(*(lab.tolist() for lab in F.labels)))
+        # the channels of each block's rows (x, i, j) and columns (y, k, l)
+        xg, x = np.divmod(_distinct(F.row_keys // (m * m)), n)
+        yg, y = np.divmod(_distinct(F.col_keys // (m * m)), n)
+        x1, x2, x3, x4 = (lab[xg] for lab in F.labels)
+        y1, y2, y3, y4 = (lab[yg] for lab in F.labels)
+
+        def family(kind, a, b, c):
+            return _pack((IMAGE_KINDS.index(kind), a, b, c), (len(IMAGE_KINDS), n, n, n))
+
+        # per route and side, the outer and the inner family of each channel
+        braid_x = family("swap+", x1, x, x4), family("swap+", x2, x3, x)
+        braid_y = family("swap+", y, y3, y4), family("swap+", y1, y2, y)
+        bend_x = family("bend+", x2, x3, x), family("bend+", x1, x, x4)
+        bend_y = family("bend+", y, y3, y4), family("swap-", y1, y2, y)
+
+        wanted = _distinct(np.concatenate(braid_x + braid_y + bend_x + bend_y))
+        self.families = [
+            (IMAGE_KINDS[kind], a, b, c) for kind, a, b, c in zip(*(
+                lab.tolist() for lab in np.unravel_index(wanted, (len(IMAGE_KINDS), n, n, n))
+            ))
+        ]
+        sizes = N.ravel()[wanted % N.size]
+        self._base = np.zeros(len(IMAGE_KINDS) * N.size, dtype=np.intp)
+        self._base[wanted] = np.cumsum(sizes) - sizes
+
+        # the bend route orders its right trees by x'
+        by_dual = np.lexsort((dual[x], xg))
+        bend_rights = _channels(N, xg[by_dual], *(f[by_dual] for f in bend_x))
+        self._routes = {
+            "braid": (F.block_of(a3, a2, a1, a4),
+                      _channels(N, yg, *braid_y), _channels(N, xg, *braid_x)),
+            "bend": (F.block_of(a2, a1, dual[a4], dual[a3]),
+                     bend_rights, _channels(N, yg, *bend_y)),
+        }
+        # the bend matrix's row (x', j, i) of each row (x, i, j) of F
+        rb, rx, ri, rj = np.unravel_index(F.row_keys, (nb, n, m, m))
+        place = np.empty_like(by_dual)
+        place[by_dual] = np.arange(len(by_dual))
+        q = place[np.searchsorted(xg * n + x, rb * n + rx)]
+        _, _, _, _, n_in, off = bend_rights
+        self._bend_rows = off[q] + rj * n_in[q] + ri
+
+        self._stack = F._stack.flat[F.blocks]
+        self._slot = F._slot.flat[F.blocks]
+        # each stack's blocks with their columns in tree order, as
+        # [block, tree, row]: transposed, each matrix is laid out as
+        # ``block[:, perm]`` lays it out (in Fortran order)
+        t3 = _column_trees(F)[-1]
+        self._by_tree = []
+        for members, mats in F.stacks:
+            cols = t3[F.col_starts[members][:, None] + np.arange(mats.shape[2])]
+            by_tree = np.empty(mats.transpose(0, 2, 1).shape, dtype=complex)
+            by_tree[np.arange(len(members))[:, None], cols] = mats.transpose(0, 2, 1)
+            self._by_tree.append(by_tree)
+
+    def matrices(self, images) -> dict:
+        """Per route, per stack of ``F.stacks``, the fusing matrices U V^-1
+        of its words.  ``images`` holds, per family of ``families``, the
+        weights of its images and the local block above the unit of each
+        (its row, for an image of hom(a b, c), the block from the trees
+        of (1, a, b) to those of (1, c) with charge c)."""
+        m = self.F.dims[-1]
+        count = sum(len(weights) for weights, _ in images)
+        weights, rows = np.zeros((2, count, m), dtype=complex)
+        at = 0
+        for vecs, blocks in images:
+            weights[at:at + len(vecs), :len(vecs)] = vecs
+            rows[at:at + len(vecs), :len(vecs)] = blocks
+            at += len(vecs)
+        out = {}
+        for route, (read, rights, lefts) in self._routes.items():
+            out[route] = []
+            for k, (members, mats) in enumerate(self.F.stacks):
+                shape = (len(members),) + mats.shape[1:]
+                u = self._rights(k, shape, weights, rows, read, rights)
+                v = self._lefts(k, shape, rows, lefts)
+                out[route].append(u @ _invertible(v))
+        return out
+
+    def _rights(self, k, shape, weights, rows, read, items):
+        """U of the words of stack k: row (x, i, j) is the outer image i's
+        row times the inner image j's local block above w0, which is its
+        weights on the channel x times the F-block ``read`` of the word."""
+        g, outer, inner, n_out, n_in, off = items
+        u = np.zeros(shape, dtype=complex)
+        ours = self._stack[g] == k
+        for n_o in _distinct(n_out[ours]).tolist():
+            # one local block per (channel, j), of n_o rows nu: the weights
+            # mu of image j sit in the F-row (x, nu, mu)
+            it, j = _copies(np.flatnonzero(ours & (n_out == n_o)), n_in)
+            ni = n_in[it]
+            w = np.zeros((len(it), n_o, shape[1]), dtype=complex)
+            b, at = _copies(np.arange(len(it)), n_o * ni)
+            nu, mu = np.divmod(at, ni[b])
+            w[b, nu, off[it[b]] + nu * ni[b] + mu] = (
+                weights[self._base[inner[it[b]]] + j[b], mu]
+            )
+            local = w @ self._by_tree[k][self._slot[read[g[it]]]].transpose(0, 2, 1)
+            b, i = _copies(np.arange(len(it)), np.full(len(it), n_o))
+            outer_rows = rows[self._base[outer[it[b]]] + i, :n_o].reshape(-1, 1, n_o)
+            u[self._slot[g[it[b]]], off[it[b]] + i * ni[b] + j[b]] = (
+                (outer_rows @ local[b])[:, 0]
+            )
+        return u
+
+    def _lefts(self, k, shape, rows, items):
+        """V of the words of stack k: row (y, i, j) holds the outer image
+        i's entry nu times the inner image j's entry mu at tree ((y, mu),
+        (d, nu)).  A word's channels y are those of its trees, in order,
+        so V is block diagonal."""
+        g, outer, inner, n_out, n_in, off = items
+        v = np.zeros(shape, dtype=complex)
+        it = np.flatnonzero(self._stack[g] == k)
+        it, at = _copies(it, (n_out * n_in) ** 2)
+        row, col = np.divmod(at, n_out[it] * n_in[it])
+        i, j = np.divmod(row, n_in[it])
+        mu, nu = np.divmod(col, n_out[it])
+        a = rows[self._base[outer[it]] + i, nu]
+        b = rows[self._base[inner[it]] + j, mu]
+        where = (self._slot[g[it]], off[it] + row, off[it] + col)
+        v.real[where], v.imag[where] = _cmul(a.real, a.imag, b.real, b.imag)
+        return v
+
+    def residuals(self, images):
+        """The braid- and the bend-conjugation residual of every word, in
+        order: the largest |F - matrix| entry, with the braid matrix
+        inverted and the bend matrix's rows in F's order."""
+        braid, bend = np.zeros((2, len(self.keys)))
+        mats = self.matrices(images)
+        for (members, stored), swapped, bent in zip(
+            self.F.stacks, mats["braid"], mats["bend"]
+        ):
+            braid[members] = _largest_gap(stored, _invertible(swapped))
+            rows = self._bend_rows[self.F.row_starts[members][:, None]
+                                   + np.arange(stored.shape[1])]
+            bend[members] = _largest_gap(
+                stored, bent[np.arange(len(members))[:, None], rows]
+            )
+        return braid.tolist(), bend.tolist()
+
+
+def _channels(N, g, outer, inner):
+    """The channels of a route's rows, sorted by word and then in row
+    order, as (word, outer and inner family, their sizes, the channel's
+    first row in its word)."""
+    n_out, n_in = N.ravel()[outer % N.size], N.ravel()[inner % N.size]
+    size = n_out * n_in
+    first = np.cumsum(size) - size
+    return g, outer, inner, n_out, n_in, first - first[np.searchsorted(g, g)]
+
+
+def _copies(items, counts):
+    """Each of ``items`` repeated ``counts[item]`` times, and the place of
+    each copy among the copies of its item."""
+    counts = counts[items]
+    copies = np.repeat(items, counts)
+    return copies, np.arange(len(copies)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _invertible(mats):
+    """Inverses of a stack; LinAlgError, as ``np.linalg.inv`` raises it,
+    if one is singular."""
+    inv, singular = _stack_inverse(mats)
+    if singular.any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return inv
+
+
+def _largest_gap(a, b) -> np.ndarray:
+    """The largest entry of |a - b| for each pair of matrices, |z| formed
+    as ``abs`` forms it on one complex scalar, NaN entries passed over as
+    ``max`` passes them over, and 0.0 for no entry above 0."""
+    diff = (a - b).reshape(len(a), -1)
+    return np.fmax.reduce(np.hypot(diff.real, diff.imag), axis=1, initial=0.0)

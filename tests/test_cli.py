@@ -259,6 +259,21 @@ def test_singular_block(tmp_path, pointed_category, table):
     assert run_suite(["verify-ffa", str(alg_path)]) == (EXIT_INPUT, message)
 
 
+def test_fusing_symmetries_names_a_singular_block_its_images_invert(
+    tmp_path, pointed_category
+):
+    # no per-label record of Z_5 reads the R-block (1, 1, 2); the swapped
+    # images of the word stage invert it, and they are all formed before
+    # any fusing matrix is, so the error names the block
+    data = pointed_category(5)
+    R = {k: 0j if k[:3] == (1, 1, 2) else v for k, v in data.R.items()}
+    path = tmp_path / "z5_singular_r.json"
+    path.write_text(fd.emit_category(fd.CategoryData(data.ring, data.F, R, data.twist)))
+    assert run_suite(["fusing-symmetries", str(path)]) == (
+        EXIT_INPUT, "input error: R block (1, 1, 2) is singular\n"
+    )
+
+
 def test_category_file_is_not_read_as_algebra_by_its_labels(tmp_path):
     # the F entries of every category file carry a "mult" key; a label named
     # "category" must not make the file look like a build-ffa document

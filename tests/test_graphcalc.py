@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,12 @@ from mtcalc.graphcalc import (
     Morphism,
     VertexVector,
 )
+from mtcalc.report import emit_report
+from mtcalc.table_arrays import FusingWords
 
 import bending_oracle as bo
+import fusing_oracle as fo
+from test_fusion_data import INCOHERENT, ORACLE_INPUTS, oracle_input  # noqa: F401
 
 PHI = (1 + math.sqrt(5)) / 2
 BUILTINS = fd.BUILTIN_NAMES
@@ -576,60 +581,167 @@ def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
     return rights, lefts, U @ np.linalg.inv(V)
 
 
+def _batched_fusing_matrices(data) -> dict:
+    """Every braid and bend matrix of the batched suite, by (route, word)."""
+    words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
+    images = [gc._basis_images(data, *family) for family in words.families]
+    out = {}
+    for route, stacks in words.matrices(images).items():
+        for (members, _), mats in zip(data._f_table.stacks, stacks):
+            for b, mat in zip(members.tolist(), mats):
+                out[route, words.keys[b]] = mat
+    return out
+
+
 @pytest.mark.parametrize("name", BUILTINS + ("z5", "rep_a4_random"))
 def test_fusing_matrices_match_morphism_composition(
-    categories, pointed_category, rep_a4_random, monkeypatch, name
+    categories, pointed_category, rep_a4_random, name
 ):
-    """Every fusing matrix the suite builds, in the braid bases and in the
-    bend bases, equals the composed-Morphism route: exactly where every
-    multiplicity is 1, to 1e-12 relative on Rep(A4) (N_33^3 = 2)."""
+    """Every fusing matrix the batched suite builds, in the braid bases and
+    in the bend bases, equals the composed-Morphism route word by word:
+    exactly where every multiplicity is 1, to 1e-12 relative on Rep(A4)
+    (N_33^3 = 2).  Its rows and columns are the composed route's right and
+    left trees in the order the suite compares them with F in: F's columns
+    and rows (braid), and the rows (x', j, i) and F's columns (bend)."""
     if name == "z5":
         data = pointed_category(5)
     elif name == "rep_a4_random":
         data = rep_a4_random
     else:
         data = categories[name]
-    fast, compared = gc._fusing_matrix_in_bases, []
-
-    def checked(data, word, d, *bases):
-        rights, lefts, mat = fast(data, word, d, *bases)
-        want_r, want_l, want = _composed_fusing_matrix_in_bases(data, word, d, *bases)
-        assert (rights, lefts) == (want_r, want_l)
-        assert mat.shape == want.shape
-        if name != "rep_a4_random":
-            assert np.array_equal(mat, want), (word, d)
-        elif want.size:
-            assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
-        compared.append(word)
-        return rights, lefts, mat
-
-    monkeypatch.setattr(gc, "_fusing_matrix_in_bases", checked)
-    gc.verify_fusing_symmetries(data)
+    got = _batched_fusing_matrices(data)
+    words = fo.nonempty_fusing_words(data)
     # one braid and one bend matrix per nonempty fusing word
-    assert len(compared) == 2 * len(gc._nonempty_fusing_words(data))
+    assert sorted(got) == sorted((r, w) for r in ("braid", "bend") for w in words)
+    images = {}
+    for word in words:
+        rows, cols = data.f_right_basis(*word), data.f_left_basis(*word)
+        bent_rows = sorted((data.dual(x), j, i) for x, i, j in rows)
+        for route, bases, layout in (
+            ("braid", fo.braid_bases, (cols, rows)),
+            ("bend", fo.bend_bases, (bent_rows, cols)),
+        ):
+            want_r, want_l, want = _composed_fusing_matrix_in_bases(
+                data, *bases(data, images, *word)
+            )
+            assert (want_r, want_l) == layout
+            mat = got[route, word]
+            assert mat.shape == want.shape
+            if name != "rep_a4_random":
+                assert np.array_equal(mat, want), (route, word)
+            elif want.size:
+                assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fusing_matrices_read_local_blocks(pointed_category, monkeypatch):
-    """On Z_7 the fusing matrices are assembled from local blocks: no tree
-    window is rewritten while ``_fusing_matrix_in_bases`` runs."""
+    """On Z_7 the fusing matrices are assembled from local blocks: once the
+    basis images are in, no tree window is rewritten while the matrices of
+    all words are formed."""
     data = pointed_category(7)
-    inside, seen = [0], {"fusing": 0, "window": 0}
-    fusing, window = gc._fusing_matrix_in_bases, gc._replace_window
+    inside, seen = [0], {"matrices": 0, "window": 0}
+    matrices, window = FusingWords.matrices, gc._replace_window
 
-    def fusing_spy(*args):
-        seen["fusing"] += 1
+    def matrices_spy(self, images):
         inside[0] += 1
         try:
-            return fusing(*args)
+            out = matrices(self, images)
         finally:
             inside[0] -= 1
+        seen["matrices"] += sum(len(m) for stacks in out.values() for m in stacks)
+        return out
 
     def window_spy(*args):
         seen["window"] += inside[0] > 0
         return window(*args)
 
-    monkeypatch.setattr(gc, "_fusing_matrix_in_bases", fusing_spy)
+    monkeypatch.setattr(FusingWords, "matrices", matrices_spy)
     monkeypatch.setattr(gc, "_replace_window", window_spy)
     rep = gc.verify_fusing_symmetries(data)
     assert rep.passed
-    assert seen == {"fusing": 2 * len(gc._nonempty_fusing_words(data)), "window": 0}
+    assert seen == {"matrices": 2 * len(fo.nonempty_fusing_words(data)), "window": 0}
+
+
+def _report_or_error(suite, data):
+    try:
+        return emit_report(suite(data, 1e-9)), None
+    except fd.CategoryDataError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + ("z7",) + tuple(INCOHERENT))
+def test_fusing_report_matches_oracle_bytes(oracle_input, name):
+    """The batched suite writes the report of the per-word route byte for
+    byte, on coherent and incoherent data; on a singular block both raise
+    the same error."""
+    make = INCOHERENT.get(name)
+    data = make(oracle_input) if make else oracle_input(name)
+    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    got = _report_or_error(gc.verify_fusing_symmetries, data)
+    assert got == _report_or_error(fo.verify_fusing_symmetries, fresh)
+    report, error = got
+    if name.startswith("z3_singular"):
+        assert error == {
+            "z3_singular_f": "F block (1, 1, 1, 0) is singular",
+            "z3_singular_r": "R block (1, 2, 0) is singular",
+        }[name]
+    elif make:
+        assert not json.loads(report)["summary"]["pass"]
+
+
+def _edited(data, F=None, twist=None):
+    """``data`` with the F entries given multiplied by their factors, or
+    another twist."""
+    F = {**data.F, **{k: data.F[k] * f for k, f in (F or {}).items()}}
+    return fd.CategoryData(data.ring, F, data.R, data.twist if twist is None else twist)
+
+
+def _untwisted_fibonacci(get):
+    return _edited(get("fibonacci"), twist=[1.0, 1.0])
+
+
+def _z3_dual_pair_entry(get):
+    # F^{1 2 1}_1 on the unit channels: the duality fusing scalar of label 1
+    return _edited(get("z3"), F={(1, 2, 1, 1, 0, 0, 0, 0, 0, 0): 1j})
+
+
+def _z3_twist_negated(get):
+    data = get("z3")
+    return _edited(data, twist=[data.twist[0], -data.twist[1], data.twist[2]])
+
+
+# per check id of the suite, a corrupted input on which the batched route
+# fails it
+NEGATIVE_CONTROLS = {
+    "dual_scalar_equal": _z3_dual_pair_entry,
+    "dual_scalar_inverse_route": _z3_dual_pair_entry,
+    "dual_scalar_inverse_route_dual": _z3_dual_pair_entry,
+    "duality_vertex_phase_pos": _untwisted_fibonacci,
+    "duality_vertex_phase_neg": _untwisted_fibonacci,
+    "bend_unit_left": _untwisted_fibonacci,
+    "bend_unit_right": _z3_twist_negated,
+    # a non-unit F entry of Z_3 that no duality record reads
+    "fusing_braid_conjugation": lambda get: _edited(
+        get("z3"), F={(1, 1, 2, 1, 0, 2, 0, 0, 0, 0): 1j}
+    ),
+    "fusing_bend_conjugation": INCOHERENT["ising_perturbed_f"],
+}
+
+
+def test_every_fusing_check_id_has_a_negative_control(categories):
+    ids = {r.id for r in gc.verify_fusing_symmetries(categories["ising"]).records}
+    assert ids == set(NEGATIVE_CONTROLS)
+
+
+@pytest.mark.parametrize("check_id", NEGATIVE_CONTROLS)
+def test_fusing_negative_control(oracle_input, check_id):
+    """The corruption fails ``check_id`` on the batched route, and the
+    per-word route fails the same (id, instance) records."""
+    data = NEGATIVE_CONTROLS[check_id](oracle_input)
+    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    failed = [
+        {(r.id, r.instance) for r in suite(d, 1e-9).records if not r.ok}
+        for suite, d in ((gc.verify_fusing_symmetries, data),
+                         (fo.verify_fusing_symmetries, fresh))
+    ]
+    assert any(i == check_id for i, _ in failed[0])
+    assert failed[0] == failed[1]

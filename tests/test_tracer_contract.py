@@ -2,6 +2,7 @@
 methods by name; this test pins the names and signatures it relies on."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 import mtcalc.cli_io as cli_io
 import mtcalc.deligne_double as dd
+import mtcalc.fusion_data as fd
 import mtcalc.graphcalc as gc
 import mtcalc.sewing_operad as so
 
@@ -177,3 +179,31 @@ def test_tracer_counts_algebra_layers(monkeypatch):
     assert status == cli_io.EXIT_OK
     for name in ("mult", "comult", "coev", "ev", "unit", "counit", "phi"):
         assert values[f"diagonal_frobenius.{name}_layer.calls"] > 0, name
+
+
+def test_fusing_symmetries_tree_walks_scale_with_vertices(
+    monkeypatch, tmp_path, pointed_category
+):
+    # the word stage reads the fusing words off the tables and walks trees
+    # only for the basis images, a few per vertex, so the trees calls grow
+    # like the vertices (N^2 on Z_N), not like the words (N^3); one more
+    # call per word would lift the exponent from 2.0 to 2.3
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    calls = {}
+    for n in (5, 7, 9):
+        path = tmp_path / f"z{n}.json"
+        path.write_text(fd.emit_category(pointed_category(n)))
+        argv = ["fusing-symmetries", str(path)]
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_job(" ".join(argv))
+            status, _ = cli_io.run_suite(argv)
+            calls[n] = spans.layer_values(tracer.summary())["graphcalc.trees.calls"]
+        finally:
+            tracer.uninstall()
+        assert status == cli_io.EXIT_OK
+    assert calls[5] > 0
+    assert math.log(calls[9] / calls[5]) / math.log(9 / 5) <= 2.1, calls

@@ -380,54 +380,56 @@ def hexagon_residuals(data: CategoryData):
 def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     """Pentagon, hexagon, twist/dual and quantum-dimension consistency.
 
-    Failures are reported with their residuals, never raised.
+    Failures are reported with their residuals, never raised.  The records
+    are added in columnar blocks, one per check id or per interleaved ids.
     """
     t0 = time.perf_counter()
     report = Report(suite="verify-category", tol=tol)
-    for inst, res in pentagon_residuals(data):
-        report.add("pentagon", inst, res)
-    for inst, res in hexagon_residuals(data):
-        report.add("hexagon", inst, res)
+    keys, res = zip(*pentagon_residuals(data))
+    report.add_many("pentagon", zip(*keys), res)
+    keys, res = zip(*hexagon_residuals(data))
+    # the items alternate the senses: drop the sense of the "+" keys
+    report.add_many(
+        ("hexagon", "hexagon"), list(zip(*keys[::2]))[1:],
+        np.reshape(res, (-1, 2)), prefixes=(("+",), ("-",)),
+    )
     # block checks, stacked by shape, reported per (a, b, c): the F-blocks
     # over the totals d, then the R-block of the channel c of (a, b); every
     # block is square, as the ring is associative and the tables complete
     F, R = data._f_table, data._r_table
-    f_invertible = np.empty(len(F.blocks))
+    f_res = np.empty((len(F.blocks), 2))
     for (members, mats), (inv, singular) in zip(F.stacks, F.inverses()):
         res = np.max(np.abs(mats @ inv - np.eye(mats.shape[1])), axis=(1, 2))
-        f_invertible[members] = np.where(singular, 1.0, res)  # singular: 1.0
-    f_unitary = F.per_block(unitarity)
-    r_keys = list(zip(*(lab.tolist() for lab in R.labels)))
-    r_unitary = R.per_block(unitarity).tolist()
-    ri = 0
-    f_keys = zip(*(lab.tolist() for lab in F.labels))
-    for key, inv_res, uni_res in zip(f_keys, f_invertible.tolist(), f_unitary.tolist()):
-        while ri < len(r_keys) and r_keys[ri] < key[:3]:
-            report.add("r_unitary", r_keys[ri], r_unitary[ri])
-            ri += 1
-        report.add("f_invertible", key, inv_res)
-        report.add("f_unitary", key, uni_res)
-    for key, res in zip(r_keys[ri:], r_unitary[ri:]):
-        report.add("r_unitary", key, res)
-    for a in range(data.size):
-        report.add(
-            "twist_dual",
-            (a, data.dual(a)),
-            abs(data.twist[a] - data.twist[data.dual(a)]),
-        )
-    report.add("twist_unit", (data.unit,), abs(data.twist[data.unit] - 1.0))
-    for a in range(data.size):
-        pf = quantum_dimension(data, a)
-        report.add("qdim_pf", (a,), abs(data.qdim[a] - pf))
-        report.add("qdim_dual", (a,), abs(data.qdim[a] - data.qdim[data.dual(a)]))
+        f_res[members, 0] = np.where(singular, 1.0, res)  # singular: 1.0
+    f_res[:, 1] = F.per_block(unitarity)
+    r_unitary = R.per_block(unitarity)
+    # R-block (a, b, c) comes after the F-blocks whose (a, b, c) is not larger
+    abc = F.dims[:3]
+    f_abc = np.ravel_multi_index(F.labels[:3], abc)
+    ends = np.searchsorted(f_abc, np.ravel_multi_index(R.labels, abc), "right")
+    f_ids, lo = ("f_invertible", "f_unitary"), 0
+    for r, hi in enumerate(ends.tolist()):
+        report.add_many(f_ids, [lab[lo:hi] for lab in F.labels], f_res[lo:hi])
+        r_key = [lab[r:r + 1] for lab in R.labels]
+        report.add_many("r_unitary", r_key, r_unitary[r:r + 1])
+        lo = hi
+    report.add_many(f_ids, [lab[lo:] for lab in F.labels], f_res[lo:])
+    labels = range(data.size)
+    duals = [data.dual(a) for a in labels]
+    twist, qdim = data.twist, data.qdim
+    report.add_many("twist_dual", (labels, duals), [
+        abs(twist[a] - twist[ap]) for a, ap in zip(labels, duals)
+    ])
+    report.add("twist_unit", (data.unit,), abs(twist[data.unit] - 1.0))
+    report.add_many(("qdim_pf", "qdim_dual"), (labels,), [
+        (abs(qdim[a] - quantum_dimension(data, a)), abs(qdim[a] - qdim[ap]))
+        for a, ap in zip(labels, duals)
+    ])
     # ring homomorphism property of the Perron-Frobenius dimensions
-    for a in range(data.size):
-        for b in range(data.size):
-            lhs = data.qdim[a] * data.qdim[b]
-            rhs = sum(
-                data.n(a, b, c) * data.qdim[c] for c in range(data.size)
-            )
-            report.add("qdim_ring_hom", (a, b), abs(lhs - rhs))
+    report.add_many("qdim_ring_hom", np.divmod(np.arange(data.size ** 2), data.size), [
+        abs(qdim[a] * qdim[b] - sum(data.n(a, b, c) * qdim[c] for c in labels))
+        for a in labels for b in labels
+    ])
     report.wall_time = time.perf_counter() - t0
     return report
 

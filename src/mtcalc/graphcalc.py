@@ -690,58 +690,59 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
     scalars, and the phase identities tying duality vertices to twists.
     The conjugation symmetries of all fusing words are evaluated at once
     (``table_arrays.FusingWords``) from the images of the basis vertices,
-    each computed once.
+    each computed once; the bent unit vertices are read from them.
     """
     t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
-    _duality_records(data, report)
     words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
-    images = [_basis_images(data, *family) for family in words.families]
-    for key, braid, bend in zip(words.keys, *words.residuals(images)):
-        report.add("fusing_braid_conjugation", key, braid)
-        report.add("fusing_bend_conjugation", key, bend)
+    images = {family: _basis_images(data, *family) for family in words.families}
+    report.add_many(_DUALITY_IDS, (range(data.size),), _duality_residuals(data, images))
+    report.add_many(
+        ("fusing_braid_conjugation", "fusing_bend_conjugation"),
+        data._f_table.labels, np.transpose(words.residuals(list(images.values()))),
+    )
     report.wall_time = time.perf_counter() - t0
     return report
 
 
-def _duality_records(data, report):
-    """The records of each label a: the dual pair of duality fusing scalars
-    and their inverse routes, the duality vertex phases and the bent unit
-    vertices."""
+_DUALITY_IDS = (
+    "dual_scalar_equal", "dual_scalar_inverse_route", "dual_scalar_inverse_route_dual",
+    "duality_vertex_phase_pos", "duality_vertex_phase_neg",
+    "bend_unit_left", "bend_unit_right",
+)
+
+
+def _duality_residuals(data, images) -> list:
+    """Per label a, the residuals of ``_DUALITY_IDS``: the dual pair of
+    duality fusing scalars and their inverse routes, the duality vertex
+    phases and the bent unit vertices, read from ``images`` (the basis
+    images by family, as ``_basis_images`` gives them)."""
     e = data.unit
+    out = []
     for a in range(data.size):
         ap = data.dual(a)
         fa = duality_fusing_scalar(data, a)
         fap = duality_fusing_scalar(data, ap)
-        report.add("dual_scalar_equal", (a,), abs(fa - fap))
         # inverse-route expressions of the same scalar
         inv1 = _unit_channel_entry(data, a, ap, a, a, inverse=True)
         inv2 = _unit_channel_entry(data, ap, a, ap, ap, inverse=True)
-        report.add("dual_scalar_inverse_route", (a,), abs(inv1 - fa))
-        report.add("dual_scalar_inverse_route_dual", (a,), abs(inv2 - fa))
-
         # duality vertex vs twist: stored braiding entry on the unit channel
         theta = data.twist[a]
         r_pos = data.r_block(a, ap, e)[0, 0]
         r_neg = data.r_block_inv(a, ap, e)[0, 0]
-        report.add("duality_vertex_phase_pos", (a,), abs(r_pos - theta.conjugate()))
-        report.add("duality_vertex_phase_neg", (a,), abs(r_neg - theta))
-
-        # bent unit vertices reproduce duality vertices with the twist phase
-        v_ea = VertexVector.basis(data, e, ap, ap)   # unit-left vertex of a'
-        got = bend_vertex(data, v_ea, "+")
-        want = VertexVector.basis(data, e, a, a)
-        report.add(
-            "bend_unit_left", (a,),
-            float(np.max(np.abs(got.array - want.array))),
-        )
-        v_ae = VertexVector.basis(data, ap, e, ap)   # unit-right vertex of a'
-        got = bend_vertex(data, v_ae, "+")
-        want = VertexVector.basis(data, ap, a, e)
-        report.add(
-            "bend_unit_right", (a,),
-            float(np.max(np.abs(got.array - theta * want.array))),
-        )
+        # bent unit vertices reproduce duality vertices with the twist phase:
+        # the unit-left and the unit-right vertex of a'
+        left = np.array(images["bend+", e, ap, ap][0][0], dtype=complex)
+        right = np.array(images["bend+", ap, e, ap][0][0], dtype=complex)
+        left_want = VertexVector.basis(data, e, a, a).array
+        right_want = theta * VertexVector.basis(data, ap, a, e).array
+        out.append((
+            abs(fa - fap), abs(inv1 - fa), abs(inv2 - fa),
+            abs(r_pos - theta.conjugate()), abs(r_neg - theta),
+            float(np.max(np.abs(left - left_want))),
+            float(np.max(np.abs(right - right_want))),
+        ))
+    return out
 
 
 def _basis_images(data, kind, a, b, c) -> tuple:

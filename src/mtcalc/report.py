@@ -1,10 +1,19 @@
-"""Machine-readable result records shared by all verification suites."""
+"""Machine-readable result records shared by all verification suites.
+
+A report holds its records in blocks, in order.  ``Report.add_many`` adds
+one columnar block: the instance columns and the residuals of many records
+as arrays, written out with one template per block.  ``Report.add`` adds
+single records to a block of rows.  ``Report.records`` derives the
+``CheckRecord`` list from the blocks when it is read.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -17,6 +26,60 @@ class CheckRecord:
     ok: bool
 
 
+class _Rows(list):
+    """Records added one at a time, as (id, instance, residual) tuples, and
+    the tolerance they are judged by."""
+
+    __slots__ = ("tol",)
+
+    def __init__(self, tol, rows=()):
+        super().__init__(rows)
+        self.tol = tol
+
+    def residuals(self) -> np.ndarray:
+        return np.fromiter((r for _, _, r in self), float, len(self))
+
+    def rows(self):
+        return iter(self)
+
+
+class _Block:
+    """n rows of m check ids: the record of row i and id j is (``ids[j]``,
+    ``prefixes[j]`` followed by row i of every column of ``cols``,
+    ``res[i, j]``).  Records run row by row, and across the ids within a
+    row."""
+
+    __slots__ = ("ids", "prefixes", "cols", "res", "tol")
+
+    def __init__(self, ids, prefixes, cols, res, tol):
+        self.ids, self.prefixes, self.cols, self.res, self.tol = (
+            ids, prefixes, cols, res, tol
+        )
+
+    def __len__(self):
+        return self.res.size
+
+    def residuals(self) -> np.ndarray:
+        return self.res.ravel()
+
+    def rows(self):
+        values = [_values(col) for col in self.cols]
+        for i, res in enumerate(self.res.tolist()):
+            inst = tuple(col[i] for col in values)
+            for check_id, prefix, r in zip(self.ids, self.prefixes, res):
+                yield check_id, prefix + inst, r
+
+
+def _values(col) -> list:
+    """A column's elements as Python objects."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _severity(residual: float) -> tuple:
+    # NaN ranks above every number, so no NaN residual is hidden by max()
+    return (residual != residual, residual)
+
+
 @dataclass
 class Report:
     """Result of one verification suite.
@@ -27,32 +90,70 @@ class Report:
 
     suite: str
     tol: float
-    records: list[CheckRecord] = field(default_factory=list)
     wall_time: float = 0.0
+    _blocks: list = field(default_factory=list, init=False, repr=False)
+    _rows: _Rows | None = field(default=None, init=False, repr=False)
 
     def add(self, check_id: str, instance: tuple, residual: float) -> None:
-        residual = float(residual)
-        self.records.append(
-            CheckRecord(check_id, tuple(instance), residual, residual < self.tol)
-        )
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _Rows(self.tol)
+            self._blocks.append(rows)
+        rows.append((check_id, tuple(instance), float(residual)))
+
+    def add_many(self, check_ids, instances, residuals, prefixes=None) -> None:
+        """Add n rows of records of the m ids ``check_ids`` (one id may be
+        given as a str): row i of id j has the instance ``prefixes[j]``
+        (empty by default) followed by row i of each column of
+        ``instances``, and the residual ``residuals[i, j]`` (``residuals``
+        may be 1-d when m is 1).  A column is an array, whose elements
+        become Python scalars, or a sequence of instance elements.  The
+        records run row by row, and across the ids within a row."""
+        ids = (check_ids,) if isinstance(check_ids, str) else tuple(check_ids)
+        res = np.array(residuals, dtype=float)
+        if res.ndim == 1:
+            res = res[:, None]
+        if res.shape[1:] != (len(ids),):
+            raise ValueError("residuals need one column per check id")
+        if not res.size:
+            return
+        cols = [np.array(col) if isinstance(col, np.ndarray) else list(col)
+                for col in instances]
+        if any(len(col) != len(res) for col in cols):
+            raise ValueError("every instance column needs one element per row")
+        prefixes = tuple(map(tuple, prefixes or ((),) * len(ids)))
+        self._blocks.append(_Block(ids, prefixes, cols, res, self.tol))
+        self._rows = None
 
     def extend(self, other: "Report") -> None:
-        self.records.extend(other.records)
+        # rows are copied, so that later single adds to either report stay
+        # out of the other
+        self._blocks.extend(
+            _Rows(b.tol, b) if isinstance(b, _Rows) else b for b in other._blocks
+        )
+        self._rows = None
+
+    @property
+    def records(self) -> list[CheckRecord]:
+        """Every record, in order, built from the blocks on each read."""
+        return [
+            CheckRecord(check_id, instance, residual, residual < b.tol)
+            for b in self._blocks for check_id, instance, residual in b.rows()
+        ]
 
     @property
     def max_residual(self) -> float:
         """The largest residual; NaN if any residual is NaN, 0.0 if none."""
-        worst = max(self.records, key=_severity, default=None)
-        return 0.0 if worst is None else worst.residual
+        res = np.concatenate([b.residuals() for b in self._blocks] or [[0.0]])
+        return float(res[np.argmax(res)])  # the first NaN, else the first maximum
 
     @property
     def passed(self) -> bool:
-        return all(r.ok for r in self.records)
+        return all((b.residuals() < b.tol).all() for b in self._blocks)
 
 
-def _severity(record: CheckRecord) -> tuple:
-    # NaN ranks above every number, so no NaN residual is hidden by max()
-    return (math.isnan(record.residual), record.residual)
+def _count(report: Report) -> int:
+    return sum(map(len, report._blocks))
 
 
 def _scalar(x) -> str:
@@ -87,49 +188,159 @@ _SPELL = {
 _RECORD_HEAD = '    {\n      "id": %s,\n      "instance": '
 _RECORD_TAIL = '%s,\n      "pass": %s,\n      "residual": %s\n    }'
 _ITEM_SEP = ",\n        "
+_JSON_PASS = ("false", "true")
+_TEXT_MARK = ("FAIL", "ok  ")
 
 
-def _json_report(report: Report) -> str:
+def _json_instance(items) -> str:
+    return f"[\n        {_ITEM_SEP.join(items)}\n      ]" if items else "[]"
+
+
+def _written(report: Report, write_rows, write_block) -> list:
+    """The written records of every block, in report order: a string per
+    single record, and per row of a columnar block.  The columnar blocks of
+    one layout (ids, prefixes, column count, tolerance) are written as one
+    block of all their rows."""
+    blocks = report._blocks
+    out = [None] * len(blocks)
+    layouts = {}  # layout -> its blocks' places in the report
+    for i, b in enumerate(blocks):
+        if isinstance(b, _Rows):
+            out[i] = write_rows(b)
+        else:
+            layouts.setdefault((b.ids, b.prefixes, len(b.cols), b.tol), []).append(i)
+    for members in layouts.values():
+        group = [blocks[i] for i in members]
+        lines = write_block(_merged(group) if len(group) > 1 else group[0])
+        at = 0
+        for i, b in zip(members, group):
+            out[i] = lines[at:at + len(b.res)]
+            at += len(b.res)
+    return [line for lines in out for line in lines]
+
+
+def _merged(blocks) -> _Block:
+    """One block of the rows of ``blocks``, which share their layout."""
+    cols = [
+        [x for col in parts for x in _values(col)]
+        for parts in zip(*(b.cols for b in blocks))
+    ]
+    res = np.concatenate([b.res for b in blocks])
+    return _Block(blocks[0].ids, blocks[0].prefixes, cols, res, blocks[0].tol)
+
+
+def _json_rows(rows) -> list:
+    """The records of a block of rows, one at a time."""
     heads = {}  # check id -> the record's lines up to its instance
     spell = _SPELL.get
     parts = []
-    for r in report.records:
-        head = heads.get(r.id)
+    for check_id, instance, residual in rows:
+        head = heads.get(check_id)
         if head is None:
-            head = heads[r.id] = _RECORD_HEAD % _scalar(r.id)
-        items = [spell(type(x), _scalar)(x) for x in r.instance]
-        inst = f"[\n        {_ITEM_SEP.join(items)}\n      ]" if items else "[]"
-        ok = spell(type(r.ok), _scalar)(r.ok)
-        parts.append(head + _RECORD_TAIL % (inst, ok, _scalar(r.residual)))
+            head = heads[check_id] = _RECORD_HEAD % _scalar(check_id)
+        inst = _json_instance([spell(type(x), _scalar)(x) for x in instance])
+        ok = _JSON_PASS[residual < rows.tol]
+        parts.append(head + _RECORD_TAIL % (inst, ok, _scalar(residual)))
+    return parts
+
+
+def _json_column(col) -> list:
+    """A column's elements for a ``%s`` slot: ints and finite floats as they
+    are (``str`` spells them as ``json.dumps`` does), anything else spelled
+    by ``_scalar``."""
+    values = _values(col)
+    kinds = set(map(type, values))
+    if kinds <= {int} or (kinds <= {float} and all(map(math.isfinite, values))):
+        return values
+    spell = _SPELL.get
+    return [spell(type(x), _scalar)(x) for x in values]
+
+
+def _json_block(block) -> list:
+    """The rows of a columnar block, each from one template with a record
+    of each id; "true" is part of the template when every record passes."""
+    res = block.res
+    passed = res < block.tol
+    all_pass = bool(passed.all())
+    slots = ["%s"] * len(block.cols)
+    records = []
+    for check_id, prefix in zip(block.ids, block.prefixes):
+        items = [_scalar(x).replace("%", "%%") for x in prefix] + slots
+        head = (_RECORD_HEAD % _scalar(check_id)).replace("%", "%%")
+        ok = "true" if all_pass else "%s"
+        records.append(head + _RECORD_TAIL % (_json_instance(items), ok, "%s"))
+    cols = [_json_column(col) for col in block.cols]
+    finite = bool(np.isfinite(res).all())
+    args = []
+    for oks, r in zip(passed.T.tolist(), res.T.tolist()):
+        args += cols
+        if not all_pass:
+            args.append([_JSON_PASS[ok] for ok in oks])
+        args.append(r if finite else list(map(_scalar, r)))
+    return list(map(",\n".join(records).__mod__, zip(*args)))
+
+
+def _json_report(report: Report) -> str:
+    parts = _written(report, _json_rows, _json_block)
     records = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
     return (
         f'{{\n  "records": {records},\n  "suite": {_scalar(report.suite)},\n'
-        f'  "summary": {{\n    "checks": {len(report.records)},\n'
+        f'  "summary": {{\n    "checks": {_count(report)},\n'
         f'    "max_residual": {_scalar(report.max_residual)},\n'
         f'    "pass": {_scalar(report.passed)}\n  }},\n'
         f'  "tol": {_scalar(report.tol)}\n}}\n'
     )
 
 
+def _text_rows(rows) -> list:
+    return [
+        f"  [{_TEXT_MARK[residual < rows.tol]}] {check_id}"
+        f"({','.join(str(x) for x in instance)})  residual={residual:.3e}"
+        for check_id, instance, residual in rows
+    ]
+
+
+def _text_block(block) -> list:
+    """The rows of a columnar block, each from one template with a line of
+    each id."""
+    cols = [_values(col) for col in block.cols]
+    slots = ["%s"] * len(cols)
+    passed = (block.res < block.tol).T.tolist()
+    records, args = [], []
+    for check_id, prefix, oks, res in zip(
+        block.ids, block.prefixes, passed, block.res.T.tolist()
+    ):
+        inst = ",".join([str(x).replace("%", "%%") for x in prefix] + slots)
+        records.append(f"  [%s] {check_id.replace('%', '%%')}({inst})  residual=%.3e")
+        args.append([_TEXT_MARK[ok] for ok in oks])
+        args += cols
+        args.append(res)
+    return list(map("\n".join(records).__mod__, zip(*args)))
+
+
 def _text_report(report: Report) -> str:
     lines = [f"suite: {report.suite}  (tol={report.tol:g})"]
-    by_id = {}  # check id -> its records, in order of first appearance
-    for r in report.records:
-        mark = "ok  " if r.ok else "FAIL"
-        inst = ",".join(str(x) for x in r.instance)
-        lines.append(f"  [{mark}] {r.id}({inst})  residual={r.residual:.3e}")
-        by_id.setdefault(r.id, []).append(r)
+    lines += _written(report, _text_rows, _text_block)
+    by_id = {}  # check id -> [count, worst residual, its instance, all pass]
+    for b in report._blocks:
+        for check_id, inst, res in b.rows():
+            entry = by_id.get(check_id)
+            if entry is None:
+                by_id[check_id] = [1, res, inst, res < b.tol]
+                continue
+            entry[0] += 1
+            entry[3] = entry[3] and res < b.tol
+            if _severity(res) > _severity(entry[1]):
+                entry[1], entry[2] = res, inst
     lines.append("per check id:")
-    for check_id, group in by_id.items():
-        worst = max(group, key=_severity)
-        mark = "ok  " if all(r.ok for r in group) else "FAIL"
-        inst = ",".join(str(x) for x in worst.instance)
+    for check_id, (count, worst, inst, ok) in by_id.items():
+        inst = ",".join(str(x) for x in inst)
         lines.append(
-            f"  [{mark}] {check_id}: checks={len(group)}"
-            f"  max_residual={worst.residual:.3e}  worst=({inst})"
+            f"  [{_TEXT_MARK[ok]}] {check_id}: checks={count}"
+            f"  max_residual={worst:.3e}  worst=({inst})"
         )
     lines.append(
-        f"checks={len(report.records)}  max_residual={report.max_residual:.3e}"
+        f"checks={_count(report)}  max_residual={report.max_residual:.3e}"
         f"  pass={report.passed}  wall_time={report.wall_time:.3f}s"
     )
     return "\n".join(lines) + "\n"
@@ -143,11 +354,16 @@ def emit_report(report: Report, format: str = "json") -> str:
     ``pass``, ``residual``), every scalar spelled as ``json.dumps`` spells it,
     NaN and infinities included: byte for byte what ``json.dumps(...,
     sort_keys=True, indent=2)`` gives on the report as nested dicts and
-    lists, written straight from the records.  An instance element that is
-    not a str, int, bool or float raises TypeError.  ``wall_time`` is left
-    out, so reports are byte-identical across repeated runs with the same
-    flags and seed; the text format shows it, and after the records one
-    line per check id with its count, max residual and worst instance.
+    lists.  It is written block by block, in order: the single records one
+    at a time, and each columnar block from one string template per row,
+    with a record of each of its ids, filled from the block's arrays (ints
+    and finite floats as ``str`` spells them, anything else through
+    ``_scalar``); the columnar blocks of one layout are filled as one.  An
+    instance element that is not a str, int, bool or float raises
+    TypeError.  ``wall_time`` is left out, so reports are byte-identical
+    across repeated runs with the same flags and seed; the text format
+    shows it, and after the records one line per check id with its count,
+    max residual and worst instance.
     """
     if format == "json":
         return _json_report(report)

@@ -462,7 +462,7 @@ class FusingWords:
     (``tests/fusing_oracle.py``) forms it: stacked ``@`` and
     ``np.linalg.inv`` on matrices laid out as its matrices are, and the
     entries of V as Python complex products.  A singular matrix raises
-    ``np.linalg.LinAlgError``, as ``np.linalg.inv`` does.
+    ``np.linalg.LinAlgError`` naming its word.
 
     The braid matrix has the rows (y, k, l) and the columns (x, i, j) of
     F(a1, a2, a3, a4) transposed, so ``residuals`` compares its inverse
@@ -553,7 +553,8 @@ class FusingWords:
                 shape = (len(members),) + mats.shape[1:]
                 u = self._rights(k, shape, weights, rows, read, rights)
                 v = self._lefts(k, shape, rows, lefts)
-                out[route].append(u @ _invertible(v))
+                v_inv = self._inverse(v, members, f"{route} left-basis matrix")
+                out[route].append(u @ v_inv)
         return out
 
     def _rights(self, k, shape, weights, rows, read, items):
@@ -600,6 +601,16 @@ class FusingWords:
         v.real[where], v.imag[where] = _cmul(a.real, a.imag, b.real, b.imag)
         return v
 
+    def _inverse(self, mats, members, what):
+        """Inverses of a stack of the matrices ``what`` of the words
+        ``members``; LinAlgError naming the first word whose matrix is
+        singular."""
+        inv, singular = _stack_inverse(mats)
+        if singular.any():
+            word = self.keys[members[np.argmax(singular)]]
+            raise np.linalg.LinAlgError(f"{what} of word {word} is singular")
+        return inv
+
     def residuals(self, images):
         """The braid- and the bend-conjugation residual of every word, in
         order: the largest |F - matrix| entry, with the braid matrix
@@ -609,7 +620,9 @@ class FusingWords:
         for (members, stored), swapped, bent in zip(
             self.F.stacks, mats["braid"], mats["bend"]
         ):
-            braid[members] = _largest_gap(stored, _invertible(swapped))
+            braid[members] = _largest_gap(
+                stored, self._inverse(swapped, members, "braid fusing matrix")
+            )
             rows = self._bend_rows[self.F.row_starts[members][:, None]
                                    + np.arange(stored.shape[1])]
             bend[members] = _largest_gap(
@@ -634,15 +647,6 @@ def _copies(items, counts):
     counts = counts[items]
     copies = np.repeat(items, counts)
     return copies, np.arange(len(copies)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _invertible(mats):
-    """Inverses of a stack; LinAlgError, as ``np.linalg.inv`` raises it,
-    if one is singular."""
-    inv, singular = _stack_inverse(mats)
-    if singular.any():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return inv
 
 
 def _largest_gap(a, b) -> np.ndarray:

@@ -279,6 +279,7 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
                         "r_unitary", (a, b, c), float(np.max(np.abs(gram)))
                     )
     # the scalar checks after the blocks are the suite's own
-    tail = fd.verify_coherence(data, tol).records
-    report.records.extend(r for r in tail if r.id.startswith(("twist_", "qdim_")))
+    for r in fd.verify_coherence(data, tol).records:
+        if r.id.startswith(("twist_", "qdim_")):
+            report.add(r.id, r.instance, r.residual)
     return report

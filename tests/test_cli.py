@@ -274,6 +274,23 @@ def test_fusing_symmetries_names_a_singular_block_its_images_invert(
     )
 
 
+def test_fusing_symmetries_names_a_word_whose_fusing_matrix_is_singular(
+    tmp_path, pointed_category
+):
+    # every block stays invertible but F(1, 2, 1, 4), whose zero entry is
+    # the braid fusing matrix of that word; verify-category reports it as a
+    # verification failure, fusing-symmetries cannot form the inverse
+    data = pointed_category(5)
+    F = {k: 0j if k[:4] == (1, 2, 1, 4) else v for k, v in data.F.items()}
+    path = tmp_path / "z5_singular_word.json"
+    path.write_text(fd.emit_category(fd.CategoryData(data.ring, F, data.R, data.twist)))
+    assert run_suite(["fusing-symmetries", str(path)]) == (
+        EXIT_INPUT,
+        "input error: braid fusing matrix of word (1, 2, 1, 4) is singular\n",
+    )
+    assert run_suite(["verify-category", str(path)])[0] == EXIT_VERIFY
+
+
 def test_category_file_is_not_read_as_algebra_by_its_labels(tmp_path):
     # the F entries of every category file carry a "mult" key; a label named
     # "category" must not make the file look like a build-ffa document

@@ -392,6 +392,62 @@ def test_batched_report_matches_oracle_bytes(oracle_input, name):
         assert not json.loads(got)["summary"]["pass"]
 
 
+def _with(data, R=None, twist=None):
+    """``data`` with the R entries given multiplied by their factors, or
+    another twist."""
+    R = {**data.R, **{k: data.R[k] * f for k, f in (R or {}).items()}}
+    return fd.CategoryData(data.ring, data.F, R, data.twist if twist is None else twist)
+
+
+def _z3_twist_of_1_negated(get):
+    data = get("z3")
+    return _with(data, twist=[data.twist[0], -data.twist[1], data.twist[2]])
+
+
+N_ONLY = (
+    "reads only N and the dimensions computed from it, so no file the "
+    "loader accepts fails it (ROADMAP item 10)"
+)
+
+# per check id of verify-category, a corrupted input that fails it, or the
+# reason why no loadable input can
+COHERENCE_NEGATIVE_CONTROLS = {
+    "pentagon": INCOHERENT["ising_perturbed_f"],
+    "hexagon": INCOHERENT["fibonacci_negated_r"],
+    "f_unitary": INCOHERENT["ising_perturbed_f"],
+    "r_unitary": lambda get: _with(get("fibonacci"), R={(1, 1, 0, 0, 0): 2}),
+    "f_invertible": INCOHERENT["z3_singular_f"],
+    "twist_dual": _z3_twist_of_1_negated,
+    "twist_unit": lambda get: _with(
+        get("fibonacci"), twist=[-1.0, get("fibonacci").twist[1]]
+    ),
+    "qdim_pf": N_ONLY,
+    "qdim_dual": N_ONLY,
+    "qdim_ring_hom": N_ONLY,
+}
+
+
+def test_every_coherence_check_id_has_a_negative_control(categories):
+    ids = {r.id for r in fd.verify_coherence(categories["ising"]).records}
+    assert ids == set(COHERENCE_NEGATIVE_CONTROLS)
+
+
+@pytest.mark.parametrize("check_id", [
+    check_id for check_id, control in COHERENCE_NEGATIVE_CONTROLS.items()
+    if callable(control)
+])
+def test_coherence_negative_control(oracle_input, check_id):
+    """The corruption fails ``check_id``; the pass flags the columnar report
+    writes, and its summary, are those of its records."""
+    rep = fd.verify_coherence(COHERENCE_NEGATIVE_CONTROLS[check_id](oracle_input), 1e-9)
+    records = rep.records
+    assert any(r.id == check_id and not r.ok for r in records)
+    doc = json.loads(emit_report(rep))
+    written = [(r["id"], r["pass"]) for r in doc["records"]]
+    assert written == [(r.id, r.ok) for r in records]
+    assert doc["summary"]["pass"] is rep.passed is False
+
+
 def _block_or_error(fn, *args):
     try:
         return fn(*args), None

@@ -661,6 +661,23 @@ def test_fusing_matrices_read_local_blocks(pointed_category, monkeypatch):
     assert seen == {"matrices": 2 * len(fo.nonempty_fusing_words(data)), "window": 0}
 
 
+def test_fusing_symmetries_bends_each_vertex_once(pointed_category, monkeypatch):
+    """On Z_9 the suite bends each of the 81 basis vertices once: the bent
+    unit vertices of the per-label records are read from the word stage's
+    images, not bent again."""
+    data = pointed_category(9)
+    bent = []
+    bend = gc.bend_vertex
+
+    def spy(data, v, sense):
+        bent.append((v, sense))
+        return bend(data, v, sense)
+
+    monkeypatch.setattr(gc, "bend_vertex", spy)
+    assert gc.verify_fusing_symmetries(data).passed
+    assert len(bent) == len(set(bent)) == 81
+
+
 def _report_or_error(suite, data):
     try:
         return emit_report(suite(data, 1e-9)), None

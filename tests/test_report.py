@@ -1,5 +1,6 @@
-"""emit_report writes JSON straight from the records; ``json.dumps`` on the
-report's dict is the oracle it must match byte for byte."""
+"""emit_report writes a report from its blocks; ``json.dumps`` on the
+report's records as a dict, and the text written record by record, are the
+oracles it must match byte for byte."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from mtcalc import diagonal_frobenius as df
 from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc import sewing_operad as so
+from mtcalc import report as report_module
 from mtcalc.report import CheckRecord, Report, emit_report
 
 import double_braiding as db
@@ -26,21 +28,61 @@ def _record_dict(r: CheckRecord) -> dict:
     }
 
 
+def _severity(record: CheckRecord) -> tuple:
+    # NaN ranks above every number, so no NaN residual is hidden by max()
+    return (math.isnan(record.residual), record.residual)
+
+
 def _report_dict(rep: Report) -> dict:
+    records = rep.records
+    worst = max(records, key=_severity, default=None)
     return {
         "suite": rep.suite,
         "tol": rep.tol,
-        "records": [_record_dict(r) for r in rep.records],
+        "records": [_record_dict(r) for r in records],
         "summary": {
-            "checks": len(rep.records),
-            "max_residual": rep.max_residual,
-            "pass": rep.passed,
+            "checks": len(records),
+            "max_residual": 0.0 if worst is None else worst.residual,
+            "pass": all(r.ok for r in records),
         },
     }
 
 
 def oracle(rep: Report) -> str:
     return json.dumps(_report_dict(rep), sort_keys=True, indent=2) + "\n"
+
+
+def text_oracle(rep: Report) -> str:
+    """The text report written record by record from ``rep.records``."""
+    records = rep.records
+    lines = [f"suite: {rep.suite}  (tol={rep.tol:g})"]
+    by_id = {}  # check id -> its records, in order of first appearance
+    for r in records:
+        mark = "ok  " if r.ok else "FAIL"
+        inst = ",".join(str(x) for x in r.instance)
+        lines.append(f"  [{mark}] {r.id}({inst})  residual={r.residual:.3e}")
+        by_id.setdefault(r.id, []).append(r)
+    lines.append("per check id:")
+    for check_id, group in by_id.items():
+        worst = max(group, key=_severity)
+        mark = "ok  " if all(r.ok for r in group) else "FAIL"
+        inst = ",".join(str(x) for x in worst.instance)
+        lines.append(
+            f"  [{mark}] {check_id}: checks={len(group)}"
+            f"  max_residual={worst.residual:.3e}  worst=({inst})"
+        )
+    worst = max(records, key=_severity, default=None)
+    lines.append(
+        f"checks={len(records)}"
+        f"  max_residual={0.0 if worst is None else worst.residual:.3e}"
+        f"  pass={all(r.ok for r in records)}  wall_time={rep.wall_time:.3f}s"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _check_both_formats(rep: Report):
+    assert emit_report(rep, "json") == oracle(rep)
+    assert emit_report(rep, "text") == text_oracle(rep)
 
 
 def _suite_reports(data):
@@ -59,6 +101,7 @@ def test_suite_reports_match_oracle(categories, pointed_category, name):
     for rep in _suite_reports(data):
         assert rep.records
         assert emit_report(rep, "json") == oracle(rep), rep.suite
+        assert emit_report(rep, "text") == text_oracle(rep), rep.suite
 
 
 def test_double_braiding_report_matches_oracle(categories):
@@ -140,3 +183,158 @@ def test_text_digest_per_check_id():
     ]
     assert lines[-1].startswith("checks=5  max_residual=2.500e-01  pass=False")
     assert emit_report(rep, "json") == oracle(rep)
+
+
+# -- columnar blocks ----------------------------------------------------------
+
+# residuals and float instance elements, with the edge cases of the spelling
+_FLOATS = (0.0, -0.0, 0.5, 1e-12, 2.5e-7, 5e-324, 2.2250738585072014e-308,
+           1e300, 1.7976931348623157e308, -3.25, math.nan, math.inf, -math.inf)
+_STRS = ("", "s", 'q"uote', "back\\slash", "é→", "\x00\n", "%s", "50%", "%%d")
+_IDS = ("pentagon", "hexagon", "x", "%s id", 'q"', "θ", "")
+
+
+def _random_column(rng, n):
+    kind = rng.integers(7)
+    if kind == 0:  # an integer array; its elements become Python ints
+        return rng.integers(-5, 2 ** 40, n, dtype=np.int64)
+    if kind == 1:
+        return np.array([_FLOATS[i] for i in rng.integers(len(_FLOATS), size=n)])
+    if kind == 2:
+        return rng.integers(2, size=n).astype(bool)
+    if kind == 3:
+        return [_STRS[i] for i in rng.integers(len(_STRS), size=n)]
+    if kind == 4:  # Python ints beyond int64
+        return [int(x) * 10 ** 30 for x in rng.integers(-9, 9, n)]
+    if kind == 5:
+        return np.array(rng.integers(0, 9, n), dtype=np.uint8)
+    pool = (True, False, 0, -1, 10 ** 40, 0.1, math.nan, -math.inf, "s", "%")
+    return [pool[i] for i in rng.integers(len(pool), size=n)]
+
+
+def _random_residuals(rng, shape):
+    res = 10.0 ** rng.uniform(-14, 2, shape)
+    special = rng.random(shape) < 0.15
+    res[special] = [_FLOATS[i] for i in rng.integers(len(_FLOATS), size=special.sum())]
+    return res
+
+
+def _random_report(rng, depth=0) -> Report:
+    rep = Report(suite=_STRS[rng.integers(len(_STRS))],
+                 tol=(1e-9, 1.0, 0.5, math.inf)[rng.integers(4)])
+    for _ in range(rng.integers(1, 7)):
+        step = rng.integers(6 if depth == 0 else 5)
+        if step == 0:
+            inst = tuple(_random_column(rng, 1)[0] for _ in range(rng.integers(4)))
+            inst = tuple(x.item() if isinstance(x, np.generic) else x for x in inst)
+            rep.add(_IDS[rng.integers(len(_IDS))], inst, _random_residuals(rng, 1)[0])
+        elif step == 5:
+            rep.extend(_random_report(rng, depth + 1))
+        else:
+            n, m, k = rng.integers(0, 6), rng.integers(1, 4), rng.integers(0, 4)
+            ids = [_IDS[i] for i in rng.integers(len(_IDS), size=m)]
+            prefixes = [
+                tuple(_STRS[i] for i in rng.integers(len(_STRS), size=rng.integers(3)))
+                for _ in range(m)
+            ] if rng.integers(2) else None
+            flat = m == 1 and rng.integers(2)  # 1-d residuals of one id
+            residuals = _random_residuals(rng, n if flat else (n, m))
+            rep.add_many(ids if m > 1 or rng.integers(2) else ids[0],
+                         [_random_column(rng, n) for _ in range(k)], residuals,
+                         prefixes=prefixes)
+    return rep
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_columnar_blocks_match_oracle(seed):
+    """Random columnar blocks, single records and extended reports write
+    what the record-by-record oracles write, in both formats, and the
+    summary reductions agree with the records."""
+    rep = _random_report(np.random.default_rng(seed))
+    _check_both_formats(rep)
+    summary = _report_dict(rep)["summary"]
+    assert rep.passed is summary["pass"]
+    assert repr(rep.max_residual) == repr(summary["max_residual"])
+
+
+def test_block_records_run_row_by_row_across_ids():
+    rep = Report(suite="rows", tol=1.0)
+    rep.add("single", (9,), 0.0)
+    rep.add_many(("hexagon", "hexagon"), (np.array([1, 2]), ["a", "b"]),
+                 [[0.1, 2.0], [0.3, 0.4]], prefixes=(("+",), ("-",)))
+    rep.add_many("empty", (np.array([], dtype=int),), np.zeros(0))
+    rep.add("single", (), 0.5)
+    assert [(r.id, r.instance, r.residual, r.ok) for r in rep.records] == [
+        ("single", (9,), 0.0, True),
+        ("hexagon", ("+", 1, "a"), 0.1, True),
+        ("hexagon", ("-", 1, "a"), 2.0, False),
+        ("hexagon", ("+", 2, "b"), 0.3, True),
+        ("hexagon", ("-", 2, "b"), 0.4, True),
+        ("single", (), 0.5, True),
+    ]
+    _check_both_formats(rep)
+
+
+def test_blocks_of_one_layout_keep_their_element_types():
+    # blocks of one layout are written together; each keeps its elements
+    rep = Report(suite="layout", tol=1.0)
+    for check_id, cols in (
+        ("x", (np.array([True, False]), np.array([3, 4]), np.array([7], np.uint8))),
+        ("y", (np.array([0.5, 2.0]), np.array([1, 2]))),
+        ("z", (["s", 5], np.array([6]))),
+    ):
+        for col in cols:
+            rep.add_many(check_id, (col,), np.linspace(0.0, 2.0, len(col)))
+            rep.add("between", (), 0.0)
+    _check_both_formats(rep)
+    assert [r.instance[0] for r in rep.records if r.id != "between"] == [
+        True, False, 3, 4, 7, 0.5, 2.0, 1, 2, "s", 5, 6
+    ]
+    types = [type(r.instance[0]) for r in rep.records if r.id == "x"]
+    assert types == [bool, bool, int, int, int]
+
+
+def test_block_shape_is_checked():
+    rep = Report(suite="shape", tol=1.0)
+    with pytest.raises(ValueError):
+        rep.add_many(("a", "b"), (), np.zeros(3))
+    with pytest.raises(ValueError):
+        rep.add_many("a", ([1, 2],), np.zeros(3))
+
+
+def test_numpy_element_in_a_column_list_raises_like_oracle():
+    rep = Report(suite="np", tol=1e-9)
+    rep.add_many("x", ([np.int64(3)],), [0.0])
+    with pytest.raises(TypeError):
+        oracle(rep)
+    with pytest.raises(TypeError, match="int64"):
+        emit_report(rep, "json")
+
+
+def test_extend_copies_single_records():
+    first, second = Report(suite="a", tol=1.0), Report(suite="b", tol=1e-9)
+    second.add("x", (1,), 0.5)
+    first.extend(second)
+    first.add("y", (), 0.0)
+    second.add("z", (), 0.0)
+    assert [(r.id, r.ok) for r in first.records] == [("x", False), ("y", True)]
+    assert [r.id for r in second.records] == ["x", "z"]
+
+
+@pytest.mark.parametrize("suite", [fd.verify_coherence, gc.verify_fusing_symmetries],
+                         ids=["verify-category", "fusing-symmetries"])
+def test_suites_build_no_records_unless_read(pointed_category, monkeypatch, suite):
+    """On Z_7 the suite, both writers and the summary work on the blocks;
+    ``CheckRecord`` objects are built only when ``records`` is read."""
+    built = []
+
+    class Counted(CheckRecord):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(report_module, "CheckRecord", Counted)
+    rep = suite(pointed_category(7))
+    emit_report(rep, "json"), emit_report(rep, "text"), rep.passed, rep.max_residual
+    assert built == []
+    assert len(rep.records) == len(built) > 7 ** 3

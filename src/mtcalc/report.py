@@ -2,15 +2,17 @@
 
 A report holds its records in blocks, in order.  ``Report.add_many`` adds
 one columnar block: the instance columns and the residuals of many records
-as arrays, written out with one template per block.  ``Report.add`` adds
-single records to a block of rows.  ``Report.records`` derives the
-``CheckRecord`` list from the blocks when it is read.
+as arrays.  ``Report.add`` appends single records to a block of rows.  Each
+format has one writer, which fills one template per layout of records.
+``Report.records`` derives the ``CheckRecord`` list from the blocks when it
+is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -39,15 +41,12 @@ class _Rows(list):
     def residuals(self) -> np.ndarray:
         return np.fromiter((r for _, _, r in self), float, len(self))
 
-    def rows(self):
-        return iter(self)
-
 
 class _Block:
     """n rows of m check ids: the record of row i and id j is (``ids[j]``,
     ``prefixes[j]`` followed by row i of every column of ``cols``,
-    ``res[i, j]``).  Records run row by row, and across the ids within a
-    row."""
+    ``res[i, j]``).  Iterating gives the (id, instance, residual) records
+    row by row, and across the ids within a row."""
 
     __slots__ = ("ids", "prefixes", "cols", "res", "tol")
 
@@ -62,7 +61,7 @@ class _Block:
     def residuals(self) -> np.ndarray:
         return self.res.ravel()
 
-    def rows(self):
+    def __iter__(self):
         values = [_values(col) for col in self.cols]
         for i, res in enumerate(self.res.tolist()):
             inst = tuple(col[i] for col in values)
@@ -115,13 +114,15 @@ class Report:
             res = res[:, None]
         if res.shape[1:] != (len(ids),):
             raise ValueError("residuals need one column per check id")
+        prefixes = tuple(map(tuple, prefixes or ((),) * len(ids)))
+        if len(prefixes) != len(ids):
+            raise ValueError("prefixes need one entry per check id")
         if not res.size:
             return
         cols = [np.array(col) if isinstance(col, np.ndarray) else list(col)
                 for col in instances]
         if any(len(col) != len(res) for col in cols):
             raise ValueError("every instance column needs one element per row")
-        prefixes = tuple(map(tuple, prefixes or ((),) * len(ids)))
         self._blocks.append(_Block(ids, prefixes, cols, res, self.tol))
         self._rows = None
 
@@ -138,7 +139,7 @@ class Report:
         """Every record, in order, built from the blocks on each read."""
         return [
             CheckRecord(check_id, instance, residual, residual < b.tol)
-            for b in self._blocks for check_id, instance, residual in b.rows()
+            for b in self._blocks for check_id, instance, residual in b
         ]
 
     @property
@@ -177,14 +178,6 @@ def _scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-# exact types spelled by one call of a builtin; floats (NaN and infinities
-# need a branch), subclasses and anything else go through _scalar
-_SPELL = {
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
-
 _RECORD_HEAD = '    {\n      "id": %s,\n      "instance": '
 _RECORD_TAIL = '%s,\n      "pass": %s,\n      "residual": %s\n    }'
 _ITEM_SEP = ",\n        "
@@ -192,56 +185,62 @@ _JSON_PASS = ("false", "true")
 _TEXT_MARK = ("FAIL", "ok  ")
 
 
-def _json_instance(items) -> str:
-    return f"[\n        {_ITEM_SEP.join(items)}\n      ]" if items else "[]"
-
-
-def _written(report: Report, write_rows, write_block) -> list:
-    """The written records of every block, in report order: a string per
-    single record, and per row of a columnar block.  The columnar blocks of
-    one layout (ids, prefixes, column count, tolerance) are written as one
-    block of all their rows."""
-    blocks = report._blocks
-    out = [None] * len(blocks)
-    layouts = {}  # layout -> its blocks' places in the report
-    for i, b in enumerate(blocks):
-        if isinstance(b, _Rows):
-            out[i] = write_rows(b)
-        else:
-            layouts.setdefault((b.ids, b.prefixes, len(b.cols), b.tol), []).append(i)
-    for members in layouts.values():
-        group = [blocks[i] for i in members]
-        lines = write_block(_merged(group) if len(group) > 1 else group[0])
-        at = 0
-        for i, b in zip(members, group):
-            out[i] = lines[at:at + len(b.res)]
-            at += len(b.res)
-    return [line for lines in out for line in lines]
-
-
-def _merged(blocks) -> _Block:
-    """One block of the rows of ``blocks``, which share their layout."""
-    cols = [
-        [x for col in parts for x in _values(col)]
-        for parts in zip(*(b.cols for b in blocks))
+def _written(report: Report, write_block) -> list:
+    """The written records, in report order.  Every record is a row of a
+    layout (ids, prefixes, column count, tolerance): a columnar block's rows
+    have the block's, a single record is a one-id row of ((id,), ((),), its
+    length, tolerance).  The rows of each layout are written by one call of
+    ``write_block``."""
+    groups = {}  # layout -> [its index, its blocks and runs of single records]
+    places = []  # per block: its layout index, or each of its rows' indices
+    for b in report._blocks:
+        if isinstance(b, _Block):
+            layout = (b.ids, b.prefixes, len(b.cols), b.tol)
+            group = groups.setdefault(layout, [len(groups)])
+            group.append(b)
+            places.append(group[0])
+            continue
+        runs = {}  # (id, length) -> its layout's group, ending in this block's run
+        indices = []
+        for row in b:
+            key = row[0], len(row[1])
+            group = runs.get(key)
+            if group is None:
+                layout = ((row[0],), ((),), key[1], b.tol)
+                group = runs[key] = groups.setdefault(layout, [len(groups)])
+                group.append(_Rows(b.tol))
+            group[-1].append(row)
+            indices.append(group[0])
+        places.append(indices)
+    lines = [
+        iter(write_block(_joined(layout, parts)))
+        for layout, (_, *parts) in groups.items()
     ]
-    res = np.concatenate([b.res for b in blocks])
-    return _Block(blocks[0].ids, blocks[0].prefixes, cols, res, blocks[0].tol)
+    out = []
+    for b, at in zip(report._blocks, places):
+        if isinstance(b, _Block):
+            out += islice(lines[at], len(b.res))
+        else:
+            out += map(next, map(lines.__getitem__, at))
+    return out
 
 
-def _json_rows(rows) -> list:
-    """The records of a block of rows, one at a time."""
-    heads = {}  # check id -> the record's lines up to its instance
-    spell = _SPELL.get
-    parts = []
-    for check_id, instance, residual in rows:
-        head = heads.get(check_id)
-        if head is None:
-            head = heads[check_id] = _RECORD_HEAD % _scalar(check_id)
-        inst = _json_instance([spell(type(x), _scalar)(x) for x in instance])
-        ok = _JSON_PASS[residual < rows.tol]
-        parts.append(head + _RECORD_TAIL % (inst, ok, _scalar(residual)))
-    return parts
+def _joined(layout, parts) -> _Block:
+    """One block of the rows of ``parts``, which share ``layout``; a lone
+    columnar block is itself, so it is written straight from its arrays."""
+    if len(parts) == 1 and isinstance(parts[0], _Block):
+        return parts[0]
+    ids, prefixes, width, tol = layout
+    cols = [[] for _ in range(width)]
+    for part in parts:
+        if isinstance(part, _Block):
+            values = map(_values, part.cols)
+        else:
+            values = zip(*(inst for _, inst, _ in part))
+        for col, part_values in zip(cols, values):
+            col += part_values
+    res = np.concatenate([part.residuals() for part in parts])
+    return _Block(ids, prefixes, cols, res.reshape(-1, len(ids)), tol)
 
 
 def _json_column(col) -> list:
@@ -252,13 +251,12 @@ def _json_column(col) -> list:
     kinds = set(map(type, values))
     if kinds <= {int} or (kinds <= {float} and all(map(math.isfinite, values))):
         return values
-    spell = _SPELL.get
-    return [spell(type(x), _scalar)(x) for x in values]
+    return list(map(_scalar, values))
 
 
 def _json_block(block) -> list:
-    """The rows of a columnar block, each from one template with a record
-    of each id; "true" is part of the template when every record passes."""
+    """The rows of a block, each from one template with a record of each
+    id; "true" is part of the template when every record passes."""
     res = block.res
     passed = res < block.tol
     all_pass = bool(passed.all())
@@ -266,9 +264,10 @@ def _json_block(block) -> list:
     records = []
     for check_id, prefix in zip(block.ids, block.prefixes):
         items = [_scalar(x).replace("%", "%%") for x in prefix] + slots
+        inst = f"[\n        {_ITEM_SEP.join(items)}\n      ]" if items else "[]"
         head = (_RECORD_HEAD % _scalar(check_id)).replace("%", "%%")
         ok = "true" if all_pass else "%s"
-        records.append(head + _RECORD_TAIL % (_json_instance(items), ok, "%s"))
+        records.append(head + _RECORD_TAIL % (inst, ok, "%s"))
     cols = [_json_column(col) for col in block.cols]
     finite = bool(np.isfinite(res).all())
     args = []
@@ -281,7 +280,7 @@ def _json_block(block) -> list:
 
 
 def _json_report(report: Report) -> str:
-    parts = _written(report, _json_rows, _json_block)
+    parts = _written(report, _json_block)
     records = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
     return (
         f'{{\n  "records": {records},\n  "suite": {_scalar(report.suite)},\n'
@@ -292,17 +291,9 @@ def _json_report(report: Report) -> str:
     )
 
 
-def _text_rows(rows) -> list:
-    return [
-        f"  [{_TEXT_MARK[residual < rows.tol]}] {check_id}"
-        f"({','.join(str(x) for x in instance)})  residual={residual:.3e}"
-        for check_id, instance, residual in rows
-    ]
-
-
 def _text_block(block) -> list:
-    """The rows of a columnar block, each from one template with a line of
-    each id."""
+    """The rows of a block, each from one template with a line of each
+    id."""
     cols = [_values(col) for col in block.cols]
     slots = ["%s"] * len(cols)
     passed = (block.res < block.tol).T.tolist()
@@ -320,10 +311,10 @@ def _text_block(block) -> list:
 
 def _text_report(report: Report) -> str:
     lines = [f"suite: {report.suite}  (tol={report.tol:g})"]
-    lines += _written(report, _text_rows, _text_block)
+    lines += _written(report, _text_block)
     by_id = {}  # check id -> [count, worst residual, its instance, all pass]
     for b in report._blocks:
-        for check_id, inst, res in b.rows():
+        for check_id, inst, res in b:
             entry = by_id.get(check_id)
             if entry is None:
                 by_id[check_id] = [1, res, inst, res < b.tol]
@@ -354,16 +345,17 @@ def emit_report(report: Report, format: str = "json") -> str:
     ``pass``, ``residual``), every scalar spelled as ``json.dumps`` spells it,
     NaN and infinities included: byte for byte what ``json.dumps(...,
     sort_keys=True, indent=2)`` gives on the report as nested dicts and
-    lists.  It is written block by block, in order: the single records one
-    at a time, and each columnar block from one string template per row,
-    with a record of each of its ids, filled from the block's arrays (ints
-    and finite floats as ``str`` spells them, anything else through
-    ``_scalar``); the columnar blocks of one layout are filled as one.  An
-    instance element that is not a str, int, bool or float raises
-    TypeError.  ``wall_time`` is left out, so reports are byte-identical
-    across repeated runs with the same flags and seed; the text format
-    shows it, and after the records one line per check id with its count,
-    max residual and worst instance.
+    lists.  Each format has one writer.  It groups the records by layout
+    (check ids, instance prefixes, column count, tolerance), a single
+    record being a one-id row of its own id and length, fills one string
+    template per layout from the columns (ints and finite floats as ``str``
+    spells them, anything else through ``_scalar``), and puts the records
+    back in report order.  A layout of one columnar block is filled
+    straight from its arrays.  An instance element that is not a str, int,
+    bool or float raises TypeError.  ``wall_time`` is left out, so reports
+    are byte-identical across repeated runs with the same flags and seed;
+    the text format shows it, and after the records one line per check id
+    with its count, max residual and worst instance.
     """
     if format == "json":
         return _json_report(report)

@@ -276,7 +276,8 @@ def test_block_records_run_row_by_row_across_ids():
 
 
 def test_blocks_of_one_layout_keep_their_element_types():
-    # blocks of one layout are written together; each keeps its elements
+    # blocks and single records of one layout are written together; each
+    # keeps its elements
     rep = Report(suite="layout", tol=1.0)
     for check_id, cols in (
         ("x", (np.array([True, False]), np.array([3, 4]), np.array([7], np.uint8))),
@@ -286,12 +287,18 @@ def test_blocks_of_one_layout_keep_their_element_types():
         for col in cols:
             rep.add_many(check_id, (col,), np.linspace(0.0, 2.0, len(col)))
             rep.add("between", (), 0.0)
+            rep.add(check_id, ("single",), 1.5)
     _check_both_formats(rep)
     assert [r.instance[0] for r in rep.records if r.id != "between"] == [
-        True, False, 3, 4, 7, 0.5, 2.0, 1, 2, "s", 5, 6
+        True, False, "single", 3, 4, "single", 7, "single",
+        0.5, 2.0, "single", 1, 2, "single",
+        "s", 5, "single", 6, "single",
     ]
     types = [type(r.instance[0]) for r in rep.records if r.id == "x"]
-    assert types == [bool, bool, int, int, int]
+    assert types == [bool, bool, str, int, int, str, int, str]
+    assert [r.ok for r in rep.records if r.id == "x"] == [
+        True, False, False, True, False, False, True, False
+    ]
 
 
 def test_block_shape_is_checked():
@@ -300,6 +307,10 @@ def test_block_shape_is_checked():
         rep.add_many(("a", "b"), (), np.zeros(3))
     with pytest.raises(ValueError):
         rep.add_many("a", ([1, 2],), np.zeros(3))
+    with pytest.raises(ValueError):
+        rep.add_many(("a", "b"), (np.array([1, 2]),), np.zeros((2, 2)),
+                     prefixes=(("+",),))
+    assert rep.records == []
 
 
 def test_numpy_element_in_a_column_list_raises_like_oracle():
@@ -321,11 +332,15 @@ def test_extend_copies_single_records():
     assert [r.id for r in second.records] == ["x", "z"]
 
 
-@pytest.mark.parametrize("suite", [fd.verify_coherence, gc.verify_fusing_symmetries],
-                         ids=["verify-category", "fusing-symmetries"])
+@pytest.mark.parametrize("suite", [
+    lambda make: fd.verify_coherence(make(7)),
+    lambda make: gc.verify_fusing_symmetries(make(7)),
+    lambda make: so.verify_operad_axioms(trials=50, seed=3),  # single records only
+], ids=["verify-category", "fusing-symmetries", "operad-check"])
 def test_suites_build_no_records_unless_read(pointed_category, monkeypatch, suite):
-    """On Z_7 the suite, both writers and the summary work on the blocks;
-    ``CheckRecord`` objects are built only when ``records`` is read."""
+    """On Z_7, and on a small sewing run, the suite, both writers and the
+    summary work on the blocks; ``CheckRecord`` objects are built only when
+    ``records`` is read."""
     built = []
 
     class Counted(CheckRecord):
@@ -334,7 +349,7 @@ def test_suites_build_no_records_unless_read(pointed_category, monkeypatch, suit
             super().__init__(*args)
 
     monkeypatch.setattr(report_module, "CheckRecord", Counted)
-    rep = suite(pointed_category(7))
+    rep = suite(pointed_category)
     emit_report(rep, "json"), emit_report(rep, "text"), rep.passed, rep.max_residual
     assert built == []
     assert len(rep.records) == len(built) > 7 ** 3

@@ -126,17 +126,20 @@ def pair_layer(assign, dst_assign, left_m: gc.Morphism, right_m: gc.Morphism,
             out.add_block(assign, dst_assign, cl, cr, coeff * kron)
 
 
-def doubled_layer(data, word, k, width, letters, rule) -> DoubleMorphism:
+def doubled_layer(data, word, k, width, letters, rule, sources=None) -> DoubleMorphism:
     """The layer that replaces ``word[k:k+width]`` by the doubled ``letters``.
 
     Per summand assignment, ``rule(window, left, right)`` gets the window's
     summand indices and the factor words, and yields each term of the layer
     as (summand indices of ``letters``, coefficient, left and right morphism).
+    Given a set ``sources`` of assignments of ``word``, the walk visits only
+    those, in the order of ``assignments(word)`` (lexicographic), and the
+    layer has blocks on them alone.
     """
     word = tuple(word)
     cod = word[:k] + tuple(letters) + word[k + width:]
     out = DoubleMorphism.zero(data, word, cod)
-    for assign in assignments(word):
+    for assign in assignments(word) if sources is None else sorted(sources):
         left, right = _factor_words(word, assign)
         for new, coeff, lm, rm in rule(assign[k:k + width], left, right):
             pair_layer(assign, assign[:k] + new + assign[k + width:], lm, rm, out, coeff)

@@ -168,11 +168,15 @@ def _memoized(layer):
     """Memoize an algebra layer on its algebra under (layer, word, k).
 
     The blocks of a memoized morphism are made read-only: every caller gets
-    the same object, so no caller may change it in place.
+    the same object, so no caller may change it in place.  A layer restricted
+    to a set of source assignments (see ``doubled_layer``) is built afresh
+    and never memoized.
     """
 
     @functools.wraps(layer)
-    def cached(alg, word, k):
+    def cached(alg, word, k, sources=None):
+        if sources is not None:
+            return layer(alg, tuple(word), k, sources)
         key = (layer.__name__, tuple(word), k)
         out = alg._memo.get(key)
         if out is None:
@@ -215,7 +219,7 @@ def _comult_index(alg) -> dict:
 
 
 @_memoized
-def mult_layer(alg, word, k) -> DoubleMorphism:
+def mult_layer(alg, word, k, sources=None) -> DoubleMorphism:
     """Multiplication applied at letters (k, k+1) of a doubled word."""
     data = alg.data
     index = _mult_index(alg)
@@ -228,11 +232,11 @@ def mult_layer(alg, word, k) -> DoubleMorphism:
                        gc.vertex_morphism(data, left, k, *ls, i),
                        gc.vertex_morphism(data, right, k, *rs, j))
 
-    return doubled_layer(data, word, k, 2, (alg.object,), rule)
+    return doubled_layer(data, word, k, 2, (alg.object,), rule, sources)
 
 
 @_memoized
-def ev_layer(alg, word, k) -> DoubleMorphism:
+def ev_layer(alg, word, k, sources=None) -> DoubleMorphism:
     """Pair the dual-object letter k against the algebra letter k+1."""
     data = alg.data
 
@@ -242,7 +246,7 @@ def ev_layer(alg, word, k) -> DoubleMorphism:
             yield ((), 1.0, gc.cap_morphism(data, left, k, *ls),
                    gc.cap_morphism(data, right, k, *rs))
 
-    return doubled_layer(data, word, k, 2, (), rule)
+    return doubled_layer(data, word, k, 2, (), rule, sources)
 
 
 @_memoized
@@ -273,20 +277,27 @@ def _comult_diagram(alg, word, k) -> DoubleMorphism:
 
     Built as phi, then the categorical dual of the multiplication through
     nested dual pairs, then the inverse form coefficient on both outputs.
-    The intermediate words have four letters more than ``word``; they run
-    on a copy of the algebra, so its memo does not keep them.
+    Each layer walks only the source assignments that its input reaches,
+    the destination assignments of the blocks built so far: on the
+    one-letter word the product sees n^3 of the n^5 assignments of its
+    five-letter word.  Restricted layers are never memoized, so the
+    algebra's memo keeps none of the longer intermediate words.
     """
-    alg = dataclasses.replace(alg)
     word = tuple(word)
     m = phi_layer(alg, word, k, +1)
-    m = coev_layer(alg, word, k + 1) @ m               # outer dual pair
-    m = coev_layer(alg, m.cod, k + 2) @ m              # inner dual pair
-    m = mult_layer(alg, m.cod, k + 1) @ m              # multiply into the pairs
-    m = ev_layer(alg, m.cod, k) @ m                    # close against the input
+    m = coev_layer(alg, word, k + 1, _reached(m)) @ m          # outer dual pair
+    m = coev_layer(alg, m.cod, k + 2, _reached(m)) @ m         # inner dual pair
+    m = mult_layer(alg, m.cod, k + 1, _reached(m)) @ m         # multiply into the pairs
+    m = ev_layer(alg, m.cod, k, _reached(m)) @ m               # close against the input
     cod = m.cod
     m = phi_layer(alg, cod, k, -1) @ m
     m = phi_layer(alg, cod, k + 1, -1) @ m
     return m
+
+
+def _reached(m) -> set:
+    """The destination assignments of the blocks of ``m``."""
+    return {dst for _, dst, _, _ in m.blocks}
 
 
 def comult_tensor(alg) -> dict:
@@ -341,7 +352,7 @@ def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
 
 
 @_memoized
-def coev_layer(alg, word, k) -> DoubleMorphism:
+def coev_layer(alg, word, k, sources=None) -> DoubleMorphism:
     """Insert a dual pair of algebra letters created from the unit at k."""
     data = alg.data
     pairs = tuple(enumerate(alg.dual_summand))
@@ -354,7 +365,7 @@ def coev_layer(alg, word, k) -> DoubleMorphism:
                    dim * gc.cup_morphism(data, left, k, *ls),
                    dim * gc.cup_morphism(data, right, k, *rs))
 
-    return doubled_layer(data, word, k, 0, (alg.object, alg.object), rule)
+    return doubled_layer(data, word, k, 0, (alg.object, alg.object), rule, sources)
 
 
 # ---------------------------------------------------------------------------

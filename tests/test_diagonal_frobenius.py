@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc import diagonal_frobenius as df
 from mtcalc.deligne_double import DoubleMorphism, DoubleObject, assignments, pair_layer
+
+import comult_oracle
 
 BUILTINS = fd.BUILTIN_NAMES
 PHI = (1 + math.sqrt(5)) / 2
@@ -236,9 +239,8 @@ def test_structure_morphism_accessors(algebras):
 
 # -- the coproduct layer against its diagram oracle ------------------------------
 
-# 2-letter words on Z_5 are left out: the diagram alone takes about 16 s there
 ORACLE_CASES = [(name, n) for name in BUILTINS for n in (1, 2)]
-ORACLE_CASES += [("z3", 1), ("z3", 2), ("z5", 1)]
+ORACLE_CASES += [("z3", 1), ("z3", 2), ("z5", 1), ("z5", 2)]
 
 
 @pytest.mark.parametrize("name, letters", ORACLE_CASES)
@@ -253,6 +255,62 @@ def test_comult_layer_matches_diagram(algebras, pointed_category, name, letters)
         diagram = df._comult_diagram(alg, word, k)
         assert (local.dom, local.cod) == (diagram.dom, diagram.cod)
         assert local.distance(diagram) < 1e-12, (name, letters, k)
+
+
+# -- the restricted diagram against the full walk ----------------------------------
+
+FULL_WALK_CASES = [(name, n) for name in BUILTINS for n in (1, 2)]
+FULL_WALK_CASES += [("z3", 1), ("z3", 2), ("z5", 1)]
+
+
+def _algebra(algebras, pointed_category, name):
+    """A fresh algebra, so that no memo of an earlier test is read."""
+    data = algebras[name].data if name in algebras else pointed_category(int(name[1:]))
+    return df.build_diagonal_algebra(data)
+
+
+@pytest.mark.parametrize("name, letters", FULL_WALK_CASES)
+def test_restricted_diagram_matches_full_walk(algebras, pointed_category, name, letters):
+    # a dropped block only ever met absent keys in the composition, so the
+    # restricted diagram keeps the full walk's keys and bits
+    alg = _algebra(algebras, pointed_category, name)
+    word = (alg.object,) * letters
+    for k in range(letters):
+        got = df._comult_diagram(alg, word, k)
+        want = comult_oracle.comult_diagram(alg, word, k)
+        assert (got.dom, got.cod) == (want.dom, want.cod)
+        assert got.blocks.keys() == want.blocks.keys(), (name, letters, k)
+        for key, mat in want.blocks.items():
+            assert np.array_equal(got.blocks[key], mat), (name, letters, k, key)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("z3", "z5"))
+def test_comult_tensor_matches_full_walk(algebras, pointed_category, name):
+    alg = _algebra(algebras, pointed_category, name)
+    got = df.comult_tensor(alg)
+    want = comult_oracle.comult_tensor(alg)
+    assert got.keys() == want.keys()
+    for key, block in want.items():
+        assert got[key].dtype == block.dtype and got[key].shape == block.shape
+        assert got[key].tobytes() == block.tobytes(), key
+    # the restricted layers of the derivation never enter the memo
+    assert not any(isinstance(m, DoubleMorphism) for m in alg._memo.values())
+
+
+@pytest.mark.parametrize("layer, k", [(df.mult_layer, 1), (df.ev_layer, 0), (df.coev_layer, 2)])
+def test_restricted_layer_is_the_full_layer_on_its_sources(algebras, layer, k):
+    # the walk keeps the order of assignments(word), so the blocks come in
+    # the full layer's order, and the restricted layer is never memoized
+    alg = algebras["ising"]
+    word = (alg.object,) * 3
+    full = layer(alg, word, k)
+    sources = set(assignments(word)[::2])
+    got = layer(alg, word, k, sources)
+    want = [(key, mat) for key, mat in full.blocks.items() if key[0] in sources]
+    assert list(got.blocks) == [key for key, _ in want]
+    assert all(np.array_equal(got.blocks[key], mat) for key, mat in want)
+    assert layer(alg, word, k) is full
+    assert got not in alg._memo.values()
 
 
 def test_comult_tensor_reads_the_diagram(categories, monkeypatch):
@@ -385,3 +443,62 @@ def test_suites_independent_of_summand_order(algebras, pointed_category, name):
         )
         assert got == want, suite.__name__
         assert all(ok for _, _, ok, _ in got), suite.__name__
+
+
+# -- negative controls of the frobenius suite --------------------------------------
+
+
+def _z3_file_edited(pointed_category, mult=(), phi=()):
+    """The build-ffa file of Z_3 with the given mult channels (s1, s2, s3)
+    and phi summands multiplied by their factors, loaded again."""
+    doc = json.loads(df.emit_algebra(df.build_diagonal_algebra(pointed_category(3))))
+    rows = [(row, dict(mult).get(tuple(row[:3]))) for row in doc["mult"]]
+    rows += [(row, dict(phi).get(row[0])) for row in doc["phi"]]
+    for row, factor in rows:
+        if factor is not None:
+            row[-2:] = [x * factor for x in row[-2:]]
+    return df.loads_algebra(doc)
+
+
+def _mult_112_scaled(pointed_category):
+    return _z3_file_edited(pointed_category, mult={(1, 1, 2): 1.5})
+
+
+def _phi_0_scaled(pointed_category):
+    return _z3_file_edited(pointed_category, phi={0: 1.5})
+
+
+def _pairing_1_2_zeroed(pointed_category):
+    # the duality channel (1, 2 -> 0) pairs to a singular (zero) block
+    return _z3_file_edited(pointed_category, mult={(1, 2, 0): 0.0})
+
+
+# per check id of the frobenius suite, an edited Z_3 build-ffa file that
+# fails it
+FROBENIUS_NEGATIVE_CONTROLS = {
+    "coassociativity": _mult_112_scaled,
+    "counit_left": _phi_0_scaled,
+    "counit_right": _phi_0_scaled,
+    "frobenius_left": _mult_112_scaled,
+    "frobenius_right": _mult_112_scaled,
+    "pairing_nondegenerate": _pairing_1_2_zeroed,
+}
+
+
+def test_every_frobenius_check_id_has_a_negative_control(algebras):
+    ids = {r.id for r in df.verify_frobenius(algebras["ising"]).records}
+    assert ids == set(FROBENIUS_NEGATIVE_CONTROLS)
+
+
+@pytest.mark.parametrize("check_id", FROBENIUS_NEGATIVE_CONTROLS)
+def test_frobenius_negative_control(pointed_category, monkeypatch, check_id):
+    """The edit fails ``check_id`` with the coproduct derived on the
+    restricted diagram, and the full-walk oracle fails the same records."""
+    make = FROBENIUS_NEGATIVE_CONTROLS[check_id]
+    restricted = df.verify_frobenius(make(pointed_category), 1e-9)
+    monkeypatch.setattr(df, "_comult_diagram", comult_oracle.comult_diagram)
+    full = df.verify_frobenius(make(pointed_category), 1e-9)
+    failed = [{(r.id, r.instance) for r in rep.records if not r.ok}
+              for rep in (restricted, full)]
+    assert (check_id, ()) in failed[0]
+    assert failed[0] == failed[1]

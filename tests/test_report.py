@@ -219,15 +219,20 @@ def _random_residuals(rng, shape):
     return res
 
 
+def _random_single(rng, rep, check_id, width) -> None:
+    """Add one record of ``check_id`` with ``width`` random instance elements."""
+    inst = tuple(_random_column(rng, 1)[0] for _ in range(width))
+    inst = tuple(x.item() if isinstance(x, np.generic) else x for x in inst)
+    rep.add(check_id, inst, _random_residuals(rng, 1)[0])
+
+
 def _random_report(rng, depth=0) -> Report:
     rep = Report(suite=_STRS[rng.integers(len(_STRS))],
                  tol=(1e-9, 1.0, 0.5, math.inf)[rng.integers(4)])
     for _ in range(rng.integers(1, 7)):
         step = rng.integers(6 if depth == 0 else 5)
         if step == 0:
-            inst = tuple(_random_column(rng, 1)[0] for _ in range(rng.integers(4)))
-            inst = tuple(x.item() if isinstance(x, np.generic) else x for x in inst)
-            rep.add(_IDS[rng.integers(len(_IDS))], inst, _random_residuals(rng, 1)[0])
+            _random_single(rng, rep, _IDS[rng.integers(len(_IDS))], rng.integers(4))
         elif step == 5:
             rep.extend(_random_report(rng, depth + 1))
         else:
@@ -237,6 +242,9 @@ def _random_report(rng, depth=0) -> Report:
                 tuple(_STRS[i] for i in rng.integers(len(_STRS), size=rng.integers(3)))
                 for _ in range(m)
             ] if rng.integers(2) else None
+            if m == 1 and prefixes is None and rng.integers(2):
+                # a single record ahead of the block, in the block's layout
+                _random_single(rng, rep, ids[0], k)
             flat = m == 1 and rng.integers(2)  # 1-d residuals of one id
             residuals = _random_residuals(rng, n if flat else (n, m))
             rep.add_many(ids if m > 1 or rng.integers(2) else ids[0],

@@ -10,6 +10,7 @@ import pytest
 
 import mtcalc.cli_io as cli_io
 import mtcalc.deligne_double as dd
+import mtcalc.diagonal_frobenius as df
 import mtcalc.fusion_data as fd
 import mtcalc.graphcalc as gc
 import mtcalc.sewing_operad as so
@@ -207,3 +208,27 @@ def test_fusing_symmetries_tree_walks_scale_with_vertices(
         assert status == cli_io.EXIT_OK
     assert calls[5] > 0
     assert math.log(calls[9] / calls[5]) / math.log(9 / 5) <= 2.1, calls
+
+
+def test_comult_derivation_walks_scale_with_reached_assignments(
+    monkeypatch, pointed_category
+):
+    # each layer of the coproduct diagram walks only the assignments its
+    # input reaches, n^3 of the n^5 of the product's 5-letter word on Z_n,
+    # so the pair_layer calls grow like N^3; the full walk grows like N^5
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    calls = {}
+    for n in (5, 7, 9):
+        alg = df.build_diagonal_algebra(pointed_category(n))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_job(f"comult_tensor z{n}")
+            df.comult_tensor(alg)
+            calls[n] = spans.layer_values(tracer.summary())["deligne_double.pair_layer.calls"]
+        finally:
+            tracer.uninstall()
+    assert calls[5] > 0
+    assert math.log(calls[9] / calls[5]) / math.log(9 / 5) <= 3.2, calls

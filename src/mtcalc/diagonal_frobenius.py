@@ -344,7 +344,7 @@ def counit_layer(alg, word, k) -> DoubleMorphism:
     return doubled_layer(data, word, k, 1, (), rule)
 
 
-def phi_layer(alg, word, k, power: int = 1) -> DoubleMorphism:
+def phi_layer(alg, word, k, power: int) -> DoubleMorphism:
     """Diagonal action of the form coefficient on letter k."""
     return DoubleMorphism.scaled_identity(
         alg.data, word, lambda assign, cl, cr: alg.phi[assign[k]] ** power

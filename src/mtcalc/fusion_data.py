@@ -113,13 +113,6 @@ class FusionRing:
         N[tuple(np.array(list(self.N)).T)] = list(self.N.values())
         return N
 
-    def fusion_matrix(self, a: int) -> np.ndarray:
-        """(N_a)_{bc} = N_{ab}^c as an integer matrix."""
-        n = self.size
-        return np.array(
-            [[self.n(a, b, c) for c in range(n)] for b in range(n)], dtype=int
-        )
-
     def _validate(self):
         n = self.size
         e = self.unit
@@ -340,9 +333,8 @@ def _check_complete(table: Table, want: np.ndarray, what: str):
 
 
 def quantum_dimension(data: CategoryData, a: int) -> float:
-    """Perron-Frobenius eigenvalue of the fusion matrix N_a."""
-    mat = data.ring.fusion_matrix(a)
-    eig = np.linalg.eigvals(mat.astype(float))
+    """Perron-Frobenius eigenvalue of the fusion matrix (N_a)_{bc} = N_ab^c."""
+    eig = np.linalg.eigvals(data.ring.array[a].astype(float))
     return float(np.max(eig.real))
 
 

@@ -23,8 +23,6 @@ from .table_arrays import FusingWords
 __all__ = [
     "BlockMap",
     "Morphism",
-    "Diagram",
-    "Gen",
     "VertexVector",
     "CovertexVector",
     "word_trees",
@@ -393,96 +391,16 @@ def twist_morphism(data, word, k, sense: str) -> Morphism:
 # diagrams
 
 
-@dataclass(frozen=True)
-class Gen:
-    """One diagram generator; ``labels``/``mult`` depend on the kind."""
+def evaluate_diagram(data: CategoryData, word: tuple, steps) -> Morphism:
+    """Compose a diagram bottom-up from the identity of ``word``.
 
-    kind: str
-    labels: tuple = ()
-    mult: int = 0
-
-    def arity(self, data) -> tuple:
-        a = self.labels
-        table = {
-            "id": ((a[0],), (a[0],)) if a else ((), ()),
-            "vertex": ((a[0], a[1]), (a[2],)) if len(a) == 3 else None,
-            "covertex": ((a[2],), (a[0], a[1])) if len(a) == 3 else None,
-            "braid+": ((a[0], a[1]), (a[1], a[0])) if len(a) == 2 else None,
-            "braid-": ((a[0], a[1]), (a[1], a[0])) if len(a) == 2 else None,
-            "twist+": ((a[0],), (a[0],)),
-            "twist-": ((a[0],), (a[0],)),
-            "cup_r": ((), (a[0], data.dual(a[0]))),
-            "cup_l": ((), (data.dual(a[0]), a[0])),
-            "cap_r": ((data.dual(a[0]), a[0]), ()),
-            "cap_l": ((a[0], data.dual(a[0])), ()),
-        }
-        got = table.get(self.kind)
-        if got is None:
-            raise ValueError(f"unknown generator {self.kind}")
-        return got
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Layers of horizontally juxtaposed generators, composed bottom-up."""
-
-    layers: tuple
-
-    @classmethod
-    def from_lists(cls, layers):
-        return cls(tuple(tuple(layer) for layer in layers))
-
-
-def _apply_gen(data, word, pos, gen: Gen) -> tuple:
-    """Apply one generator at letter position ``pos``; returns (word, Morphism)."""
-    kind, a = gen.kind, gen.labels
-    if kind == "id":
-        return word, Morphism.identity(data, word)
-    if kind == "vertex":
-        m = vertex_morphism(data, word, pos, a[0], a[1], a[2], gen.mult)
-    elif kind == "covertex":
-        m = covertex_morphism(data, word, pos, a[0], a[1], a[2], gen.mult)
-    elif kind in ("braid+", "braid-"):
-        m = braid_morphism(data, word, pos, kind[-1])
-    elif kind in ("twist+", "twist-"):
-        m = twist_morphism(data, word, pos, kind[-1])
-    elif kind == "cup_r":
-        m = categorical_dim(data, a[0]) * cup_morphism(
-            data, word, pos, a[0], data.dual(a[0])
-        )
-    elif kind == "cup_l":
-        m = categorical_dim(data, a[0]) * cup_morphism(
-            data, word, pos, data.dual(a[0]), a[0]
-        )
-    elif kind == "cap_r":
-        m = cap_morphism(data, word, pos, data.dual(a[0]), a[0])
-    elif kind == "cap_l":
-        m = cap_morphism(data, word, pos, a[0], data.dual(a[0]))
-    else:
-        raise ValueError(f"unknown generator {kind}")
-    return m.cod, m
-
-
-def evaluate_diagram(data: CategoryData, diagram: Diagram, dom=None) -> Morphism:
-    """Contract a diagram layer by layer; raises on boundary-word mismatch."""
-    if dom is None:
-        dom = ()
-        if diagram.layers:
-            dom = tuple(
-                l for gen in diagram.layers[0] for l in gen.arity(data)[0]
-            )
-    word = tuple(dom)
-    total = Morphism.identity(data, word)
-    for layer in diagram.layers:
-        expected = tuple(l for gen in layer for l in gen.arity(data)[0])
-        if expected != word:
-            raise ValueError(f"layer expects boundary {expected}, found {word}")
-        pos = 0
-        for gen in layer:
-            ins, outs = gen.arity(data)
-            word, m = _apply_gen(data, word, pos, gen)
-            total = m @ total
-            pos += len(outs)
+    Each step is a function from the current word to one generator morphism
+    out of it, such as ``cap_morphism`` at a position; the generator
+    functions raise ValueError on letters that do not match the word.
+    """
+    total = Morphism.identity(data, tuple(word))
+    for step in steps:
+        total = step(total.cod) @ total
     return total
 
 
@@ -619,25 +537,24 @@ def completeness_defect(data, a, b) -> float:
     return total.distance(Morphism.identity(data, (a, b)))
 
 
-def _zigzag_diagrams(data, a):
+def _zigzags(data, a) -> dict:
+    """Each zigzag of ``a``: its strand, and its two steps for
+    ``evaluate_diagram``, a cup scaled by the loop value of ``a`` and then a
+    cap."""
     ap = data.dual(a)
+    dim = categorical_dim(data, a)
+
+    def cup(k, x, y):
+        return lambda word: dim * cup_morphism(data, word, k, x, y)
+
+    def cap(k, x, y):
+        return lambda word: cap_morphism(data, word, k, x, y)
+
     return {
-        "zigzag_right_1": Diagram.from_lists([
-            [Gen("cup_r", (a,)), Gen("id", (a,))],
-            [Gen("id", (a,)), Gen("cap_r", (a,))],
-        ]),
-        "zigzag_right_2": Diagram.from_lists([
-            [Gen("id", (ap,)), Gen("cup_r", (a,))],
-            [Gen("cap_r", (a,)), Gen("id", (ap,))],
-        ]),
-        "zigzag_left_1": Diagram.from_lists([
-            [Gen("id", (a,)), Gen("cup_l", (a,))],
-            [Gen("cap_l", (a,)), Gen("id", (a,))],
-        ]),
-        "zigzag_left_2": Diagram.from_lists([
-            [Gen("cup_l", (a,)), Gen("id", (ap,))],
-            [Gen("id", (ap,)), Gen("cap_l", (a,))],
-        ]),
+        "zigzag_right_1": ((a,), (cup(0, a, ap), cap(1, ap, a))),
+        "zigzag_right_2": ((ap,), (cup(1, a, ap), cap(0, ap, a))),
+        "zigzag_left_1": ((a,), (cup(1, ap, a), cap(0, a, ap))),
+        "zigzag_left_2": ((ap,), (cup(0, ap, a), cap(1, a, ap))),
     }
 
 
@@ -662,11 +579,9 @@ def verify_rigidity(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     t0 = time.perf_counter()
     report = Report(suite="rigidity", tol=tol)
     for a in range(data.size):
-        diagrams = _zigzag_diagrams(data, a)
         scalars = _zigzag_fusing_route(data, a)
-        for name, diag in diagrams.items():
-            strand = (a,) if name.endswith(("right_1", "left_1")) else (data.dual(a),)
-            got = evaluate_diagram(data, diag, strand)
+        for name, (strand, steps) in _zigzags(data, a).items():
+            got = evaluate_diagram(data, strand, steps)
             ident = Morphism.identity(data, strand)
             report.add(f"{name}_diagram", (a,), got.distance(ident))
             report.add(f"{name}_fusing", (a,), abs(scalars[name] - 1.0))

@@ -29,14 +29,7 @@ class CheckRecord:
 
 
 class _Rows(list):
-    """Records added one at a time, as (id, instance, residual) tuples, and
-    the tolerance they are judged by."""
-
-    __slots__ = ("tol",)
-
-    def __init__(self, tol, rows=()):
-        super().__init__(rows)
-        self.tol = tol
+    """Records added one at a time, as (id, instance, residual) tuples."""
 
     def residuals(self) -> np.ndarray:
         return np.fromiter((r for _, _, r in self), float, len(self))
@@ -48,12 +41,10 @@ class _Block:
     ``res[i, j]``).  Iterating gives the (id, instance, residual) records
     row by row, and across the ids within a row."""
 
-    __slots__ = ("ids", "prefixes", "cols", "res", "tol")
+    __slots__ = ("ids", "prefixes", "cols", "res")
 
-    def __init__(self, ids, prefixes, cols, res, tol):
-        self.ids, self.prefixes, self.cols, self.res, self.tol = (
-            ids, prefixes, cols, res, tol
-        )
+    def __init__(self, ids, prefixes, cols, res):
+        self.ids, self.prefixes, self.cols, self.res = ids, prefixes, cols, res
 
     def __len__(self):
         return self.res.size
@@ -83,8 +74,9 @@ def _severity(residual: float) -> tuple:
 class Report:
     """Result of one verification suite.
 
-    ``passed`` holds iff every record's residual is below the run tolerance.
-    Records keep deterministic order for fixed inputs and seed.
+    ``passed`` holds iff every record's residual is below ``tol``, the one
+    tolerance every record is judged by.  Records keep deterministic order
+    for fixed inputs and seed.
     """
 
     suite: str
@@ -96,7 +88,7 @@ class Report:
     def add(self, check_id: str, instance: tuple, residual: float) -> None:
         rows = self._rows
         if rows is None:
-            rows = self._rows = _Rows(self.tol)
+            rows = self._rows = _Rows()
             self._blocks.append(rows)
         rows.append((check_id, tuple(instance), float(residual)))
 
@@ -123,22 +115,29 @@ class Report:
                 for col in instances]
         if any(len(col) != len(res) for col in cols):
             raise ValueError("every instance column needs one element per row")
-        self._blocks.append(_Block(ids, prefixes, cols, res, self.tol))
+        self._blocks.append(_Block(ids, prefixes, cols, res))
         self._rows = None
 
     def extend(self, other: "Report") -> None:
+        """Append the records of ``other``, which must have the same
+        tolerance, and add its wall time to this report's."""
+        if other.tol != self.tol:
+            raise ValueError(
+                f"cannot extend a report of tol {self.tol!r} by one of tol {other.tol!r}"
+            )
         # rows are copied, so that later single adds to either report stay
         # out of the other
         self._blocks.extend(
-            _Rows(b.tol, b) if isinstance(b, _Rows) else b for b in other._blocks
+            _Rows(b) if isinstance(b, _Rows) else b for b in other._blocks
         )
         self._rows = None
+        self.wall_time += other.wall_time
 
     @property
     def records(self) -> list[CheckRecord]:
         """Every record, in order, built from the blocks on each read."""
         return [
-            CheckRecord(check_id, instance, residual, residual < b.tol)
+            CheckRecord(check_id, instance, residual, residual < self.tol)
             for b in self._blocks for check_id, instance, residual in b
         ]
 
@@ -150,7 +149,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all((b.residuals() < b.tol).all() for b in self._blocks)
+        return all((b.residuals() < self.tol).all() for b in self._blocks)
 
 
 def _count(report: Report) -> int:
@@ -187,15 +186,15 @@ _TEXT_MARK = ("FAIL", "ok  ")
 
 def _written(report: Report, write_block) -> list:
     """The written records, in report order.  Every record is a row of a
-    layout (ids, prefixes, column count, tolerance): a columnar block's rows
-    have the block's, a single record is a one-id row of ((id,), ((),), its
-    length, tolerance).  The rows of each layout are written by one call of
-    ``write_block``."""
+    layout (ids, prefixes, column count): a columnar block's rows have the
+    block's, a single record is a one-id row of ((id,), ((),), its length).
+    The rows of each layout are written by one call of ``write_block``,
+    with the report's tolerance."""
     groups = {}  # layout -> [its index, its blocks and runs of single records]
     places = []  # per block: its layout index, or each of its rows' indices
     for b in report._blocks:
         if isinstance(b, _Block):
-            layout = (b.ids, b.prefixes, len(b.cols), b.tol)
+            layout = (b.ids, b.prefixes, len(b.cols))
             group = groups.setdefault(layout, [len(groups)])
             group.append(b)
             places.append(group[0])
@@ -206,14 +205,14 @@ def _written(report: Report, write_block) -> list:
             key = row[0], len(row[1])
             group = runs.get(key)
             if group is None:
-                layout = ((row[0],), ((),), key[1], b.tol)
+                layout = ((row[0],), ((),), key[1])
                 group = runs[key] = groups.setdefault(layout, [len(groups)])
-                group.append(_Rows(b.tol))
+                group.append(_Rows())
             group[-1].append(row)
             indices.append(group[0])
         places.append(indices)
     lines = [
-        iter(write_block(_joined(layout, parts)))
+        iter(write_block(_joined(layout, parts), report.tol))
         for layout, (_, *parts) in groups.items()
     ]
     out = []
@@ -230,7 +229,7 @@ def _joined(layout, parts) -> _Block:
     columnar block is itself, so it is written straight from its arrays."""
     if len(parts) == 1 and isinstance(parts[0], _Block):
         return parts[0]
-    ids, prefixes, width, tol = layout
+    ids, prefixes, width = layout
     cols = [[] for _ in range(width)]
     for part in parts:
         if isinstance(part, _Block):
@@ -240,7 +239,7 @@ def _joined(layout, parts) -> _Block:
         for col, part_values in zip(cols, values):
             col += part_values
     res = np.concatenate([part.residuals() for part in parts])
-    return _Block(ids, prefixes, cols, res.reshape(-1, len(ids)), tol)
+    return _Block(ids, prefixes, cols, res.reshape(-1, len(ids)))
 
 
 def _json_column(col) -> list:
@@ -254,11 +253,11 @@ def _json_column(col) -> list:
     return list(map(_scalar, values))
 
 
-def _json_block(block) -> list:
+def _json_block(block, tol) -> list:
     """The rows of a block, each from one template with a record of each
-    id; "true" is part of the template when every record passes."""
+    id; "true" is part of the template when every record passes ``tol``."""
     res = block.res
-    passed = res < block.tol
+    passed = res < tol
     all_pass = bool(passed.all())
     slots = ["%s"] * len(block.cols)
     records = []
@@ -291,12 +290,12 @@ def _json_report(report: Report) -> str:
     )
 
 
-def _text_block(block) -> list:
+def _text_block(block, tol) -> list:
     """The rows of a block, each from one template with a line of each
-    id."""
+    id, judged by ``tol``."""
     cols = [_values(col) for col in block.cols]
     slots = ["%s"] * len(cols)
-    passed = (block.res < block.tol).T.tolist()
+    passed = (block.res < tol).T.tolist()
     records, args = [], []
     for check_id, prefix, oks, res in zip(
         block.ids, block.prefixes, passed, block.res.T.tolist()
@@ -317,10 +316,10 @@ def _text_report(report: Report) -> str:
         for check_id, inst, res in b:
             entry = by_id.get(check_id)
             if entry is None:
-                by_id[check_id] = [1, res, inst, res < b.tol]
+                by_id[check_id] = [1, res, inst, res < report.tol]
                 continue
             entry[0] += 1
-            entry[3] = entry[3] and res < b.tol
+            entry[3] = entry[3] and res < report.tol
             if _severity(res) > _severity(entry[1]):
                 entry[1], entry[2] = res, inst
     lines.append("per check id:")
@@ -346,7 +345,7 @@ def emit_report(report: Report, format: str = "json") -> str:
     NaN and infinities included: byte for byte what ``json.dumps(...,
     sort_keys=True, indent=2)`` gives on the report as nested dicts and
     lists.  Each format has one writer.  It groups the records by layout
-    (check ids, instance prefixes, column count, tolerance), a single
+    (check ids, instance prefixes, column count), a single
     record being a one-id row of its own id and length, fills one string
     template per layout from the columns (ints and finite floats as ``str``
     spells them, anything else through ``_scalar``), and puts the records

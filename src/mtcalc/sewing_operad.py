@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 SEW_MARGIN = 1e-6
+# random elements: the scale of a float number's normal draw, and the draws
+# a randomized check makes before it gives up on a sewable sample
+SPREAD = 4.0
+MAX_TRIES = 500
 
 
 class SewingError(ValueError):
@@ -553,14 +557,13 @@ def insertion_permutation(sigma, i: int, inner_arity: int) -> tuple:
 # randomized verification suite
 
 
-def random_sphere(rng, arity: int, exact: bool = False,
-                  spread: float = 4.0) -> PuncturedSphere:
+def random_sphere(rng, arity: int, exact: bool = False) -> PuncturedSphere:
     """Random element with well-separated punctures.
 
     An attempt draws its numbers in one call, in the order of one scalar
     draw per part (z, then a, then the scalings; real part first), so the
     random stream is that of the scalar draws.  A float number is what
-    ``rng.normal(0, spread)`` gives; an exact one is p/q + i r/s with
+    ``rng.normal(0, SPREAD)`` gives; an exact one is p/q + i r/s with
     p, r in [-8, 8] and q, s in [1, 4].
     """
     if arity == 0:
@@ -580,7 +583,7 @@ def random_sphere(rng, arity: int, exact: bool = False,
             scales = tuple(nums[arity:])
         else:
             v = rng.standard_normal(2 * n).tolist()
-            nums = [complex(0.0 + spread * x, 0.0 + spread * y)
+            nums = [complex(0.0 + SPREAD * x, 0.0 + SPREAD * y)
                     for x, y in zip(v[0::2], v[1::2])]
             a = complex(0.0 + v[n - 2], 0.0 + v[n - 1])
             scales = tuple(c + 0.3 for c in nums[arity:])
@@ -590,8 +593,8 @@ def random_sphere(rng, arity: int, exact: bool = False,
             continue
 
 
-def _sample_sewable(rng, exact, max_tries=500):
-    for _ in range(max_tries):
+def _sample_sewable(rng, exact):
+    for _ in range(MAX_TRIES):
         P = random_sphere(rng, int(rng.integers(1, 4)), exact)
         Q = random_sphere(rng, int(rng.integers(0, 4)), exact)
         i = int(rng.integers(1, P.arity + 1))
@@ -636,7 +639,7 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
 
         # nested associativity on its own sewable triple, resampled until
         # both composition orders exist
-        for _ in range(500):
+        for _ in range(MAX_TRIES):
             Pa, ia, Qa = _sample_sewable(rng, exact)
             if Qa.arity == 0:
                 continue
@@ -654,7 +657,7 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
             report.add("associativity", (tr,), float("inf"))
 
         # equivariance of sewing under relabeling of the outer element
-        for _ in range(500):
+        for _ in range(MAX_TRIES):
             Pe, ie, Qe = _sample_sewable(rng, exact)
             sigma = tuple(int(v) + 1 for v in rng.permutation(Pe.arity))
             try:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mtcalc
 from mtcalc import fusion_data as fd
 from mtcalc.cli_io import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_suite
 
@@ -26,6 +28,15 @@ def test_verify_ffa_trivial_all_zero():
     doc = json.loads(out)
     assert doc["summary"]["pass"] is True
     assert doc["summary"]["max_residual"] == 0.0
+
+
+def test_verify_ffa_text_shows_the_suites_wall_time():
+    # the report sums the wall times of the suites it is made of; on Ising
+    # they take well over a millisecond
+    status, out = run_suite(["verify-ffa", "builtin:ising", "--format", "text"])
+    assert status == EXIT_OK
+    wall = float(re.search(r"wall_time=(\S+)s\n$", out).group(1))
+    assert wall > 0.0
 
 
 @pytest.mark.parametrize(
@@ -410,20 +421,26 @@ def test_out_flag_writes_file(tmp_path):
     assert json.loads(path.read_text())["summary"]["pass"] is True
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mtcalc.cli_io", "verify-category", "builtin:trivial"],
-        capture_output=True,
-        text=True,
+def _run_module(*args):
+    """``python -m *args`` in a child process that imports the ``mtcalc``
+    package this process imported, also when only pytest's own path
+    setting put it on ``sys.path``."""
+    root = str(Path(mtcalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
-    assert proc.returncode == 0
+
+
+def test_console_entry_point():
+    proc = _run_module("mtcalc.cli_io", "verify-category", "builtin:trivial")
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["pass"] is True
 
 
 def test_package_runs_as_module():
-    run = lambda *args: subprocess.run(
-        [sys.executable, "-m", "mtcalc", *args], capture_output=True, text=True
-    )
+    run = lambda *args: _run_module("mtcalc", *args)
     proc = run("verify-ffa", "builtin:trivial")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["summary"]["pass"] is True
@@ -448,9 +465,7 @@ def test_calls_in_one_process_match_fresh_processes():
         ["verify-category", "builtin:fibonacci"],
     ]
     for argv in calls:
-        proc = subprocess.run(
-            [sys.executable, "-m", "mtcalc", *argv], capture_output=True, text=True
-        )
+        proc = _run_module("mtcalc", *argv)
         want = result(proc.returncode, proc.stdout + proc.stderr)
         assert result(*run_suite(argv)) == want, argv
 

@@ -9,8 +9,6 @@ from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc.graphcalc import (
     CovertexVector,
-    Diagram,
-    Gen,
     Morphism,
     VertexVector,
 )
@@ -207,8 +205,9 @@ def test_double_braiding_ribbon_identity(categories, name):
 def test_closed_loop_equals_inverse_fusing_scalar(categories, name):
     data = categories[name]
     for a in range(data.size):
-        loop = Diagram.from_lists([[Gen("cup_r", (a,))], [Gen("cap_l", (a,))]])
-        val = gc.evaluate_diagram(data, loop, ()).scalar()
+        coev_right, _, _, ev_left = _duality_maps(data, a)
+        loop = (lambda word: coev_right, lambda word: ev_left)
+        val = gc.evaluate_diagram(data, (), loop).scalar()
         assert abs(val - 1.0 / gc.duality_fusing_scalar(data, a)) < 1e-9
         assert abs(val - gc.categorical_dim(data, a)) < 1e-12
 
@@ -230,8 +229,9 @@ def test_duality_fusing_scalar_examples(categories):
 
 
 def _duality_maps(data, a):
-    """The cups (loop-value scaled) and caps of ``a``, as ``_apply_gen``
-    builds the generators cup_r, cap_r, cup_l and cap_l."""
+    """The cups (loop-value scaled) and caps of ``a``, as rigidity's zigzags
+    apply them: (a, a') and (a', a) created from the unit, each scaled by
+    the loop value of ``a``, and (a', a) and (a, a') annihilated."""
     ap = data.dual(a)
     dim = gc.categorical_dim(data, a)
     return (
@@ -274,28 +274,30 @@ def test_rigidity_detects_scaled_coevaluation(categories):
 
 
 def test_empty_diagram(categories):
-    assert gc.evaluate_diagram(categories["trivial"], Diagram.from_lists([]), ()).scalar() == 1.0
+    assert gc.evaluate_diagram(categories["trivial"], (), ()).scalar() == 1.0
 
 
 def test_twist_kink(categories):
     for name in BUILTINS:
         data = categories[name]
         for a in range(data.size):
-            kink = Diagram.from_lists([
-                [Gen("cup_r", (a,))],
-                [Gen("twist+", (a,)), Gen("id", (data.dual(a),))],
-                [Gen("cap_l", (a,))],
-            ])
-            val = gc.evaluate_diagram(data, kink, ()).scalar()
+            coev_right, _, _, ev_left = _duality_maps(data, a)
+            kink = (
+                lambda word: coev_right,
+                lambda word: gc.twist_morphism(data, word, 0, "+"),
+                lambda word: ev_left,
+            )
+            val = gc.evaluate_diagram(data, (), kink).scalar()
             want = data.twist[a] * gc.categorical_dim(data, a)
             assert abs(val - want) < 1e-9
 
 
 def test_boundary_mismatch_raises(categories):
     data = categories["fibonacci"]
-    diag = Diagram.from_lists([[Gen("cap_l", (1,))]])
-    with pytest.raises(ValueError, match="boundary"):
-        gc.evaluate_diagram(data, diag, (1, 0))
+    # a step applied to a word it does not match
+    cap = (lambda word: gc.cap_morphism(data, word, 0, 1, 1),)
+    with pytest.raises(ValueError, match="match the word"):
+        gc.evaluate_diagram(data, (1, 0), cap)
 
 
 def test_yang_baxter(categories):

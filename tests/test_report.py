@@ -226,15 +226,17 @@ def _random_single(rng, rep, check_id, width) -> None:
     rep.add(check_id, inst, _random_residuals(rng, 1)[0])
 
 
-def _random_report(rng, depth=0) -> Report:
-    rep = Report(suite=_STRS[rng.integers(len(_STRS))],
-                 tol=(1e-9, 1.0, 0.5, math.inf)[rng.integers(4)])
+def _random_report(rng, depth=0, tol=None) -> Report:
+    """A random report; an extended sub-report takes its parent's ``tol``."""
+    suite = _STRS[rng.integers(len(_STRS))]
+    drawn = (1e-9, 1.0, 0.5, math.inf)[rng.integers(4)]
+    rep = Report(suite=suite, tol=drawn if tol is None else tol)
     for _ in range(rng.integers(1, 7)):
         step = rng.integers(6 if depth == 0 else 5)
         if step == 0:
             _random_single(rng, rep, _IDS[rng.integers(len(_IDS))], rng.integers(4))
         elif step == 5:
-            rep.extend(_random_report(rng, depth + 1))
+            rep.extend(_random_report(rng, depth + 1, rep.tol))
         else:
             n, m, k = rng.integers(0, 6), rng.integers(1, 4), rng.integers(0, 4)
             ids = [_IDS[i] for i in rng.integers(len(_IDS), size=m)]
@@ -331,13 +333,24 @@ def test_numpy_element_in_a_column_list_raises_like_oracle():
 
 
 def test_extend_copies_single_records():
-    first, second = Report(suite="a", tol=1.0), Report(suite="b", tol=1e-9)
-    second.add("x", (1,), 0.5)
+    first, second = Report(suite="a", tol=1.0), Report(suite="b", tol=1.0)
+    second.add("x", (1,), 1.5)
     first.extend(second)
     first.add("y", (), 0.0)
     second.add("z", (), 0.0)
     assert [(r.id, r.ok) for r in first.records] == [("x", False), ("y", True)]
     assert [r.id for r in second.records] == ["x", "z"]
+
+
+def test_extend_adds_wall_time_and_keeps_one_tolerance():
+    first = Report(suite="a", tol=1.0, wall_time=0.25)
+    first.extend(Report(suite="b", tol=1.0, wall_time=0.5))
+    assert first.wall_time == 0.75
+    other = Report(suite="c", tol=1e-9, wall_time=1.0)
+    other.add("x", (), 0.5)
+    with pytest.raises(ValueError, match="tol"):
+        first.extend(other)
+    assert first.records == [] and first.wall_time == 0.75
 
 
 @pytest.mark.parametrize("suite", [

@@ -59,16 +59,14 @@ PAIRING_SENSE = "-"
 
 
 def pairing_coefficient_general(data: CategoryData, fl: gc.CovertexVector,
-                                fr: gc.CovertexVector, sense: str = None) -> complex:
+                                fr: gc.CovertexVector) -> complex:
     """Closed-diagram pairing of two splitting covertices.
 
     The two covertices hang off a dual pair of strands created from the
     unit; matching legs are closed off pairwise, with one crossing between
     the inner pair, and the value is divided by the loop value of the
-    common source label.
+    common source label; the crossing has the sense ``PAIRING_SENSE``.
     """
-    if sense is None:
-        sense = PAIRING_SENSE
     a1, a2, a3 = fl.a1, fl.a2, fl.a3
     b1, b2, b3 = fr.a1, fr.a2, fr.a3
     if (b1, b2, b3) != (data.dual(a1), data.dual(a2), data.dual(a3)):
@@ -78,7 +76,7 @@ def pairing_coefficient_general(data: CategoryData, fl: gc.CovertexVector,
     m = dim3 * gc.cup_morphism(data, (), 0, a3, a3p)
     m = fl.at(data, (a3, a3p), 0) @ m
     m = fr.at(data, (a1, a2, a3p), 2) @ m
-    m = gc.braid_morphism(data, (a1, a2, a1p, a2p), 1, sense) @ m
+    m = gc.braid_morphism(data, (a1, a2, a1p, a2p), 1, PAIRING_SENSE) @ m
     m = gc.cap_morphism(data, (a1, a1p, a2, a2p), 0, a1, a1p) @ m
     m = gc.cap_morphism(data, (a2, a2p), 0, a2, a2p) @ m
     return m.scalar() / dim3
@@ -98,18 +96,17 @@ class FullFieldAlgebraData:
     multiplicity, right multiplicity), and ``phi`` maps s to its form
     coefficient.
 
-    Treated as immutable once built: the dual and unit summands, the
-    coproduct tensor, the product index and every algebra layer are
-    memoized on the instance.  A new instance (also one made by
-    ``dataclasses.replace``) starts with an empty memo.
+    Treated as immutable once built: the dual and unit summands and the
+    product and coproduct indices are cached properties, and ``_memo``
+    holds every algebra layer.  A new instance (also one made by
+    ``dataclasses.replace``) starts with none of them.
     """
 
     data: CategoryData
     object: DoubleObject
     mult: dict      # (s1, s2, s3) -> ndarray over (left mult, right mult)
     phi: dict       # summand s -> nonzero complex form coefficient
-    # "mult_index" / "comult_index" -> tensor entries by source summands,
-    # and (layer name, word, k) -> read-only DoubleMorphism
+    # (layer name, word, k) -> read-only DoubleMorphism
     _memo: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -125,6 +122,22 @@ class FullFieldAlgebraData:
     def unit_summand(self) -> int:
         """The summand (e, e) of the unit label."""
         return self.object.summands.index((self.data.unit,) * 2)
+
+    @functools.cached_property
+    def mult_index(self) -> dict:
+        """(s1, s2) -> [(s3, entries), ...] of the product tensor."""
+        index = {}
+        for (s1, s2, s3), block in self.mult.items():
+            index.setdefault((s1, s2), []).append((s3, _entries(block)))
+        return index
+
+    @functools.cached_property
+    def comult_index(self) -> dict:
+        """s3 -> [(s1, s2, entries), ...] of the coproduct tensor."""
+        index = {}
+        for (s1, s2, s3), block in comult_tensor(self).items():
+            index.setdefault(s3, []).append((s1, s2, _entries(block)))
+        return index
 
     def labels(self, key) -> tuple:
         """(left labels, right labels) of the summands in ``key``."""
@@ -198,31 +211,11 @@ def _entries(block):
     )
 
 
-def _mult_index(alg) -> dict:
-    """(s1, s2) -> ((s3, entries), ...) of the product tensor, built once."""
-    index = alg._memo.get("mult_index")
-    if index is None:
-        index = alg._memo["mult_index"] = {}
-        for (s1, s2, s3), block in alg.mult.items():
-            index.setdefault((s1, s2), []).append((s3, _entries(block)))
-    return index
-
-
-def _comult_index(alg) -> dict:
-    """s3 -> ((s1, s2, entries), ...) of the coproduct tensor, derived once."""
-    index = alg._memo.get("comult_index")
-    if index is None:
-        index = alg._memo["comult_index"] = {}
-        for (s1, s2, s3), block in comult_tensor(alg).items():
-            index.setdefault(s3, []).append((s1, s2, _entries(block)))
-    return index
-
-
 @_memoized
 def mult_layer(alg, word, k, sources=None) -> DoubleMorphism:
     """Multiplication applied at letters (k, k+1) of a doubled word."""
     data = alg.data
-    index = _mult_index(alg)
+    index = alg.mult_index
 
     def rule(window, left, right):
         for s3, entries in index.get(window, ()):
@@ -259,7 +252,7 @@ def comult_layer(alg, word, k) -> DoubleMorphism:
     oracle of this layer.
     """
     data = alg.data
-    index = _comult_index(alg)
+    index = alg.comult_index
 
     def rule(window, left, right):
         for s1, s2, entries in index.get(window[0], ()):

@@ -95,10 +95,6 @@ class FusionRing:
     def n(self, a: int, b: int, c: int) -> int:
         return self.N.get((a, b, c), 0)
 
-    def outcomes(self, a: int, b: int) -> tuple:
-        """Channels c with N_{ab}^c > 0, ascending."""
-        return self.channels[a, b]
-
     def totals(self, word) -> tuple:
         """Totals t with a nonzero hom(word, t), ascending; ``word`` nonempty."""
         states = {word[0]}
@@ -150,11 +146,11 @@ class FusionRing:
         # failing (a, b, c, d) in lexicographic order is reported
         for a, b, c in itertools.product(range(n), repeat=3):
             lhs, rhs = {}, {}
-            for x in self.outcomes(a, b):
-                for d in self.outcomes(x, c):
+            for x in channels[a, b]:
+                for d in channels[x, c]:
                     lhs[d] = lhs.get(d, 0) + self.N[a, b, x] * self.N[x, c, d]
-            for y in self.outcomes(b, c):
-                for d in self.outcomes(a, y):
+            for y in channels[b, c]:
+                for d in channels[a, y]:
                     rhs[d] = rhs.get(d, 0) + self.N[b, c, y] * self.N[a, y, d]
             if lhs != rhs:
                 d = min(d for d in lhs.keys() | rhs.keys() if lhs.get(d) != rhs.get(d))
@@ -279,6 +275,9 @@ class CategoryData:
             if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
         m = max(ring.N.values())  # radix of multiplicity indices
+        # the widest int64 key table_arrays packs is the pentagon's n^7 m^3
+        if n ** 7 * m ** 3 >= 2 ** 63:
+            raise CategoryDataError(f"fusion multiplicity {m} is too large for {n} labels")
         self._f_table = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
         self._r_table = Table(self.R, (n,) * 3 + (m,) * 2, 3, [3], [4])
         # completeness: the range checks put every entry inside its block and

@@ -14,7 +14,6 @@ Gaussian rationals (`GaussRat`) for the tolerance-free mode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, sqrt
 
@@ -67,10 +66,6 @@ class GaussRat:
         return cls._make(re.numerator * im.denominator,
                          im.numerator * re.denominator,
                          re.denominator * im.denominator)
-
-    @classmethod
-    def of(cls, re, im=0):
-        return cls(re, im)
 
     @classmethod
     def _make(cls, x, y, d):
@@ -190,45 +185,24 @@ def _zero_like(x):
     return _ZERO if isinstance(x, GaussRat) else 0j
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, GaussRat)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
 
-@dataclass(frozen=True)
 class PuncturedSphere:
-    """Arity-n sewing element.
+    """Arity-n sewing element, immutable.
 
     ``z`` holds the first n-1 puncture positions (the n-th is at 0), ``a``
     the translation parameter of the coordinate at infinity, ``scales`` the
-    n local scaling factors.
+    n local scaling factors, and ``positions`` all n finite puncture
+    positions, the implicit last one included.  Equality and hash are over
+    (z, a, scales).
     """
 
-    z: tuple
-    a: object
-    scales: tuple
-    _positions: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("z", "a", "scales", "positions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        object.__setattr__(self, "scales", tuple(self.scales))
-        self._validate()
-
-    @classmethod
-    def _from_tuples(cls, z: tuple, a, scales: tuple) -> "PuncturedSphere":
-        """The element of tuples this module built: validated like any
-        other, without the dataclass ``__init__`` and its tuple copies."""
-        out = object.__new__(cls)
-        out.__dict__.update(z=z, a=a, scales=scales)
-        out._validate()
-        return out
-
-    def _validate(self):
-        """Set the positions and check the invariants of an element."""
-        z, a, scales = self.z, self.a, self.scales
+    def __init__(self, z, a, scales):
+        z, scales = tuple(z), tuple(scales)
         n = len(scales)
         if len(z) != max(n - 1, 0):
             raise SewingError("puncture list does not match the arity")
@@ -236,7 +210,6 @@ class PuncturedSphere:
         if n == 0 and a != zero:
             raise SewingError("the arity-0 element has zero infinity parameter")
         pos = z + (zero,) if n else ()
-        self.__dict__["_positions"] = pos
         for p in z:
             if not p:
                 raise SewingError("punctures must be nonzero")
@@ -247,17 +220,39 @@ class PuncturedSphere:
         for s in scales:
             if not s:
                 raise SewingError("scalings must be nonzero")
+        _set = object.__setattr__
+        _set(self, "z", z)
+        _set(self, "a", a)
+        _set(self, "scales", scales)
+        _set(self, "positions", pos)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PuncturedSphere is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PuncturedSphere is immutable; cannot delete {name!r}")
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.z, self.a, self.scales) == (o.z, o.a, o.scales)
+
+    def __hash__(self):
+        return hash((self.z, self.a, self.scales))
+
+    def __repr__(self):
+        return f"PuncturedSphere(z={self.z!r}, a={self.a!r}, scales={self.scales!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: setattr refuses
+        return PuncturedSphere, (self.z, self.a, self.scales)
 
     @property
     def arity(self) -> int:
         return len(self.scales)
 
-    def positions(self) -> tuple:
-        """All finite puncture positions, the implicit last one included."""
-        return self._positions
-
     def is_exact(self) -> bool:
-        return _is_exact(self.a)
+        return isinstance(self.a, GaussRat)
 
     def distance(self, other: "PuncturedSphere") -> float:
         """Largest coordinate difference; for exact elements 0.0 if equal, else 1.0."""
@@ -275,19 +270,16 @@ class PuncturedSphere:
 
 
 def vacuum_sphere(exact: bool = False) -> PuncturedSphere:
-    zero = GaussRat.of(0) if exact else 0j
-    return PuncturedSphere((), zero, ())
+    return PuncturedSphere((), _ZERO if exact else 0j, ())
 
 
 def identity_sphere(exact: bool = False) -> PuncturedSphere:
-    zero = GaussRat.of(0) if exact else 0j
-    one = GaussRat.of(1) if exact else 1 + 0j
-    return PuncturedSphere((), zero, (one,))
+    return rescaling_sphere(GaussRat(1) if exact else 1 + 0j)
 
 
-def rescaling_sphere(c, exact: bool = False) -> PuncturedSphere:
-    zero = GaussRat.of(0) if exact else 0j
-    return PuncturedSphere((), zero, (c,))
+def rescaling_sphere(c) -> PuncturedSphere:
+    """The arity-1 element of scaling c, exact when c is a ``GaussRat``."""
+    return PuncturedSphere((), _zero_like(c), (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +290,14 @@ def _sew_bounds(P: PuncturedSphere, i: int, Q: PuncturedSphere):
     """(inner, outer): the chart-radius window for sewing slot i of P."""
     # running extremes seeded by the first term, as ``max`` and ``min`` do
     b = Q.a
-    qpos = Q._positions
+    qpos = Q.positions
     inner = _abs2(qpos[0] - b) if qpos else 0
     for xi in qpos[1:]:
         d = _abs2(xi - b)
         if d > inner:
             inner = d
     s2 = _abs2(P.scales[i - 1])
-    ppos = P._positions
+    ppos = P.positions
     zi = ppos[i - 1]
     outer = None
     for p in ppos[:i - 1] + ppos[i:]:
@@ -359,10 +351,10 @@ def _canonical(positions: tuple, a, scales: tuple) -> PuncturedSphere:
     check also catches every coincidence the inputs had.
     """
     if not scales:
-        return PuncturedSphere._from_tuples((), _zero_like(a), ())
+        return PuncturedSphere((), _zero_like(a), ())
     t = positions[-1]
     z = tuple(p - t for p in positions[:-1])
-    return PuncturedSphere._from_tuples(z, a - t, scales)
+    return PuncturedSphere(z, a - t, scales)
 
 
 def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
@@ -381,10 +373,10 @@ def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     if check and not is_sewable(P, i, Q):
         raise SewingError(f"slot {i} of the outer element cannot be sewn")
     s = P.scales[i - 1]
-    zi = P.positions()[i - 1]
+    zi = P.positions[i - 1]
     b = Q.a
-    inserted = tuple((xi - b) / s + zi for xi in Q.positions())
-    ppos = P.positions()
+    inserted = tuple((xi - b) / s + zi for xi in Q.positions)
+    ppos = P.positions
     positions = ppos[:i - 1] + inserted + ppos[i:]
     scales = (
         P.scales[:i - 1]
@@ -434,7 +426,7 @@ def _affine(c, p):
 
 
 def _chart_infinity(a):
-    one = a / a if a else (GaussRat.of(1) if _is_exact(a) else 1 + 0j)
+    one = a / a if a else _zero_like(a) + 1
     return _Moebius(_zero_like(a), -1 * one, one, -1 * a)
 
 
@@ -451,10 +443,10 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     if check and not is_sewable(P, i, Q):
         raise SewingError(f"slot {i} of the outer element cannot be sewn")
     exact = P.is_exact()
-    one = GaussRat.of(1) if exact else 1 + 0j
+    one = GaussRat(1) if exact else 1 + 0j
     zero = _zero_like(one)
 
-    ppos = P.positions()
+    ppos = P.positions
     phi_i = _affine(P.scales[i - 1], ppos[i - 1])
     psi_0 = _chart_infinity(Q.a)
     jmap = _Moebius(zero, -1 * one, one, zero)  # w -> -1/w
@@ -465,7 +457,7 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     for j, p in enumerate(ppos):
         if j != i - 1:
             punctures.append((p, _affine(P.scales[j], p)))
-    qpos = Q.positions()
+    qpos = Q.positions
     inserted = []
     for k, xi in enumerate(qpos):
         chart = _affine(Q.scales[k], xi) @ glue
@@ -497,7 +489,7 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
         pos = norm_inv.apply(p)
         positions.append(pos)
         scales.append(moved.derivative(pos))
-    return PuncturedSphere._from_tuples(tuple(positions[:-1]), a_new, tuple(scales))
+    return PuncturedSphere(positions[:-1], a_new, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +508,7 @@ def permute(P: PuncturedSphere, sigma) -> PuncturedSphere:
     inv = [0] * n
     for j, img in enumerate(sigma):
         inv[img - 1] = j
-    pos = P.positions()
+    pos = P.positions
     order = [pos[inv[j]] for j in range(n)]
     scales = tuple(P.scales[inv[j]] for j in range(n))
     return _canonical(tuple(order), P.a, scales)
@@ -588,7 +580,7 @@ def random_sphere(rng, arity: int, exact: bool = False) -> PuncturedSphere:
             a = complex(0.0 + v[n - 2], 0.0 + v[n - 1])
             scales = tuple(c + 0.3 for c in nums[arity:])
         try:
-            return PuncturedSphere._from_tuples(tuple(nums[:arity - 1]), a, scales)
+            return PuncturedSphere(nums[:arity - 1], a, scales)
         except SewingError:
             continue
 
@@ -631,7 +623,7 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
         if Q.arity == 0:
             kept = [j for j in range(1, P.arity + 1) if j != i]
             want = _canonical(
-                tuple(P.positions()[j - 1] for j in kept),
+                tuple(P.positions[j - 1] for j in kept),
                 P.a,
                 tuple(P.scales[j - 1] for j in kept),
             )
@@ -683,8 +675,8 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
 
         # the one-slot rescalings compose multiplicatively
         c1, c2 = P.scales[0], (Q.scales[0] if Q.arity else P.scales[-1])
-        g = sew(rescaling_sphere(c1, exact), 1, rescaling_sphere(c2, exact))
-        want = rescaling_sphere(c1 * c2, exact)
+        g = sew(rescaling_sphere(c1), 1, rescaling_sphere(c2))
+        want = rescaling_sphere(c1 * c2)
         report.add("rescaling_group", (tr,), g.distance(want))
     report.wall_time = time.perf_counter() - t0
     return report

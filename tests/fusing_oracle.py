@@ -90,11 +90,11 @@ def braid_bases(data, images, a1, a2, a3, a4):
     inner_left) bases in which the braid route reads (a1, a2, a3) -> a4."""
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
-    for x in data.ring.outcomes(a2, a3):
+    for x in data.ring.channels[a2, a3]:
         if data.n(a1, x, a4):
             outer_left[x] = basis_images(data, images, gc.swap_vertex, "+", a1, x, a4)
             inner_left[x] = basis_images(data, images, gc.swap_vertex, "+", a2, a3, x)
-    for y in data.ring.outcomes(a1, a2):
+    for y in data.ring.channels[a1, a2]:
         if data.n(y, a3, a4):
             outer_right[y] = basis_images(data, images, gc.swap_vertex, "+", y, a3, a4)
             inner_right[y] = basis_images(data, images, gc.swap_vertex, "+", a1, a2, y)
@@ -105,12 +105,12 @@ def bend_bases(data, images, a1, a2, a3, a4):
     """As ``braid_bases``, for the bend route."""
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
-    for x in data.ring.outcomes(a2, a3):
+    for x in data.ring.channels[a2, a3]:
         if data.n(a1, x, a4):
             xp = data.dual(x)
             outer_right[xp] = basis_images(data, images, gc.bend_vertex, "+", a2, a3, x)
             inner_right[xp] = basis_images(data, images, gc.bend_vertex, "+", a1, x, a4)
-    for y in data.ring.outcomes(a1, a2):
+    for y in data.ring.channels[a1, a2]:
         if data.n(y, a3, a4):
             outer_left[y] = basis_images(data, images, gc.bend_vertex, "+", y, a3, a4)
             inner_left[y] = basis_images(data, images, gc.swap_vertex, "-", a1, a2, y)

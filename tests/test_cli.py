@@ -685,6 +685,22 @@ def test_fusion_row_not_integers_is_input_error(tmp_path, fibonacci_algebra_doc,
         assert out.startswith(f"input error: malformed fusion row {row!r}"), out
 
 
+@pytest.mark.parametrize("kind", ["category", "algebra"])
+@pytest.mark.parametrize("mult", [2 ** 31, 2 ** 63, 10 ** 30], ids=["2^31", "2^63", "10^30"])
+def test_huge_fusion_multiplicity_is_input_error(tmp_path, fibonacci_algebra_doc, kind, mult):
+    # the ring stays associative, but the packed int64 keys of the tables
+    # would overflow
+    def corrupt(cat):
+        cat["fusion"] = [r for r in cat["fusion"] if r[:3] != [1, 1, 1]] + [[1, 1, 1, mult]]
+
+    path = _write_doc(tmp_path, fibonacci_algebra_doc, kind, corrupt)
+    for cmd in CATEGORY_COMMANDS:
+        status, out = run_suite([cmd, str(path)])
+        assert (status, out) == (
+            EXIT_INPUT, f"input error: fusion multiplicity {mult} is too large for 2 labels\n"
+        ), cmd
+
+
 def test_empty_report_summary():
     from mtcalc.report import Report, emit_report
     import json as _json

@@ -48,12 +48,16 @@ def _referenced(trees, name, home) -> bool:
 
 @pytest.mark.parametrize("module", GUARDED)
 def test_exports_are_reached_in_the_package(module):
-    """Every exported name is used by the package itself or is an entry point:
-    a name that only tests import belongs in tests/, or nowhere."""
+    """Every exported name and every top-level function and class is used by
+    the package itself or is an entry point: a name that only tests reach
+    belongs in tests/, or nowhere."""
     trees = _parsed_sources()
-    names = importlib.import_module(f"mtcalc.{module}").__all__
+    names = set(importlib.import_module(f"mtcalc.{module}").__all__) | {
+        stmt.name for stmt in trees[module].body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
     unreached = [
-        n for n in names
+        n for n in sorted(names)
         if not ENTRY_POINTS.fullmatch(n) and not _referenced(trees, n, module)
     ]
     assert not unreached

@@ -1,3 +1,7 @@
+import copy
+import json
+import pathlib
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,15 +51,42 @@ def test_element_invariants():
         PuncturedSphere([GaussRat(1), GaussRat(0)], GaussRat(0), [GaussRat(1)] * 3)
     p = PuncturedSphere([1j], 0j, iter([1 + 0j, 2 + 0j]))
     assert p.z == (1j,) and p.scales == (1 + 0j, 2 + 0j)
-    assert p.positions() == (1j, 0j)
+    assert p.positions == (1j, 0j)
     assert p == PuncturedSphere((1j,), 0j, (1 + 0j, 2 + 0j))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_element_is_an_immutable_value(exact):
+    one = GaussRat(1) if exact else 1 + 0j
+    p = PuncturedSphere((2 * one,), 3 * one, (one, 2 * one))
+    for name in ("z", "a", "scales", "positions"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.positions == (2 * one, 0 * one)
+    same = PuncturedSphere([2 * one], 3 * one, iter([one, 2 * one]))
+    assert same == p and hash(same) == hash(p) == hash((p.z, p.a, p.scales))
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+    for other in (
+        PuncturedSphere((5 * one,), 3 * one, (one, 2 * one)),
+        PuncturedSphere((2 * one,), 4 * one, (one, 2 * one)),
+        PuncturedSphere((2 * one,), 3 * one, (one, 3 * one)),
+    ):
+        assert other != p
+    assert p != (p.z, p.a, p.scales)
+    assert repr(p) == f"PuncturedSphere(z={p.z!r}, a={p.a!r}, scales={p.scales!r})"
+    # exactness is read off the scalars
+    assert rescaling_sphere(one).is_exact() is exact
+    assert identity_sphere(exact) == rescaling_sphere(one)
+    assert vacuum_sphere(exact).is_exact() is exact
 
 
 def test_coincidence_after_translation_raises():
     # the four positions are distinct, but moving the last slot translates by
     # 1e16, and 1, 1 + 2**-52 and 0 all round to 1e16 there
     p = PuncturedSphere((1 + 0j, 1 + 2**-52 + 0j, -1e16 + 0j), 0j, (1 + 0j,) * 4)
-    assert len(set(p.positions())) == 4
+    assert len(set(p.positions)) == 4
     with pytest.raises(SewingError):
         permute(p, (1, 2, 4, 3))
 
@@ -109,7 +140,7 @@ def test_vacuum_removal_drops_puncture_and_scaling():
     assert got.a == p.a
     # removing the final puncture re-translates into canonical form
     got = sew(p, 3, vacuum_sphere())
-    assert got.arity == 2 and got.positions()[-1] == 0j
+    assert got.arity == 2 and got.positions[-1] == 0j
     assert got.distance(geometric_sew_oracle(p, 3, vacuum_sphere())) < 1e-12
 
 
@@ -138,10 +169,10 @@ def test_slot_out_of_range():
 
 
 def test_rescaling_subgroup_multiplicative_exact():
-    c1 = GaussRat.of(Fraction(3, 2), Fraction(1, 3))
-    c2 = GaussRat.of(Fraction(-2, 5), Fraction(7, 4))
-    lhs = sew(rescaling_sphere(c1, True), 1, rescaling_sphere(c2, True))
-    assert lhs == rescaling_sphere(c1 * c2, True)
+    c1 = GaussRat(Fraction(3, 2), Fraction(1, 3))
+    c2 = GaussRat(Fraction(-2, 5), Fraction(7, 4))
+    lhs = sew(rescaling_sphere(c1), 1, rescaling_sphere(c2))
+    assert lhs == rescaling_sphere(c1 * c2)
 
 
 def test_exact_mode_identity_and_associativity_exact():
@@ -237,7 +268,7 @@ def test_transposition_fixing_last_slot():
 def test_permutation_moving_last_slot_renormalizes():
     p = PuncturedSphere((2 + 0j,), 1j, (1 + 0j, 2 + 0j))
     q = permute(p, (2, 1))
-    assert q.positions()[-1] == 0j
+    assert q.positions[-1] == 0j
     assert q.z == (-2 + 0j,) and q.a == 1j - 2
     assert q.scales == (2 + 0j, 1 + 0j)
 
@@ -277,10 +308,10 @@ def test_sewing_equivariance():
 
 
 def test_gauss_rational_field_ops():
-    x = GaussRat.of(Fraction(1, 2), Fraction(1, 3))
-    y = GaussRat.of(Fraction(-2, 7), Fraction(5, 4))
+    x = GaussRat(Fraction(1, 2), Fraction(1, 3))
+    y = GaussRat(Fraction(-2, 7), Fraction(5, 4))
     assert (x * y) / y == x
-    assert x + (-x) == GaussRat.of(0)
+    assert x + (-x) == GaussRat(0)
     assert (x / y) * y == x
     assert x.abs2() == Fraction(1, 4) + Fraction(1, 9)
     with pytest.raises(TypeError):
@@ -288,22 +319,22 @@ def test_gauss_rational_field_ops():
 
 
 def test_gauss_rational_hash_matches_equality():
-    one = GaussRat.of(1)
+    one = GaussRat(1)
     assert one == 1 and hash(one) == hash(1)
     assert len({one, 1}) == 1
-    half = GaussRat.of(Fraction(1, 2))
+    half = GaussRat(Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
     assert len({half, Fraction(2, 4), GaussRat(Fraction(1, 2), 0)}) == 1
-    assert {GaussRat.of(1, 1): "x"}[GaussRat.of(Fraction(2, 2), 1)] == "x"
+    assert {GaussRat(1, 1): "x"}[GaussRat(Fraction(2, 2), 1)] == "x"
 
 
 def test_gauss_rational_is_immutable():
-    x = GaussRat.of(1, 2)
+    x = GaussRat(1, 2)
     with pytest.raises(AttributeError):
         x.re = Fraction(3)
     with pytest.raises(AttributeError):
         x._x = 3
-    assert x == GaussRat.of(1, 2)
+    assert x == GaussRat(1, 2)
 
 
 @dataclass(frozen=True)
@@ -350,7 +381,7 @@ def test_gauss_rational_matches_fraction_pair_oracle():
         parts = [_random_fraction(rng) for _ in range(4)]
         if rng.random() < 0.2:
             parts[1] = Fraction(0)  # real values as well
-        x, y = GaussRat.of(*parts[:2]), GaussRat.of(*parts[2:])
+        x, y = GaussRat(*parts[:2]), GaussRat(*parts[2:])
         fx, fy = _FractionPair(*parts[:2]), _FractionPair(*parts[2:])
         ops = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy)]
         if fy.abs2():
@@ -371,7 +402,7 @@ def _scalar_random_sphere(rng, arity, exact=False, spread=4.0):
     while True:
         if exact:
             def num():
-                return GaussRat.of(
+                return GaussRat(
                     Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
                     Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
                 )
@@ -413,7 +444,7 @@ def test_random_sphere_matches_scalar_draws(exact):
             want = _scalar_random_sphere(ref, arity, exact)
             assert got == want
             assert _exact_parts(got) == _exact_parts(want)
-            assert got.positions() == want.positions()
+            assert got.positions == want.positions
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -430,11 +461,11 @@ def _distance_with_max(P, Q):
 
 def _sew_bounds_with_max(P, i, Q):
     """``_sew_bounds`` through ``max`` and ``min``: the loops' oracle."""
-    inner = max((so._abs2(xi - Q.a) for xi in Q.positions()), default=0)
+    inner = max((so._abs2(xi - Q.a) for xi in Q.positions), default=0)
     s2 = so._abs2(P.scales[i - 1])
-    zi = P.positions()[i - 1]
+    zi = P.positions[i - 1]
     outer = None
-    for j, p in enumerate(P.positions()):
+    for j, p in enumerate(P.positions):
         if j != i - 1:
             cand = s2 * so._abs2(p - zi)
             outer = cand if outer is None else min(outer, cand)
@@ -528,3 +559,97 @@ def test_is_sewable_matches_grid_scan_near_the_boundary():
         assert is_sewable(P, 2, Q) == want
         decided_later += want and not _grid_is_sewable(P, 2, Q, points=1)
     assert decided_later > 500
+
+
+# -- negative controls ---------------------------------------------------------
+
+
+def _sew_scaling_inserts_by(rule):
+    """``sew`` whose k-th inserted slot gets the scaling rule(s, t, k), where
+    s is the sewn slot's scaling and t the inner one, instead of s * t."""
+    plain = so.sew
+
+    def sew(P, i, Q, check=True):
+        out = plain(P, i, Q, check)
+        scales = list(out.scales)
+        s = P.scales[i - 1]
+        scales[i - 1:i - 1 + Q.arity] = [rule(s, t, k) for k, t in enumerate(Q.scales)]
+        return PuncturedSphere(out.z, out.a, scales)
+
+    return sew
+
+
+def _sew_ignoring_inner_infinity(monkeypatch):
+    # the inner punctures are not translated by the inner infinity parameter
+    plain = so.sew
+    monkeypatch.setattr(so, "sew", lambda P, i, Q, check=True: plain(
+        P, i, PuncturedSphere(Q.z, so._zero_like(Q.a), Q.scales), check))
+
+
+def _sew_dropping_outer_scaling(monkeypatch):
+    # the inserted slots forget the scaling of the slot they are sewn into
+    monkeypatch.setattr(so, "sew", _sew_scaling_inserts_by(lambda s, t, k: t))
+
+
+def _sew_scaling_first_insert_only(monkeypatch):
+    # only the first inserted slot is rescaled by the sewn slot's scaling
+    monkeypatch.setattr(so, "sew", _sew_scaling_inserts_by(
+        lambda s, t, k: t if k else s * t))
+
+
+def _oracle_with_negated_infinity_charts(monkeypatch):
+    # the oracle's charts at infinity translate by -a instead of a
+    plain = so._chart_infinity
+    monkeypatch.setattr(so, "_chart_infinity", lambda a: plain(-1 * a))
+
+
+def _vacuum_removes_next_slot(monkeypatch):
+    # sewing the vacuum removes the slot after the sewn one
+    plain = so.sew
+    monkeypatch.setattr(so, "sew", lambda P, i, Q, check=True: plain(
+        P, i % P.arity + 1 if not Q.arity else i, Q, check))
+
+
+def _sewn_element_not_relabeled(monkeypatch):
+    monkeypatch.setattr(so, "insertion_permutation",
+                        lambda sigma, i, n: tuple(range(1, len(sigma) + n)))
+
+
+def _permute_by_inverse(monkeypatch):
+    # slot j of the result is slot sigma(j), not sigma^{-1}(j): a right action
+    plain = so.permute
+    monkeypatch.setattr(so, "permute", lambda P, sigma: plain(
+        P, tuple(sigma.index(j) + 1 for j in range(1, len(sigma) + 1))))
+
+
+def _rescaling_with_translation(monkeypatch):
+    # the rescaling element of c also translates by c - 1 (none for c = 1)
+    monkeypatch.setattr(so, "rescaling_sphere",
+                        lambda c: PuncturedSphere((), c - 1, (c,)))
+
+
+# per check id of operad-check, a mutated route that fails it
+OPERAD_NEGATIVE_CONTROLS = {
+    "identity_left": _sew_ignoring_inner_infinity,
+    "identity_right": _sew_dropping_outer_scaling,
+    "formula_vs_oracle": _oracle_with_negated_infinity_charts,
+    "vacuum_removal": _vacuum_removes_next_slot,
+    "associativity": _sew_scaling_first_insert_only,
+    "equivariance": _sewn_element_not_relabeled,
+    "permutation_action": _permute_by_inverse,
+    "rescaling_group": _rescaling_with_translation,
+}
+
+
+def test_every_operad_check_id_has_a_negative_control():
+    golden = pathlib.Path(__file__).parent / "data" / "golden" / "operad-check__float.json"
+    ids = {r["id"] for r in json.loads(golden.read_text())["records"]}
+    assert ids == set(OPERAD_NEGATIVE_CONTROLS)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("check_id", OPERAD_NEGATIVE_CONTROLS)
+def test_operad_negative_control(monkeypatch, check_id, exact):
+    OPERAD_NEGATIVE_CONTROLS[check_id](monkeypatch)
+    rep = so.verify_operad_axioms(trials=40, seed=7, exact=exact)
+    assert any(not r.ok for r in rep.records if r.id == check_id)

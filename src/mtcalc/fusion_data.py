@@ -95,13 +95,6 @@ class FusionRing:
     def n(self, a: int, b: int, c: int) -> int:
         return self.N.get((a, b, c), 0)
 
-    def totals(self, word) -> tuple:
-        """Totals t with a nonzero hom(word, t), ascending; ``word`` nonempty."""
-        states = {word[0]}
-        for b in word[1:]:
-            states = {c for a in states for c in self.channels[a, b]}
-        return tuple(sorted(states))
-
     @functools.cached_property
     def array(self) -> np.ndarray:
         """N as a dense (n, n, n) integer array, ``array[a, b, c] = N_ab^c``."""
@@ -379,11 +372,7 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     keys, res = zip(*pentagon_residuals(data))
     report.add_many("pentagon", zip(*keys), res)
     keys, res = zip(*hexagon_residuals(data))
-    # the items alternate the senses: drop the sense of the "+" keys
-    report.add_many(
-        ("hexagon", "hexagon"), list(zip(*keys[::2]))[1:],
-        np.reshape(res, (-1, 2)), prefixes=(("+",), ("-",)),
-    )
+    report.add_many("hexagon", zip(*keys), res)
     # block checks, stacked by shape, reported per (a, b, c): the F-blocks
     # over the totals d, then the R-block of the channel c of (a, b); every
     # block is square, as the ring is associative and the tables complete

@@ -2,8 +2,9 @@
 
 A report holds its records in blocks, in order.  ``Report.add_many`` adds
 one columnar block: the instance columns and the residuals of many records
-as arrays.  ``Report.add`` appends single records to a block of rows.  Each
-format has one writer, which fills one template per layout of records.
+as arrays, with one column per instance element.  ``Report.add`` appends
+single records to a block of rows.  Each format has one writer, which fills
+one template per layout of records: its check ids and column count.
 ``Report.records`` derives the ``CheckRecord`` list from the blocks when it
 is read.
 """
@@ -37,14 +38,14 @@ class _Rows(list):
 
 class _Block:
     """n rows of m check ids: the record of row i and id j is (``ids[j]``,
-    ``prefixes[j]`` followed by row i of every column of ``cols``,
-    ``res[i, j]``).  Iterating gives the (id, instance, residual) records
-    row by row, and across the ids within a row."""
+    row i of every column of ``cols``, ``res[i, j]``).  Iterating gives the
+    (id, instance, residual) records row by row, and across the ids within
+    a row."""
 
-    __slots__ = ("ids", "prefixes", "cols", "res")
+    __slots__ = ("ids", "cols", "res")
 
-    def __init__(self, ids, prefixes, cols, res):
-        self.ids, self.prefixes, self.cols, self.res = ids, prefixes, cols, res
+    def __init__(self, ids, cols, res):
+        self.ids, self.cols, self.res = ids, cols, res
 
     def __len__(self):
         return self.res.size
@@ -56,8 +57,8 @@ class _Block:
         values = [_values(col) for col in self.cols]
         for i, res in enumerate(self.res.tolist()):
             inst = tuple(col[i] for col in values)
-            for check_id, prefix, r in zip(self.ids, self.prefixes, res):
-                yield check_id, prefix + inst, r
+            for check_id, r in zip(self.ids, res):
+                yield check_id, inst, r
 
 
 def _values(col) -> list:
@@ -92,30 +93,26 @@ class Report:
             self._blocks.append(rows)
         rows.append((check_id, tuple(instance), float(residual)))
 
-    def add_many(self, check_ids, instances, residuals, prefixes=None) -> None:
+    def add_many(self, check_ids, instances, residuals) -> None:
         """Add n rows of records of the m ids ``check_ids`` (one id may be
-        given as a str): row i of id j has the instance ``prefixes[j]``
-        (empty by default) followed by row i of each column of
-        ``instances``, and the residual ``residuals[i, j]`` (``residuals``
-        may be 1-d when m is 1).  A column is an array, whose elements
-        become Python scalars, or a sequence of instance elements.  The
-        records run row by row, and across the ids within a row."""
+        given as a str): row i of id j has as instance row i of each column
+        of ``instances``, and the residual ``residuals[i, j]``
+        (``residuals`` may be 1-d when m is 1).  A column is an array, whose
+        elements become Python scalars, or a sequence of instance elements.
+        The records run row by row, and across the ids within a row."""
         ids = (check_ids,) if isinstance(check_ids, str) else tuple(check_ids)
         res = np.array(residuals, dtype=float)
         if res.ndim == 1:
             res = res[:, None]
         if res.shape[1:] != (len(ids),):
             raise ValueError("residuals need one column per check id")
-        prefixes = tuple(map(tuple, prefixes or ((),) * len(ids)))
-        if len(prefixes) != len(ids):
-            raise ValueError("prefixes need one entry per check id")
         if not res.size:
             return
         cols = [np.array(col) if isinstance(col, np.ndarray) else list(col)
                 for col in instances]
         if any(len(col) != len(res) for col in cols):
             raise ValueError("every instance column needs one element per row")
-        self._blocks.append(_Block(ids, prefixes, cols, res))
+        self._blocks.append(_Block(ids, cols, res))
         self._rows = None
 
     def extend(self, other: "Report") -> None:
@@ -186,15 +183,15 @@ _TEXT_MARK = ("FAIL", "ok  ")
 
 def _written(report: Report, write_block) -> list:
     """The written records, in report order.  Every record is a row of a
-    layout (ids, prefixes, column count): a columnar block's rows have the
-    block's, a single record is a one-id row of ((id,), ((),), its length).
-    The rows of each layout are written by one call of ``write_block``,
-    with the report's tolerance."""
+    layout (ids, column count): a columnar block's rows have the block's, a
+    single record is a one-id row of ((id,), its length).  The rows of each
+    layout are written by one call of ``write_block``, with the report's
+    tolerance."""
     groups = {}  # layout -> [its index, its blocks and runs of single records]
     places = []  # per block: its layout index, or each of its rows' indices
     for b in report._blocks:
         if isinstance(b, _Block):
-            layout = (b.ids, b.prefixes, len(b.cols))
+            layout = (b.ids, len(b.cols))
             group = groups.setdefault(layout, [len(groups)])
             group.append(b)
             places.append(group[0])
@@ -205,7 +202,7 @@ def _written(report: Report, write_block) -> list:
             key = row[0], len(row[1])
             group = runs.get(key)
             if group is None:
-                layout = ((row[0],), ((),), key[1])
+                layout = (row[0],), key[1]
                 group = runs[key] = groups.setdefault(layout, [len(groups)])
                 group.append(_Rows())
             group[-1].append(row)
@@ -229,7 +226,7 @@ def _joined(layout, parts) -> _Block:
     columnar block is itself, so it is written straight from its arrays."""
     if len(parts) == 1 and isinstance(parts[0], _Block):
         return parts[0]
-    ids, prefixes, width = layout
+    ids, width = layout
     cols = [[] for _ in range(width)]
     for part in parts:
         if isinstance(part, _Block):
@@ -239,7 +236,7 @@ def _joined(layout, parts) -> _Block:
         for col, part_values in zip(cols, values):
             col += part_values
     res = np.concatenate([part.residuals() for part in parts])
-    return _Block(ids, prefixes, cols, res.reshape(-1, len(ids)))
+    return _Block(ids, cols, res.reshape(-1, len(ids)))
 
 
 def _json_column(col) -> list:
@@ -260,13 +257,12 @@ def _json_block(block, tol) -> list:
     passed = res < tol
     all_pass = bool(passed.all())
     slots = ["%s"] * len(block.cols)
-    records = []
-    for check_id, prefix in zip(block.ids, block.prefixes):
-        items = [_scalar(x).replace("%", "%%") for x in prefix] + slots
-        inst = f"[\n        {_ITEM_SEP.join(items)}\n      ]" if items else "[]"
-        head = (_RECORD_HEAD % _scalar(check_id)).replace("%", "%%")
-        ok = "true" if all_pass else "%s"
-        records.append(head + _RECORD_TAIL % (inst, ok, "%s"))
+    inst = f"[\n        {_ITEM_SEP.join(slots)}\n      ]" if slots else "[]"
+    tail = _RECORD_TAIL % (inst, "true" if all_pass else "%s", "%s")
+    records = [
+        (_RECORD_HEAD % _scalar(check_id)).replace("%", "%%") + tail
+        for check_id in block.ids
+    ]
     cols = [_json_column(col) for col in block.cols]
     finite = bool(np.isfinite(res).all())
     args = []
@@ -294,13 +290,10 @@ def _text_block(block, tol) -> list:
     """The rows of a block, each from one template with a line of each
     id, judged by ``tol``."""
     cols = [_values(col) for col in block.cols]
-    slots = ["%s"] * len(cols)
+    inst = ",".join(["%s"] * len(cols))
     passed = (block.res < tol).T.tolist()
     records, args = [], []
-    for check_id, prefix, oks, res in zip(
-        block.ids, block.prefixes, passed, block.res.T.tolist()
-    ):
-        inst = ",".join([str(x).replace("%", "%%") for x in prefix] + slots)
+    for check_id, oks, res in zip(block.ids, passed, block.res.T.tolist()):
         records.append(f"  [%s] {check_id.replace('%', '%%')}({inst})  residual=%.3e")
         args.append([_TEXT_MARK[ok] for ok in oks])
         args += cols
@@ -345,16 +338,16 @@ def emit_report(report: Report, format: str = "json") -> str:
     NaN and infinities included: byte for byte what ``json.dumps(...,
     sort_keys=True, indent=2)`` gives on the report as nested dicts and
     lists.  Each format has one writer.  It groups the records by layout
-    (check ids, instance prefixes, column count), a single
-    record being a one-id row of its own id and length, fills one string
-    template per layout from the columns (ints and finite floats as ``str``
-    spells them, anything else through ``_scalar``), and puts the records
-    back in report order.  A layout of one columnar block is filled
-    straight from its arrays.  An instance element that is not a str, int,
-    bool or float raises TypeError.  ``wall_time`` is left out, so reports
-    are byte-identical across repeated runs with the same flags and seed;
-    the text format shows it, and after the records one line per check id
-    with its count, max residual and worst instance.
+    (check ids, column count), a single record being a one-id row of its
+    own id and length, fills one string template per layout from the
+    columns (ints and finite floats as ``str`` spells them, anything else
+    through ``_scalar``), and puts the records back in report order.  A
+    layout of one columnar block is filled straight from its arrays.  An
+    instance element that is not a str, int, bool or float raises
+    TypeError.  ``wall_time`` is left out, so reports are byte-identical
+    across repeated runs with the same flags and seed; the text format
+    shows it, and after the records one line per check id with its count,
+    max residual and worst instance.
     """
     if format == "json":
         return _json_report(report)

@@ -82,6 +82,9 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError(f"GaussRat is immutable; cannot set {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussRat is immutable; cannot delete {name!r}")
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._x, self._d)
@@ -518,31 +521,21 @@ def insertion_permutation(sigma, i: int, inner_arity: int) -> tuple:
     """The permutation induced on the sewn element by relabeling the outer.
 
     With P of arity m and Q of arity n, permute(P, sigma) sewn at slot i
-    equals sew(P, sigma^{-1}(i), Q) relabeled by the returned permutation of
-    m+n-1 slots.
+    equals sew(P, k, Q), k = sigma^{-1}(i), relabeled by the returned
+    permutation of m+n-1 slots.  A slot of either side is named by the
+    puncture it holds: P's puncture t is t - 1, Q's puncture j is m + j - 1.
+    Slot s of sew(P, k, Q) goes to the place of its puncture on the other
+    side.
     """
-    m = len(sigma)
-    n = inner_arity
-    inv = [0] * m
-    for j, img in enumerate(sigma):
-        inv[img - 1] = j + 1  # 1-based inverse
-    k = inv[i - 1]
-
-    def outer_slot_after(t):
-        # slot of P's t-th puncture inside sew(P, k, Q)
-        return t if t < k else t + n - 1
-
-    rho_inv = []
-    for j in range(1, i):
-        rho_inv.append(outer_slot_after(inv[j - 1]))
-    for j in range(n):
-        rho_inv.append(k + j)
-    for j in range(i + 1, m + 1):
-        rho_inv.append(outer_slot_after(inv[j - 1]))
-    rho = [0] * (m + n - 1)
-    for j, img in enumerate(rho_inv):
-        rho[img - 1] = j + 1
-    return tuple(rho)
+    m, k = len(sigma), sigma.index(i) + 1
+    # P's punctures in the slot order of permute(P, sigma)
+    permuted = sorted(range(m), key=sigma.__getitem__)
+    sewn = permuted[:i - 1] + [*range(m, m + inner_arity)] + permuted[i:]
+    place = [0] * (m + inner_arity)
+    for p, puncture in enumerate(sewn, 1):
+        place[puncture] = p
+    # sew(P, k, Q) holds P's punctures before k, then Q's, then P's after k
+    return tuple(place[:k - 1] + place[m:] + place[k:m])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ instance of a category at once, from joins over the F- and R-tables, and
 ``verify_coherence`` checks the F- and R-blocks stacked by shape.  The
 routines here evaluate one instance, or one block, at a time:
 
+* ``totals`` lists the totals a word reaches, label by label;
 * ``f_block``, ``r_block`` and their inverses assemble one block from the
   ``F`` and ``R`` dicts, entry by entry in the order of the tree bases, and
   invert it alone, with no ``table_arrays.Table`` involved;
@@ -27,6 +28,14 @@ import numpy as np
 
 from mtcalc import fusion_data as fd
 from mtcalc.report import Report
+
+
+def totals(data, word) -> tuple:
+    """Totals t with a nonzero hom(word, t), ascending; ``word`` nonempty."""
+    states = {word[0]}
+    for b in word[1:]:
+        states = {c for a in states for c in data.ring.channels[a, b]}
+    return tuple(sorted(states))
 
 
 def f_block(data, a, b, c, d):
@@ -242,13 +251,13 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    for tot in data.ring.totals((a, b, c, d)):
+                    for tot in totals(data, (a, b, c, d)):
                         res = dense_pentagon_instance(data, a, b, c, d, tot)
                         report.add("pentagon", (a, b, c, d, tot), res)
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                for tot in data.ring.totals((a, b, c)):
+                for tot in totals(data, (a, b, c)):
                     for sense in (+1, -1):
                         res = hexagon_instance(data, a, b, c, tot, sense)
                         report.add("hexagon", ("+-"[sense < 0], a, b, c, tot), res)
@@ -256,7 +265,7 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                for d in data.ring.totals((a, b, c)):
+                for d in totals(data, (a, b, c)):
                     fmat = f_block(data, a, b, c, d)
                     if fmat.shape[0] != fmat.shape[1]:
                         continue

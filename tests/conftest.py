@@ -1,6 +1,10 @@
 import cmath
+import functools
+import importlib.util
 import itertools
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -26,29 +30,16 @@ def algebras(categories):
 
 @pytest.fixture(scope="session")
 def pointed_category():
-    """Factory of the pointed Z_n category: trivial F, R = w^(ab), twist w^(a^2).
-
-    n must be odd; every vertex gauge is trivial, so every F entry is 1.
-    """
-
-    def make(n):
-        w = cmath.exp(2j * cmath.pi / n)
-        labels = tuple(fusion_data.Label(a, f"g{a}") for a in range(n))
-        fusion = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
-        ring = fusion_data.FusionRing(
-            labels, 0, tuple((-a) % n for a in range(n)), fusion
-        )
-        F = {
-            (a, b, c, (a + b + c) % n, (b + c) % n, (a + b) % n, 0, 0, 0, 0): 1.0
-            for a in range(n) for b in range(n) for c in range(n)
-        }
-        R = {
-            (a, b, (a + b) % n, 0, 0): w ** (a * b)
-            for a in range(n) for b in range(n)
-        }
-        return fusion_data.CategoryData(ring, F, R, [w ** (a * a) for a in range(n)])
-
-    return make
+    """Factory of the pointed Z_n category of the benchmark's generated
+    inputs: trivial F, R = w^(ab), twist w^(a^2), n odd.  It is
+    ``zn_category`` of ``perfbench/workloads.py``, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return functools.partial(workloads.zn_category, fusion_data)
 
 
 def _random_tables(ring, seed):

@@ -19,13 +19,15 @@ from mtcalc import graphcalc as gc
 from mtcalc.fusion_data import DEFAULT_TOL
 from mtcalc.report import Report
 
+from coherence_oracle import totals
+
 
 def nonempty_fusing_words(data):
     n = data.size
     return [
         (a1, a2, a3, a4)
         for a1, a2, a3 in itertools.product(range(n), repeat=3)
-        for a4 in data.ring.totals((a1, a2, a3))
+        for a4 in totals(data, (a1, a2, a3))
     ]
 
 

@@ -61,3 +61,18 @@ def test_exports_are_reached_in_the_package(module):
         if not ENTRY_POINTS.fullmatch(n) and not _referenced(trees, n, module)
     ]
     assert not unreached
+
+
+@pytest.mark.parametrize("module", GUARDED)
+def test_methods_are_reached_in_the_package(module):
+    """Every method of a class of the module, dunders aside, is used by the
+    package itself: a method that only tests call belongs in tests/."""
+    trees = _parsed_sources()
+    names = {
+        member.name
+        for stmt in trees[module].body if isinstance(stmt, ast.ClassDef)
+        for member in stmt.body if isinstance(member, ast.FunctionDef)
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+    }
+    unreached = [n for n in sorted(names) if not _referenced(trees, n, module)]
+    assert not unreached

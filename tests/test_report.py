@@ -240,18 +240,13 @@ def _random_report(rng, depth=0, tol=None) -> Report:
         else:
             n, m, k = rng.integers(0, 6), rng.integers(1, 4), rng.integers(0, 4)
             ids = [_IDS[i] for i in rng.integers(len(_IDS), size=m)]
-            prefixes = [
-                tuple(_STRS[i] for i in rng.integers(len(_STRS), size=rng.integers(3)))
-                for _ in range(m)
-            ] if rng.integers(2) else None
-            if m == 1 and prefixes is None and rng.integers(2):
+            if m == 1 and rng.integers(2):
                 # a single record ahead of the block, in the block's layout
                 _random_single(rng, rep, ids[0], k)
             flat = m == 1 and rng.integers(2)  # 1-d residuals of one id
             residuals = _random_residuals(rng, n if flat else (n, m))
             rep.add_many(ids if m > 1 or rng.integers(2) else ids[0],
-                         [_random_column(rng, n) for _ in range(k)], residuals,
-                         prefixes=prefixes)
+                         [_random_column(rng, n) for _ in range(k)], residuals)
     return rep
 
 
@@ -270,16 +265,18 @@ def test_columnar_blocks_match_oracle(seed):
 def test_block_records_run_row_by_row_across_ids():
     rep = Report(suite="rows", tol=1.0)
     rep.add("single", (9,), 0.0)
-    rep.add_many(("hexagon", "hexagon"), (np.array([1, 2]), ["a", "b"]),
-                 [[0.1, 2.0], [0.3, 0.4]], prefixes=(("+",), ("-",)))
+    # the sense is an instance column like any other
+    rep.add_many(("hexagon", "r_unitary"),
+                 (["+", "-"], np.array([1, 2]), ["a", "b"]),
+                 [[0.1, 2.0], [0.3, 0.4]])
     rep.add_many("empty", (np.array([], dtype=int),), np.zeros(0))
     rep.add("single", (), 0.5)
     assert [(r.id, r.instance, r.residual, r.ok) for r in rep.records] == [
         ("single", (9,), 0.0, True),
         ("hexagon", ("+", 1, "a"), 0.1, True),
-        ("hexagon", ("-", 1, "a"), 2.0, False),
-        ("hexagon", ("+", 2, "b"), 0.3, True),
-        ("hexagon", ("-", 2, "b"), 0.4, True),
+        ("r_unitary", ("+", 1, "a"), 2.0, False),
+        ("hexagon", ("-", 2, "b"), 0.3, True),
+        ("r_unitary", ("-", 2, "b"), 0.4, True),
         ("single", (), 0.5, True),
     ]
     _check_both_formats(rep)
@@ -317,9 +314,6 @@ def test_block_shape_is_checked():
         rep.add_many(("a", "b"), (), np.zeros(3))
     with pytest.raises(ValueError):
         rep.add_many("a", ([1, 2],), np.zeros(3))
-    with pytest.raises(ValueError):
-        rep.add_many(("a", "b"), (np.array([1, 2]),), np.zeros((2, 2)),
-                     prefixes=(("+",),))
     assert rep.records == []
 
 

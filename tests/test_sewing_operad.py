@@ -1,5 +1,7 @@
 import copy
+import itertools
 import json
+import math
 import pathlib
 import pickle
 from dataclasses import dataclass
@@ -304,6 +306,44 @@ def test_sewing_equivariance():
     assert done >= 30
 
 
+def _insertion_permutation_by_index(sigma, i, inner_arity):
+    """The induced permutation by index arithmetic on the inverse of sigma."""
+    m = len(sigma)
+    n = inner_arity
+    inv = [0] * m
+    for j, img in enumerate(sigma):
+        inv[img - 1] = j + 1  # 1-based inverse
+    k = inv[i - 1]
+
+    def outer_slot_after(t):
+        # slot of P's t-th puncture inside sew(P, k, Q)
+        return t if t < k else t + n - 1
+
+    rho_inv = []
+    for j in range(1, i):
+        rho_inv.append(outer_slot_after(inv[j - 1]))
+    for j in range(n):
+        rho_inv.append(k + j)
+    for j in range(i + 1, m + 1):
+        rho_inv.append(outer_slot_after(inv[j - 1]))
+    rho = [0] * (m + n - 1)
+    for j, img in enumerate(rho_inv):
+        rho[img - 1] = j + 1
+    return tuple(rho)
+
+
+def test_insertion_permutation_matches_index_arithmetic():
+    cases = 0
+    for m in range(1, 7):
+        for sigma in itertools.permutations(range(1, m + 1)):
+            for i in range(1, m + 1):
+                for n in range(5):
+                    assert insertion_permutation(sigma, i, n) == \
+                        _insertion_permutation_by_index(sigma, i, n)
+                    cases += 1
+    assert cases == 5 * sum(math.factorial(m) * m for m in range(1, 7))
+
+
 # -- exact scalars -------------------------------------------------------------
 
 
@@ -335,6 +375,14 @@ def test_gauss_rational_is_immutable():
     with pytest.raises(AttributeError):
         x._x = 3
     assert x == GaussRat(1, 2)
+
+
+def test_gauss_rational_refuses_del():
+    x = GaussRat(1, 2)
+    for name in ("_x", "_y", "_d", "re"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+    assert x + 1 == GaussRat(2, 2)
 
 
 @dataclass(frozen=True)

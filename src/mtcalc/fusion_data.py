@@ -23,7 +23,6 @@ rows and its columns are its trees in lexicographic order), and serves
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import json
 import math
@@ -74,9 +73,13 @@ class Label:
 class FusionRing:
     """Fusion multiplicities of a finite set of labels with unit and duals.
 
-    ``channels`` maps every label pair (a, b) to the ascending tuple of the
-    channels c with N_{ab}^c > 0; it is built once, on validation, and every
-    enumeration of fusion channels walks it.
+    Validation builds three fields.  ``channels`` maps every label pair
+    (a, b) to the ascending tuple of the channels c with N_{ab}^c > 0; every
+    enumeration of fusion channels walks it.  ``array`` is N as a dense
+    (n, n, n) int64 array, ``array[a, b, c] = N_ab^c``.
+    ``tree_count[a, b, c, d]`` is the number of fusion trees of the word
+    (a, b, c) into d; the ring is associative exactly when counting them
+    through the channels of (a, b) and of (b, c) gives the same tensor.
     """
 
     labels: tuple[Label, ...]
@@ -84,6 +87,8 @@ class FusionRing:
     dual: tuple[int, ...]
     N: dict = field(hash=False)  # (a, b, c) -> positive int; absent means 0
     channels: dict = field(init=False, repr=False, compare=False, hash=False)
+    array: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    tree_count: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         self._validate()
@@ -94,13 +99,6 @@ class FusionRing:
 
     def n(self, a: int, b: int, c: int) -> int:
         return self.N.get((a, b, c), 0)
-
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """N as a dense (n, n, n) integer array, ``array[a, b, c] = N_ab^c``."""
-        N = np.zeros((self.size,) * 3, dtype=np.int64)
-        N[tuple(np.array(list(self.N)).T)] = list(self.N.values())
-        return N
 
     def _validate(self):
         n = self.size
@@ -135,21 +133,23 @@ class FusionRing:
                     raise CategoryDataError(
                         f"duality channel N[{a},{b}]^e must be {want}"
                     )
+        m = max(self.N.values())  # radix of multiplicity indices
+        # the widest int64 key table_arrays packs is the pentagon's n^7 m^3;
+        # it also bounds every tree count below
+        if n ** 7 * m ** 3 >= 2 ** 63:
+            raise CategoryDataError(f"fusion multiplicity {m} is too large for {n} labels")
+        N = np.zeros((n,) * 3, dtype=np.int64)
+        N[tuple(np.array(list(self.N)).T)] = list(self.N.values())
+        object.__setattr__(self, "array", N)
         # (a x b) x c and a x (b x c) agree channel by channel; the first
         # failing (a, b, c, d) in lexicographic order is reported
-        for a, b, c in itertools.product(range(n), repeat=3):
-            lhs, rhs = {}, {}
-            for x in channels[a, b]:
-                for d in channels[x, c]:
-                    lhs[d] = lhs.get(d, 0) + self.N[a, b, x] * self.N[x, c, d]
-            for y in channels[b, c]:
-                for d in channels[a, y]:
-                    rhs[d] = rhs.get(d, 0) + self.N[b, c, y] * self.N[a, y, d]
-            if lhs != rhs:
-                d = min(d for d in lhs.keys() | rhs.keys() if lhs.get(d) != rhs.get(d))
-                raise CategoryDataError(
-                    f"fusion ring not associative at {(a, b, c, d)}"
-                )
+        left = np.einsum("abx,xcd->abcd", N, N)
+        failed = np.argwhere(left != np.einsum("bcy,ayd->abcd", N, N))
+        if len(failed):
+            raise CategoryDataError(
+                f"fusion ring not associative at {tuple(failed[0].tolist())}"
+            )
+        object.__setattr__(self, "tree_count", left)
 
 
 class CategoryData:
@@ -267,23 +267,16 @@ class CategoryData:
             a, b, c, i, j = key
             if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
-        m = max(ring.N.values())  # radix of multiplicity indices
-        # the widest int64 key table_arrays packs is the pentagon's n^7 m^3
-        if n ** 7 * m ** 3 >= 2 ** 63:
-            raise CategoryDataError(f"fusion multiplicity {m} is too large for {n} labels")
+        m = max(ring.N.values())  # radix of multiplicity indices; the ring bounds it
         self._f_table = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
         self._r_table = Table(self.R, (n,) * 3 + (m,) * 2, 3, [3], [4])
         # completeness: the range checks put every entry inside its block and
         # keys are unique, so a block is complete exactly when it holds
-        # rows x columns entries: N_ba^c N_ab^c for R(a,b,c), and
-        # sum_x N_bc^x N_ax^d times sum_y N_ab^y N_yc^d for F(a,b,c,d)
+        # rows x columns entries: N_ba^c N_ab^c for R(a,b,c), and the
+        # square of the ring's tree count of (a, b, c) -> d for F(a,b,c,d)
         N = ring.array
         _check_complete(self._r_table, N.transpose(1, 0, 2) * N, "R entry for channel")
-        _check_complete(
-            self._f_table,
-            np.einsum("bcx,axd->abcd", N, N) * np.einsum("aby,ycd->abcd", N, N),
-            "F entry for block",
-        )
+        _check_complete(self._f_table, ring.tree_count ** 2, "F entry for block")
         # unit gauge: fusion trees and unit insertion give unit vertices the
         # coefficient 1, which agrees with the F-moves only for identity
         # blocks; the first failing block in lexicographic order is named
@@ -643,7 +636,9 @@ def loads_category(source: str | dict) -> CategoryData:
         except json.JSONDecodeError as exc:
             raise CategoryDataError(f"not valid JSON: {exc}") from exc
     try:
-        names = list(doc["labels"])
+        names = doc["labels"]
+        if type(names) is not list or not all(type(s) is str for s in names):
+            raise TypeError(f"labels {names!r} is not an array of strings")
         unit = _int(doc["unit"])
         dual = [_int(x) for x in doc["dual"]]
         fusion = list(doc["fusion"])
@@ -652,7 +647,7 @@ def loads_category(source: str | dict) -> CategoryData:
         twist = [complex(_num(re), _num(im)) for re, im in doc["twist"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryDataError(f"malformed category document: {exc}") from exc
-    labels = tuple(Label(i, str(s)) for i, s in enumerate(names))
+    labels = tuple(Label(i, s) for i, s in enumerate(names))
     ring = FusionRing(labels, unit, tuple(dual), _fusion_rows(fusion))
     F = _entry_table(f_entries, "F", 6, 4)
     R = _entry_table(r_entries, "R", 3, 2)

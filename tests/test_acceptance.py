@@ -97,19 +97,10 @@ def test_criterion_2_dimension_identity(categories, name):
     assert _line(2, f"dimension identity [{name}]", ok, f"max={worst:.1e}")
 
 
-def test_dimension_identity_non_self_dual():
+def test_dimension_identity_non_self_dual(pointed_category):
     # pointed Z_3: trivial F, R = w^(ab), twist w^(a^2); labels 1, 2 are dual
-    n = 3
-    w = np.exp(2j * np.pi / n)
-    labels = tuple(fd.Label(a, f"g{a}") for a in range(n))
-    fusion = {(a, b, (a + b) % n): 1 for a in range(n) for b in range(n)}
-    ring = fd.FusionRing(labels, 0, (0, 2, 1), fusion)
-    F = {
-        (a, b, c, (a + b + c) % n, (b + c) % n, (a + b) % n, 0, 0, 0, 0): 1.0
-        for a, b, c in itertools.product(range(n), repeat=3)
-    }
-    R = {(a, b, (a + b) % n, 0, 0): w ** (a * b) for a in range(n) for b in range(n)}
-    data = fd.CategoryData(ring, F, R, [w ** (a * a) for a in range(n)])
+    data = pointed_category(3)
+    assert data.ring.dual == (0, 2, 1)
     assert fd.verify_coherence(data, TOL).passed
     nu = _fs_indicators(data)
     assert abs(nu[0] - 1) < TOL and abs(nu[1]) < TOL and abs(nu[2]) < TOL

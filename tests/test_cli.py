@@ -701,6 +701,38 @@ def test_huge_fusion_multiplicity_is_input_error(tmp_path, fibonacci_algebra_doc
         ), cmd
 
 
+@pytest.mark.parametrize("kind", ["category", "algebra"])
+@pytest.mark.parametrize("labels", ["1t", {"1": 0, "t": 1}, [1, None]],
+                         ids=["string", "object", "not-strings"])
+def test_labels_not_an_array_of_strings_is_input_error(
+    tmp_path, fibonacci_algebra_doc, kind, labels
+):
+    # a string would load as one label per character, an object as its keys
+    # and [1, null] as the names "1" and "None"
+    path = _write_doc(tmp_path, fibonacci_algebra_doc, kind,
+                      lambda cat: cat.update(labels=labels))
+    for cmd in CATEGORY_COMMANDS:
+        status, out = run_suite([cmd, str(path)])
+        assert status == EXIT_INPUT, (cmd, out)
+        assert out == (
+            "input error: malformed category document: "
+            f"labels {labels!r} is not an array of strings\n"
+        ), cmd
+
+
+@pytest.mark.parametrize("table", ["F", "R"])
+def test_overflowing_entry_fails_without_warnings(tmp_path, table):
+    # the inf and NaN residuals of the records report the fault; numpy's
+    # overflow warnings would print mtcalc's source lines on stderr
+    doc = json.loads(fd.emit_category(fd.builtin_category("fibonacci")))
+    doc[table][-1]["value"] = [1e308, 0]
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("verify-category", "fusing-symmetries", "build-ffa", "verify-ffa"):
+        proc = _run_module("mtcalc", cmd, str(path))
+        assert (proc.returncode, proc.stderr) == (EXIT_VERIFY, ""), cmd
+
+
 def test_empty_report_summary():
     from mtcalc.report import Report, emit_report
     import json as _json

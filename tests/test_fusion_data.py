@@ -163,9 +163,14 @@ def test_ring_associativity_violation():
         fd.loads_category(json.dumps(doc))
 
 
+def _self_dual_ring(n, N):
+    labels = tuple(fd.Label(i, str(i)) for i in range(n))
+    return fd.FusionRing(labels, 0, tuple(range(n)), N)
+
+
 def test_ring_associativity_first_failure_matches_dense_loop():
     """Random self-dual rings with the unit and duality rows fixed: the
-    channel walk rejects the rings the dense loop rejects and names the same
+    ring's tree counts reject the rings the dense loop rejects and name the same
     first failing (a, b, c, d).  (The oracle inputs below are rings both
     accept.)"""
     rng = np.random.default_rng(11)
@@ -180,17 +185,69 @@ def test_ring_associativity_first_failure_matches_dense_loop():
             N[a, b, 0] = int(a == b)
             for c in range(1, n):
                 N[a, b, c] = int(rng.integers(0, 2)) * int(rng.integers(1, 3))
-        labels = tuple(fd.Label(i, str(i)) for i in range(n))
         first = _dense_associativity_failure(n, N)
         if first is None:
-            fd.FusionRing(labels, 0, tuple(range(n)), N)
+            _self_dual_ring(n, N)
             continue
         failures += 1
         with pytest.raises(
             fd.CategoryDataError, match=re.escape(f"associative at {first}")
         ):
-            fd.FusionRing(labels, 0, tuple(range(n)), N)
+            _self_dual_ring(n, N)
     assert failures
+
+
+def _su2_fusion(k):
+    """SU(2)_k by the truncated Clebsch-Gordan rule, labels 0..k (twice the
+    spin): N_ab^c = 1 when |a - b| <= c <= min(a + b, 2k - a - b) and
+    a + b + c is even."""
+    return {
+        (a, b, c): 1 for a, b, c in itertools.product(range(k + 1), repeat=3)
+        if abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0
+    }
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_su2_tree_count_matches_dense_count(k):
+    n, N = k + 1, _su2_fusion(k)
+    ring = _self_dual_ring(n, N)
+    want = np.zeros((n,) * 4, dtype=np.int64)
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        want[a, b, c, d] = sum(
+            N.get((a, b, x), 0) * N.get((x, c, d), 0) for x in range(n)
+        )
+    assert np.array_equal(ring.tree_count, want)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_su2_without_a_channel_pair_fails_as_the_dense_loop(k):
+    """Dropping the channels (a, b, c) and (b, a, c), none of them the unit,
+    keeps the unit and duality rows: the ring is accepted exactly when the
+    dense loop finds no failure, and otherwise names its first one."""
+    n, full = k + 1, _su2_fusion(k)
+    failures = 0
+    for a, b, c in full:
+        if 0 in (a, b, c) or a > b:
+            continue
+        N = {key: v for key, v in full.items() if key not in ((a, b, c), (b, a, c))}
+        first = _dense_associativity_failure(n, N)
+        if first is None:
+            _self_dual_ring(n, N)
+            continue
+        failures += 1
+        with pytest.raises(fd.CategoryDataError) as exc:
+            _self_dual_ring(n, N)
+        assert str(exc.value) == f"fusion ring not associative at {first}"
+    assert failures
+
+
+def test_ring_bounds_its_multiplicities():
+    # the bound comes ahead of the int64 array the ring counts trees in
+    labels = (fd.Label(0, "1"), fd.Label(1, "t"))
+    N = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 10 ** 30}
+    with pytest.raises(fd.CategoryDataError) as exc:
+        fd.FusionRing(labels, 0, (0, 1), N)
+    assert str(exc.value) == f"fusion multiplicity {10 ** 30} is too large for 2 labels"
 
 
 # -- negative controls -------------------------------------------------------

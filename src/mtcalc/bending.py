@@ -1,0 +1,284 @@
+"""The images of the basis vertices under the swap and the bend, formed
+from the F- and R-tables for many vertices at once.
+
+The swap or the bend of one vertex vector is a composite of
+``graphcalc``'s generator morphisms, one ``Morphism`` per step
+(``tests/bending_oracle.py`` keeps that route).  ``basis_images`` forms the
+images of the basis vertices of many hom spaces in one evaluation: it
+enumerates the fusion trees of the route's words as arrays, assembles each
+step's block at the route's one output charge from the table entries, and
+multiplies the blocks of all vertices by stacked ``@``, grouped by shape.
+As the shapes and the order of every product are the route's, so are the
+results, bit for bit (see ``table_arrays`` on stacked products).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .fusion_data import _block_inverse
+from .table_arrays import IMAGE_KINDS, _column_trees, _copies, _distinct, _pack
+
+__all__ = ["basis_images"]
+
+
+class _Trees:
+    """The fusion trees of words into charges, ordered as
+    ``graphcalc.word_trees`` orders them: each tree's word (ascending), its
+    chain states and multiplicities after each letter but the first (one
+    row per letter), per word the number of its trees and its first tree,
+    and the trees' keys, sorted, with their radices."""
+
+    def __init__(self, N, m, words, charges):
+        """The trees of each row of ``words`` into its charge; ``m`` bounds
+        the multiplicities."""
+        n = len(N)
+        a, b, x = np.nonzero(N)
+        channel, mult = _copies(np.arange(len(a)), N[a, b, x])
+        first = np.searchsorted((a * n + b)[channel], np.arange(n * n + 1))
+        x = x[channel]
+        g, states, mults = np.arange(len(words)), [words[:, 0]], []
+        for letter in words.T[1:]:
+            at = states[-1] * n + letter[g]
+            it, k = _copies(np.arange(len(g)), first[at + 1] - first[at])
+            ch = first[at[it]] + k
+            g = g[it]
+            states = [s[it] for s in states] + [x[ch]]
+            mults = [s[it] for s in mults] + [mult[ch]]
+        keep = states[-1] == charges[g]
+        self.word = g[keep]
+        self.states = [s[keep] for s in states[1:]]
+        self.mults = [s[keep] for s in mults]
+        self.size = np.bincount(self.word, minlength=len(words))
+        self.start = np.cumsum(self.size) - self.size
+        self.radix = (len(words),) + (n, m) * len(self.states)
+        self.keys = _pack(_interleaved(self.word, self.states, self.mults), self.radix)
+
+    def place(self, g, states, mults) -> np.ndarray:
+        """The position of each given tree of word ``g`` among its trees."""
+        key = _pack(_interleaved(g, states, mults), self.radix)
+        return np.searchsorted(self.keys, key) - self.start[g]
+
+
+def _interleaved(g, states, mults) -> list:
+    return [g, *(col for pair in zip(states, mults) for col in pair)]
+
+
+def _flat_blocks(rows, cols, owner, row, col, values):
+    """One rows x cols block per owner, flat and row-major, holding
+    ``values`` at (owner, row, col) and zero elsewhere, and the start of
+    each block."""
+    size = rows * cols
+    start = np.cumsum(size) - size
+    out = np.zeros(size.sum(), dtype=complex)
+    out[start[owner] + row * cols[owner] + col] = values
+    return out, start
+
+
+def _gather(flat, start, owners, rows, cols) -> np.ndarray:
+    """The rows x cols blocks of ``owners`` out of ``flat``, stacked."""
+    return flat[start[owners][:, None] + np.arange(rows * cols)].reshape(-1, rows, cols)
+
+
+def _times_blocks(F, vecs, blocks) -> np.ndarray:
+    """Each row of ``vecs`` times its F-block, t x t, as a 1 x t by t x t
+    product; ``vecs`` is zero past t."""
+    out = np.zeros_like(vecs)
+    size = F.ncols[blocks]
+    for t in _distinct(size).tolist():
+        sel = np.flatnonzero(size == t)
+        mats = F.stacks[F.stack_of[blocks[sel[0]]]][1][F.slot_of[blocks[sel]]]
+        out[sel, :t] = (vecs[sel, None, :t] @ mats)[:, 0]
+    return out
+
+
+def _braid_locals(F, R, N, quads, plus, tree_col):
+    """The local block of the braid of the letters (u, v) above p with
+    charge q, for each (p, u, v, q) of ``quads``, in the positive sense
+    where ``plus``, as ``graphcalc.braid_morphism`` forms it: F(p, v, u,
+    q)^-1 with its rows in tree order, times the R-blocks (or the inverse
+    R-blocks) of the channels x of (u, v) on the rows (x, i, j) of F(p, u,
+    v, q), times F(p, u, v, q) with its columns in tree order.  Returns the
+    blocks flat and row-major, the start and size of each, and the F-blocks
+    (p, u, v, q) and (p, v, u, q); a singular block they invert raises."""
+    n, m, nb = F.dims[0], F.dims[-1], len(F.blocks)
+    p, u, v, q = quads
+    blk, sw = F.block_of(p, u, v, q), F.block_of(p, v, u, q)
+    size = F.ncols[blk]
+    # row r = (x, i, j) of F(p, u, v, q) is column r of the R part, whose
+    # row (x, i, j2) sits at r - j + j2 in F(p, v, u, q) as well
+    it, r = _copies(np.arange(len(blk)), size)
+    _, x, _, j = np.unravel_index(F.row_keys[F.row_starts[blk[it]] + r], (nb, n, m, m))
+    k, j2 = _copies(np.arange(len(it)), N[u[it], v[it], x])
+    it, r, x, j = it[k], r[k], x[k], j[k]
+    # the negative sense inverts R(v, u, x)
+    neg = R.block_of(v[it], u[it], x)
+    _check_inverses(F, "F", sw)
+    _check_inverses(R, "R", neg[~plus[it]])
+    val = np.where(plus[it], R.entries(R.block_of(u[it], v[it], x), j2, j),
+                   R.entries(neg, j2, j, inverse=True))
+    rmat, start = _flat_blocks(size, size, it, r - j + j2, r, val)
+    out = np.empty_like(rmat)
+    for t in _distinct(size).tolist():
+        sel = np.flatnonzero(size == t)
+        k = F.stack_of[blk[sel[0]]]
+        trees = np.arange(t)
+        f = np.take_along_axis(
+            F.stacks[k][1][F.slot_of[blk[sel]]],
+            tree_col[F.col_starts[blk[sel]][:, None] + trees][:, None, :], axis=2,
+        )
+        finv = np.take_along_axis(
+            F.inverses()[k][0][F.slot_of[sw[sel]]],
+            tree_col[F.col_starts[sw[sel]][:, None] + trees][:, :, None], axis=1,
+        )
+        local = (finv @ _gather(rmat, start, sel, t, t)) @ f
+        out[start[sel][:, None] + np.arange(t * t)] = local.reshape(len(sel), -1)
+    return out, start, size, blk, sw
+
+
+def basis_images(data, families, dims):
+    """The images of the basis vertices of ``families``, as (weights, rows):
+    one row per image, by family in the order given and by basis vertex
+    within a family, zero past the image's multiplicities.
+
+    The family (kind, a, b, c) takes the basis vertices of hom(a b, c) to
+    hom(b a, c) ("swap") or to hom(a c', b') ("bend"), in the sense of the
+    kind's last character.  An image's weights are its coefficients on the
+    basis vertices there, and its row is its local block above the unit:
+    the weights times the unit-gauge F-block of its hom space.  ``data`` is
+    the CategoryData and ``dims`` the loop values of its labels.
+
+    Each image is the one the composed route forms (``graphcalc``'s
+    generators, as ``tests/bending_oracle.py`` composes them), bit for
+    bit.  That route's step blocks at its one output charge are assembled
+    from the F- and R-tables and multiplied by stacked ``@``, in its order
+    and with its shapes: a swap is the braid of (b, a) followed by the
+    vertex; a bend is the cup of (b, b') after (a, c') scaled by the loop
+    value of b, the braid of (c', b), the vertex, the ribbon twist of c and
+    the cap of (c, c'), at charge b'.  No ``Morphism`` is formed and no tree
+    is walked.  A singular block that an image inverts raises the error of
+    ``data.f_block_inv`` or ``data.r_block_inv``: the first in block order
+    of the cups' F-blocks, else of the braids' F-blocks, else of their
+    R-blocks.
+    """
+    F, R, N, e = data._f_table, data._r_table, data.ring.array, data.unit
+    dual = np.asarray(data.ring.dual)
+    n, m, nb = F.dims[0], F.dims[-1], len(F.blocks)
+    kind, a, b, c = np.array(
+        [(IMAGE_KINDS.index(k), *labels) for k, *labels in families], dtype=np.intp
+    ).reshape(-1, 4).T
+    plus, bent = kind % 2 == 0, kind >= 2
+    fam, mu = _copies(np.arange(len(kind)), N[a, b, c])
+    unit = np.zeros((len(fam), m), dtype=complex)
+    unit[np.arange(len(fam)), mu] = 1
+    # the local block above the unit of each basis vertex
+    vertex = _times_blocks(F, unit, F.block_of(np.full_like(fam, e), a[fam], b[fam], c[fam]))
+    cb, *_, t3 = _column_trees(F)
+    tree_col = np.empty_like(t3)  # per block and tree, the tree's column
+    tree_col[F.col_starts[cb] + t3] = np.arange(len(t3)) - F.col_starts[cb]
+
+    # the words of the bend of hom(a1 a2, a3), at its charge d = a2'
+    s, g = np.flatnonzero(~bent), np.flatnonzero(bent)
+    a1, a2, a3 = a[g], b[g], c[g]
+    d, a3p = dual[a2], dual[a3]
+    t0 = N[a1, a3p, d]  # the trees ((d, m0),) of W0 = (a1, a3')
+    W1, W2, W3 = (_Trees(N, m, np.stack(w, axis=1), d) for w in (
+        (a1, a3p, a2, d), (a1, a2, a3p, d), (a3, a3p, d)
+    ))
+
+    # the braid's local blocks: of (b, a) above the unit for a swap, and of
+    # (a3', a2) above a1 with the charge x2 of each tree of W1 for a bend
+    tw, (x1, x2, _), (m1, m2, m3) = W1.word, W1.states, W1.mults
+    quads = np.concatenate([
+        np.stack((np.full_like(s, e), b[s], a[s], c[s], plus[s])),
+        np.stack((a1[tw], a3p[tw], a2[tw], x2, plus[g][tw])),
+    ], axis=1)
+    key = _pack(quads, (n, n, n, n, 2))
+    distinct = _distinct(key)
+    which = np.searchsorted(distinct, key)
+    *quad, pl = np.unravel_index(distinct, (n, n, n, n, 2))
+    cup = F.block_of(d, a2, d, d)
+    _check_inverses(F, "F", cup)
+    local, l_start, l_size, blk, sw = _braid_locals(F, R, N, quad, pl == 1, tree_col)
+
+    # the cup: column (1, 0, 0) of F(d, a2, d, d)^-1, its row (y, k, l) on
+    # the tree ((d, m0), (y, l), (d, k)) of W1, for each tree (d, m0) of W0
+    e_row = np.searchsorted(
+        F.row_keys, _pack((cup, np.full_like(cup, e), 0 * cup, 0 * cup), (nb, n, m, m))
+    ) - F.row_starts[cup]
+    it, col = _copies(np.arange(len(g)), F.ncols[cup])
+    _, y, k, l = np.unravel_index(F.col_keys[F.col_starts[cup[it]] + col], (nb, n, m, m))
+    value = F.entries(cup[it], col, e_row[it], inverse=True)
+    at, m0 = _copies(np.arange(len(it)), t0[it])
+    it = it[at]
+    row = W1.place(it, (d[it], y[at], d[it]), (m0, l[at], k[at]))
+    C = _flat_blocks(W1.size, t0, it, row, m0, value[at])
+
+    # the braid: each tree of W1 is a column of its local block, whose row
+    # ((y1, n1), (x2, n2)) is the tree ((y1, n1), (x2, n2), (d, m3)) of W2
+    qt = which[len(s):]
+    size = l_size[qt]
+    src = t3[np.searchsorted(F.col_keys, _pack((blk[qt], x1, m2, m1), (nb, n, m, m)))]
+    it, r = _copies(np.arange(len(tw)), size)
+    at = F.col_starts[sw[qt[it]]] + tree_col[F.col_starts[sw[qt[it]]] + r]
+    _, y1, n2, n1 = np.unravel_index(F.col_keys[at], (nb, n, m, m))
+    gt = tw[it]
+    row = W2.place(gt, (y1, x2[it], d[gt]), (n1, n2, m3[it]))
+    value = local[l_start[qt[it]] + r * size[it] + src[it]]
+    B = _flat_blocks(W2.size, W1.size, gt, row, it - W1.start[gt], value)
+
+    # the vertex, per bent image: the trees of W2 through a3 after two
+    # letters, ((a3, n1), (y2, n2), (d, n3)), go to ((y2, n2), (d, n3)) of
+    # W3 with the entry n1 of the image's basis vertex block
+    bi = np.flatnonzero(bent[fam])  # the bent images
+    gb = np.searchsorted(g, fam[bi])  # their families among the bent ones
+    (y1, y2, _), (n1, n2, n3) = W2.states, W2.mults
+    through = np.flatnonzero(y1 == a3[W2.word])
+    it, j = _copies(through, N[a1, a2, a3][W2.word])
+    gt = W2.word[it]
+    owner = np.searchsorted(gb, gt) + j
+    row = W3.place(gt, (y2[it], d[gt]), (n2[it], n3[it]))
+    V = _flat_blocks(W3.size[gb], W2.size[gb], owner, row, it - W2.start[gt],
+                     vertex[bi[owner], n1[it]])
+
+    # the cap: the tree ((1, 0), (d, 0)) of W3 reads F(1, a3, a3', 1)
+    gt, ones, zeros = np.arange(len(g)), np.full_like(g, e), 0 * g
+    value = F.entries(F.block_of(ones, a3, a3p, ones), zeros, zeros)
+    K = _flat_blocks(zeros + 1, W3.size, gt, zeros, W3.place(gt, (ones, d), (zeros, zeros)), value)
+
+    # the chain, stacked by the shapes of its blocks
+    weights = np.zeros_like(unit)
+    theta = np.array([data.twist, [1.0 / t for t in data.twist]])[(~plus[g]) * 1, a3]
+    loop = np.asarray(dims, dtype=complex)[a2]
+    shapes = np.stack((t0, W1.size, W2.size, W3.size))[:, gb]
+    key = _pack(shapes, (shapes.max(initial=0) + 1,) * 4)
+    for shape in _distinct(key).tolist():
+        imgs = np.flatnonzero(key == shape)
+        fams = gb[imgs]
+        n0, n1, n2, n3 = shapes[:, imgs[0]].tolist()
+        chain = loop[fams, None, None] * _gather(*C, fams, n1, n0)
+        chain = _gather(*B, fams, n2, n1) @ chain
+        chain = _gather(*V, imgs, n3, n2) @ chain
+        chain = (theta[fams, None, None] * np.eye(n3)) @ chain
+        chain = _gather(*K, fams, 1, n3) @ chain
+        weights[bi[imgs], :n0] = chain[:, 0]
+
+    # the swap: the basis vertex block after the braid's local block
+    si = np.flatnonzero(~bent[fam])
+    qs = which[np.searchsorted(s, fam[si])]
+    for t in _distinct(l_size[qs]).tolist():
+        sel = np.flatnonzero(l_size[qs] == t)
+        braid = _gather(local, l_start, qs[sel], t, t)
+        weights[si[sel], :t] = (vertex[si[sel], None, :t] @ braid)[:, 0]
+
+    # each image's hom space: (b a, c) swapped, (a c', b') bent
+    image = (np.where(bent, a, b), np.where(bent, dual[c], a), np.where(bent, dual[b], c))
+    blocks = F.block_of(np.full_like(fam, e), *(labels[fam] for labels in image))
+    return weights, _times_blocks(F, weights, blocks)
+
+
+def _check_inverses(table, name, blocks):
+    """The block store's ``CategoryDataError`` for the first singular block
+    of ``table`` (named ``name``) among the block numbers ``blocks``."""
+    for block in blocks[table.singular()[blocks]][:1].tolist():
+        _block_inverse(table, name, tuple(lab[block].item() for lab in table.labels))

@@ -453,10 +453,10 @@ def verify_invariant_form(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
     # bending both factors and conjugating by the form coefficients
     res = 0.0
     dual = alg.dual_summand
+    bent = _bent_bases(data, [alg.labels(key) for key in alg.mult])
     for (s1, s2, s3), block in alg.mult.items():
         ls, rs = alg.labels((s1, s2, s3))
-        b0 = _bent_basis(data, ls, block.shape[0], "+")
-        b1 = _bent_basis(data, rs, block.shape[1], "-")
+        b0, b1 = bent[("bend+", *ls)], bent[("bend-", *rs)]
         target = alg.mult.get((s1, dual[s3], dual[s2]))
         scale = alg.phi[s3] / alg.phi[dual[s2]]
         got = scale * (b0 @ block @ b1.T)
@@ -478,11 +478,18 @@ def verify_invariant_form(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
     return report
 
 
-def _bent_basis(data, labels, n, sense) -> np.ndarray:
-    """Columns: the n basis vertices of channel ``labels``, bent by ``sense``."""
-    out = np.zeros((n, n), complex)
-    for i in range(n):
-        out[:, i] = gc.bend_vertex(data, gc.VertexVector.basis(data, *labels, i), sense).array
+def _bent_bases(data, channels) -> dict:
+    """Per family (kind, a, b, c) of the left channels (a, b, c) bent by
+    "+" and the right ones by "-", of the (left, right) label pairs
+    ``channels``: the matrix whose columns are the bent basis vertices."""
+    families = sorted({("bend+", *ls) for ls, _ in channels}
+                      | {("bend-", *rs) for _, rs in channels})
+    weights, _ = gc.vertex_images(data, families)
+    out, at = {}, 0
+    for family in families:
+        n = data.n(*family[1:])
+        out[family] = weights[at:at + n, :n].T.copy()
+        at += n
     return out
 
 

@@ -28,6 +28,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -602,9 +603,39 @@ def _fusion_rows(rows) -> dict:
 
 
 def _entry_table(entries, name: str, n_labels: int, n_mult: int) -> dict:
-    """{labels + mult: value} of the F or R entries of a category file."""
+    """{labels + mult: value} of the F or R entries of a category file.
+
+    The entries are checked a table at a time: each must be an object
+    whose ``labels`` and ``mult`` are arrays of n_labels and n_mult
+    integers and whose ``value`` is an array of two numbers, and no key
+    may repeat.  Entries that pass no such check (a bad one, or one from a
+    dict that holds tuples) are read one at a time by ``_entry_walk``,
+    which names the first bad entry."""
     if not isinstance(entries, list):
         raise CategoryDataError(f"{name} table must be a list of entries")
+    try:
+        labels, mults, values = (
+            list(map(itemgetter(part), entries)) for part in ("labels", "mult", "value")
+        )
+        keys = list(map(tuple, map(add, labels, mults)))
+        if (
+            set(map(type, labels + mults + values)) <= {list}
+            and set(map(len, labels)) <= {n_labels} and set(map(len, mults)) <= {n_mult}
+            and set(map(len, values)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+            and set(map(type, itertools.chain.from_iterable(values))) <= {int, float}
+        ):
+            out = dict(zip(keys, itertools.starmap(complex, values)))  # an int past float raises
+            if len(out) == len(keys):
+                return out
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _entry_walk(entries, name, n_labels, n_mult)
+
+
+def _entry_walk(entries, name: str, n_labels: int, n_mult: int) -> dict:
+    """``_entry_table`` one entry at a time; CategoryDataError for the first
+    bad entry."""
     out = {}
     for ent in entries:
         try:

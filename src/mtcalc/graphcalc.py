@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bending import basis_images
 from .fusion_data import CategoryData, DEFAULT_TOL
 from .report import Report
 from .table_arrays import FusingWords
@@ -36,8 +37,7 @@ __all__ = [
     "covertex_morphism",
     "unit_insert_morphism",
     "unit_remove_morphism",
-    "swap_vertex",
-    "bend_vertex",
+    "vertex_images",
     "completeness_defect",
     "verify_rigidity",
     "verify_fusing_symmetries",
@@ -380,13 +380,6 @@ def unit_remove_morphism(data, word, k) -> Morphism:
                            lambda p, q: np.ones((1, 1)))
 
 
-def twist_morphism(data, word, k, sense: str) -> Morphism:
-    theta = data.twist[word[k]]
-    if sense == "-":
-        theta = 1.0 / theta
-    return theta * Morphism.identity(data, tuple(word))
-
-
 # ---------------------------------------------------------------------------
 # diagrams
 
@@ -472,13 +465,6 @@ class _LegVector:
 class VertexVector(_LegVector):
     """Element of hom(a1 (x) a2, a3) in the fusion-vertex basis."""
 
-    def at(self, data, word, k) -> Morphism:
-        """This vector applied at letters (k, k+1) of ``word``."""
-        return weighted_vertex(data, word, k, self.a1, self.a2, self.a3, self.vec)
-
-    def morphism(self, data) -> Morphism:
-        return self.at(data, (self.a1, self.a2), 0)
-
 
 class CovertexVector(_LegVector):
     """Element of hom(a3, a1 (x) a2) in the dual (splitting) basis."""
@@ -488,38 +474,19 @@ class CovertexVector(_LegVector):
         return weighted_covertex(data, word, k, self.a1, self.a2, self.a3, self.vec)
 
 
-def _as_vertex_vector(data, m: Morphism) -> VertexVector:
-    if len(m.dom) != 2 or len(m.cod) != 1:
-        raise ValueError("not a vertex-shaped morphism")
-    c = m.cod[0]
-    return VertexVector(m.dom[0], m.dom[1], c, tuple(m.block(c)[0, :]))
+def vertex_images(data, families) -> tuple:
+    """The images of the basis vertices of ``families`` under the swap and
+    the bend, as (weights, rows): ``bending.basis_images`` with the
+    loop values of ``data``.
 
-
-def swap_vertex(data, v: VertexVector, sense: str) -> VertexVector:
-    """Compose a vertex with the braiding: '+' positive, '-' negative sense."""
-    m = v.morphism(data) @ braid_morphism(data, (v.a2, v.a1), 0, sense)
-    return _as_vertex_vector(data, m)
-
-
-# The bent leg threads through a cap, so it carries a ribbon twist whose
-# sense matches the crossing sense.  Both choices are pinned a posteriori by
-# the phase identities relating bent unit vertices to duality vertices (the
-# fusing-symmetry suite) and by bend/unbend invertibility (tests/bending_oracle.py).
-def bend_vertex(data, v: VertexVector, sense: str) -> VertexVector:
-    """Bend hom(a1 a2, a3) into hom(a1 a3', a2').
-
-    The second input leg is bent around through a crossing of the given
-    sense; the closed-off output leg carries the matching ribbon twist.
+    The bend takes hom(a1 a2, a3) to hom(a1 a3', a2'): the second input leg
+    is bent around through a crossing of the family's sense, and the
+    closed-off output leg carries the ribbon twist of the matching sense.
+    Both choices are pinned a posteriori by the phase identities relating
+    bent unit vertices to duality vertices (the fusing-symmetry suite) and
+    by bend/unbend invertibility (tests/bending_oracle.py).
     """
-    a1, a2, a3 = v.a1, v.a2, v.a3
-    a2p, a3p = data.dual(a2), data.dual(a3)
-    word = (a1, a3p)
-    m = cup_morphism(data, word, 2, a2, a2p) * categorical_dim(data, a2)
-    m = braid_morphism(data, m.cod, 1, sense) @ m
-    m = v.at(data, (a1, a2, a3p, a2p), 0) @ m
-    m = twist_morphism(data, (a3, a3p, a2p), 0, sense) @ m
-    m = cap_morphism(data, (a3, a3p, a2p), 0, a3, a3p) @ m
-    return _as_vertex_vector(data, m)
+    return basis_images(data, families, [categorical_dim(data, a) for a in range(data.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +572,24 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
     scalars, and the phase identities tying duality vertices to twists.
     The conjugation symmetries of all fusing words are evaluated at once
     (``table_arrays.FusingWords``) from the images of the basis vertices,
-    each computed once; the bent unit vertices are read from them.
+    all formed in one evaluation (``vertex_images``); the bent unit
+    vertices are read from them.
     """
     t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
     words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
-    images = {family: _basis_images(data, *family) for family in words.families}
-    report.add_many(_DUALITY_IDS, (range(data.size),), _duality_residuals(data, images))
+    images = vertex_images(data, words.families)
+    sizes = [data.n(a, b, c) for _, a, b, c in words.families]
+    first = dict(zip(words.families, np.cumsum(sizes) - sizes))
+    e = data.unit
+    bent = [
+        [images[0][first[("bend+", *labels)], :1] for labels in ((e, ap, ap), (ap, e, ap))]
+        for ap in map(data.dual, range(data.size))
+    ]
+    report.add_many(_DUALITY_IDS, (range(data.size),), _duality_residuals(data, bent))
     report.add_many(
         ("fusing_braid_conjugation", "fusing_bend_conjugation"),
-        data._f_table.labels, np.transpose(words.residuals(list(images.values()))),
+        data._f_table.labels, np.transpose(words.residuals(images)),
     )
     report.wall_time = time.perf_counter() - t0
     return report
@@ -627,11 +602,12 @@ _DUALITY_IDS = (
 )
 
 
-def _duality_residuals(data, images) -> list:
+def _duality_residuals(data, bent) -> list:
     """Per label a, the residuals of ``_DUALITY_IDS``: the dual pair of
     duality fusing scalars and their inverse routes, the duality vertex
-    phases and the bent unit vertices, read from ``images`` (the basis
-    images by family, as ``_basis_images`` gives them)."""
+    phases and the bent unit vertices, read from ``bent[a]``: the weights
+    of the unit-left and the unit-right basis vertex of a' bent in the
+    positive sense."""
     e = data.unit
     out = []
     for a in range(data.size):
@@ -645,10 +621,8 @@ def _duality_residuals(data, images) -> list:
         theta = data.twist[a]
         r_pos = data.r_block(a, ap, e)[0, 0]
         r_neg = data.r_block_inv(a, ap, e)[0, 0]
-        # bent unit vertices reproduce duality vertices with the twist phase:
-        # the unit-left and the unit-right vertex of a'
-        left = np.array(images["bend+", e, ap, ap][0][0], dtype=complex)
-        right = np.array(images["bend+", ap, e, ap][0][0], dtype=complex)
+        # bent unit vertices reproduce duality vertices with the twist phase
+        left, right = bent[a]
         left_want = VertexVector.basis(data, e, a, a).array
         right_want = theta * VertexVector.basis(data, ap, a, e).array
         out.append((
@@ -659,15 +633,3 @@ def _duality_residuals(data, images) -> list:
         ))
     return out
 
-
-def _basis_images(data, kind, a, b, c) -> tuple:
-    """The images under ``kind`` ("swap+", "swap-" or "bend+") of the basis
-    vertices of hom(a b, c): their weights, and the local block of each
-    above the unit, the row the fusing matrices read it as."""
-    move = swap_vertex if kind.startswith("swap") else bend_vertex
-    weights, rows = [], []
-    for mu in range(data.n(a, b, c)):
-        v = move(data, VertexVector.basis(data, a, b, c, mu), kind[-1])
-        weights.append(v.vec)
-        rows.append(_vertex_block(data, v.a1, v.a2, v.a3, v.vec, data.unit, v.a3)[0])
-    return weights, rows

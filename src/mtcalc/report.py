@@ -301,22 +301,49 @@ def _text_block(block, tol) -> list:
     return list(map("\n".join(records).__mod__, zip(*args)))
 
 
+def _digest(report: Report) -> dict:
+    """Per check id, in the order the ids first appear: the number of its
+    records, its worst residual (the first record of greatest
+    ``_severity``) and that record's instance, and whether all its records
+    pass.  A columnar block is reduced per id with array reductions, over
+    its records in their order (``argmax`` takes the first NaN, else the
+    first maximum); single records are read one at a time."""
+    by_id = {}  # check id -> [count, worst residual, its instance, all pass]
+    for b in report._blocks:
+        parts = _block_digest(b, report.tol) if isinstance(b, _Block) else (
+            (check_id, 1, res, inst, res < report.tol) for check_id, inst, res in b
+        )
+        for check_id, count, res, inst, ok in parts:
+            entry = by_id.get(check_id)
+            if entry is None:
+                by_id[check_id] = [count, res, inst, ok]
+                continue
+            entry[0] += count
+            entry[3] = entry[3] and ok
+            if _severity(res) > _severity(entry[1]):
+                entry[1], entry[2] = res, inst
+    return by_id
+
+
+def _block_digest(block, tol):
+    """(id, count, worst residual, its instance, all pass) of each id of a
+    columnar block, in the order of its ids; an id given in several
+    columns is reduced over their records row by row."""
+    ids = block.ids
+    for check_id in dict.fromkeys(ids):
+        cols = [j for j, other in enumerate(ids) if other == check_id]
+        res = block.res[:, cols]
+        at = int(np.argmax(res))  # row-major, as the records run
+        row = at // len(cols)
+        inst = tuple(_values(col[row:row + 1])[0] for col in block.cols)
+        yield check_id, res.size, float(res.flat[at]), inst, bool((res < tol).all())
+
+
 def _text_report(report: Report) -> str:
     lines = [f"suite: {report.suite}  (tol={report.tol:g})"]
     lines += _written(report, _text_block)
-    by_id = {}  # check id -> [count, worst residual, its instance, all pass]
-    for b in report._blocks:
-        for check_id, inst, res in b:
-            entry = by_id.get(check_id)
-            if entry is None:
-                by_id[check_id] = [1, res, inst, res < report.tol]
-                continue
-            entry[0] += 1
-            entry[3] = entry[3] and res < report.tol
-            if _severity(res) > _severity(entry[1]):
-                entry[1], entry[2] = res, inst
     lines.append("per check id:")
-    for check_id, (count, worst, inst, ok) in by_id.items():
+    for check_id, (count, worst, inst, ok) in _digest(report).items():
         inst = ",".join(str(x) for x in inst)
         lines.append(
             f"  [{_TEXT_MARK[ok]}] {check_id}: checks={count}"

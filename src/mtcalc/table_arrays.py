@@ -31,7 +31,9 @@ import math
 
 import numpy as np
 
-__all__ = ["Table", "pentagon_batch", "hexagon_batch", "unitarity", "FusingWords"]
+__all__ = [
+    "Table", "pentagon_batch", "hexagon_batch", "unitarity", "IMAGE_KINDS", "FusingWords",
+]
 
 _EMPTY = np.zeros((0, 0), dtype=complex)
 _EMPTY.setflags(write=False)
@@ -131,8 +133,9 @@ class Table:
             mats[slot[self.block[sel]], self.row[sel], self.col[sel]] = self.vals[sel]
             mats.setflags(write=False)
             self.stacks.append((members, mats))
-        # the stack and the place in it of the block of each label tuple;
-        # stack -1 where the table holds no entry
+        # the stack and the place in it of each block, by number and by
+        # label tuple; stack -1 where the table holds no entry
+        self.stack_of, self.slot_of = stack, slot
         self._stack = np.full(dims[:width], -1)
         self._stack.flat[self.blocks] = stack
         self._slot = np.zeros(dims[:width], dtype=np.intp)
@@ -174,12 +177,29 @@ class Table:
                 inv.setflags(write=False)
         return self._inverses
 
+    def singular(self) -> np.ndarray:
+        """Per block, whether it is singular."""
+        out = np.zeros(len(self.blocks), dtype=bool)
+        for (members, _), (_, bad) in zip(self.stacks, self.inverses()):
+            out[members] = bad
+        return out
+
+    def entries(self, block, row, col, inverse=False) -> np.ndarray:
+        """Entry (row, col) of each block numbered in ``block``, or of its
+        inverse, whose rows are the block's columns (0 for a singular one)."""
+        out = np.empty(len(block), dtype=complex)
+        stack = self.stack_of[block]
+        for k, (_, mats) in enumerate(self.stacks):
+            sel = stack == k
+            mats = self.inverses()[k][0] if inverse else mats
+            out[sel] = mats[self.slot_of[block[sel]], row[sel], col[sel]]
+        return out
+
     def inverse_entries(self):
         """(block, row, col, value) of every entry of every block's inverse,
         and the mask of the singular blocks."""
-        parts, singular = [], np.zeros(len(self.blocks), dtype=bool)
-        for (members, _), (inv, bad) in zip(self.stacks, self.inverses()):
-            singular[members] = bad
+        parts = []
+        for (members, _), (inv, _) in zip(self.stacks, self.inverses()):
             g, r, c = inv.shape
             parts.append((
                 np.repeat(members, r * c),
@@ -187,7 +207,7 @@ class Table:
                 np.tile(np.arange(c), g * r),
                 inv.ravel(),
             ))
-        return (*map(np.concatenate, zip(*parts)), singular)
+        return (*map(np.concatenate, zip(*parts)), self.singular())
 
 
 def _stack_inverse(mats):
@@ -432,8 +452,9 @@ def unitarity(mats) -> np.ndarray:
     return np.max(np.abs(gram), axis=(1, 2))
 
 
-# the moves of a basis vertex whose images make up the fusing-symmetry bases
-IMAGE_KINDS = ("swap+", "swap-", "bend+")
+# the moves of a basis vertex; the family (kind, a, b, c) is the images of
+# the basis vertices of hom(a b, c) under one of them (``bending``)
+IMAGE_KINDS = ("swap+", "swap-", "bend+", "bend-")
 
 
 class FusingWords:
@@ -519,8 +540,7 @@ class FusingWords:
         _, _, _, _, n_in, off = bend_rights
         self._bend_rows = off[q] + rj * n_in[q] + ri
 
-        self._stack = F._stack.flat[F.blocks]
-        self._slot = F._slot.flat[F.blocks]
+        self._stack, self._slot = F.stack_of, F.slot_of
         # each stack's blocks with their columns in tree order, as
         # [block, tree, row]: transposed, each matrix is laid out as
         # ``block[:, perm]`` lays it out (in Fortran order)
@@ -534,18 +554,9 @@ class FusingWords:
 
     def matrices(self, images) -> dict:
         """Per route, per stack of ``F.stacks``, the fusing matrices U V^-1
-        of its words.  ``images`` holds, per family of ``families``, the
-        weights of its images and the local block above the unit of each
-        (its row, for an image of hom(a b, c), the block from the trees
-        of (1, a, b) to those of (1, c) with charge c)."""
-        m = self.F.dims[-1]
-        count = sum(len(weights) for weights, _ in images)
-        weights, rows = np.zeros((2, count, m), dtype=complex)
-        at = 0
-        for vecs, blocks in images:
-            weights[at:at + len(vecs), :len(vecs)] = vecs
-            rows[at:at + len(vecs), :len(vecs)] = blocks
-            at += len(vecs)
+        of its words.  ``images`` is ``basis_images`` of ``families``: the
+        weights of the images and their rows."""
+        weights, rows = images
         out = {}
         for route, (read, rights, lefts) in self._routes.items():
             out[route] = []

@@ -19,6 +19,7 @@ from mtcalc import graphcalc as gc
 from mtcalc.fusion_data import DEFAULT_TOL
 from mtcalc.report import Report
 
+import bending_oracle as bo
 from coherence_oracle import totals
 
 
@@ -94,12 +95,12 @@ def braid_bases(data, images, a1, a2, a3, a4):
     outer_left, inner_left = {}, {}
     for x in data.ring.channels[a2, a3]:
         if data.n(a1, x, a4):
-            outer_left[x] = basis_images(data, images, gc.swap_vertex, "+", a1, x, a4)
-            inner_left[x] = basis_images(data, images, gc.swap_vertex, "+", a2, a3, x)
+            outer_left[x] = basis_images(data, images, bo.swap_vertex, "+", a1, x, a4)
+            inner_left[x] = basis_images(data, images, bo.swap_vertex, "+", a2, a3, x)
     for y in data.ring.channels[a1, a2]:
         if data.n(y, a3, a4):
-            outer_right[y] = basis_images(data, images, gc.swap_vertex, "+", y, a3, a4)
-            inner_right[y] = basis_images(data, images, gc.swap_vertex, "+", a1, a2, y)
+            outer_right[y] = basis_images(data, images, bo.swap_vertex, "+", y, a3, a4)
+            inner_right[y] = basis_images(data, images, bo.swap_vertex, "+", a1, a2, y)
     return (a3, a2, a1), a4, outer_right, inner_right, outer_left, inner_left
 
 
@@ -110,12 +111,12 @@ def bend_bases(data, images, a1, a2, a3, a4):
     for x in data.ring.channels[a2, a3]:
         if data.n(a1, x, a4):
             xp = data.dual(x)
-            outer_right[xp] = basis_images(data, images, gc.bend_vertex, "+", a2, a3, x)
-            inner_right[xp] = basis_images(data, images, gc.bend_vertex, "+", a1, x, a4)
+            outer_right[xp] = basis_images(data, images, bo.bend_vertex, "+", a2, a3, x)
+            inner_right[xp] = basis_images(data, images, bo.bend_vertex, "+", a1, x, a4)
     for y in data.ring.channels[a1, a2]:
         if data.n(y, a3, a4):
-            outer_left[y] = basis_images(data, images, gc.bend_vertex, "+", y, a3, a4)
-            inner_left[y] = basis_images(data, images, gc.swap_vertex, "-", a1, a2, y)
+            outer_left[y] = basis_images(data, images, bo.bend_vertex, "+", y, a3, a4)
+            inner_left[y] = basis_images(data, images, bo.swap_vertex, "-", a1, a2, y)
     return (a2, a1, data.dual(a4)), data.dual(a3), outer_right, inner_right, outer_left, inner_left
 
 
@@ -162,10 +163,11 @@ def verify_fusing_symmetries(data, tol: float = DEFAULT_TOL) -> Report:
     t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
     e = data.unit
-    bent = {
-        family: gc._basis_images(data, *family)
-        for a in range(data.size) for family in (("bend+", e, a, a), ("bend+", a, e, a))
-    }
+    bent = [
+        [np.array(bo.bend_vertex(data, gc.VertexVector.basis(data, *labels), "+").vec)
+         for labels in ((e, ap, ap), (ap, e, ap))]
+        for ap in map(data.dual, range(data.size))
+    ]
     for a, row in enumerate(gc._duality_residuals(data, bent)):
         for check_id, res in zip(gc._DUALITY_IDS, row):
             report.add(check_id, (a,), res)

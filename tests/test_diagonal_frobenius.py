@@ -11,6 +11,7 @@ from mtcalc import graphcalc as gc
 from mtcalc import diagonal_frobenius as df
 from mtcalc.deligne_double import DoubleMorphism, DoubleObject, assignments, pair_layer
 
+import bending_oracle as bo
 import comult_oracle
 
 BUILTINS = fd.BUILTIN_NAMES
@@ -502,3 +503,27 @@ def test_frobenius_negative_control(pointed_category, monkeypatch, check_id):
               for rep in (restricted, full)]
     assert (check_id, ()) in failed[0]
     assert failed[0] == failed[1]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bent_bases_match_bend_vertex(algebras, name):
+    # the invariant-form check reads all its bent bases from one table-level
+    # evaluation; each column is the composed route's bent basis vertex, bit
+    # for bit, and each matrix is laid out as the route's (C order), so the
+    # products formed with it round as the route's did
+    alg = algebras[name]
+    data = alg.data
+    channels = [alg.labels(key) for key in alg.mult]
+    bent = df._bent_bases(data, channels)
+    want = {}
+    for ls, rs in channels:
+        for sense, labels in (("+", ls), ("-", rs)):
+            n = data.n(*labels)
+            want[(f"bend{sense}", *labels)] = np.array([
+                bo.bend_vertex(data, gc.VertexVector.basis(data, *labels, i), sense).array
+                for i in range(n)
+            ]).T
+    assert bent.keys() == want.keys()
+    for family, mat in bent.items():
+        assert mat.flags.c_contiguous
+        assert np.array_equal(mat, want[family]), family

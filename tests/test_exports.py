@@ -16,7 +16,7 @@ SRC = pathlib.Path(mtcalc.__file__).parent
 # what the package offers its callers without calling it itself
 ENTRY_POINTS = re.compile(r"(verify_|loads_|emit_)\w+|load_category|builtin_category")
 GUARDED = ["fusion_data", "graphcalc", "deligne_double", "diagonal_frobenius",
-           "sewing_operad", "table_arrays"]
+           "sewing_operad", "table_arrays", "bending"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -13,7 +13,7 @@ from mtcalc.graphcalc import (
     VertexVector,
 )
 from mtcalc.report import emit_report
-from mtcalc.table_arrays import FusingWords
+from mtcalc.table_arrays import IMAGE_KINDS, FusingWords
 
 import bending_oracle as bo
 import fusing_oracle as fo
@@ -284,7 +284,7 @@ def test_twist_kink(categories):
             coev_right, _, _, ev_left = _duality_maps(data, a)
             kink = (
                 lambda word: coev_right,
-                lambda word: gc.twist_morphism(data, word, 0, "+"),
+                lambda word: bo.twist_morphism(data, word, 0, "+"),
                 lambda word: ev_left,
             )
             val = gc.evaluate_diagram(data, (), kink).scalar()
@@ -327,7 +327,7 @@ def test_basis_multiplicity_out_of_range(categories, cls, mu):
 def test_vector_length_must_match_multiplicity(categories, vec):
     fib = categories["fibonacci"]
     with pytest.raises(ValueError, match="length"):
-        gc.bend_vertex(fib, VertexVector(1, 1, 0, vec), "+")
+        bo.bend_vertex(fib, VertexVector(1, 1, 0, vec), "+")
     with pytest.raises(ValueError, match="length"):
         bo.bend_covertex(fib, CovertexVector(1, 1, 0, vec), "+")
 
@@ -336,9 +336,9 @@ def test_vector_length_must_match_multiplicity(categories, vec):
 def test_swap_vertex_inverse(categories, name):
     data = categories[name]
     for v in all_vertices(data):
-        w = gc.swap_vertex(data, gc.swap_vertex(data, v, "+"), "-")
+        w = bo.swap_vertex(data, bo.swap_vertex(data, v, "+"), "-")
         assert np.max(np.abs(w.array - v.array)) < 1e-12
-        w = gc.swap_vertex(data, gc.swap_vertex(data, v, "-"), "+")
+        w = bo.swap_vertex(data, bo.swap_vertex(data, v, "-"), "+")
         assert np.max(np.abs(w.array - v.array)) < 1e-12
 
 
@@ -347,9 +347,9 @@ def test_bend_unbend_inverse(categories, name):
     data = categories[name]
     for sense in ("+", "-"):
         for v in all_vertices(data):
-            w = bo.unbend_vertex(data, gc.bend_vertex(data, v, sense), sense)
+            w = bo.unbend_vertex(data, bo.bend_vertex(data, v, sense), sense)
             assert np.max(np.abs(w.array - v.array)) < 1e-12
-            u = gc.bend_vertex(data, bo.unbend_vertex(data, v, sense), sense)
+            u = bo.bend_vertex(data, bo.unbend_vertex(data, v, sense), sense)
             assert np.max(np.abs(u.array - v.array)) < 1e-12
 
 
@@ -359,7 +359,7 @@ def test_swapped_duality_vertex_phase(categories, name):
     data = categories[name]
     for a in range(data.size):
         ap = data.dual(a)
-        got = gc.swap_vertex(
+        got = bo.swap_vertex(
             data, VertexVector.basis(data, a, ap, data.unit), "+"
         )
         want = data.twist[a].conjugate() * VertexVector.basis(
@@ -374,10 +374,10 @@ def test_bent_unit_vertices(categories, name):
     for a in range(data.size):
         ap = data.dual(a)
         e = data.unit
-        got = gc.bend_vertex(data, VertexVector.basis(data, e, ap, ap), "+")
+        got = bo.bend_vertex(data, VertexVector.basis(data, e, ap, ap), "+")
         want = VertexVector.basis(data, e, a, a)
         assert np.max(np.abs(got.array - want.array)) < 1e-9
-        got = gc.bend_vertex(data, VertexVector.basis(data, ap, e, ap), "+")
+        got = bo.bend_vertex(data, VertexVector.basis(data, ap, e, ap), "+")
         want = data.twist[a] * VertexVector.basis(data, ap, a, e).array
         assert np.max(np.abs(got.array - want)) < 1e-9
 
@@ -399,8 +399,8 @@ def test_rotation_order_three(categories, name):
 def test_rotation_independent_of_sense(categories, name):
     data = categories[name]
     for v in all_vertices(data):
-        x = gc.swap_vertex(data, gc.bend_vertex(data, v, "+"), "+")
-        y = gc.swap_vertex(data, gc.bend_vertex(data, v, "-"), "-")
+        x = bo.swap_vertex(data, bo.bend_vertex(data, v, "+"), "+")
+        y = bo.swap_vertex(data, bo.bend_vertex(data, v, "-"), "-")
         assert np.max(np.abs(x.array - y.array)) < 1e-12
 
 
@@ -413,14 +413,14 @@ def test_bent_covertex_dual_pairing(categories, name):
                 for c in range(data.size):
                     n = data.n(a, b, c)
                     for i in range(n):
-                        ei = gc.bend_vertex(
+                        ei = bo.bend_vertex(
                             data, VertexVector.basis(data, a, b, c, i), sense
                         )
                         for j in range(n):
                             fj = bo.bend_covertex(
                                 data, CovertexVector.basis(data, a, b, c, j), sense
                             )
-                            comp = ei.morphism(data) @ fj.at(data, (fj.a3,), 0)
+                            comp = bo.vertex_morphism(data, ei) @ fj.at(data, (fj.a3,), 0)
                             want = (1.0 if i == j else 0.0) * Morphism.identity(
                                 data, (data.dual(b),)
                             )
@@ -433,9 +433,9 @@ def test_bent_covertex_prefactor(categories):
     data = categories["fibonacci"]
     ratio = gc.categorical_dim(data, 1) / gc.categorical_dim(data, 0)
     assert abs(ratio - PHI) < 1e-9
-    ei = gc.bend_vertex(data, VertexVector.basis(data, 1, 1, 0), "+")
+    ei = bo.bend_vertex(data, VertexVector.basis(data, 1, 1, 0), "+")
     fj = bo.bend_covertex(data, CovertexVector.basis(data, 1, 1, 0), "+")
-    unscaled = (1.0 / ratio) * (ei.morphism(data) @ fj.at(data, (fj.a3,), 0))
+    unscaled = (1.0 / ratio) * (bo.vertex_morphism(data, ei) @ fj.at(data, (fj.a3,), 0))
     assert abs(unscaled.block(1)[0, 0] - 1 / PHI) < 1e-9
 
 
@@ -559,7 +559,7 @@ def test_trivialized_twist_detected(categories):
 def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
                                      outer_left, inner_left):
     """The oracle: each row is the composite Morphism of the two vertices,
-    applied to the words through ``VertexVector.at``, read at charge d."""
+    applied to the words through ``bending_oracle.vertex_at``, read at charge d."""
     w0, w1, w2 = word
     tre = gc.trees(data, word, d)
     if not tre:
@@ -569,14 +569,14 @@ def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
         for io, yo in enumerate(outer_right[x]):
             for ii, yi in enumerate(inner_right[x]):
                 rights.append((x, io, ii))
-                comp = yo.at(data, (w0, x), 0) @ yi.at(data, word, 1)
+                comp = bo.vertex_at(data, yo, (w0, x), 0) @ bo.vertex_at(data, yi, word, 1)
                 rvecs.append(comp.block(d)[0, :])
     lefts, lvecs = [], []
     for y in sorted(outer_left):
         for io, yo in enumerate(outer_left[y]):
             for ii, yi in enumerate(inner_left[y]):
                 lefts.append((y, io, ii))
-                comp = yo.at(data, (y, w2), 0) @ yi.at(data, word, 0)
+                comp = bo.vertex_at(data, yo, (y, w2), 0) @ bo.vertex_at(data, yi, word, 0)
                 lvecs.append(comp.block(d)[0, :])
     U = np.array(rvecs).reshape(len(rights), len(tre))
     V = np.array(lvecs).reshape(len(lefts), len(tre))
@@ -586,7 +586,7 @@ def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
 def _batched_fusing_matrices(data) -> dict:
     """Every braid and bend matrix of the batched suite, by (route, word)."""
     words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
-    images = [gc._basis_images(data, *family) for family in words.families]
+    images = gc.vertex_images(data, words.families)
     out = {}
     for route, stacks in words.matrices(images).items():
         for (members, _), mats in zip(data._f_table.stacks, stacks):
@@ -635,6 +635,48 @@ def test_fusing_matrices_match_morphism_composition(
                 assert np.max(np.abs(mat - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _route_images_or_error(data, families):
+    """The composed route's images of ``families``, per family, or the
+    error of the first family whose route raises."""
+    try:
+        return [bo.basis_images(data, *family) for family in families], None
+    except fd.CategoryDataError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS + ("z7",) + tuple(INCOHERENT))
+def test_basis_images_match_composed_route(oracle_input, name):
+    """Every image of every basis vertex, swapped and bent in both senses,
+    equals the composed-Morphism route's bit for bit: its weights and its
+    row, with zeros past the image's multiplicities; where a block the
+    images invert is singular, both raise the same error."""
+    make = INCOHERENT.get(name)
+    data = make(oracle_input) if make else oracle_input(name)
+    families = [
+        (kind, a, b, c) for kind in IMAGE_KINDS
+        for a, b, c in itertools.product(range(data.size), repeat=3) if data.n(a, b, c)
+    ]
+    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    want, error = _route_images_or_error(fresh, families)
+    if error is not None:
+        with pytest.raises(fd.CategoryDataError) as exc:
+            gc.vertex_images(data, families)
+        assert str(exc.value) == error
+        assert name.startswith("z3_singular")
+        return
+    weights, rows = gc.vertex_images(data, families)
+    assert weights.shape == rows.shape == (
+        sum(len(w) for w, _ in want), data._f_table.dims[-1]
+    )
+    at = 0
+    for family, (w, r) in zip(families, want):
+        n = len(w)
+        assert np.array_equal(weights[at:at + n, :n], np.array(w)), family
+        assert np.array_equal(rows[at:at + n, :n], np.array(r)), family
+        assert not weights[at:at + n, n:].any() and not rows[at:at + n, n:].any()
+        at += n
+
+
 def test_fusing_matrices_read_local_blocks(pointed_category, monkeypatch):
     """On Z_7 the fusing matrices are assembled from local blocks: once the
     basis images are in, no tree window is rewritten while the matrices of
@@ -664,20 +706,23 @@ def test_fusing_matrices_read_local_blocks(pointed_category, monkeypatch):
 
 
 def test_fusing_symmetries_bends_each_vertex_once(pointed_category, monkeypatch):
-    """On Z_9 the suite bends each of the 81 basis vertices once: the bent
-    unit vertices of the per-label records are read from the word stage's
-    images, not bent again."""
+    """On Z_9 the suite bends each of the 81 basis vertices once: every
+    image is formed in one table-level evaluation, and the bent unit
+    vertices of the per-label records are read from it, not bent again."""
     data = pointed_category(9)
-    bent = []
-    bend = gc.bend_vertex
+    calls = []
+    images = gc.basis_images
 
-    def spy(data, v, sense):
-        bent.append((v, sense))
-        return bend(data, v, sense)
+    def spy(data, families, dims):
+        calls.append(families)
+        return images(data, families, dims)
 
-    monkeypatch.setattr(gc, "bend_vertex", spy)
+    monkeypatch.setattr(gc, "basis_images", spy)
     assert gc.verify_fusing_symmetries(data).passed
+    assert len(calls) == 1
+    bent = [f for f in calls[0] if f[0] == "bend+"]
     assert len(bent) == len(set(bent)) == 81
+    assert sum(data.n(*f[1:]) for f in bent) == 81
 
 
 def _report_or_error(suite, data):

@@ -262,6 +262,52 @@ def test_columnar_blocks_match_oracle(seed):
     assert repr(rep.max_residual) == repr(summary["max_residual"])
 
 
+def _walked_digest(rep: Report) -> dict:
+    """The per-check-id digest walked record by record, the oracle of
+    ``report._digest``: count, worst residual (the first of greatest
+    severity), its instance, and whether every record passes."""
+    by_id = {}
+    for b in rep._blocks:
+        for check_id, inst, res in b:
+            entry = by_id.get(check_id)
+            if entry is None:
+                by_id[check_id] = [1, res, inst, res < rep.tol]
+                continue
+            entry[0] += 1
+            entry[3] = entry[3] and res < rep.tol
+            if report_module._severity(res) > report_module._severity(entry[1]):
+                entry[1], entry[2] = res, inst
+    return by_id
+
+
+def _digest_values(digest) -> list:
+    """A digest with residuals and instance elements by ``repr`` (NaN
+    equals NaN), the elements with their types."""
+    return [
+        (check_id, count, repr(worst), [(type(x), repr(x)) for x in inst], ok)
+        for check_id, (count, worst, inst, ok) in digest.items()
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_text_digest_matches_record_walk(seed):
+    rep = _random_report(np.random.default_rng(seed))
+    assert _digest_values(report_module._digest(rep)) == _digest_values(_walked_digest(rep))
+
+
+def test_text_digest_of_an_id_in_two_columns_runs_row_by_row():
+    # the id's records run (row 0, both columns), then row 1: the first of
+    # the two 2.0 residuals is the row-0 one in the second column
+    rep = Report(suite="twice", tol=1.0)
+    rep.add_many(("a", "b", "a"), (np.array([10, 11]),), [[1.0, 0.0, 2.0], [2.0, 0.0, 1.0]])
+    rep.add("a", (12,), 2.0)
+    rep.add_many("a", (np.array([13]),), [math.nan])
+    digest = report_module._digest(rep)
+    assert _digest_values(digest) == _digest_values(_walked_digest(rep))
+    assert _digest_values({"a": digest["a"]})[0][1:3] == (6, "nan")
+    assert report_module._digest(Report(suite="twice", tol=1.0)) == {}
+
+
 def test_block_records_run_row_by_row_across_ids():
     rep = Report(suite="rows", tol=1.0)
     rep.add("single", (9,), 0.0)

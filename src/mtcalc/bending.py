@@ -5,11 +5,12 @@ The swap or the bend of one vertex vector is a composite of
 ``graphcalc``'s generator morphisms, one ``Morphism`` per step
 (``tests/bending_oracle.py`` keeps that route).  ``basis_images`` forms the
 images of the basis vertices of many hom spaces in one evaluation: it
-enumerates the fusion trees of the route's words as arrays, assembles each
-step's block at the route's one output charge from the table entries, and
-multiplies the blocks of all vertices by stacked ``@``, grouped by shape.
-As the shapes and the order of every product are the route's, so are the
-results, bit for bit (see ``table_arrays`` on stacked products).
+enumerates the fusion trees of the route's words (``table_arrays.Trees``),
+assembles each step's block at the route's one output charge from the
+table entries, and multiplies the blocks of all vertices by stacked ``@``,
+grouped by shape.  As the shapes and the order of every product are the
+route's, so are the results, bit for bit (see ``table_arrays`` on stacked
+products).
 """
 
 from __future__ import annotations
@@ -17,51 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fusion_data import _block_inverse
-from .table_arrays import IMAGE_KINDS, _column_trees, _copies, _distinct, _pack
+from .table_arrays import IMAGE_KINDS, Trees, _copies, _distinct, _pack
 
 __all__ = ["basis_images"]
-
-
-class _Trees:
-    """The fusion trees of words into charges, ordered as
-    ``graphcalc.word_trees`` orders them: each tree's word (ascending), its
-    chain states and multiplicities after each letter but the first (one
-    row per letter), per word the number of its trees and its first tree,
-    and the trees' keys, sorted, with their radices."""
-
-    def __init__(self, N, m, words, charges):
-        """The trees of each row of ``words`` into its charge; ``m`` bounds
-        the multiplicities."""
-        n = len(N)
-        a, b, x = np.nonzero(N)
-        channel, mult = _copies(np.arange(len(a)), N[a, b, x])
-        first = np.searchsorted((a * n + b)[channel], np.arange(n * n + 1))
-        x = x[channel]
-        g, states, mults = np.arange(len(words)), [words[:, 0]], []
-        for letter in words.T[1:]:
-            at = states[-1] * n + letter[g]
-            it, k = _copies(np.arange(len(g)), first[at + 1] - first[at])
-            ch = first[at[it]] + k
-            g = g[it]
-            states = [s[it] for s in states] + [x[ch]]
-            mults = [s[it] for s in mults] + [mult[ch]]
-        keep = states[-1] == charges[g]
-        self.word = g[keep]
-        self.states = [s[keep] for s in states[1:]]
-        self.mults = [s[keep] for s in mults]
-        self.size = np.bincount(self.word, minlength=len(words))
-        self.start = np.cumsum(self.size) - self.size
-        self.radix = (len(words),) + (n, m) * len(self.states)
-        self.keys = _pack(_interleaved(self.word, self.states, self.mults), self.radix)
-
-    def place(self, g, states, mults) -> np.ndarray:
-        """The position of each given tree of word ``g`` among its trees."""
-        key = _pack(_interleaved(g, states, mults), self.radix)
-        return np.searchsorted(self.keys, key) - self.start[g]
-
-
-def _interleaved(g, states, mults) -> list:
-    return [g, *(col for pair in zip(states, mults) for col in pair)]
 
 
 def _flat_blocks(rows, cols, owner, row, col, values):
@@ -101,14 +60,13 @@ def _braid_locals(F, R, N, quads, plus, tree_col):
     v, q), times F(p, u, v, q) with its columns in tree order.  Returns the
     blocks flat and row-major, the start and size of each, and the F-blocks
     (p, u, v, q) and (p, v, u, q); a singular block they invert raises."""
-    n, m, nb = F.dims[0], F.dims[-1], len(F.blocks)
     p, u, v, q = quads
     blk, sw = F.block_of(p, u, v, q), F.block_of(p, v, u, q)
     size = F.ncols[blk]
     # row r = (x, i, j) of F(p, u, v, q) is column r of the R part, whose
     # row (x, i, j2) sits at r - j + j2 in F(p, v, u, q) as well
     it, r = _copies(np.arange(len(blk)), size)
-    _, x, _, j = np.unravel_index(F.row_keys[F.row_starts[blk[it]] + r], (nb, n, m, m))
+    _, x, _, j = np.unravel_index(F.row_keys[F.row_starts[blk[it]] + r], F.row_radix)
     k, j2 = _copies(np.arange(len(it)), N[u[it], v[it], x])
     it, r, x, j = it[k], r[k], x[k], j[k]
     # the negative sense inverts R(v, u, x)
@@ -163,7 +121,7 @@ def basis_images(data, families, dims):
     """
     F, R, N, e = data._f_table, data._r_table, data.ring.array, data.unit
     dual = np.asarray(data.ring.dual)
-    n, m, nb = F.dims[0], F.dims[-1], len(F.blocks)
+    n, m = F.dims[0], F.dims[-1]
     kind, a, b, c = np.array(
         [(IMAGE_KINDS.index(k), *labels) for k, *labels in families], dtype=np.intp
     ).reshape(-1, 4).T
@@ -173,16 +131,13 @@ def basis_images(data, families, dims):
     unit[np.arange(len(fam)), mu] = 1
     # the local block above the unit of each basis vertex
     vertex = _times_blocks(F, unit, F.block_of(np.full_like(fam, e), a[fam], b[fam], c[fam]))
-    cb, *_, t3 = _column_trees(F)
-    tree_col = np.empty_like(t3)  # per block and tree, the tree's column
-    tree_col[F.col_starts[cb] + t3] = np.arange(len(t3)) - F.col_starts[cb]
 
     # the words of the bend of hom(a1 a2, a3), at its charge d = a2'
     s, g = np.flatnonzero(~bent), np.flatnonzero(bent)
     a1, a2, a3 = a[g], b[g], c[g]
     d, a3p = dual[a2], dual[a3]
     t0 = N[a1, a3p, d]  # the trees ((d, m0),) of W0 = (a1, a3')
-    W1, W2, W3 = (_Trees(N, m, np.stack(w, axis=1), d) for w in (
+    W1, W2, W3 = (Trees(data.ring, np.stack(w, axis=1), d) for w in (
         (a1, a3p, a2, d), (a1, a2, a3p, d), (a3, a3p, d)
     ))
 
@@ -199,15 +154,15 @@ def basis_images(data, families, dims):
     *quad, pl = np.unravel_index(distinct, (n, n, n, n, 2))
     cup = F.block_of(d, a2, d, d)
     _check_inverses(F, "F", cup)
-    local, l_start, l_size, blk, sw = _braid_locals(F, R, N, quad, pl == 1, tree_col)
+    local, l_start, l_size, blk, sw = _braid_locals(F, R, N, quad, pl == 1, data._tree_col)
 
     # the cup: column (1, 0, 0) of F(d, a2, d, d)^-1, its row (y, k, l) on
     # the tree ((d, m0), (y, l), (d, k)) of W1, for each tree (d, m0) of W0
     e_row = np.searchsorted(
-        F.row_keys, _pack((cup, np.full_like(cup, e), 0 * cup, 0 * cup), (nb, n, m, m))
+        F.row_keys, _pack((cup, np.full_like(cup, e), 0 * cup, 0 * cup), F.row_radix)
     ) - F.row_starts[cup]
     it, col = _copies(np.arange(len(g)), F.ncols[cup])
-    _, y, k, l = np.unravel_index(F.col_keys[F.col_starts[cup[it]] + col], (nb, n, m, m))
+    _, y, k, l = np.unravel_index(F.col_keys[F.col_starts[cup[it]] + col], F.col_radix)
     value = F.entries(cup[it], col, e_row[it], inverse=True)
     at, m0 = _copies(np.arange(len(it)), t0[it])
     it = it[at]
@@ -218,10 +173,10 @@ def basis_images(data, families, dims):
     # ((y1, n1), (x2, n2)) is the tree ((y1, n1), (x2, n2), (d, m3)) of W2
     qt = which[len(s):]
     size = l_size[qt]
-    src = t3[np.searchsorted(F.col_keys, _pack((blk[qt], x1, m2, m1), (nb, n, m, m)))]
+    src = data._col_tree[np.searchsorted(F.col_keys, _pack((blk[qt], x1, m2, m1), F.col_radix))]
     it, r = _copies(np.arange(len(tw)), size)
-    at = F.col_starts[sw[qt[it]]] + tree_col[F.col_starts[sw[qt[it]]] + r]
-    _, y1, n2, n1 = np.unravel_index(F.col_keys[at], (nb, n, m, m))
+    at = F.col_starts[sw[qt[it]]] + data._tree_col[F.col_starts[sw[qt[it]]] + r]
+    _, y1, n2, n1 = np.unravel_index(F.col_keys[at], F.col_radix)
     gt = tw[it]
     row = W2.place(gt, (y1, x2[it], d[gt]), (n1, n2, m3[it]))
     value = local[l_start[qt[it]] + r * size[it] + src[it]]

@@ -1,9 +1,9 @@
 """Skeletal modular-tensor-category data: fusion ring, F/R-symbols, twists.
 
 Conventions used throughout the package.  ``CategoryData`` holds the F- and
-R-blocks in two ``table_arrays.Table`` stores, which lay each block out (its
-rows and its columns are its trees in lexicographic order), and serves
-``f_block``, ``r_block`` and their inverses as read-only views of them:
+R-blocks in two ``table_arrays.Table`` stores, which lay each block out, and
+serves ``f_block``, ``r_block`` and their inverses as read-only views of
+them.  Tree bases are in the one order that ``table_arrays.Trees`` states.
 
 * ``F[a, b, c, d]`` is the block relating the two ways of fusing the word
   ``(a, b, c)`` into ``d``.  Rows are the right-tree triples
@@ -33,7 +33,7 @@ from operator import add, itemgetter
 import numpy as np
 
 from .report import Report
-from .table_arrays import Table, hexagon_batch, pentagon_batch, unitarity
+from .table_arrays import Table, Trees, hexagon_batch, pentagon_batch, unitarity
 
 __all__ = [
     "Label",
@@ -74,10 +74,10 @@ class Label:
 class FusionRing:
     """Fusion multiplicities of a finite set of labels with unit and duals.
 
-    Validation builds three fields.  ``channels`` maps every label pair
-    (a, b) to the ascending tuple of the channels c with N_{ab}^c > 0; every
-    enumeration of fusion channels walks it.  ``array`` is N as a dense
-    (n, n, n) int64 array, ``array[a, b, c] = N_ab^c``.
+    Validation builds four fields.  ``channels`` maps every label pair
+    (a, b) to the ascending tuple of the channels c with N_{ab}^c > 0, and
+    ``chain_steps`` holds them as the tree enumerator ``table_arrays.Trees``
+    walks them.  ``array`` is N as a dense (n, n, n) int64 array.
     ``tree_count[a, b, c, d]`` is the number of fusion trees of the word
     (a, b, c) into d; the ring is associative exactly when counting them
     through the channels of (a, b) and of (b, c) gives the same tensor.
@@ -89,6 +89,7 @@ class FusionRing:
     N: dict = field(hash=False)  # (a, b, c) -> positive int; absent means 0
     channels: dict = field(init=False, repr=False, compare=False, hash=False)
     array: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    chain_steps: tuple = field(init=False, repr=False, compare=False, hash=False)
     tree_count: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -142,6 +143,7 @@ class FusionRing:
         N = np.zeros((n,) * 3, dtype=np.int64)
         N[tuple(np.array(list(self.N)).T)] = list(self.N.values())
         object.__setattr__(self, "array", N)
+        object.__setattr__(self, "chain_steps", Trees.steps(N))
         # (a x b) x c and a x (b x c) agree channel by channel; the first
         # failing (a, b, c, d) in lexicographic order is reported
         left = np.einsum("abx,xcd->abcd", N, N)
@@ -167,8 +169,8 @@ class CategoryData:
         self.R = dict(R)
         self.twist = tuple(complex(t) for t in twist)
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
-        self._local_cache: dict = {}  # (generator, labels, p, q) -> local block
-        self._validate_tables()  # builds self._f_table and self._r_table
+        self._local_cache: dict = {}  # local blocks, and F-block bases (graphcalc)
+        self._validate_tables()  # builds the F- and R-table and the F-tree maps
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
         )
@@ -190,24 +192,6 @@ class CategoryData:
         return self.ring.N.get((a, b, c), 0)
 
     # -- blocks --------------------------------------------------------
-
-    def f_right_basis(self, a, b, c, d):
-        """Right-tree triples (x, i, j) of the word (a,b,c) -> d: the rows
-        of the F-block, in order."""
-        n = self.ring.N.get
-        return [
-            (x, i, j) for x in self.ring.channels[b, c]
-            for i in range(n((a, x, d), 0)) for j in range(n((b, c, x)))
-        ]
-
-    def f_left_basis(self, a, b, c, d):
-        """Left-tree triples (y, k, l) of the word (a,b,c) -> d: the
-        columns of the F-block, in order."""
-        n = self.ring.N.get
-        return [
-            (y, k, l) for y in self.ring.channels[a, b]
-            for k in range(n((y, c, d), 0)) for l in range(n((a, b, y)))
-        ]
 
     def f_block(self, a, b, c, d) -> np.ndarray:
         """F-block as a (right x left) matrix, read-only; 0 x 0 when the
@@ -269,7 +253,7 @@ class CategoryData:
             if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
         m = max(ring.N.values())  # radix of multiplicity indices; the ring bounds it
-        self._f_table = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
+        self._f_table = F = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
         self._r_table = Table(self.R, (n,) * 3 + (m,) * 2, 3, [3], [4])
         # completeness: the range checks put every entry inside its block and
         # keys are unique, so a block is complete exactly when it holds
@@ -277,14 +261,14 @@ class CategoryData:
         # square of the ring's tree count of (a, b, c) -> d for F(a,b,c,d)
         N = ring.array
         _check_complete(self._r_table, N.transpose(1, 0, 2) * N, "R entry for channel")
-        _check_complete(self._f_table, ring.tree_count ** 2, "F entry for block")
+        _check_complete(F, ring.tree_count ** 2, "F entry for block")
         # unit gauge: fusion trees and unit insertion give unit vertices the
         # coefficient 1, which agrees with the F-moves only for identity
         # blocks; the first failing block in lexicographic order is named
-        off = self._f_table.per_block(
+        off = F.per_block(
             lambda mats: np.max(np.abs(mats - np.eye(mats.shape[1])), axis=(1, 2))
         )
-        a, b, c, _ = labels = self._f_table.labels
+        a, b, c, d = labels = F.labels
         unit = (a == ring.unit) | (b == ring.unit) | (c == ring.unit)
         failed = np.flatnonzero(unit & (off > 1e-12))
         if len(failed):
@@ -292,6 +276,12 @@ class CategoryData:
             raise CategoryDataError(
                 f"F block {block} with a unit label is not the identity"
             )
+        # each F column (y, k, l)'s place among its word's trees ((y, l), (d, k)),
+        # and per block and tree, the tree's column
+        cb, y, k, l = np.unravel_index(F.col_keys, F.col_radix)
+        trees = Trees(ring, np.stack((a, b, c), axis=1), d)
+        self._col_tree = trees.place(cb, (y, d[cb]), (l, k))
+        self._tree_col = np.argsort(F.col_starts[cb] + self._col_tree) - F.col_starts[cb]
 
 
 def _block_inverse(table: Table, name: str, key: tuple) -> np.ndarray:
@@ -349,7 +339,7 @@ def hexagon_residuals(data: CategoryData):
     reaches are visited.  All instances are evaluated at once, on the first
     item.
     """
-    keys, plus, minus = hexagon_batch(data._f_table, data._r_table)
+    keys, plus, minus = hexagon_batch(data._f_table, data._r_table, data._col_tree)
     for key, rp, rm in zip(keys, plus, minus):
         yield ("+", *key), rp
         yield ("-", *key), rm

@@ -52,8 +52,8 @@ def word_trees(data: CategoryData, word: tuple) -> dict:
     """Fusion-tree bases of ``word`` by total charge, built in one walk.
 
     A tree is a tuple of ``(internal_label, mult)`` pairs, one per letter
-    after the first; within a charge, internal labels ascend first,
-    multiplicities second.  Charges without trees are absent.
+    after the first, in the order of ``table_arrays.Trees``.  Charges
+    without trees are absent.
     """
     word = tuple(word)
     cache = data._tree_cache
@@ -226,15 +226,30 @@ def _sparse_block(data, old, new, p, q, local) -> dict:
     }
 
 
-def _f_trees(data, p, a, b, q, inverse=False):
-    """F(p, a, b, q) with its left index in the tree order of (p, a, b) -> q.
+def _f_basis(data, p, a, b, q) -> tuple:
+    """The places of the rows (x, i, j) and of the columns (y, k, l) of
+    F(p, a, b, q), as the F-table keys them, and the column of each tree of
+    (p, a, b) -> q, a word that reaches q; memoized on ``data``."""
+    key = ("f_basis", p, a, b, q)
+    if key not in data._local_cache:
+        F = data._f_table
+        g = F.block_of(p, a, b, q)
+        rows, cols = (
+            zip(*(col.tolist() for col in np.unravel_index(keys[at[g]:at[g + 1]], radix)[1:]))
+            for keys, at, radix in ((F.row_keys, F.row_starts, F.row_radix),
+                                    (F.col_keys, F.col_starts, F.col_radix))
+        )
+        data._local_cache[key] = (
+            {t: n for n, t in enumerate(rows)}, {t: n for n, t in enumerate(cols)},
+            data._tree_col[F.col_starts[g]:F.col_starts[g + 1]],
+        )
+    return data._local_cache[key]
 
-    Returns the right-basis index map and either the block (right x trees)
-    or its inverse (trees x right).
-    """
-    left = {y: n for n, y in enumerate(data.f_left_basis(p, a, b, q))}
-    perm = [left[(y, g, l)] for (y, l), (_, g) in trees(data, (p, a, b), q)]
-    right = {x: n for n, x in enumerate(data.f_right_basis(p, a, b, q))}
+
+def _f_trees(data, p, a, b, q, inverse=False):
+    """The row of each right tree (x, i, j) of F(p, a, b, q), and the block
+    (right x trees) or its inverse (trees x right), its trees in tree order."""
+    right, _, perm = _f_basis(data, p, a, b, q)
     if inverse:
         return right, data.f_block_inv(p, a, b, q)[perm, :]
     return right, data.f_block(p, a, b, q)[:, perm]
@@ -410,9 +425,7 @@ def duality_fusing_scalar(data: CategoryData, a: int) -> complex:
     not self-dual only the product with the entry of ``a'`` is
     gauge-invariant: F(a) F(a') = 1 / d_a^2.
     """
-    ap = data.dual(a)
-    e = data.unit
-    return complex(data.F[(a, ap, a, a, e, e, 0, 0, 0, 0)])
+    return complex(_unit_channel_entry(data, a, data.dual(a), a, a))
 
 
 def categorical_dim(data: CategoryData, a: int) -> complex:
@@ -431,9 +444,8 @@ def categorical_dim(data: CategoryData, a: int) -> complex:
 def _unit_channel_entry(data, a1, a2, a3, d, inverse=False) -> complex:
     """Entry of F(a1, a2, a3, d), or of its inverse, between the right and
     the left tree whose inner channel is the unit."""
-    e = data.unit
-    right = data.f_right_basis(a1, a2, a3, d).index((e, 0, 0))
-    left = data.f_left_basis(a1, a2, a3, d).index((e, 0, 0))
+    rows, cols, _ = _f_basis(data, a1, a2, a3, d)
+    right, left = rows[data.unit, 0, 0], cols[data.unit, 0, 0]
     if inverse:
         return data.f_block_inv(a1, a2, a3, d)[left, right]
     return data.f_block(a1, a2, a3, d)[right, left]
@@ -577,7 +589,7 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
     """
     t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
-    words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
+    words = FusingWords(data._f_table, data.ring, data._col_tree)
     images = vertex_images(data, words.families)
     sizes = [data.n(a, b, c) for _, a, b, c in words.families]
     first = dict(zip(words.families, np.cumsum(sizes) - sizes))

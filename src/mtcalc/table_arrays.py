@@ -5,6 +5,7 @@ evaluated over them for a whole category at once.
 this module holds the block store and what the batched suites compute
 with:
 
+* ``Trees``: the fusion trees of words into charges, in the one tree order;
 * ``Table``: the one store of the F- or R-blocks; one row per table
   entry, with its block and its row and column in the block, which define
   the block layout, and the blocks and their inverses stacked by shape;
@@ -32,7 +33,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "Table", "pentagon_batch", "hexagon_batch", "unitarity", "IMAGE_KINDS", "FusingWords",
+    "Trees", "Table", "pentagon_batch", "hexagon_batch", "unitarity", "IMAGE_KINDS",
+    "FusingWords",
 ]
 
 _EMPTY = np.zeros((0, 0), dtype=complex)
@@ -72,14 +74,68 @@ def _distinct(keys) -> np.ndarray:
     return keys[first]
 
 
-def _ranks(block, cols, dims, n_blocks):
-    """Each entry's position among the distinct trees ``cols`` of its block,
-    in lexicographic order; also the distinct (block, tree) keys and where
-    each block starts among them."""
-    key = _pack((block, *cols), (n_blocks, *dims))
+def _ranks(block, cols, radix):
+    """Each entry's place among the distinct ``cols`` of its block, in
+    lexicographic order; also the distinct (block, *cols) keys, packed with
+    ``radix``, and where each block starts among them."""
+    key = _pack((block, *cols), radix)
     distinct = _distinct(key)
-    starts = np.searchsorted(distinct, np.arange(n_blocks + 1) * math.prod(dims))
+    starts = np.searchsorted(distinct, np.arange(radix[0] + 1) * math.prod(radix[1:]))
     return np.searchsorted(distinct, key) - starts[block], distinct, starts
+
+
+class Trees:
+    """The fusion trees of words into charges, as arrays.
+
+    A tree of the word (w_0, ..., w_k) into d fuses the letters from the
+    left: after letter i >= 1 it is in the state s_i, a channel of
+    (s_(i-1), w_i) (s_0 = w_0, s_k = d), through that channel's vertex
+    mu_i.  A word's trees are ordered by (s_1, mu_1, ..., s_k, mu_k),
+    lexicographically: the one order of every tree basis.
+
+    Built for each row of the int array ``words`` and its entry of
+    ``charges``, over ``ring.chain_steps`` (``steps``): per tree, ``word``
+    (its row; ascending), ``states`` and ``mults`` (one array per letter
+    after the first); per word, ``size`` and ``start`` (its number of trees
+    and its first); and the trees' packed ``keys``, sorted, for ``place``.
+    """
+
+    def __init__(self, ring, words, charges):
+        x, mult, first = ring.chain_steps
+        n, m = ring.size, int(mult.max()) + 1
+        g, states, mults = np.arange(len(words)), [words[:, 0]], []
+        for letter in words.T[1:]:
+            at = states[-1] * n + letter[g]
+            it, k = _copies(np.arange(len(g)), first[at + 1] - first[at])
+            step = first[at[it]] + k
+            g = g[it]
+            states = [s[it] for s in states] + [x[step]]
+            mults = [s[it] for s in mults] + [mult[step]]
+        keep = states[-1] == charges[g]
+        self.word = g[keep]
+        self.states = [s[keep] for s in states[1:]]
+        self.mults = [s[keep] for s in mults]
+        self.size = np.bincount(self.word, minlength=len(words))
+        self.start = np.cumsum(self.size) - self.size
+        self.radix = (len(words),) + (n, m) * len(self.states)
+        self.keys = self._key(self.word, self.states, self.mults)
+
+    @staticmethod
+    def steps(N) -> tuple:
+        """The chain steps of the ring of the dense N: each channel (a, b)
+        -> x once per vertex, by (a, b), x and vertex, as its x and vertex,
+        and the first step of each (a, b) at a * n + b (the end at n * n)."""
+        n = len(N)
+        a, b, x = np.nonzero(N)
+        step, mult = _copies(np.arange(len(a)), N[a, b, x])
+        return x[step], mult, np.searchsorted((a * n + b)[step], np.arange(n * n + 1))
+
+    def place(self, g, states, mults) -> np.ndarray:
+        """The place of each given tree of word ``g`` among its trees."""
+        return np.searchsorted(self.keys, self._key(g, states, mults)) - self.start[g]
+
+    def _key(self, g, states, mults) -> np.ndarray:
+        return _pack([g, *(col for pair in zip(states, mults) for col in pair)], self.radix)
 
 
 class Table:
@@ -92,7 +148,9 @@ class Table:
     ``row_cols`` among its entries, in lexicographic order, and its columns
     those of ``col_cols``: for F(a,b,c,d) the right trees (x, i, j) and the
     left trees (y, k, l), for R(a,b,c) the indices i and j.  ``row`` and
-    ``col`` place each entry in its block, and ``stacks`` holds the blocks
+    ``col`` place each entry in its block, ``row_keys`` and ``col_keys``
+    are the sorted (block, row) and (block, column) keys, with radices
+    ``row_radix`` and ``col_radix``, and ``stacks`` holds the blocks
     stacked by shape, as (block numbers, read-only matrices).
     """
 
@@ -108,11 +166,13 @@ class Table:
         self.block = np.searchsorted(self.blocks, block)
         self.labels = np.unravel_index(self.blocks, dims[:width])
         nb = len(self.blocks)
+        self.row_radix = (nb, *(dims[c] for c in row_cols))
+        self.col_radix = (nb, *(dims[c] for c in col_cols))
         self.row, self.row_keys, self.row_starts = _ranks(
-            self.block, self.cols[row_cols], [dims[c] for c in row_cols], nb
+            self.block, self.cols[row_cols], self.row_radix
         )
         self.col, self.col_keys, self.col_starts = _ranks(
-            self.block, self.cols[col_cols], [dims[c] for c in col_cols], nb
+            self.block, self.cols[col_cols], self.col_radix
         )
         self.nrows = np.diff(self.row_starts)
         self.ncols = np.diff(self.col_starts)
@@ -133,23 +193,21 @@ class Table:
             mats[slot[self.block[sel]], self.row[sel], self.col[sel]] = self.vals[sel]
             mats.setflags(write=False)
             self.stacks.append((members, mats))
-        # the stack and the place in it of each block, by number and by
-        # label tuple; stack -1 where the table holds no entry
+        # the stack and the place in it of each block, and each block's
+        # number by label tuple (-1 where the table holds no entry)
         self.stack_of, self.slot_of = stack, slot
-        self._stack = np.full(dims[:width], -1)
-        self._stack.flat[self.blocks] = stack
-        self._slot = np.zeros(dims[:width], dtype=np.intp)
-        self._slot.flat[self.blocks] = slot
+        self._number = np.full(dims[:width], -1)
+        self._number.flat[self.blocks] = np.arange(nb)
         self._inverses = None
 
     def matrix(self, labels: tuple, inverse: bool = False) -> np.ndarray:
         """The block ``labels``, or its inverse, read-only; 0 x 0 when the
         table holds no entry of it.  The inverse of a singular block raises
         ``np.linalg.LinAlgError``."""
-        k = self._stack[labels]
-        if k < 0:
+        g = self._number[labels]
+        if g < 0:
             return _EMPTY
-        g = self._slot[labels]
+        k, g = self.stack_of[g], self.slot_of[g]
         if not inverse:
             return self.stacks[k][1][g]
         inv, singular = self.inverses()[k]
@@ -158,8 +216,8 @@ class Table:
         return inv[g]
 
     def block_of(self, *labels) -> np.ndarray:
-        """Numbers of the blocks with the given label columns; each must exist."""
-        return np.searchsorted(self.blocks, _pack(labels, self.dims[:len(labels)]))
+        """Numbers of the blocks with the given labels; each must exist."""
+        return self._number[labels]
 
     def per_block(self, fn) -> np.ndarray:
         """``fn(matrices)`` over every stack, one value per block."""
@@ -309,14 +367,14 @@ def _pentagon_p2(F, key):
     )
 
 
-def hexagon_batch(F: Table, R: Table):
+def hexagon_batch(F: Table, R: Table, col_tree):
     """The hexagon instances (a, b, c, total) of the F- and R-tables in
     lexicographic order and the residuals of the positive and the negative
     sense.
 
-    Instance g is the F-block (a,b,c,t).  Its three matrices are indexed by
-    left-nested trees (y, l, m) of a word, ordered by y, l, m (l indexes
-    the vertex of the first two letters), and by F-block rows and columns:
+    Instance g is the F-block (a,b,c,t).  Its matrices are indexed by the
+    trees (y, l, m) of a word (l indexes the vertex of its first two letters;
+    ``col_tree`` places F's columns among them) and by F-block rows and columns:
     * braid (1,2), mid x src: R(a,b,y)[l2, l] from src (y, l, m) of (a,b,c)
       to mid (y, l2, m) of (b,a,c);
     * braid (2,3), dst x mid: column mi (a column of F(b,a,c,t)) sums
@@ -353,14 +411,14 @@ def hexagon_batch(F: Table, R: Table):
     def neg_singular(a, b, c):  # whether the negative braiding of (a, b, c) fails
         return r_singular[R.block_of(b, a, c)]
 
-    cb, cy, ck, cl, t3 = _column_trees(F)
+    cb, cy, ck, cl = np.unravel_index(F.col_keys, F.col_radix)  # F's columns (y, k, l)
     X, I, J = F.cols[4], F.cols[6], F.cols[7]  # row tree (x, i, j) of an entry
 
     # braid (1,2): every column of block g is a src tree of instance g
     s, t = _join(_pack((mid[cb], cy, ck), (nb, n, m)), _pack((cb, cy, ck), (nb, n, m)))
     g12 = cb[s]
     r12 = r_entry(ba[g12], bb[g12], cy[s], cl[t], cl[s])
-    at12 = t3[t] * nsrc[g12] + t3[s]
+    at12 = col_tree[t] * nsrc[g12] + col_tree[s]
     bad = np.zeros(nb, dtype=bool)
     bad[cb[neg_singular(ba[cb], bb[cb], cy)]] = True
 
@@ -369,7 +427,7 @@ def hexagon_batch(F: Table, R: Table):
     s, e = _join(_pack((g_dst, cy, cl), (nb, n, m)), _pack((F.block, X, J), (nb, n, m)))
     gcl = g_dst[s]
     rcl = r_entry(ba[gcl], cy[s], bd[gcl], ck[s], I[e])
-    atcl = t3[s] * nsrc[gcl] + F.col[e]
+    atcl = col_tree[s] * nsrc[gcl] + F.col[e]
     bycl = np.argsort(F.row[e], kind="stable")
     fcl = F.vals[e]
     bad[g_dst[neg_singular(ba[g_dst], cy, bd[g_dst])]] = True
@@ -381,7 +439,7 @@ def hexagon_batch(F: Table, R: Table):
     bad[g_mid[neg_singular(bb[h], bc[h], X[nzf])]] = True
     iblk, irow, icol, ival, f_singular = F.inverse_entries()
     rt = F.row_starts[iblk] + icol  # the inverse's column is a row tree (z, i, j)
-    _, rz, ri, rj = np.unravel_index(F.row_keys[rt], (nb, n, m, m))
+    _, rz, ri, rj = np.unravel_index(F.row_keys[rt], F.row_radix)
     u, v = _join(
         _pack((dst[g_mid], X[nzf], I[nzf]), (nb, n, m)),
         _pack((iblk, rz, ri), (nb, n, m)),
@@ -422,18 +480,6 @@ def hexagon_batch(F: Table, R: Table):
     out[1][bad] = math.inf
     keys = list(zip(*(lab.tolist() for lab in F.labels)))
     return keys, out[0].tolist(), out[1].tolist()
-
-
-def _column_trees(F: Table):
-    """F's columns (y, k, l), one per entry of ``F.col_keys``, as their
-    block, y, k and l, and their place among the block's trees ((y, l),
-    (d, k)) of the word (a, b, c) -> d, which are ordered by y, l, k."""
-    n, m = F.dims[0], F.dims[-1]
-    cb, cy, ck, cl = np.unravel_index(F.col_keys, (len(F.blocks), n, m, m))
-    t3 = np.empty(len(cb), dtype=np.int64)
-    by_t3 = np.lexsort((ck, cl, cy, cb))
-    t3[by_t3] = np.arange(len(cb)) - F.col_starts[cb[by_t3]]
-    return cb, cy, ck, cl, t3
 
 
 def _summed(at, terms, order, size) -> np.ndarray:
@@ -491,18 +537,25 @@ class FusingWords:
     which it puts in F's row order (x, i, j) first.
     """
 
-    def __init__(self, F: Table, N: np.ndarray, dual):
+    def __init__(self, F: Table, ring, col_tree):
+        """``col_tree`` places each column of F among its block's trees."""
         n, m = F.dims[0], F.dims[-1]
-        nb = len(F.blocks)
-        dual = np.asarray(dual)
+        N, dual = ring.array, np.asarray(ring.dual)
         a1, a2, a3, a4 = F.labels
         self.F = F
         self.keys = list(zip(*(lab.tolist() for lab in F.labels)))
-        # the channels of each block's rows (x, i, j) and columns (y, k, l)
-        xg, x = np.divmod(_distinct(F.row_keys // (m * m)), n)
-        yg, y = np.divmod(_distinct(F.col_keys // (m * m)), n)
+        # the channels x of each block's rows (x, i, j) and y of its columns (y, k, l)
+        x_of, y_of = F.row_keys // (m * m), F.col_keys // (m * m)
+        xg, x = np.divmod(_distinct(x_of), n)
+        yg, y = np.divmod(_distinct(y_of), n)
         x1, x2, x3, x4 = (lab[xg] for lab in F.labels)
         y1, y2, y3, y4 = (lab[yg] for lab in F.labels)
+
+        # a route's rows by channel: word, outer and inner family, their sizes
+        # and the channel's first row or column in the layout of ``block``
+        def channels(g, families, of, starts, block, channel):
+            first = np.searchsorted(of, block * n + channel) - starts[block]
+            return g, *families, *(N.ravel()[f % N.size] for f in families), first
 
         def family(kind, a, b, c):
             return _pack((IMAGE_KINDS.index(kind), a, b, c), (len(IMAGE_KINDS), n, n, n))
@@ -523,20 +576,20 @@ class FusingWords:
         self._base = np.zeros(len(IMAGE_KINDS) * N.size, dtype=np.intp)
         self._base[wanted] = np.cumsum(sizes) - sizes
 
-        # the bend route orders its right trees by x'
-        by_dual = np.lexsort((dual[x], xg))
-        bend_rights = _channels(N, xg[by_dual], *(f[by_dual] for f in bend_x))
+        # a route's rows are laid out as the rows of the F-block it reads:
+        # the braid's (y, i, j) as the columns of its word, the bend's
+        # (x', j, i) as the rows of (a2, a1, a4', a3')
+        bend_read = F.block_of(a2, a1, dual[a4], dual[a3])
+        bend_rights = channels(xg, bend_x, x_of, F.row_starts, bend_read[xg], dual[x])
         self._routes = {
             "braid": (F.block_of(a3, a2, a1, a4),
-                      _channels(N, yg, *braid_y), _channels(N, xg, *braid_x)),
-            "bend": (F.block_of(a2, a1, dual[a4], dual[a3]),
-                     bend_rights, _channels(N, yg, *bend_y)),
+                      channels(yg, braid_y, y_of, F.col_starts, yg, y),
+                      channels(xg, braid_x, x_of, F.row_starts, xg, x)),
+            "bend": (bend_read, bend_rights, channels(yg, bend_y, y_of, F.col_starts, yg, y)),
         }
         # the bend matrix's row (x', j, i) of each row (x, i, j) of F
-        rb, rx, ri, rj = np.unravel_index(F.row_keys, (nb, n, m, m))
-        place = np.empty_like(by_dual)
-        place[by_dual] = np.arange(len(by_dual))
-        q = place[np.searchsorted(xg * n + x, rb * n + rx)]
+        rb, rx, ri, rj = np.unravel_index(F.row_keys, F.row_radix)
+        q = np.searchsorted(xg * n + x, rb * n + rx)
         _, _, _, _, n_in, off = bend_rights
         self._bend_rows = off[q] + rj * n_in[q] + ri
 
@@ -544,10 +597,9 @@ class FusingWords:
         # each stack's blocks with their columns in tree order, as
         # [block, tree, row]: transposed, each matrix is laid out as
         # ``block[:, perm]`` lays it out (in Fortran order)
-        t3 = _column_trees(F)[-1]
         self._by_tree = []
         for members, mats in F.stacks:
-            cols = t3[F.col_starts[members][:, None] + np.arange(mats.shape[2])]
+            cols = col_tree[F.col_starts[members][:, None] + np.arange(mats.shape[2])]
             by_tree = np.empty(mats.transpose(0, 2, 1).shape, dtype=complex)
             by_tree[np.arange(len(members))[:, None], cols] = mats.transpose(0, 2, 1)
             self._by_tree.append(by_tree)
@@ -640,16 +692,6 @@ class FusingWords:
                 stored, bent[np.arange(len(members))[:, None], rows]
             )
         return braid.tolist(), bend.tolist()
-
-
-def _channels(N, g, outer, inner):
-    """The channels of a route's rows, sorted by word and then in row
-    order, as (word, outer and inner family, their sizes, the channel's
-    first row in its word)."""
-    n_out, n_in = N.ravel()[outer % N.size], N.ravel()[inner % N.size]
-    size = n_out * n_in
-    first = np.cumsum(size) - size
-    return g, outer, inner, n_out, n_in, first - first[np.searchsorted(g, g)]
 
 
 def _copies(items, counts):

@@ -6,6 +6,9 @@ instance of a category at once, from joins over the F- and R-tables, and
 routines here evaluate one instance, or one block, at a time:
 
 * ``totals`` lists the totals a word reaches, label by label;
+* ``f_right_basis`` and ``f_left_basis`` list the right and the left
+  trees of a word (a, b, c) -> d as Python triples, walking the ring's
+  channels; they are the F-table's row and column keys of the block;
 * ``f_block``, ``r_block`` and their inverses assemble one block from the
   ``F`` and ``R`` dicts, entry by entry in the order of the tree bases, and
   invert it alone, with no ``table_arrays.Table`` involved;
@@ -38,11 +41,31 @@ def totals(data, word) -> tuple:
     return tuple(sorted(states))
 
 
+def f_right_basis(data, a, b, c, d):
+    """Right-tree triples (x, i, j) of the word (a,b,c) -> d: the rows
+    of the F-block, in order."""
+    n = data.ring.N.get
+    return [
+        (x, i, j) for x in data.ring.channels[b, c]
+        for i in range(n((a, x, d), 0)) for j in range(n((b, c, x)))
+    ]
+
+
+def f_left_basis(data, a, b, c, d):
+    """Left-tree triples (y, k, l) of the word (a,b,c) -> d: the
+    columns of the F-block, in order."""
+    n = data.ring.N.get
+    return [
+        (y, k, l) for y in data.ring.channels[a, b]
+        for k in range(n((y, c, d), 0)) for l in range(n((a, b, y)))
+    ]
+
+
 def f_block(data, a, b, c, d):
     """F-block (a, b, c, d) over ``f_right_basis`` x ``f_left_basis``; 0 x 0
     when the word (a, b, c) does not reach d."""
-    right = data.f_right_basis(a, b, c, d)
-    left = data.f_left_basis(a, b, c, d)
+    right = f_right_basis(data, a, b, c, d)
+    left = f_left_basis(data, a, b, c, d)
     mat = np.zeros((len(right), len(left)), dtype=complex)
     for ri, (x, i, j) in enumerate(right):
         for li, (y, k, l) in enumerate(left):
@@ -182,9 +205,9 @@ def hexagon_frame(data, a, b, c, tot):
     ]
     # braid (2,3): F(b, a, c), R^{ac}_z on the cluster z, F(b, c, a)^-1
     f_mid = f_block(data, b, a, c, tot)
-    midr = data.f_right_basis(b, a, c, tot)
+    midr = f_right_basis(data, b, a, c, tot)
     f_dst_inv = f_block_inv(data, b, c, a, tot)
-    dstr = data.f_right_basis(b, c, a, tot)
+    dstr = f_right_basis(data, b, c, a, tot)
     b23 = [
         (mi, z, f_mid[ri, mi], [
             (f_dst_inv[:, ri2], j3, j2)
@@ -195,7 +218,7 @@ def hexagon_frame(data, a, b, c, tot):
     ]
     # cluster braid: F(a, b, c), then R^{a x}_tot on the fused pair x
     fabc = f_block(data, a, b, c, tot)
-    fr = data.f_right_basis(a, b, c, tot)
+    fr = f_right_basis(data, a, b, c, tot)
     cluster = [
         (di, x, [
             (app, alpha, fabc[ri, :])

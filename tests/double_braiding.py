@@ -27,6 +27,8 @@ from mtcalc.deligne_double import (
 from mtcalc.fusion_data import CategoryData, DEFAULT_TOL
 from mtcalc.report import Report
 
+from coherence_oracle import f_left_basis, f_right_basis
+
 
 def names(data, A: DoubleObject) -> list:
     """The summands of ``A`` as "(left,right)" label-name strings."""
@@ -56,8 +58,8 @@ def _cluster_braid_word(data, word3, sense) -> gc.Morphism:
         if not dst:
             continue
         fabc = data.f_block(a, b, c, tot)
-        fr = data.f_right_basis(a, b, c, tot)
-        fl = data.f_left_basis(a, b, c, tot)
+        fr = f_right_basis(data, a, b, c, tot)
+        fl = f_left_basis(data, a, b, c, tot)
         mat = blocks[tot] = np.zeros((len(dst), len(src)), complex)
         for di, dt in enumerate(dst):
             x, beta = dt[0]

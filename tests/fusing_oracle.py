@@ -20,7 +20,7 @@ from mtcalc.fusion_data import DEFAULT_TOL
 from mtcalc.report import Report
 
 import bending_oracle as bo
-from coherence_oracle import totals
+from coherence_oracle import f_left_basis, f_right_basis, totals
 
 
 def nonempty_fusing_words(data):
@@ -129,8 +129,8 @@ def braid_conjugation_defect(data, images, a1, a2, a3, a4) -> float:
         return 0.0
     inv = np.linalg.inv(mat)
     stored = data.f_block(a1, a2, a3, a4)
-    sr = data.f_right_basis(a1, a2, a3, a4)
-    sl = data.f_left_basis(a1, a2, a3, a4)
+    sr = f_right_basis(data, a1, a2, a3, a4)
+    sl = f_left_basis(data, a1, a2, a3, a4)
     res = 0.0
     for xi, (x, i, j) in enumerate(sr):
         for yi, (y, k, l) in enumerate(sl):
@@ -147,8 +147,8 @@ def bend_conjugation_defect(data, images, a1, a2, a3, a4) -> float:
     if not rights:
         return 0.0
     stored = data.f_block(a1, a2, a3, a4)
-    sr = data.f_right_basis(a1, a2, a3, a4)
-    sl = data.f_left_basis(a1, a2, a3, a4)
+    sr = f_right_basis(data, a1, a2, a3, a4)
+    sl = f_left_basis(data, a1, a2, a3, a4)
     res = 0.0
     for xi, (x, i, j) in enumerate(sr):
         for yi, (y, k, l) in enumerate(sl):

@@ -2,12 +2,15 @@ import itertools
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
 
 from mtcalc import fusion_data as fd
+from mtcalc import graphcalc as gc
 from mtcalc.report import emit_report
+from mtcalc.table_arrays import Trees
 
 import coherence_oracle as oracle
 
@@ -308,21 +311,34 @@ def _dense_associativity_failure(n, N):
     return None
 
 
-def _dense_f_right_basis(self, a, b, c, d):
+def _dense_f_right_basis(data, a, b, c, d):
     out = []
-    for x in range(self.size):
-        for i in range(self.n(a, x, d)):
-            for j in range(self.n(b, c, x)):
+    for x in range(data.size):
+        for i in range(data.n(a, x, d)):
+            for j in range(data.n(b, c, x)):
                 out.append((x, i, j))
     return out
 
 
-def _dense_f_left_basis(self, a, b, c, d):
+def _dense_f_left_basis(data, a, b, c, d):
     out = []
-    for y in range(self.size):
-        for k in range(self.n(y, c, d)):
-            for l in range(self.n(a, b, y)):
+    for y in range(data.size):
+        for k in range(data.n(y, c, d)):
+            for l in range(data.n(a, b, y)):
                 out.append((y, k, l))
+    return out
+
+
+def _table_bases(data) -> dict:
+    """The rows and the columns of every F-block as the F-table keys them,
+    (x, i, j) and (y, k, l) triples in block order, by block labels."""
+    F = data._f_table
+    labels = list(zip(*(lab.tolist() for lab in F.labels)))
+    out = {key: ([], []) for key in labels}
+    for side, (keys, radix) in enumerate(((F.row_keys, F.row_radix), (F.col_keys, F.col_radix))):
+        g, *cols = np.unravel_index(keys, radix)
+        for block, triple in zip(g.tolist(), zip(*(col.tolist() for col in cols))):
+            out[labels[block]][side].append(triple)
     return out
 
 
@@ -354,10 +370,18 @@ def oracle_input(categories, pointed_category, rep_a4_random, near_group_random)
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_channel_walk_bases_match_dense_scan(oracle_input, name):
+    """The F-table's row and column keys of each block are the oracle's
+    channel-walk bases and the dense scan's, in order."""
     data = oracle_input(name)
+    table = _table_bases(data)
     for a, b, c, d in itertools.product(range(data.size), repeat=4):
-        assert data.f_right_basis(a, b, c, d) == _dense_f_right_basis(data, a, b, c, d)
-        assert data.f_left_basis(a, b, c, d) == _dense_f_left_basis(data, a, b, c, d)
+        rows, cols = table.get((a, b, c, d), ([], []))
+        assert rows == oracle.f_right_basis(data, a, b, c, d) == _dense_f_right_basis(
+            data, a, b, c, d
+        )
+        assert cols == oracle.f_left_basis(data, a, b, c, d) == _dense_f_left_basis(
+            data, a, b, c, d
+        )
         assert oracle.tree_basis3(data, a, b, c, d) == _dense_tree_basis3(data, a, b, c, d)
     assert _dense_associativity_failure(data.size, data.ring.N) is None
 
@@ -373,9 +397,43 @@ def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, na
     # the hexagon instance over every total, on its dense bases; the
     # oracle assembles its F-blocks over the dense bases too
     monkeypatch.setattr(oracle, "tree_basis3", _dense_tree_basis3)
-    monkeypatch.setattr(fd.CategoryData, "f_right_basis", _dense_f_right_basis)
-    monkeypatch.setattr(fd.CategoryData, "f_left_basis", _dense_f_left_basis)
+    monkeypatch.setattr(oracle, "f_right_basis", _dense_f_right_basis)
+    monkeypatch.setattr(oracle, "f_left_basis", _dense_f_left_basis)
     assert hexa == list(oracle.dense_hexagon_residuals(data))
+
+
+# -- the tree enumerator against the tuple walk -------------------------------
+
+ENUMERATOR_INPUTS = BUILTINS + ("z3", "z5", "z7", "rep_a4_random", "near_group_random") + tuple(
+    f"su2_{k}" for k in range(2, 13)
+)
+
+
+@pytest.mark.parametrize("name", ENUMERATOR_INPUTS)
+def test_tree_enumerator_matches_word_trees(oracle_input, name):
+    """``Trees`` lists the trees of every 2- and 3-letter word into every
+    charge as ``graphcalc.word_trees`` lists them: the same trees, states
+    and multiplicities, in the same order; and ``place`` finds each one at
+    its own place.  The SU(2)_k inputs are rings only, with no F-table."""
+    if name.startswith("su2_"):
+        k = int(name[4:])
+        ring = _self_dual_ring(k + 1, _su2_fusion(k))
+    else:
+        ring = oracle_input(name).ring
+    walk = types.SimpleNamespace(ring=ring, unit=ring.unit, _tree_cache={})
+    n = ring.size
+    for length in (2, 3):
+        words = list(itertools.product(range(n), repeat=length))
+        got = Trees(ring, np.repeat(np.array(words), n, axis=0), np.tile(np.arange(n), len(words)))
+        want = [gc.trees(walk, word, d) for word in words for d in range(n)]
+        assert np.array_equal(got.size, [len(trees) for trees in want])
+        assert np.array_equal(got.word, np.repeat(np.arange(len(want)), got.size))
+        flat = [tree for trees in want for tree in trees]
+        for letter in range(length - 1):
+            assert np.array_equal(got.states[letter], [tree[letter][0] for tree in flat])
+            assert np.array_equal(got.mults[letter], [tree[letter][1] for tree in flat])
+        at = got.place(got.word, got.states, got.mults)
+        assert np.array_equal(at, np.arange(len(flat)) - got.start[got.word])
 
 
 def test_coherence_visits_only_reachable_totals(pointed_category, monkeypatch):

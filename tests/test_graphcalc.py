@@ -16,6 +16,7 @@ from mtcalc.report import emit_report
 from mtcalc.table_arrays import IMAGE_KINDS, FusingWords
 
 import bending_oracle as bo
+import coherence_oracle as co
 import fusing_oracle as fo
 from test_fusion_data import INCOHERENT, ORACLE_INPUTS, oracle_input  # noqa: F401
 
@@ -226,6 +227,43 @@ def test_duality_fusing_scalar_examples(categories):
     assert gc.duality_fusing_scalar(fib, 1) == gc.duality_fusing_scalar(
         fib, fib.dual(1)
     )
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_unit_channel_entry_reads_the_list_bases_entry(oracle_input, name):
+    """The fusing-entry routes read F and its inverse at the table's (e, 0,
+    0) row and column: the entry the list bases' ``.index`` finds, and the
+    ``F`` dict's entry for the duality fusing scalar, bit for bit."""
+    data = oracle_input(name)
+    e = data.unit
+    for a in range(data.size):
+        ap = data.dual(a)
+        assert gc.duality_fusing_scalar(data, a) == data.F[(a, ap, a, a, e, e, 0, 0, 0, 0)]
+        for word in ((a, ap, a, a), (ap, a, ap, ap)):
+            r = co.f_right_basis(data, *word).index((e, 0, 0))
+            c = co.f_left_basis(data, *word).index((e, 0, 0))
+            assert gc._unit_channel_entry(data, *word) == data.f_block(*word)[r, c]
+            assert gc._unit_channel_entry(data, *word, inverse=True) == (
+                data.f_block_inv(*word)[c, r]
+            )
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_generator_f_blocks_match_the_list_bases(oracle_input, name):
+    """Every F-block and its inverse as the generators read them, with the
+    columns (rows) in tree order and the right trees off the table's row
+    keys, equals the block permuted by the list bases and ``trees``."""
+    data = oracle_input(name)
+    for word in zip(*(lab.tolist() for lab in data._f_table.labels)):
+        p, a, b, q = word
+        left = {y: n for n, y in enumerate(co.f_left_basis(data, *word))}
+        perm = [left[(y, g, l)] for (y, l), (_, g) in gc.trees(data, (p, a, b), q)]
+        right = {x: n for n, x in enumerate(co.f_right_basis(data, *word))}
+        assert gc._f_trees(data, *word)[0] == right
+        assert np.array_equal(gc._f_trees(data, *word)[1], data.f_block(*word)[:, perm])
+        assert np.array_equal(
+            gc._f_trees(data, *word, inverse=True)[1], data.f_block_inv(*word)[perm, :]
+        )
 
 
 def _duality_maps(data, a):
@@ -585,7 +623,7 @@ def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
 
 def _batched_fusing_matrices(data) -> dict:
     """Every braid and bend matrix of the batched suite, by (route, word)."""
-    words = FusingWords(data._f_table, data.ring.array, data.ring.dual)
+    words = FusingWords(data._f_table, data.ring, data._col_tree)
     images = gc.vertex_images(data, words.families)
     out = {}
     for route, stacks in words.matrices(images).items():
@@ -617,7 +655,7 @@ def test_fusing_matrices_match_morphism_composition(
     assert sorted(got) == sorted((r, w) for r in ("braid", "bend") for w in words)
     images = {}
     for word in words:
-        rows, cols = data.f_right_basis(*word), data.f_left_basis(*word)
+        rows, cols = co.f_right_basis(data, *word), co.f_left_basis(data, *word)
         bent_rows = sorted((data.dual(x), j, i) for x, i, j in rows)
         for route, bases, layout in (
             ("braid", fo.braid_bases, (cols, rows)),
@@ -809,3 +847,79 @@ def test_fusing_negative_control(oracle_input, check_id):
     ]
     assert any(i == check_id for i, _ in failed[0])
     assert failed[0] == failed[1]
+
+
+# -- rigidity: a negative control per check id -------------------------------
+
+
+def _data_edit(make):
+    """A control that corrupts only the input."""
+    return lambda get, monkeypatch: make(get)
+
+
+def _wrong_diagram_route(get, monkeypatch):
+    # every zigzag's cup scaled by 2
+    zigzags = gc._zigzags
+
+    def doubled(data, a):
+        return {
+            name: (strand, (lambda word, cup=cup: 2.0 * cup(word), cap))
+            for name, (strand, (cup, cap)) in zigzags(data, a).items()
+        }
+
+    monkeypatch.setattr(gc, "_zigzags", doubled)
+    return get("fibonacci")
+
+
+def _wrong_fusing_route(get, monkeypatch):
+    # every zigzag's fusing-entry value scaled by 2
+    route = gc._zigzag_fusing_route
+    monkeypatch.setattr(gc, "_zigzag_fusing_route", lambda data, a: {
+        name: 2.0 * value for name, value in route(data, a).items()
+    })
+    return get("fibonacci")
+
+
+def _wrong_covertex(get, monkeypatch):
+    # every covertex scaled by 2; no zigzag applies one
+    covertex = gc.covertex_morphism
+    monkeypatch.setattr(gc, "covertex_morphism", lambda *args: 2.0 * covertex(*args))
+    return get("fibonacci")
+
+
+# per check id of the suite, a corruption on which the suite fails it: an
+# edit of the input where one exists, each incoherent, so that no choice of
+# gauge can make it pass.  Where no input can fail an id, a wrong route:
+# the zigzag_right_1 routes divide the entry F^{a a' a}_a on the unit
+# channels by the loop value read off the same entry, so both are 1 on any
+# input; the two routes of a zigzag read the same entries, so they agree on
+# any input; and completeness is F^-1 F on every block.
+RIGIDITY_NEGATIVE_CONTROLS = {
+    "zigzag_right_1_diagram": _wrong_diagram_route,
+    "zigzag_right_1_fusing": _wrong_fusing_route,
+    "zigzag_right_1_routes_agree": _wrong_fusing_route,
+    "zigzag_right_2_diagram": _data_edit(INCOHERENT["ising_perturbed_f"]),
+    "zigzag_right_2_fusing": _data_edit(INCOHERENT["ising_perturbed_f"]),
+    "zigzag_right_2_routes_agree": _wrong_diagram_route,
+    "zigzag_left_1_diagram": _data_edit(INCOHERENT["ising_perturbed_f"]),
+    "zigzag_left_1_fusing": _data_edit(INCOHERENT["ising_perturbed_f"]),
+    "zigzag_left_1_routes_agree": _wrong_fusing_route,
+    "zigzag_left_2_diagram": _data_edit(_z3_dual_pair_entry),
+    "zigzag_left_2_fusing": _data_edit(_z3_dual_pair_entry),
+    "zigzag_left_2_routes_agree": _wrong_diagram_route,
+    "completeness": _wrong_covertex,
+}
+
+
+def test_every_rigidity_check_id_has_a_negative_control(categories):
+    ids = {r.id for r in gc.verify_rigidity(categories["ising"]).records}
+    assert ids == set(RIGIDITY_NEGATIVE_CONTROLS)
+
+
+@pytest.mark.parametrize("check_id", RIGIDITY_NEGATIVE_CONTROLS)
+def test_rigidity_negative_control(oracle_input, monkeypatch, check_id):
+    """The corruption fails ``check_id``; fibonacci, which the wrong
+    routes are run on, passes every check."""
+    data = RIGIDITY_NEGATIVE_CONTROLS[check_id](oracle_input, monkeypatch)
+    failed = {r.id for r in gc.verify_rigidity(data, 1e-9).records if not r.ok}
+    assert check_id in failed

@@ -51,15 +51,16 @@ def _times_blocks(F, vecs, blocks) -> np.ndarray:
     return out
 
 
-def _braid_locals(F, R, N, quads, plus, tree_col):
+def _braid_locals(F, R, N, quads, plus):
     """The local block of the braid of the letters (u, v) above p with
     charge q, for each (p, u, v, q) of ``quads``, in the positive sense
     where ``plus``, as ``graphcalc.braid_morphism`` forms it: F(p, v, u,
-    q)^-1 with its rows in tree order, times the R-blocks (or the inverse
-    R-blocks) of the channels x of (u, v) on the rows (x, i, j) of F(p, u,
-    v, q), times F(p, u, v, q) with its columns in tree order.  Returns the
-    blocks flat and row-major, the start and size of each, and the F-blocks
-    (p, u, v, q) and (p, v, u, q); a singular block they invert raises."""
+    q)^-1, times the R-blocks (or the inverse R-blocks) of the channels x
+    of (u, v) on the rows (x, i, j) of F(p, u, v, q), times F(p, u, v, q);
+    F's columns (y, l, k) are the trees of (p, u, v) -> q in tree order.
+    Returns the blocks flat and row-major, the start and size of each, and
+    the F-blocks (p, u, v, q) and (p, v, u, q); a singular block they
+    invert raises."""
     p, u, v, q = quads
     blk, sw = F.block_of(p, u, v, q), F.block_of(p, v, u, q)
     size = F.ncols[blk]
@@ -80,15 +81,8 @@ def _braid_locals(F, R, N, quads, plus, tree_col):
     for t in _distinct(size).tolist():
         sel = np.flatnonzero(size == t)
         k = F.stack_of[blk[sel[0]]]
-        trees = np.arange(t)
-        f = np.take_along_axis(
-            F.stacks[k][1][F.slot_of[blk[sel]]],
-            tree_col[F.col_starts[blk[sel]][:, None] + trees][:, None, :], axis=2,
-        )
-        finv = np.take_along_axis(
-            F.inverses()[k][0][F.slot_of[sw[sel]]],
-            tree_col[F.col_starts[sw[sel]][:, None] + trees][:, :, None], axis=1,
-        )
+        f = F.stacks[k][1][F.slot_of[blk[sel]]]
+        finv = F.inverses()[k][0][F.slot_of[sw[sel]]]
         local = (finv @ _gather(rmat, start, sel, t, t)) @ f
         out[start[sel][:, None] + np.arange(t * t)] = local.reshape(len(sel), -1)
     return out, start, size, blk, sw
@@ -154,15 +148,15 @@ def basis_images(data, families, dims):
     *quad, pl = np.unravel_index(distinct, (n, n, n, n, 2))
     cup = F.block_of(d, a2, d, d)
     _check_inverses(F, "F", cup)
-    local, l_start, l_size, blk, sw = _braid_locals(F, R, N, quad, pl == 1, data._tree_col)
+    local, l_start, l_size, blk, sw = _braid_locals(F, R, N, quad, pl == 1)
 
-    # the cup: column (1, 0, 0) of F(d, a2, d, d)^-1, its row (y, k, l) on
+    # the cup: column (1, 0, 0) of F(d, a2, d, d)^-1, its row (y, l, k) on
     # the tree ((d, m0), (y, l), (d, k)) of W1, for each tree (d, m0) of W0
     e_row = np.searchsorted(
         F.row_keys, _pack((cup, np.full_like(cup, e), 0 * cup, 0 * cup), F.row_radix)
     ) - F.row_starts[cup]
     it, col = _copies(np.arange(len(g)), F.ncols[cup])
-    _, y, k, l = np.unravel_index(F.col_keys[F.col_starts[cup[it]] + col], F.col_radix)
+    _, y, l, k = np.unravel_index(F.col_keys[F.col_starts[cup[it]] + col], F.col_radix)
     value = F.entries(cup[it], col, e_row[it], inverse=True)
     at, m0 = _copies(np.arange(len(it)), t0[it])
     it = it[at]
@@ -173,10 +167,10 @@ def basis_images(data, families, dims):
     # ((y1, n1), (x2, n2)) is the tree ((y1, n1), (x2, n2), (d, m3)) of W2
     qt = which[len(s):]
     size = l_size[qt]
-    src = data._col_tree[np.searchsorted(F.col_keys, _pack((blk[qt], x1, m2, m1), F.col_radix))]
+    src = np.searchsorted(F.col_keys, _pack((blk[qt], x1, m1, m2), F.col_radix))
+    src -= F.col_starts[blk[qt]]
     it, r = _copies(np.arange(len(tw)), size)
-    at = F.col_starts[sw[qt[it]]] + data._tree_col[F.col_starts[sw[qt[it]]] + r]
-    _, y1, n2, n1 = np.unravel_index(F.col_keys[at], F.col_radix)
+    _, y1, n1, n2 = np.unravel_index(F.col_keys[F.col_starts[sw[qt[it]]] + r], F.col_radix)
     gt = tw[it]
     row = W2.place(gt, (y1, x2[it], d[gt]), (n1, n2, m3[it]))
     value = local[l_start[qt[it]] + r * size[it] + src[it]]

@@ -6,11 +6,13 @@ serves ``f_block``, ``r_block`` and their inverses as read-only views of
 them.  Tree bases are in the one order that ``table_arrays.Trees`` states.
 
 * ``F[a, b, c, d]`` is the block relating the two ways of fusing the word
-  ``(a, b, c)`` into ``d``.  Rows are the right-tree triples
-  ``(x, i, j)`` with ``j`` a vertex ``b (x) c -> x`` and ``i`` a vertex
-  ``a (x) x -> d``; columns the left-tree triples ``(y, k, l)`` with ``l`` a
-  vertex ``a (x) b -> y`` and ``k`` a vertex ``y (x) c -> d``.  The right-tree
-  composite equals ``sum_(y,k,l) F[(x,i,j),(y,k,l)] *`` left-tree composite.
+  ``(a, b, c)`` into ``d``; an entry's key is ``(a, b, c, d, x, y, i, j, k,
+  l)``.  Rows are the right-tree triples ``(x, i, j)`` with ``j`` a vertex
+  ``b (x) c -> x`` and ``i`` a vertex ``a (x) x -> d``; columns the left
+  trees ``(y, l, k)`` with ``l`` a vertex ``a (x) b -> y`` and ``k`` a
+  vertex ``y (x) c -> d``, so the columns are the word's trees in tree
+  order.  The right-tree composite equals ``sum_(y,l,k) F[(x,i,j),(y,l,k)]
+  *`` left-tree composite.
 * ``R[a, b, c]`` is the block of the positive braiding ``a (x) b -> b (x) a``
   on fusion channel ``c``; rows index ``(b, a -> c)`` vertices, columns
   ``(a, b -> c)`` vertices.  The negative braiding is the inverse block of the
@@ -170,7 +172,7 @@ class CategoryData:
         self.twist = tuple(complex(t) for t in twist)
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # local blocks, and F-block bases (graphcalc)
-        self._validate_tables()  # builds the F- and R-table and the F-tree maps
+        self._validate_tables()  # builds the F- and R-table
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
         )
@@ -253,7 +255,7 @@ class CategoryData:
             if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
                 raise CategoryDataError(f"R entry {key} outside multiplicity range")
         m = max(ring.N.values())  # radix of multiplicity indices; the ring bounds it
-        self._f_table = F = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 8, 9])
+        self._f_table = F = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 9, 8])
         self._r_table = Table(self.R, (n,) * 3 + (m,) * 2, 3, [3], [4])
         # completeness: the range checks put every entry inside its block and
         # keys are unique, so a block is complete exactly when it holds
@@ -276,12 +278,6 @@ class CategoryData:
             raise CategoryDataError(
                 f"F block {block} with a unit label is not the identity"
             )
-        # each F column (y, k, l)'s place among its word's trees ((y, l), (d, k)),
-        # and per block and tree, the tree's column
-        cb, y, k, l = np.unravel_index(F.col_keys, F.col_radix)
-        trees = Trees(ring, np.stack((a, b, c), axis=1), d)
-        self._col_tree = trees.place(cb, (y, d[cb]), (l, k))
-        self._tree_col = np.argsort(F.col_starts[cb] + self._col_tree) - F.col_starts[cb]
 
 
 def _block_inverse(table: Table, name: str, key: tuple) -> np.ndarray:
@@ -339,7 +335,7 @@ def hexagon_residuals(data: CategoryData):
     reaches are visited.  All instances are evaluated at once, on the first
     item.
     """
-    keys, plus, minus = hexagon_batch(data._f_table, data._r_table, data._col_tree)
+    keys, plus, minus = hexagon_batch(data._f_table, data._r_table)
     for key, rp, rm in zip(keys, plus, minus):
         yield ("+", *key), rp
         yield ("-", *key), rm

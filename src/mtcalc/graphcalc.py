@@ -227,9 +227,10 @@ def _sparse_block(data, old, new, p, q, local) -> dict:
 
 
 def _f_basis(data, p, a, b, q) -> tuple:
-    """The places of the rows (x, i, j) and of the columns (y, k, l) of
-    F(p, a, b, q), as the F-table keys them, and the column of each tree of
-    (p, a, b) -> q, a word that reaches q; memoized on ``data``."""
+    """The places of the rows (x, i, j) and of the columns (y, l, k) of
+    F(p, a, b, q), as the F-table keys them; the columns are the trees of
+    (p, a, b) -> q, a word that reaches q, in tree order.  Memoized on
+    ``data``."""
     key = ("f_basis", p, a, b, q)
     if key not in data._local_cache:
         F = data._f_table
@@ -241,18 +242,8 @@ def _f_basis(data, p, a, b, q) -> tuple:
         )
         data._local_cache[key] = (
             {t: n for n, t in enumerate(rows)}, {t: n for n, t in enumerate(cols)},
-            data._tree_col[F.col_starts[g]:F.col_starts[g + 1]],
         )
     return data._local_cache[key]
-
-
-def _f_trees(data, p, a, b, q, inverse=False):
-    """The row of each right tree (x, i, j) of F(p, a, b, q), and the block
-    (right x trees) or its inverse (trees x right), its trees in tree order."""
-    right, _, perm = _f_basis(data, p, a, b, q)
-    if inverse:
-        return right, data.f_block_inv(p, a, b, q)[perm, :]
-    return right, data.f_block(p, a, b, q)[:, perm]
 
 
 @functools.cache
@@ -304,8 +295,8 @@ def _vertex_block(data, a, b, c, weights, p, q) -> np.ndarray:
     key = ("vertex_block", a, b, c, weights, p, q)
     block = data._local_cache.get(key)
     if block is None:
-        right, f = _f_trees(data, p, a, b, q)
-        block = _channel_weights(data, right, p, c, q, weights) @ f
+        right, _ = _f_basis(data, p, a, b, q)
+        block = _channel_weights(data, right, p, c, q, weights) @ data.f_block(p, a, b, q)
         block.setflags(write=False)
         data._local_cache[key] = block
     return block
@@ -320,7 +311,8 @@ def weighted_covertex(data, word, k, a, b, c, weights) -> Morphism:
     _check_weights(data, a, b, c, weights)
 
     def local(p, q):
-        right, finv = _f_trees(data, p, a, b, q, inverse=True)
+        right, _ = _f_basis(data, p, a, b, q)
+        finv = data.f_block_inv(p, a, b, q)
         return finv @ _channel_weights(data, right, p, c, q, weights).T
 
     key = ("covertex", a, b, c, weights)
@@ -343,14 +335,15 @@ def braid_morphism(data, word, k, sense: str) -> Morphism:
     a, b = word[k], word[k + 1]
 
     def local(p, q):
-        right, f = _f_trees(data, p, a, b, q)
-        right_sw, finv_sw = _f_trees(data, p, b, a, q, inverse=True)
+        right, _ = _f_basis(data, p, a, b, q)
+        right_sw, _ = _f_basis(data, p, b, a, q)
+        finv_sw = data.f_block_inv(p, b, a, q)
         rmat = np.zeros((len(right_sw), len(right)), complex)
         for (x, i, j), n in right.items():
             rx = data.r_block(a, b, x) if sense == "+" else data.r_block_inv(a, b, x)
             for j2 in range(rx.shape[0]):
                 rmat[right_sw[(x, i, j2)], n] = rx[j2, j]
-        return finv_sw @ rmat @ f
+        return finv_sw @ rmat @ data.f_block(p, a, b, q)
 
     return _replace_window(data, word, k, 2, (b, a), ("braid", a, b, sense), local)
 
@@ -361,8 +354,8 @@ def cup_morphism(data, word, k, a, b) -> Morphism:
         raise ValueError("cup letters must be dual")
 
     def local(p, q):
-        right, finv = _f_trees(data, p, a, b, q, inverse=True)
-        return finv[:, [right[(data.unit, 0, 0)]]]
+        right, _ = _f_basis(data, p, a, b, q)
+        return data.f_block_inv(p, a, b, q)[:, [right[(data.unit, 0, 0)]]]
 
     return _replace_window(data, word, k, 0, (a, b), ("cup", a, b), local)
 
@@ -374,8 +367,8 @@ def cap_morphism(data, word, k, a, b) -> Morphism:
         raise ValueError("cap letters must be dual and match the word")
 
     def local(p, q):
-        right, f = _f_trees(data, p, a, b, q)
-        return f[[right[(data.unit, 0, 0)]], :]
+        right, _ = _f_basis(data, p, a, b, q)
+        return data.f_block(p, a, b, q)[[right[(data.unit, 0, 0)]], :]
 
     return _replace_window(data, word, k, 2, (), ("cap", a, b), local)
 
@@ -444,7 +437,7 @@ def categorical_dim(data: CategoryData, a: int) -> complex:
 def _unit_channel_entry(data, a1, a2, a3, d, inverse=False) -> complex:
     """Entry of F(a1, a2, a3, d), or of its inverse, between the right and
     the left tree whose inner channel is the unit."""
-    rows, cols, _ = _f_basis(data, a1, a2, a3, d)
+    rows, cols = _f_basis(data, a1, a2, a3, d)
     right, left = rows[data.unit, 0, 0], cols[data.unit, 0, 0]
     if inverse:
         return data.f_block_inv(a1, a2, a3, d)[left, right]
@@ -589,7 +582,7 @@ def verify_fusing_symmetries(data: CategoryData, tol: float = DEFAULT_TOL) -> Re
     """
     t0 = time.perf_counter()
     report = Report(suite="fusing-symmetries", tol=tol)
-    words = FusingWords(data._f_table, data.ring, data._col_tree)
+    words = FusingWords(data._f_table, data.ring)
     images = vertex_images(data, words.families)
     sizes = [data.n(a, b, c) for _, a, b, c in words.families]
     first = dict(zip(words.families, np.cumsum(sizes) - sizes))

@@ -147,11 +147,12 @@ class Table:
     labels.  The rows of a block are the distinct values of the columns
     ``row_cols`` among its entries, in lexicographic order, and its columns
     those of ``col_cols``: for F(a,b,c,d) the right trees (x, i, j) and the
-    left trees (y, k, l), for R(a,b,c) the indices i and j.  ``row`` and
-    ``col`` place each entry in its block, ``row_keys`` and ``col_keys``
-    are the sorted (block, row) and (block, column) keys, with radices
-    ``row_radix`` and ``col_radix``, and ``stacks`` holds the blocks
-    stacked by shape, as (block numbers, read-only matrices).
+    left trees (y, l, k), which are the word's trees in tree order, for
+    R(a,b,c) the indices i and j.  ``row`` and ``col`` place each entry in
+    its block, ``row_keys`` and ``col_keys`` are the sorted (block, row)
+    and (block, column) keys, with radices ``row_radix`` and
+    ``col_radix``, and ``stacks`` holds the blocks stacked by shape, as
+    (block numbers, read-only matrices).
     """
 
     def __init__(self, table: dict, dims: tuple, width: int, row_cols, col_cols):
@@ -367,14 +368,14 @@ def _pentagon_p2(F, key):
     )
 
 
-def hexagon_batch(F: Table, R: Table, col_tree):
+def hexagon_batch(F: Table, R: Table):
     """The hexagon instances (a, b, c, total) of the F- and R-tables in
     lexicographic order and the residuals of the positive and the negative
     sense.
 
     Instance g is the F-block (a,b,c,t).  Its matrices are indexed by the
-    trees (y, l, m) of a word (l indexes the vertex of its first two letters;
-    ``col_tree`` places F's columns among them) and by F-block rows and columns:
+    trees (y, l, m) of a word, which are the columns of its F-block (l
+    indexes the vertex of its first two letters):
     * braid (1,2), mid x src: R(a,b,y)[l2, l] from src (y, l, m) of (a,b,c)
       to mid (y, l2, m) of (b,a,c);
     * braid (2,3), dst x mid: column mi (a column of F(b,a,c,t)) sums
@@ -411,14 +412,15 @@ def hexagon_batch(F: Table, R: Table, col_tree):
     def neg_singular(a, b, c):  # whether the negative braiding of (a, b, c) fails
         return r_singular[R.block_of(b, a, c)]
 
-    cb, cy, ck, cl = np.unravel_index(F.col_keys, F.col_radix)  # F's columns (y, k, l)
+    cb, cy, cl, ck = np.unravel_index(F.col_keys, F.col_radix)  # F's columns (y, l, k)
+    place = np.arange(len(cb)) - F.col_starts[cb]  # each column's place in its block
     X, I, J = F.cols[4], F.cols[6], F.cols[7]  # row tree (x, i, j) of an entry
 
     # braid (1,2): every column of block g is a src tree of instance g
     s, t = _join(_pack((mid[cb], cy, ck), (nb, n, m)), _pack((cb, cy, ck), (nb, n, m)))
     g12 = cb[s]
     r12 = r_entry(ba[g12], bb[g12], cy[s], cl[t], cl[s])
-    at12 = col_tree[t] * nsrc[g12] + col_tree[s]
+    at12 = place[t] * nsrc[g12] + place[s]
     bad = np.zeros(nb, dtype=bool)
     bad[cb[neg_singular(ba[cb], bb[cb], cy)]] = True
 
@@ -427,7 +429,7 @@ def hexagon_batch(F: Table, R: Table, col_tree):
     s, e = _join(_pack((g_dst, cy, cl), (nb, n, m)), _pack((F.block, X, J), (nb, n, m)))
     gcl = g_dst[s]
     rcl = r_entry(ba[gcl], cy[s], bd[gcl], ck[s], I[e])
-    atcl = col_tree[s] * nsrc[gcl] + F.col[e]
+    atcl = place[s] * nsrc[gcl] + F.col[e]
     bycl = np.argsort(F.row[e], kind="stable")
     fcl = F.vals[e]
     bad[g_dst[neg_singular(ba[g_dst], cy, bd[g_dst])]] = True
@@ -522,40 +524,46 @@ class FusingWords:
     the right trees (x, i, j) of (w0, w1, w2) -> d in the new bases over
     the left ones, both as rows on its fusion trees ((y, mu), (d, nu)).
     A row of U is the local block of outer image i above the unit times
-    that of inner image j above w0, read off the F-block of the word with
-    its columns in tree order; a row of V is zero off the trees through
-    y, where it holds outer entry nu times inner entry mu.  Every product,
-    sum and inverse is formed as the per-word route
-    (``tests/fusing_oracle.py``) forms it: stacked ``@`` and
-    ``np.linalg.inv`` on matrices laid out as its matrices are, and the
-    entries of V as Python complex products.  A singular matrix raises
+    that of inner image j above w0, read off the F-block of the word; a
+    row of V is zero off the trees through y, where it holds outer entry
+    nu times inner entry mu.  Rows on F's row side (braid lefts, bend
+    rights) index the outer image first, as F's rows (x, i, j) do; rows on
+    its column side (braid rights, bend lefts) the inner one, as F's
+    columns (y, l, k) do.  Every product, sum and inverse is formed as the
+    per-word route (``tests/fusing_oracle.py``) forms it: stacked ``@``
+    and ``np.linalg.inv`` on matrices laid out as its matrices are, and
+    the entries of V as Python complex products.  A singular matrix raises
     ``np.linalg.LinAlgError`` naming its word.
 
-    The braid matrix has the rows (y, k, l) and the columns (x, i, j) of
+    The braid matrix has the rows (y, l, k) and the columns (x, i, j) of
     F(a1, a2, a3, a4) transposed, so ``residuals`` compares its inverse
     with F; the bend matrix has F's columns and the rows (x', j, i),
     which it puts in F's row order (x, i, j) first.
     """
 
-    def __init__(self, F: Table, ring, col_tree):
-        """``col_tree`` places each column of F among its block's trees."""
+    def __init__(self, F: Table, ring):
         n, m = F.dims[0], F.dims[-1]
         N, dual = ring.array, np.asarray(ring.dual)
         a1, a2, a3, a4 = F.labels
         self.F = F
         self.keys = list(zip(*(lab.tolist() for lab in F.labels)))
-        # the channels x of each block's rows (x, i, j) and y of its columns (y, k, l)
+        # the channels x of each block's rows (x, i, j) and y of its columns (y, l, k)
         x_of, y_of = F.row_keys // (m * m), F.col_keys // (m * m)
         xg, x = np.divmod(_distinct(x_of), n)
         yg, y = np.divmod(_distinct(y_of), n)
         x1, x2, x3, x4 = (lab[xg] for lab in F.labels)
         y1, y2, y3, y4 = (lab[yg] for lab in F.labels)
 
-        # a route's rows by channel: word, outer and inner family, their sizes
-        # and the channel's first row or column in the layout of ``block``
-        def channels(g, families, of, starts, block, channel):
+        # a route's rows by channel: word, outer and inner family, their
+        # sizes, the channel's first row ("x") or column ("y") in the layout
+        # of ``block``, and the steps of the outer and the inner index there
+        def channels(g, families, block, channel, side):
+            of, starts = (x_of, F.row_starts) if side == "x" else (y_of, F.col_starts)
             first = np.searchsorted(of, block * n + channel) - starts[block]
-            return g, *families, *(N.ravel()[f % N.size] for f in families), first
+            n_out, n_in = (N.ravel()[f % N.size] for f in families)
+            one = np.ones_like(n_out)
+            steps = (n_in, one) if side == "x" else (one, n_out)
+            return g, *families, n_out, n_in, first, *steps
 
         def family(kind, a, b, c):
             return _pack((IMAGE_KINDS.index(kind), a, b, c), (len(IMAGE_KINDS), n, n, n))
@@ -576,33 +584,25 @@ class FusingWords:
         self._base = np.zeros(len(IMAGE_KINDS) * N.size, dtype=np.intp)
         self._base[wanted] = np.cumsum(sizes) - sizes
 
-        # a route's rows are laid out as the rows of the F-block it reads:
-        # the braid's (y, i, j) as the columns of its word, the bend's
-        # (x', j, i) as the rows of (a2, a1, a4', a3')
+        # each route's rows are laid out as an F-block's rows or columns:
+        # the braid's rights (y, i, j) as its word's columns (y, l, k) =
+        # (y, j, i) and its lefts as its word's rows, the bend's rights
+        # (x', j, i) as the rows of (a2, a1, a4', a3') and its lefts as its
+        # word's columns
         bend_read = F.block_of(a2, a1, dual[a4], dual[a3])
-        bend_rights = channels(xg, bend_x, x_of, F.row_starts, bend_read[xg], dual[x])
+        bend_rights = channels(xg, bend_x, bend_read[xg], dual[x], "x")
         self._routes = {
-            "braid": (F.block_of(a3, a2, a1, a4),
-                      channels(yg, braid_y, y_of, F.col_starts, yg, y),
-                      channels(xg, braid_x, x_of, F.row_starts, xg, x)),
-            "bend": (bend_read, bend_rights, channels(yg, bend_y, y_of, F.col_starts, yg, y)),
+            "braid": (F.block_of(a3, a2, a1, a4), channels(yg, braid_y, yg, y, "y"),
+                      channels(xg, braid_x, xg, x, "x")),
+            "bend": (bend_read, bend_rights, channels(yg, bend_y, yg, y, "y")),
         }
         # the bend matrix's row (x', j, i) of each row (x, i, j) of F
         rb, rx, ri, rj = np.unravel_index(F.row_keys, F.row_radix)
         q = np.searchsorted(xg * n + x, rb * n + rx)
-        _, _, _, _, n_in, off = bend_rights
-        self._bend_rows = off[q] + rj * n_in[q] + ri
+        _, _, _, _, _, off, s_out, s_in = bend_rights
+        self._bend_rows = off[q] + rj * s_out[q] + ri * s_in[q]
 
         self._stack, self._slot = F.stack_of, F.slot_of
-        # each stack's blocks with their columns in tree order, as
-        # [block, tree, row]: transposed, each matrix is laid out as
-        # ``block[:, perm]`` lays it out (in Fortran order)
-        self._by_tree = []
-        for members, mats in F.stacks:
-            cols = col_tree[F.col_starts[members][:, None] + np.arange(mats.shape[2])]
-            by_tree = np.empty(mats.transpose(0, 2, 1).shape, dtype=complex)
-            by_tree[np.arange(len(members))[:, None], cols] = mats.transpose(0, 2, 1)
-            self._by_tree.append(by_tree)
 
     def matrices(self, images) -> dict:
         """Per route, per stack of ``F.stacks``, the fusing matrices U V^-1
@@ -624,7 +624,7 @@ class FusingWords:
         """U of the words of stack k: row (x, i, j) is the outer image i's
         row times the inner image j's local block above w0, which is its
         weights on the channel x times the F-block ``read`` of the word."""
-        g, outer, inner, n_out, n_in, off = items
+        g, outer, inner, n_out, n_in, off, s_out, s_in = items
         u = np.zeros(shape, dtype=complex)
         ours = self._stack[g] == k
         for n_o in _distinct(n_out[ours]).tolist():
@@ -638,10 +638,11 @@ class FusingWords:
             w[b, nu, off[it[b]] + nu * ni[b] + mu] = (
                 weights[self._base[inner[it[b]]] + j[b], mu]
             )
-            local = w @ self._by_tree[k][self._slot[read[g[it]]]].transpose(0, 2, 1)
+            local = w @ self.F.stacks[k][1][self._slot[read[g[it]]]]
             b, i = _copies(np.arange(len(it)), np.full(len(it), n_o))
             outer_rows = rows[self._base[outer[it[b]]] + i, :n_o].reshape(-1, 1, n_o)
-            u[self._slot[g[it[b]]], off[it[b]] + i * ni[b] + j[b]] = (
+            ch = it[b]
+            u[self._slot[g[ch]], off[ch] + i * s_out[ch] + j[b] * s_in[ch]] = (
                 (outer_rows @ local[b])[:, 0]
             )
         return u
@@ -651,7 +652,7 @@ class FusingWords:
         i's entry nu times the inner image j's entry mu at tree ((y, mu),
         (d, nu)).  A word's channels y are those of its trees, in order,
         so V is block diagonal."""
-        g, outer, inner, n_out, n_in, off = items
+        g, outer, inner, n_out, n_in, off, s_out, s_in = items
         v = np.zeros(shape, dtype=complex)
         it = np.flatnonzero(self._stack[g] == k)
         it, at = _copies(it, (n_out * n_in) ** 2)
@@ -660,7 +661,7 @@ class FusingWords:
         mu, nu = np.divmod(col, n_out[it])
         a = rows[self._base[outer[it]] + i, nu]
         b = rows[self._base[inner[it]] + j, mu]
-        where = (self._slot[g[it]], off[it] + row, off[it] + col)
+        where = (self._slot[g[it]], off[it] + i * s_out[it] + j * s_in[it], off[it] + col)
         v.real[where], v.imag[where] = _cmul(a.real, a.imag, b.real, b.imag)
         return v
 

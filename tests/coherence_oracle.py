@@ -14,8 +14,8 @@ routines here evaluate one instance, or one block, at a time:
   invert it alone, with no ``table_arrays.Table`` involved;
 * ``dense_pentagon_instance`` expands both pentagon routes over bases
   scanned label by label;
-* ``hexagon_instance`` builds the three braid matrices of one hexagon from
-  the tree bases and those blocks;
+* ``hexagon_matrices`` builds the three braid matrices of one hexagon from
+  the tree bases and those blocks, and ``hexagon_instance`` its residual;
 * ``verify_coherence`` is the suite assembled from these routines and a
   loop over the blocks.
 
@@ -53,11 +53,12 @@ def f_right_basis(data, a, b, c, d):
 
 def f_left_basis(data, a, b, c, d):
     """Left-tree triples (y, k, l) of the word (a,b,c) -> d: the
-    columns of the F-block, in order."""
+    columns of the F-block, in order.  They are listed in tree order, by
+    (y, l, k), l the vertex a (x) b -> y and k the vertex y (x) c -> d."""
     n = data.ring.N.get
     return [
         (y, k, l) for y in data.ring.channels[a, b]
-        for k in range(n((y, c, d), 0)) for l in range(n((a, b, y)))
+        for l in range(n((a, b, y))) for k in range(n((y, c, d), 0))
     ]
 
 
@@ -230,20 +231,19 @@ def hexagon_frame(data, a, b, c, tot):
     return (len(src), len(mid), len(dst), b12, b23, cluster)
 
 
-def hexagon_instance(data, a, b, c, tot, sense):
-    """Residual of one hexagon, None when the word has no trees of charge
-    ``tot``, and inf when a block it inverts is singular."""
+def hexagon_matrices(data, a, b, c, tot, sense):
+    """The braid (1,2) (mid x src), braid (2,3) (dst x mid) and cluster
+    braid (dst x src) matrices of one hexagon, assembled from its frame and
+    the R-blocks of the sense; None when the word has no trees of charge
+    ``tot``.  A singular block the sense inverts raises CategoryDataError."""
     rblock = r_block if sense > 0 else r_block_inv
-    try:
-        frame = hexagon_frame(data, a, b, c, tot)
-        if frame is None:
-            return None
-        n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
-        r12 = [rblock(data, a, b, y) for y, _ in b12_walk]
-        r23 = [rblock(data, a, c, z) for _, z, _, _ in b23_walk]
-        r_cluster = [rblock(data, a, x, tot) for _, x, _ in cluster_walk]
-    except fd.CategoryDataError:  # a singular F- or R-block has no inverse
-        return math.inf
+    frame = hexagon_frame(data, a, b, c, tot)
+    if frame is None:
+        return None
+    n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
+    r12 = [rblock(data, a, b, y) for y, _ in b12_walk]
+    r23 = [rblock(data, a, c, z) for _, z, _, _ in b23_walk]
+    r_cluster = [rblock(data, a, x, tot) for _, x, _ in cluster_walk]
 
     # one-at-a-time route: braid (1,2) then (2,3)
     b12 = np.zeros((n_mid, n_src), dtype=complex)
@@ -255,13 +255,26 @@ def hexagon_instance(data, a, b, c, tot, sense):
         # braid (a, c) inside the fused cluster z
         for col, j3, j2 in hits:
             b23[:, mi] += col * rz[j3, j2] * fm
-    route = b23 @ b12
 
     # cluster route: braid a past the fused pair (b, c) in one move
     cluster = np.zeros((n_dst, n_src), dtype=complex)
     for rx, (di, _, hits) in zip(r_cluster, cluster_walk):
         for app, alpha, row in hits:
             cluster[di, :] += rx[app, alpha] * row
+    return b12, b23, cluster
+
+
+def hexagon_instance(data, a, b, c, tot, sense):
+    """Residual of one hexagon, None when the word has no trees of charge
+    ``tot``, and inf when a block it inverts is singular."""
+    try:
+        mats = hexagon_matrices(data, a, b, c, tot, sense)
+    except fd.CategoryDataError:  # a singular F- or R-block has no inverse
+        return math.inf
+    if mats is None:
+        return None
+    b12, b23, cluster = mats
+    route = b23 @ b12
     return float(np.max(np.abs(cluster - route)))
 
 

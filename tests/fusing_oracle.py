@@ -44,12 +44,22 @@ def basis_images(data, images, op, sense, a1, a2, a3):
     return out
 
 
+def vertex_pairs(outer, inner, inner_first):
+    """The (io, outer vertex, ii, inner vertex) pairs of one channel, the
+    outer index running slower, or the inner one where ``inner_first``."""
+    pairs = [(io, yo, ii, yi) for io, yo in enumerate(outer) for ii, yi in enumerate(inner)]
+    return sorted(pairs, key=lambda p: (p[2], p[0])) if inner_first else pairs
+
+
 def fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
-                           outer_left, inner_left):
+                           outer_left, inner_left, y_side):
     """Fusing matrix of (word) -> d expressed in the given vertex families.
 
     ``outer_right[x]`` is a list of VertexVector in hom(w0 x, d), etc.
-    Returns (right_index_list, left_index_list, matrix).
+    Returns (right_index_list, left_index_list, matrix).  The side
+    ``y_side`` ("right" or "left") is the one whose channels are F's
+    columns (y, l, k): its vertex pairs are listed inner index first, the
+    other side's outer index first, as F's rows (x, i, j) are.
 
     Each row is the composite of two vertices read on the tree basis of
     (word) -> d, taken from their dense local blocks.  A right row applies
@@ -65,32 +75,31 @@ def fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
     e = data.unit
     rights, rvecs = [], []
     for x in sorted(outer_right):
-        for io, yo in enumerate(outer_right[x]):
+        for io, yo, ii, yi in vertex_pairs(outer_right[x], inner_right[x], y_side == "right"):
             outer = gc._vertex_block(data, yo.a1, yo.a2, yo.a3, yo.vec, e, d)
-            for ii, yi in enumerate(inner_right[x]):
-                rights.append((x, io, ii))
-                inner = gc._vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, w0, d)
-                rvecs.append((outer @ inner)[0])
+            rights.append((x, io, ii))
+            inner = gc._vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, w0, d)
+            rvecs.append((outer @ inner)[0])
     lefts, lvecs = [], []
     for y in sorted(outer_left):
         cols = [(n, mu, nu) for n, ((y2, mu), (_, nu)) in enumerate(tre) if y2 == y]
-        for io, yo in enumerate(outer_left[y]):
+        for io, yo, ii, yi in vertex_pairs(outer_left[y], inner_left[y], y_side == "left"):
             outer = gc._vertex_block(data, yo.a1, yo.a2, yo.a3, yo.vec, e, d)[0]
-            for ii, yi in enumerate(inner_left[y]):
-                lefts.append((y, io, ii))
-                inner = gc._vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, e, y)[0]
-                row = np.zeros(len(tre), complex)
-                for n, mu, nu in cols:
-                    row[n] = outer[nu] * inner[mu]
-                lvecs.append(row)
+            lefts.append((y, io, ii))
+            inner = gc._vertex_block(data, yi.a1, yi.a2, yi.a3, yi.vec, e, y)[0]
+            row = np.zeros(len(tre), complex)
+            for n, mu, nu in cols:
+                row[n] = outer[nu] * inner[mu]
+            lvecs.append(row)
     U = np.array(rvecs).reshape(len(rights), len(tre))
     V = np.array(lvecs).reshape(len(lefts), len(tre))
     return rights, lefts, U @ np.linalg.inv(V)
 
 
 def braid_bases(data, images, a1, a2, a3, a4):
-    """The word, total and (outer_right, inner_right, outer_left,
-    inner_left) bases in which the braid route reads (a1, a2, a3) -> a4."""
+    """The word, total, (outer_right, inner_right, outer_left, inner_left)
+    bases in which the braid route reads (a1, a2, a3) -> a4, and the side
+    of F's columns, its rights."""
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
     for x in data.ring.channels[a2, a3]:
@@ -101,11 +110,12 @@ def braid_bases(data, images, a1, a2, a3, a4):
         if data.n(y, a3, a4):
             outer_right[y] = basis_images(data, images, bo.swap_vertex, "+", y, a3, a4)
             inner_right[y] = basis_images(data, images, bo.swap_vertex, "+", a1, a2, y)
-    return (a3, a2, a1), a4, outer_right, inner_right, outer_left, inner_left
+    return (a3, a2, a1), a4, outer_right, inner_right, outer_left, inner_left, "right"
 
 
 def bend_bases(data, images, a1, a2, a3, a4):
-    """As ``braid_bases``, for the bend route."""
+    """As ``braid_bases``, for the bend route, whose lefts are on the side
+    of F's columns."""
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
     for x in data.ring.channels[a2, a3]:
@@ -117,7 +127,8 @@ def bend_bases(data, images, a1, a2, a3, a4):
         if data.n(y, a3, a4):
             outer_left[y] = basis_images(data, images, bo.bend_vertex, "+", y, a3, a4)
             inner_left[y] = basis_images(data, images, bo.swap_vertex, "-", a1, a2, y)
-    return (a2, a1, data.dual(a4)), data.dual(a3), outer_right, inner_right, outer_left, inner_left
+    return ((a2, a1, data.dual(a4)), data.dual(a3), outer_right, inner_right,
+            outer_left, inner_left, "left")
 
 
 def braid_conjugation_defect(data, images, a1, a2, a3, a4) -> float:

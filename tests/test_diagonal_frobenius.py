@@ -449,12 +449,14 @@ def test_suites_independent_of_summand_order(algebras, pointed_category, name):
 # -- negative controls of the frobenius suite --------------------------------------
 
 
-def _z3_file_edited(pointed_category, mult=(), phi=()):
-    """The build-ffa file of Z_3 with the given mult channels (s1, s2, s3)
-    and phi summands multiplied by their factors, loaded again."""
+def _z3_file_edited(pointed_category, mult=(), phi=(), twist=()):
+    """The build-ffa file of Z_3 with the given mult channels (s1, s2, s3),
+    phi summands and twists of its category's labels multiplied by their
+    factors, loaded again."""
     doc = json.loads(df.emit_algebra(df.build_diagonal_algebra(pointed_category(3))))
     rows = [(row, dict(mult).get(tuple(row[:3]))) for row in doc["mult"]]
     rows += [(row, dict(phi).get(row[0])) for row in doc["phi"]]
+    rows += [(row, dict(twist).get(a)) for a, row in enumerate(doc["category"]["twist"])]
     for row, factor in rows:
         if factor is not None:
             row[-2:] = [x * factor for x in row[-2:]]
@@ -503,6 +505,71 @@ def test_frobenius_negative_control(pointed_category, monkeypatch, check_id):
               for rep in (restricted, full)]
     assert (check_id, ()) in failed[0]
     assert failed[0] == failed[1]
+
+
+# -- negative controls of the algebra-axioms and invariant-form suites --------------
+
+
+def _file_edit(**edits):
+    """A control that edits the Z_3 build-ffa file only."""
+    return lambda pointed_category, monkeypatch: _z3_file_edited(pointed_category, **edits)
+
+
+def _doubled_braid_route(pointed_category, monkeypatch):
+    # the suite's doubled braiding scaled by 2; the unedited file is read
+    braid = df.double_braid_layer
+    monkeypatch.setattr(df, "double_braid_layer", lambda *args: 2.0 * braid(*args))
+    return _z3_file_edited(pointed_category)
+
+
+# per check id of the algebra-axioms suite, a corruption on which it fails
+# the id: an edit of the Z_3 build-ffa file where one exists.  The two
+# commutativity routes read the same product entries and braid them by the
+# same R-blocks, so they agree on any file, and commutativity_routes_agree
+# needs a wrong route.  twist_trivial fails on a file whose category twists
+# label 1 but not its dual 2: verify-ffa does not check the category of an
+# algebra file for coherence.
+ALGEBRA_NEGATIVE_CONTROLS = {
+    "unit_left": _file_edit(mult={(0, 1, 1): 1.5}),
+    "unit_right": _file_edit(mult={(1, 0, 1): 1.5}),
+    "associativity": _file_edit(mult={(1, 1, 2): 1.5}),
+    "commutativity": _file_edit(mult={(1, 2, 0): 1.5}),
+    "commutativity_skew_route": _file_edit(mult={(1, 2, 0): 1.5}),
+    "commutativity_routes_agree": _doubled_braid_route,
+    "twist_trivial": _file_edit(twist={1: -1}),
+}
+
+# per check id of the invariant-form suite, an edited Z_3 build-ffa file
+# that fails it
+FORM_NEGATIVE_CONTROLS = {
+    "form_invariance": _file_edit(phi={1: 1.5}),
+    "pairing_symmetry": _file_edit(mult={(1, 2, 0): 1.5}),
+    "form_roundtrip": _file_edit(phi={1: 1.5}),
+}
+
+CONTROLLED_SUITES = {
+    "algebra-axioms": (df.verify_algebra_axioms, ALGEBRA_NEGATIVE_CONTROLS),
+    "invariant-form": (df.verify_invariant_form, FORM_NEGATIVE_CONTROLS),
+}
+
+
+@pytest.mark.parametrize("suite", CONTROLLED_SUITES)
+def test_every_algebra_and_form_check_id_has_a_negative_control(algebras, suite):
+    verify, controls = CONTROLLED_SUITES[suite]
+    assert {r.id for r in verify(algebras["ising"]).records} == set(controls)
+
+
+@pytest.mark.parametrize("suite, check_id", [
+    (suite, check_id) for suite, (_, controls) in CONTROLLED_SUITES.items()
+    for check_id in controls
+])
+def test_algebra_and_form_negative_control(pointed_category, monkeypatch, suite, check_id):
+    """The corruption fails ``check_id``; the unedited Z_3 file, which the
+    wrong route is run on, passes every check of the suite."""
+    verify, controls = CONTROLLED_SUITES[suite]
+    assert verify(_z3_file_edited(pointed_category), 1e-9).passed
+    alg = controls[check_id](pointed_category, monkeypatch)
+    assert check_id in {r.id for r in verify(alg, 1e-9).records if not r.ok}
 
 
 @pytest.mark.parametrize("name", BUILTINS)

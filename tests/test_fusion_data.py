@@ -323,21 +323,23 @@ def _dense_f_right_basis(data, a, b, c, d):
 def _dense_f_left_basis(data, a, b, c, d):
     out = []
     for y in range(data.size):
-        for k in range(data.n(y, c, d)):
-            for l in range(data.n(a, b, y)):
+        for l in range(data.n(a, b, y)):
+            for k in range(data.n(y, c, d)):
                 out.append((y, k, l))
     return out
 
 
 def _table_bases(data) -> dict:
     """The rows and the columns of every F-block as the F-table keys them,
-    (x, i, j) and (y, k, l) triples in block order, by block labels."""
+    (x, i, j) and (y, k, l) triples in block order, by block labels; the
+    table keys the columns by (y, l, k)."""
     F = data._f_table
     labels = list(zip(*(lab.tolist() for lab in F.labels)))
     out = {key: ([], []) for key in labels}
-    for side, (keys, radix) in enumerate(((F.row_keys, F.row_radix), (F.col_keys, F.col_radix))):
-        g, *cols = np.unravel_index(keys, radix)
-        for block, triple in zip(g.tolist(), zip(*(col.tolist() for col in cols))):
+    g, x, i, j = np.unravel_index(F.row_keys, F.row_radix)
+    h, y, l, k = np.unravel_index(F.col_keys, F.col_radix)
+    for side, (blocks, cols) in enumerate(((g, (x, i, j)), (h, (y, k, l)))):
+        for block, triple in zip(blocks.tolist(), zip(*(col.tolist() for col in cols))):
             out[labels[block]][side].append(triple)
     return out
 
@@ -387,6 +389,21 @@ def test_channel_walk_bases_match_dense_scan(oracle_input, name):
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_f_columns_are_the_trees_in_tree_order(oracle_input, name):
+    """The F-table keys each block's columns (y, l, k) in tree order: they
+    are the trees ((y, l), (d, k)) that ``Trees`` enumerates for the
+    block's word (a, b, c) -> d, in order."""
+    data = oracle_input(name)
+    F = data._f_table
+    a, b, c, d = F.labels
+    trees = Trees(data.ring, np.stack((a, b, c), axis=1), d)
+    g, y, l, k = np.unravel_index(F.col_keys, F.col_radix)
+    (tree_y, tree_d), (tree_l, tree_k) = trees.states, trees.mults
+    for got, want in ((g, trees.word), (y, tree_y), (l, tree_l), (k, tree_k), (d[g], tree_d)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, name):
     data = oracle_input(name)
     pent = list(fd.pentagon_residuals(data))
@@ -404,7 +421,34 @@ def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, na
 
 # -- the tree enumerator against the tuple walk -------------------------------
 
-ENUMERATOR_INPUTS = BUILTINS + ("z3", "z5", "z7", "rep_a4_random", "near_group_random") + tuple(
+@pytest.mark.parametrize("name", ("rep_a4_random", "near_group_random"))
+def test_hexagon_braids_are_the_braid_morphisms(oracle_input, name):
+    """Every hexagon reads its braids in the tree bases: at each instance
+    (a, b, c, t) and in both senses, the oracle's braid (1,2) and braid
+    (2,3) matrices are ``graphcalc.braid_morphism`` of (a, b, c) at letter
+    0 and of (b, a, c) at letter 1, at charge t, to 1e-12 relative.  With
+    fusion multiplicities a block's F-column order and its tree order
+    differ unless the table keys the columns in tree order, so reading a
+    braid's index in the one order and the other's in the other would fail
+    here; the batched hexagon matches the oracle bit for bit."""
+    data = oracle_input(name)
+    n = data.size
+    compared = 0
+    for sense, sign in (("+", 1), ("-", -1)):
+        for a, b, c in itertools.product(range(n), repeat=3):
+            first = gc.braid_morphism(data, (a, b, c), 0, sense)
+            second = gc.braid_morphism(data, (b, a, c), 1, sense)
+            for t in oracle.totals(data, (a, b, c)):
+                b12, b23, _ = oracle.hexagon_matrices(data, a, b, c, t, sign)
+                for got, want in ((b12, first.block(t)), (b23, second.block(t))):
+                    assert got.shape == want.shape
+                    gap = np.max(np.abs(got - want), initial=0.0)
+                    assert gap <= 1e-12 * np.max(np.abs(want), initial=0.0), (sense, a, b, c, t)
+                compared += 1
+    assert compared == len(list(fd.hexagon_residuals(data)))
+
+
+ENUMERATOR_INPUTS = BUILTINS +("z3", "z5", "z7", "rep_a4_random", "near_group_random") + tuple(
     f"su2_{k}" for k in range(2, 13)
 )
 

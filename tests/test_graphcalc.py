@@ -250,20 +250,17 @@ def test_unit_channel_entry_reads_the_list_bases_entry(oracle_input, name):
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_generator_f_blocks_match_the_list_bases(oracle_input, name):
-    """Every F-block and its inverse as the generators read them, with the
-    columns (rows) in tree order and the right trees off the table's row
-    keys, equals the block permuted by the list bases and ``trees``."""
+    """The F-block bases the generators read off the table (``_f_basis``)
+    are the list bases: the rows are the right trees (x, i, j), and the
+    columns (y, l, k) the trees of ``trees`` in order, so the generators
+    read F and its inverse as stored."""
     data = oracle_input(name)
     for word in zip(*(lab.tolist() for lab in data._f_table.labels)):
         p, a, b, q = word
-        left = {y: n for n, y in enumerate(co.f_left_basis(data, *word))}
-        perm = [left[(y, g, l)] for (y, l), (_, g) in gc.trees(data, (p, a, b), q)]
-        right = {x: n for n, x in enumerate(co.f_right_basis(data, *word))}
-        assert gc._f_trees(data, *word)[0] == right
-        assert np.array_equal(gc._f_trees(data, *word)[1], data.f_block(*word)[:, perm])
-        assert np.array_equal(
-            gc._f_trees(data, *word, inverse=True)[1], data.f_block_inv(*word)[perm, :]
-        )
+        rows, cols = gc._f_basis(data, *word)
+        assert rows == {x: n for n, x in enumerate(co.f_right_basis(data, *word))}
+        assert cols == {(y, l, k): n for n, (y, k, l) in enumerate(co.f_left_basis(data, *word))}
+        assert list(cols) == [(y, l, k) for (y, l), (_, k) in gc.trees(data, (p, a, b), q)]
 
 
 def _duality_maps(data, a):
@@ -595,27 +592,27 @@ def test_trivialized_twist_detected(categories):
 
 
 def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
-                                     outer_left, inner_left):
+                                     outer_left, inner_left, y_side):
     """The oracle: each row is the composite Morphism of the two vertices,
-    applied to the words through ``bending_oracle.vertex_at``, read at charge d."""
+    applied to the words through ``bending_oracle.vertex_at``, read at charge
+    d; the rows are listed as ``fusing_oracle.fusing_matrix_in_bases`` lists
+    them."""
     w0, w1, w2 = word
     tre = gc.trees(data, word, d)
     if not tre:
         return [], [], np.zeros((0, 0))
     rights, rvecs = [], []
     for x in sorted(outer_right):
-        for io, yo in enumerate(outer_right[x]):
-            for ii, yi in enumerate(inner_right[x]):
-                rights.append((x, io, ii))
-                comp = bo.vertex_at(data, yo, (w0, x), 0) @ bo.vertex_at(data, yi, word, 1)
-                rvecs.append(comp.block(d)[0, :])
+        for io, yo, ii, yi in fo.vertex_pairs(outer_right[x], inner_right[x], y_side == "right"):
+            rights.append((x, io, ii))
+            comp = bo.vertex_at(data, yo, (w0, x), 0) @ bo.vertex_at(data, yi, word, 1)
+            rvecs.append(comp.block(d)[0, :])
     lefts, lvecs = [], []
     for y in sorted(outer_left):
-        for io, yo in enumerate(outer_left[y]):
-            for ii, yi in enumerate(inner_left[y]):
-                lefts.append((y, io, ii))
-                comp = bo.vertex_at(data, yo, (y, w2), 0) @ bo.vertex_at(data, yi, word, 0)
-                lvecs.append(comp.block(d)[0, :])
+        for io, yo, ii, yi in fo.vertex_pairs(outer_left[y], inner_left[y], y_side == "left"):
+            lefts.append((y, io, ii))
+            comp = bo.vertex_at(data, yo, (y, w2), 0) @ bo.vertex_at(data, yi, word, 0)
+            lvecs.append(comp.block(d)[0, :])
     U = np.array(rvecs).reshape(len(rights), len(tre))
     V = np.array(lvecs).reshape(len(lefts), len(tre))
     return rights, lefts, U @ np.linalg.inv(V)
@@ -623,7 +620,7 @@ def _composed_fusing_matrix_in_bases(data, word, d, outer_right, inner_right,
 
 def _batched_fusing_matrices(data) -> dict:
     """Every braid and bend matrix of the batched suite, by (route, word)."""
-    words = FusingWords(data._f_table, data.ring, data._col_tree)
+    words = FusingWords(data._f_table, data.ring)
     images = gc.vertex_images(data, words.families)
     out = {}
     for route, stacks in words.matrices(images).items():

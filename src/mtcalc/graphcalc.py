@@ -429,9 +429,13 @@ def categorical_dim(data: CategoryData, a: int) -> complex:
     is an invariant of the data (negative for pseudo-real labels: -1 for
     the semion).  For a label that is not self-dual the loop value alone
     depends on the gauge; only its product with the loop value of ``a'`` is
-    invariant, and it equals d_a^2.
+    invariant, and it equals d_a^2.  Memoized on ``data``.
     """
-    return 1.0 / duality_fusing_scalar(data, a)
+    key = ("categorical_dim", a)
+    dim = data._local_cache.get(key)
+    if dim is None:
+        dim = data._local_cache[key] = 1.0 / duality_fusing_scalar(data, a)
+    return dim
 
 
 def _unit_channel_entry(data, a1, a2, a3, d, inverse=False) -> complex:

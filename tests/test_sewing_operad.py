@@ -4,12 +4,16 @@ import json
 import math
 import pathlib
 import pickle
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import operad_oracle
+from mtcalc import cli_io
 from mtcalc import sewing_operad as so
 from mtcalc.sewing_operad import (
     GaussRat,
@@ -24,6 +28,7 @@ from mtcalc.sewing_operad import (
     sew,
     vacuum_sphere,
 )
+from operad_oracle import distance
 
 
 # -- element validation --------------------------------------------------------
@@ -110,7 +115,7 @@ def test_identity_is_two_sided_unit():
         ident = identity_sphere()
         for i in range(1, q.arity + 1):
             assert sew(q, i, ident) == q
-        assert sew(ident, 1, q).distance(q) < 1e-14
+        assert distance(sew(ident, 1, q), q) < 1e-14
 
 
 def test_identity_exact_in_rational_mode():
@@ -132,7 +137,7 @@ def test_spec_style_example_matches_oracle():
     assert got.z == (3.5 + 0j, 2.5 + 0j)
     assert got.a == 0.5 + 0j
     assert got.scales == (1 + 0j, 2 + 0j, 2 + 0j)
-    assert got.distance(geometric_sew_oracle(p, 2, q)) < 1e-12
+    assert distance(got, geometric_sew_oracle(p, 2, q)) < 1e-12
 
 
 def test_vacuum_removal_drops_puncture_and_scaling():
@@ -143,7 +148,7 @@ def test_vacuum_removal_drops_puncture_and_scaling():
     # removing the final puncture re-translates into canonical form
     got = sew(p, 3, vacuum_sphere())
     assert got.arity == 2 and got.positions[-1] == 0j
-    assert got.distance(geometric_sew_oracle(p, 3, vacuum_sphere())) < 1e-12
+    assert distance(got, geometric_sew_oracle(p, 3, vacuum_sphere())) < 1e-12
 
 
 def test_formula_vs_oracle_randomized():
@@ -152,7 +157,7 @@ def test_formula_vs_oracle_randomized():
     for s in seeds:
         rng = np.random.default_rng(s)
         p, i, q = so._sample_sewable(rng, exact=False)
-        worst = max(worst, sew(p, i, q).distance(geometric_sew_oracle(p, i, q)))
+        worst = max(worst, distance(sew(p, i, q), geometric_sew_oracle(p, i, q)))
     assert worst < 1e-12
 
 
@@ -186,16 +191,17 @@ def test_exact_mode_identity_and_associativity_exact():
 def test_exact_mode_fails_on_a_nudge_below_float_resolution(monkeypatch):
     # the nudge is 1e-30 of an infinity parameter of order 1: a float
     # comparison cannot see it, so only the equality of exact elements fails
-    # the sewing formula against its oracle
-    plain_sew = so.sew
+    # the sewing formula against its oracle.  The formula is nudged where
+    # both ``sew`` and the suite's columns read it
+    plain_sew = so._sew_parts
 
-    def nudged_sew(*args, **kwargs):
-        out = plain_sew(*args, **kwargs)
-        if not out.arity:
-            return out  # the arity-0 element has infinity parameter 0
-        return PuncturedSphere(out.z, out.a + Fraction(1, 10 ** 30), out.scales)
+    def nudged_sew(*args):
+        z, a, scales = plain_sew(*args)
+        if not scales:
+            return z, a, scales  # the arity-0 element has infinity parameter 0
+        return z, a + Fraction(1, 10 ** 30), scales
 
-    monkeypatch.setattr(so, "sew", nudged_sew)
+    monkeypatch.setattr(so, "_sew_parts", nudged_sew)
     rep = so.verify_operad_axioms(trials=10, seed=7, exact=True)
     agree = [r for r in rep.records if r.id == "formula_vs_oracle"]
     assert len(agree) == 10
@@ -233,8 +239,8 @@ def test_misindexed_composition_detected():
             good = sew(p, i, sew(q, 1, r))
         except SewingError:
             continue
-        assert lhs.distance(good) < 1e-12
-        assert lhs.distance(bad) > 1e-6
+        assert distance(lhs, good) < 1e-12
+        assert distance(lhs, bad) > 1e-6
         found = True
         break
     assert found
@@ -247,8 +253,8 @@ def test_wrong_slot_breaks_associativity():
     lhs = sew(sew(p, 1, q), 1, r)     # acts on the first inserted slot
     good = sew(p, 1, sew(q, 1, r))
     bad = sew(p, 1, sew(q, 2, r))
-    assert lhs.distance(good) < 1e-12
-    assert lhs.distance(bad) > 1e-2
+    assert distance(lhs, good) < 1e-12
+    assert distance(lhs, bad) > 1e-2
 
 
 # -- permutations ------------------------------------------------------------
@@ -282,7 +288,7 @@ def test_permutation_group_action():
         sigma = tuple(int(v) + 1 for v in rng.permutation(4))
         tau = tuple(int(v) + 1 for v in rng.permutation(4))
         comp = tuple(sigma[tau[j] - 1] for j in range(4))
-        assert permute(p, comp).distance(permute(permute(p, tau), sigma)) < 1e-12
+        assert distance(permute(p, comp), permute(permute(p, tau), sigma)) < 1e-12
 
 
 def test_sewing_equivariance():
@@ -299,7 +305,7 @@ def test_sewing_equivariance():
             )
         except SewingError:
             continue
-        assert lhs.distance(rhs) < 1e-12
+        assert distance(lhs, rhs) < 1e-12
         done += 1
         if done >= 60:
             break
@@ -497,8 +503,7 @@ def test_random_sphere_matches_scalar_draws(exact):
 
 
 def _distance_with_max(P, Q):
-    """``PuncturedSphere.distance`` through ``max``: the running maximum's
-    oracle."""
+    """The float distance through ``max``: the running maximum's oracle."""
     if P.arity != Q.arity:
         return float("inf")
     vals = [complex(P.a) - complex(Q.a)]
@@ -548,7 +553,10 @@ def test_running_extremes_match_max_and_min():
                 want = float("inf")
             else:
                 want = 0.0 if P == R else 1.0
-            assert _same(P.distance(R), want)
+            assert _same(distance(P, R), want)
+            # the suite's distance, on one-lane columns
+            lanes = so._distance(so._parts_of([P]), so._parts_of([R]), exact)
+            assert lanes.shape == (1,) and _same(float(lanes[0]), want)
         for i in range(1, P.arity + 1):
             got, want = so._sew_bounds(P, i, Q), _sew_bounds_with_max(P, i, Q)
             assert _same(got[0], want[0])
@@ -609,39 +617,186 @@ def test_is_sewable_matches_grid_scan_near_the_boundary():
     assert decided_later > 500
 
 
+# -- the two stages of the suite ---------------------------------------------
+
+
+def _operad_report(monkeypatch, argv, verify):
+    """``operad-check`` output through ``verify``, its wall time masked."""
+    with monkeypatch.context() as m:
+        m.setattr(so, "verify_operad_axioms", verify)
+        status, out = cli_io.run_suite(argv)
+    return status, re.sub(r"wall_time=\S+", "wall_time=", out)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_two_stages_match_the_trial_by_trial_suite(monkeypatch, exact):
+    # the batched residuals and the per-trial oracle write the same reports,
+    # byte for byte; one trial makes every shape group a single lane
+    plain = so.verify_operad_axioms
+    single = 0
+    for seed in (0, 1, 5, 7, 42, 77):
+        for trials in (1, 2, 40):
+            groups = Counter(
+                (P.arity, i, Q.arity) for P, i, Q in so._draw(trials, seed, exact).main
+            )
+            single += sum(n == 1 for n in groups.values())
+            for fmt in ("json", "text"):
+                argv = ["operad-check", "--trials", str(trials), "--seed", str(seed),
+                        "--format", fmt] + (["--exact"] if exact else [])
+                got = _operad_report(monkeypatch, argv, plain)
+                want = _operad_report(monkeypatch, argv, operad_oracle.verify_operad_axioms)
+                assert got == want, argv
+    assert single >= 12
+
+
+# the lanes of test_coincidence_after_translation_raises: sewing Q into the
+# last slot of P gives p's punctures in the order of permute(p, (1, 2, 4, 3)),
+# and the translation by -1e16 makes them coincide; with scalings of 1e-170
+# the squared outer radius underflows to 0, so no slot can be sewn
+_COINCIDENT = (
+    PuncturedSphere((1 + 0j, 1 + 2**-52 + 0j), 0j, (1 + 0j,) * 3), 3,
+    PuncturedSphere((1e16 + 0j,), 1e16 + 0j, (1 + 0j,) * 2),
+)
+_UNSEWABLE = (
+    PuncturedSphere((1 + 0j, 1 + 2**-52 + 0j), 0j, (1e-170 + 0j,) * 3), 1,
+    identity_sphere(),
+)
+
+
+def _sampling(monkeypatch, triples):
+    """Make ``_sample_sewable`` return triples[k] in the k-th trial."""
+    rngs = []
+
+    def sample(rng, exact):
+        if not any(r is rng for r in rngs):
+            rngs.append(rng)
+        return triples[next(k for k, r in enumerate(rngs) if r is rng)]
+
+    monkeypatch.setattr(so, "_sample_sewable", sample)
+
+
+# p of test_coincidence_after_translation_raises, whose permutation
+# (1, 2, 4, 3) = sigma tau is refused; and a pair whose rescalings underflow
+_PERMUTED = (
+    PuncturedSphere((1 + 0j, 1 + 2**-52 + 0j, -1e16 + 0j), 0j, (1 + 0j,) * 4), 1,
+    identity_sphere(),
+)
+_UNDERFLOW = (
+    PuncturedSphere((1 + 0j,), 0j, (1e-170 + 0j, 1 + 0j)), 2,
+    PuncturedSphere((), 0j, (1e-170 + 0j,)),
+)
+
+
+def _stage_two_error(monkeypatch, main, perms):
+    """The error ``_residuals`` raises on the drawn triples and 0-based
+    permutations (sigma, tau); the oracle is stubbed out, so that the error
+    can only be a flagged lane's."""
+    monkeypatch.setattr(so, "geometric_sew_oracle", lambda P, i, Q, check=True: P)
+    draws = so._Draws(main, [None] * len(main), [None] * len(main),
+                      [tuple(map(np.array, p)) for p in perms], None)
+    with pytest.raises(SewingError) as err:
+        so._residuals(draws, exact=False)
+    return str(err.value)
+
+
+_IDENTITY4 = ([0, 1, 2, 3], [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("main, perms, want", [
+    ([_COINCIDENT], [([0, 1, 2],) * 2], lambda: sew(*_COINCIDENT, check=False)),
+    ([_UNSEWABLE], [([0, 1, 2],) * 2], lambda: sew(_UNSEWABLE[0], 1, identity_sphere())),
+    ([_PERMUTED], [([0, 1, 3, 2], [0, 1, 2, 3])], lambda: permute(_PERMUTED[0], (1, 2, 4, 3))),
+    ([_UNDERFLOW], [([0, 1],) * 2], lambda: rescaling_sphere(1e-170 * (1e-170 + 0j))),
+    # trial order first: trial 0 fails a later check than trial 1
+    ([_PERMUTED, _UNSEWABLE], [([0, 1, 3, 2], [0, 1, 2, 3]), ([0, 1, 2],) * 2],
+     lambda: permute(_PERMUTED[0], (1, 2, 4, 3))),
+], ids=["formula", "identity_right", "permutation", "rescaling", "trial-order"])
+def test_flagged_lane_raises_the_scalar_error(monkeypatch, main, perms, want):
+    with pytest.raises(SewingError) as err:
+        want()
+    assert _stage_two_error(monkeypatch, main, perms) == str(err.value)
+
+
+def test_suite_errors_match_the_trial_by_trial_suite(monkeypatch):
+    # stage 1 keeps drawing past the lanes it cannot sew; the error raised
+    # is the one the trial-by-trial suite raises first
+    for triples in ([_COINCIDENT], [_UNSEWABLE], [_COINCIDENT, _UNSEWABLE]):
+        errors = []
+        for verify in (so.verify_operad_axioms, operad_oracle.verify_operad_axioms):
+            _sampling(monkeypatch, triples)
+            with pytest.raises(SewingError) as err:
+                verify(trials=len(triples), seed=3)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1], triples
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_sewable_lanes_match_is_sewable(exact):
+    rng = np.random.default_rng(41)
+    triples = []
+    for _ in range(600):
+        P = so.random_sphere(rng, int(rng.integers(1, 4)), exact)
+        Q = so.random_sphere(rng, int(rng.integers(0, 4)), exact)
+        triples.append((P, int(rng.integers(1, P.arity + 1)), Q))
+    if not exact:  # inner > 0 near the boundary, where the grid decides
+        for _ in range(300):
+            lo = float(np.exp(rng.uniform(-5.0, 5.0)))
+            ratio = (1.0 + so.SEW_MARGIN) ** float(rng.uniform(1.0, 2.0))
+            triples.append((PuncturedSphere((lo + 0j,), 0j, (1 + 0j, ratio + 0j)), 2,
+                            PuncturedSphere((), lo + 0j, (1 + 0j,))))
+        triples.append(_UNSEWABLE)
+    seen = set()
+    groups = Counter((P.arity, i, Q.arity) for P, i, Q in triples)
+    for m, i, n in groups:
+        lanes = [(P, Q) for P, j, Q in triples if (P.arity, j, Q.arity) == (m, i, n)]
+        pos, _, scales = so._positions_of([P for P, _ in lanes])
+        qpos, qa, _ = so._positions_of([Q for _, Q in lanes])
+        got = so._sewable_lanes(pos, scales, i, qpos, qa, exact)
+        want = [is_sewable(P, i, Q) for P, Q in lanes]
+        assert got.tolist() == want, (m, i, n)
+        seen.update(want)
+    assert seen == {True, False}
+
+
 # -- negative controls ---------------------------------------------------------
 
 
+# The controls corrupt the module global that the checked route reads: a
+# parts function (``_sew_parts``, ``_permute_parts``, ``_rescaling_parts``)
+# where the suite evaluates the check on columns, and ``sew`` or
+# ``insertion_permutation`` where it runs on single elements.  A corrupted
+# parts function reaches single elements too, through ``sew`` and ``permute``.
+
+
 def _sew_scaling_inserts_by(rule):
-    """``sew`` whose k-th inserted slot gets the scaling rule(s, t, k), where
-    s is the sewn slot's scaling and t the inner one, instead of s * t."""
-    plain = so.sew
+    """``_sew_parts`` whose k-th inserted slot gets the scaling rule(s, t, k),
+    where s is the sewn slot's scaling and t the inner one, instead of s * t."""
+    plain = so._sew_parts
 
-    def sew(P, i, Q, check=True):
-        out = plain(P, i, Q, check)
-        scales = list(out.scales)
-        s = P.scales[i - 1]
-        scales[i - 1:i - 1 + Q.arity] = [rule(s, t, k) for k, t in enumerate(Q.scales)]
-        return PuncturedSphere(out.z, out.a, scales)
+    def sew_parts(ppos, pa, pscales, i, qpos, qa, qscales):
+        z, a, scales = plain(ppos, pa, pscales, i, qpos, qa, qscales)
+        s = pscales[i - 1]
+        inserted = tuple(rule(s, t, k) for k, t in enumerate(qscales))
+        return z, a, scales[:i - 1] + inserted + scales[i - 1 + len(qscales):]
 
-    return sew
+    return sew_parts
 
 
 def _sew_ignoring_inner_infinity(monkeypatch):
     # the inner punctures are not translated by the inner infinity parameter
-    plain = so.sew
-    monkeypatch.setattr(so, "sew", lambda P, i, Q, check=True: plain(
-        P, i, PuncturedSphere(Q.z, so._zero_like(Q.a), Q.scales), check))
+    plain = so._sew_parts
+    monkeypatch.setattr(so, "_sew_parts", lambda ppos, pa, pscales, i, qpos, qa, qscales: plain(
+        ppos, pa, pscales, i, qpos, so._zero_like(qa), qscales))
 
 
 def _sew_dropping_outer_scaling(monkeypatch):
     # the inserted slots forget the scaling of the slot they are sewn into
-    monkeypatch.setattr(so, "sew", _sew_scaling_inserts_by(lambda s, t, k: t))
+    monkeypatch.setattr(so, "_sew_parts", _sew_scaling_inserts_by(lambda s, t, k: t))
 
 
 def _sew_scaling_first_insert_only(monkeypatch):
     # only the first inserted slot is rescaled by the sewn slot's scaling
-    monkeypatch.setattr(so, "sew", _sew_scaling_inserts_by(
+    monkeypatch.setattr(so, "_sew_parts", _sew_scaling_inserts_by(
         lambda s, t, k: t if k else s * t))
 
 
@@ -653,9 +808,9 @@ def _oracle_with_negated_infinity_charts(monkeypatch):
 
 def _vacuum_removes_next_slot(monkeypatch):
     # sewing the vacuum removes the slot after the sewn one
-    plain = so.sew
-    monkeypatch.setattr(so, "sew", lambda P, i, Q, check=True: plain(
-        P, i % P.arity + 1 if not Q.arity else i, Q, check))
+    plain = so._sew_parts
+    monkeypatch.setattr(so, "_sew_parts", lambda ppos, pa, pscales, i, qpos, qa, qscales: plain(
+        ppos, pa, pscales, i % len(pscales) + 1 if not qscales else i, qpos, qa, qscales))
 
 
 def _sewn_element_not_relabeled(monkeypatch):
@@ -664,16 +819,21 @@ def _sewn_element_not_relabeled(monkeypatch):
 
 
 def _permute_by_inverse(monkeypatch):
-    # slot j of the result is slot sigma(j), not sigma^{-1}(j): a right action
-    plain = so.permute
-    monkeypatch.setattr(so, "permute", lambda P, sigma: plain(
-        P, tuple(sigma.index(j) + 1 for j in range(1, len(sigma) + 1))))
+    # slot j of the result is slot sigma(j), not sigma^{-1}(j): a right
+    # action.  ``_permute_parts`` reads slot inv[j] = sigma^{-1}(j); the
+    # inverse of inv, an int or a column of them per slot, is sigma
+    plain = so._permute_parts
+
+    def inverse(inv):
+        return tuple(sum(k * (v == j) for k, v in enumerate(inv)) for j in range(len(inv)))
+
+    monkeypatch.setattr(so, "_permute_parts", lambda positions, a, scales, inv: plain(
+        positions, a, scales, inverse(inv)))
 
 
 def _rescaling_with_translation(monkeypatch):
     # the rescaling element of c also translates by c - 1 (none for c = 1)
-    monkeypatch.setattr(so, "rescaling_sphere",
-                        lambda c: PuncturedSphere((), c - 1, (c,)))
+    monkeypatch.setattr(so, "_rescaling_parts", lambda c: ((), c - 1, (c,)))
 
 
 # per check id of operad-check, a mutated route that fails it

@@ -8,7 +8,8 @@ formula, and by an independent Moebius-composition oracle that glues the
 charts through w -> -1/w and re-solves the canonical normalization.
 
 All arithmetic is generic over the scalar type: complex floats, or exact
-Gaussian rationals (`GaussRat`) for the tolerance-free mode.
+Gaussian rationals (`GaussRat`) for the tolerance-free mode, whose squared
+radii (`_Abs2`) are compared by cross-multiplying integers.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ SEW_MARGIN = 1e-6
 # a randomized check makes before it gives up on a sewable sample
 SPREAD = 4.0
 MAX_TRIES = 500
+_LOW, _HIGH = np.tile([-8, 1, -8, 1], 16), np.tile([9, 5, 9, 5], 16)  # bounds of 16 exact numbers
 
 
 class SewingError(ValueError):
@@ -74,10 +76,10 @@ class GaussRat:
         g = gcd(x, y, d)
         if g != 1:
             x, y, d = x // g, y // g, d // g
-        out = object.__new__(cls)
-        object.__setattr__(out, "_x", x)
-        object.__setattr__(out, "_y", y)
-        object.__setattr__(out, "_d", d)
+        out = _new(cls)
+        _set_x(out, x)
+        _set_y(out, y)
+        _set_d(out, d)
         return out
 
     def __setattr__(self, name, value):
@@ -95,7 +97,7 @@ class GaussRat:
         return Fraction(self._y, self._d)
 
     def __add__(self, o):
-        x, y, d = _parts(o)
+        x, y, d = (o._x, o._y, o._d) if o.__class__ is GaussRat else _parts(o)
         e = self._d
         return GaussRat._make(self._x * d + x * e, self._y * d + y * e, e * d)
 
@@ -105,7 +107,7 @@ class GaussRat:
         return GaussRat._make(-self._x, -self._y, self._d)
 
     def __sub__(self, o):
-        x, y, d = _parts(o)
+        x, y, d = (o._x, o._y, o._d) if o.__class__ is GaussRat else _parts(o)
         e = self._d
         return GaussRat._make(self._x * d - x * e, self._y * d - y * e, e * d)
 
@@ -113,7 +115,7 @@ class GaussRat:
         return -self + o
 
     def __mul__(self, o):
-        x, y, d = _parts(o)
+        x, y, d = (o._x, o._y, o._d) if o.__class__ is GaussRat else _parts(o)
         a, b = self._x, self._y
         return GaussRat._make(a * x - b * y, a * y + b * x, self._d * d)
 
@@ -121,7 +123,7 @@ class GaussRat:
 
     def __truediv__(self, o):
         # (a + ib)/e / ((x + iy)/d) = (a + ib)(x - iy) d / (e (x^2 + y^2))
-        x, y, d = _parts(o)
+        x, y, d = (o._x, o._y, o._d) if o.__class__ is GaussRat else _parts(o)
         n = x * x + y * y
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -134,12 +136,15 @@ class GaussRat:
     def abs2(self) -> Fraction:
         return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
+    def __abs__(self) -> float:
+        return sqrt(self.abs2())
+
     def __bool__(self):
         return bool(self._x) or bool(self._y)
 
     def __eq__(self, o):
         try:
-            x, y, d = _parts(o)
+            x, y, d = (o._x, o._y, o._d) if o.__class__ is GaussRat else _parts(o)
         except TypeError:
             return NotImplemented
         return self._x == x and self._y == y and self._d == d
@@ -163,9 +168,7 @@ class GaussRat:
 
 
 def _parts(x):
-    """Canonical (x, y, d) of an exact scalar; floats are refused."""
-    if isinstance(x, GaussRat):
-        return x._x, x._y, x._d
+    """Canonical (x, y, d) of an int or a Fraction; floats are refused."""
     if isinstance(x, int):
         return x, 0, 1
     if isinstance(x, Fraction):
@@ -175,22 +178,44 @@ def _parts(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 
 
+class _Abs2:
+    """|x|^2 = n/d of a ``GaussRat``, compared by cross-multiplying (``a < b`` as
+    ``b > a``); a class, as numpy would unpack a tuple into an object column."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n, d):
+        self.numerator, self.denominator = n, d
+
+    def __mul__(self, o):
+        return _Abs2(self.numerator * o.numerator, self.denominator * o.denominator)
+
+    def __gt__(self, o):
+        return self.numerator * o.denominator > o.numerator * self.denominator
+
+    def __eq__(self, o):
+        return self.numerator * o.denominator == o.numerator * self.denominator
+
+    def __float__(self):  # correctly rounded, as Fraction.__float__ is
+        return self.numerator / self.denominator
+
+
 def _abs2(x):
-    if isinstance(x, GaussRat):
-        return x.abs2()
-    x = complex(x)
+    """|x|^2: a float, or for a ``GaussRat`` an ``_Abs2``."""
+    if x.__class__ is not complex:
+        if x.__class__ is GaussRat:
+            return _Abs2(x._x * x._x + x._y * x._y, x._d * x._d)
+        x = complex(x)
     return x.real * x.real + x.imag * x.imag
-
-
-_ZERO = GaussRat(0)
 
 
 def _zero_like(x):
     """The zero of x's scalar type; for a column, a column of zeros."""
-    if isinstance(x, GaussRat):
-        return _ZERO
-    if isinstance(x, np.ndarray):
-        return np.full(x.shape, _zero_like(x[0]), dtype=object)
+    if x.__class__ is not complex:
+        if isinstance(x, GaussRat):
+            return _ZERO
+        if isinstance(x, np.ndarray):
+            return np.full(x.shape, _zero_like(x[0]), dtype=object)
     return 0j
 
 
@@ -229,11 +254,10 @@ class PuncturedSphere:
         for s in scales:
             if not s:
                 raise SewingError("scalings must be nonzero")
-        _set = object.__setattr__
-        _set(self, "z", z)
-        _set(self, "a", a)
-        _set(self, "scales", scales)
-        _set(self, "positions", pos)
+        _set_z(self, z)
+        _set_a(self, a)
+        _set_scales(self, scales)
+        _set_positions(self, pos)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PuncturedSphere is immutable; cannot set {name!r}")
@@ -262,6 +286,13 @@ class PuncturedSphere:
 
     def is_exact(self) -> bool:
         return isinstance(self.a, GaussRat)
+
+
+# ``GaussRat._make`` and ``PuncturedSphere.__init__`` set slots by descriptor
+_new = object.__new__
+_set_x, _set_y, _set_d, _set_z, _set_a, _set_scales, _set_positions = (
+    cls.__dict__[k].__set__ for cls in (GaussRat, PuncturedSphere) for k in cls.__slots__)
+_ZERO = GaussRat(0)
 
 
 def vacuum_sphere(exact: bool = False) -> PuncturedSphere:
@@ -297,7 +328,7 @@ def _sew_bounds(P: PuncturedSphere, i: int, Q: PuncturedSphere):
     outer = None
     for p in ppos[:i - 1] + ppos[i:]:
         cand = s2 * _abs2(p - zi)
-        if outer is None or cand < outer:
+        if outer is None or outer > cand:
             outer = cand
     return inner, outer  # squared radii
 
@@ -340,7 +371,7 @@ def _radius_fits(r, inner, outer) -> bool:
 def _abs2_lanes(x: np.ndarray, exact: bool) -> np.ndarray:
     """``_abs2`` of each lane of a column."""
     if exact:
-        return _column([v.abs2() for v in x])
+        return _column([_abs2(v) for v in x])
     x = x.astype(complex)
     return x.real * x.real + x.imag * x.imag
 
@@ -360,7 +391,7 @@ def _sewable_lanes(ppos, pscales, i, qpos, qa, exact: bool) -> np.ndarray:
     outer = s2 * _abs2_lanes(others[0] - zi, exact)
     for p in others[1:]:
         cand = s2 * _abs2_lanes(p - zi, exact)
-        outer = np.where(cand < outer, cand, outer)
+        outer = np.where(outer > cand, cand, outer)
     return np.array([_window(x, y, exact) for x, y in zip(inner.tolist(), outer.tolist())], bool)
 
 
@@ -464,12 +495,11 @@ class _Moebius:
         self.p, self.q, self.r, self.s = p, q, r, s
 
     def __matmul__(self, o: "_Moebius") -> "_Moebius":
-        return _Moebius(
-            self.p * o.p + self.q * o.r,
-            self.p * o.q + self.q * o.s,
-            self.r * o.p + self.s * o.r,
-            self.r * o.q + self.s * o.s,
-        )
+        if self.p.__class__ is GaussRat:
+            return _Moebius(_dot(self.p, o.p, self.q, o.r), _dot(self.p, o.q, self.q, o.s),
+                            _dot(self.r, o.p, self.s, o.r), _dot(self.r, o.q, self.s, o.s))
+        return _Moebius(self.p * o.p + self.q * o.r, self.p * o.q + self.q * o.s,
+                        self.r * o.p + self.s * o.r, self.r * o.q + self.s * o.s)
 
     def inverse(self) -> "_Moebius":
         return _Moebius(self.s, -1 * self.q, -1 * self.r, self.p)
@@ -483,6 +513,14 @@ class _Moebius:
     def derivative(self, x):
         den = self.r * x + self.s
         return (self.p * self.s - self.q * self.r) / (den * den)
+
+
+def _dot(a, b, c, e):
+    """a*b + c*e over exact scalars, without the products that have a zero
+    factor: affine charts have r = 0, the gluing map p = s = 0."""
+    if a and b:
+        return a * b + c * e if c and e else a * b
+    return c * e if c and e else _ZERO
 
 
 def _affine(c, p):
@@ -540,7 +578,7 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     t = ordered[-1][0]
     translate = _Moebius(one, t, zero, one)
     shifted = inf_chart @ translate
-    if shifted.p != zero and abs(complex(shifted.p)) > 1e-12 * abs(complex(shifted.r)):
+    if shifted.p != zero and abs(shifted.p) > 1e-12 * abs(shifted.r):
         raise SewingError("degenerate normalization: infinity chart moved")
     alpha = -1 * shifted.q / shifted.r
     norm = translate @ _Moebius(alpha, zero, zero, one)
@@ -610,17 +648,19 @@ def random_sphere(rng, arity: int, exact: bool = False) -> PuncturedSphere:
     ``rng.normal(0, SPREAD)`` gives; an exact one is p/q + i r/s with
     p, r in [-8, 8] and q, s in [1, 4].
     """
+    n = 2 * arity  # numbers per attempt
+    if exact:  # an attempt's bounds; the vacuum still draws its infinity parameter
+        k = 4 * max(n, 1)
+        low, high = [b[:k] if k <= b.size else np.resize(b, k) for b in (_LOW, _HIGH)]
     if arity == 0:
-        # the vacuum still spends the draws of its infinity parameter
         if exact:
-            rng.integers([-8, 1, -8, 1], [9, 5, 9, 5])
+            rng.integers(low, high)
         else:
             rng.standard_normal(2)
         return vacuum_sphere(exact)
-    n = 2 * arity  # numbers per attempt
     while True:
         if exact:
-            v = rng.integers([-8, 1, -8, 1] * n, [9, 5, 9, 5] * n).tolist()
+            v = rng.integers(low, high).tolist()
             nums = [GaussRat._make(p * s, r * q, q * s)
                     for p, q, r, s in zip(v[0::4], v[1::4], v[2::4], v[3::4])]
             a = nums[arity - 1]

@@ -1,6 +1,7 @@
 """The operad suite trial by trial, the oracle of the two-stage
-``sewing_operad.verify_operad_axioms``; and ``distance``, the residual of
-two elements, which judges single sews in the tests.
+``sewing_operad.verify_operad_axioms``; ``distance``, the residual of two
+elements, which judges single sews in the tests; and ``moebius_product``,
+the oracle of the geometric oracle's chart compositions.
 
 ``verify_operad_axioms`` runs every check of a trial on single elements,
 through ``sew``, ``permute`` and ``rescaling_sphere``, in the order the
@@ -33,6 +34,14 @@ def distance(x: PuncturedSphere, y: PuncturedSphere) -> float:
         if d > worst:
             worst = d
     return worst
+
+
+def moebius_product(m, o):
+    """The full 2x2 product of two ``_Moebius`` maps, every term kept: the
+    oracle of ``_Moebius.__matmul__``, which leaves out the exact products
+    that have a zero factor."""
+    return so._Moebius(m.p * o.p + m.q * o.r, m.p * o.q + m.q * o.s,
+                       m.r * o.p + m.s * o.r, m.r * o.q + m.s * o.s)
 
 
 def verify_operad_axioms(trials: int = 100, seed: int = 42,

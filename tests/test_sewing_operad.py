@@ -161,6 +161,41 @@ def test_formula_vs_oracle_randomized():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_oracle_matches_full_moebius_products(monkeypatch, exact):
+    # the exact chart compositions leave out the products with a zero
+    # factor; with every product kept, each oracle element is the same
+    # (float: bit for bit, as every term is still summed)
+    rng = np.random.default_rng(47)
+    triples = [so._sample_sewable(rng, exact) for _ in range(60)]
+    got = [geometric_sew_oracle(P, i, Q, check=False) for P, i, Q in triples]
+    monkeypatch.setattr(so._Moebius, "__matmul__", operad_oracle.moebius_product)
+    want = [geometric_sew_oracle(P, i, Q, check=False) for P, i, Q in triples]
+    assert [_exact_parts(x) for x in got] == [_exact_parts(x) for x in want]
+    assert got == want
+
+
+def test_exact_moebius_product_matches_the_full_product():
+    rng = np.random.default_rng(53)
+
+    def entry():
+        if rng.random() < 0.4:
+            return GaussRat(0)
+        return GaussRat(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                        Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))))
+
+    zeros = 0
+    for _ in range(500):
+        m, o = (so._Moebius(entry(), entry(), entry(), entry()) for _ in range(2))
+        got, want = m @ o, operad_oracle.moebius_product(m, o)
+        for k in "pqrs":
+            assert getattr(got, k).__class__ is GaussRat
+            assert (getattr(got, k).re, getattr(got, k).im) == (getattr(want, k).re,
+                                                                getattr(want, k).im)
+        zeros += not got.p
+    assert zeros > 50
+
+
 def test_unsewable_raises():
     # huge inner spread vs tight outer slot: the disks must collide
     p = PuncturedSphere((0.01 + 0j,), 0j, (1 + 0j, 1 + 0j))
@@ -430,7 +465,7 @@ def _random_fraction(rng):
 
 
 def test_gauss_rational_matches_fraction_pair_oracle():
-    rng = np.random.default_rng(17)
+    rng, mixed = np.random.default_rng(17), np.random.default_rng(18)
     for _ in range(500):
         parts = [_random_fraction(rng) for _ in range(4)]
         if rng.random() < 0.2:
@@ -448,6 +483,32 @@ def test_gauss_rational_matches_fraction_pair_oracle():
             assert got == GaussRat(want.re, want.im)
             assert (got == want.re) == (want.im == 0)
         assert (x == y) == (fx == fy)
+        # an int or a Fraction on either side goes through ``_parts``
+        k, f = int(mixed.integers(-9, 10)), _random_fraction(mixed) or Fraction(3, 2)
+        fk, ff = _FractionPair(Fraction(k), Fraction(0)), _FractionPair(f, Fraction(0))
+        ops = [(x + k, fx + fk), (k + x, fk + fx), (x - k, fx - fk), (k - x, fk - fx),
+               (k * x, fk * fx), (x * f, fx * ff), (f * x, ff * fx), (x / f, fx / ff),
+               (f - x, ff - fx), (x + f, fx + ff)]
+        if k:
+            ops.append((x / k, fx / fk))
+        if fx.abs2():
+            ops += [(k / x, fk / fx), (f / x, ff / fx)]
+        for got, want in ops:
+            assert got.__class__ is GaussRat
+            assert (got.re, got.im) == (want.re, want.im)
+        assert (x == k) == (k == x) == (fx == fk)
+        assert (x == f) == (f == x) == (fx == ff)
+    x = GaussRat(1, 2)
+    assert (x + 1, 1 - x, 2 * x, x / Fraction(3, 2), 1 / x) == (
+        GaussRat(2, 2), GaussRat(0, -2), GaussRat(2, 4),
+        GaussRat(Fraction(2, 3), Fraction(4, 3)), GaussRat(Fraction(1, 5), Fraction(-2, 5)))
+    assert GaussRat(1) == 1 and 1 == GaussRat(1) and x != 1
+    for op in (lambda v: x + v, lambda v: v + x, lambda v: x - v, lambda v: v - x,
+               lambda v: x * v, lambda v: v * x, lambda v: x / v, lambda v: v / x):
+        for v in (0.5, 2.0, 0.5j, 1 + 0j):
+            with pytest.raises(TypeError):
+                op(v)
+    assert not x == 0.5 and x != 0.5j
 
 
 def _scalar_random_sphere(rng, arity, exact=False, spread=4.0):
@@ -499,6 +560,17 @@ def test_random_sphere_matches_scalar_draws(exact):
             assert got == want
             assert _exact_parts(got) == _exact_parts(want)
             assert got.positions == want.positions
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_sphere_draws_past_the_prebuilt_bounds():
+    # an exact attempt of arity above 8 draws more ints than the prebuilt
+    # bound arrays hold; its stream is still that of the scalar draws
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for arity in (8, 9, 12, 0, 9):
+            got = so.random_sphere(rng, arity, exact=True)
+            assert _exact_parts(got) == _exact_parts(_scalar_random_sphere(ref, arity, True))
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -615,6 +687,66 @@ def test_is_sewable_matches_grid_scan_near_the_boundary():
         assert is_sewable(P, 2, Q) == want
         decided_later += want and not _grid_is_sewable(P, 2, Q, points=1)
     assert decided_later > 500
+
+
+def _fraction_bounds(P, i, Q):
+    """``_sew_bounds`` of exact elements through the Fractions of
+    ``GaussRat.abs2()``: the oracle of its integer comparisons."""
+    inner = max(((xi - Q.a).abs2() for xi in Q.positions), default=0)
+    zi = P.positions[i - 1]
+    outers = [P.scales[i - 1].abs2() * (p - zi).abs2()
+              for j, p in enumerate(P.positions) if j != i - 1]
+    return inner, min(outers, default=None)
+
+
+def _exact_window_edges(rng):
+    """Exact triples (P, 2, Q) on the edge of the window: Q's puncture lies at
+    the modulus |s z| of the outer radius from its infinity parameter, times
+    1 (a tie, refused), just above 1 (refused) or just below 1 (accepted)."""
+    def num():
+        return GaussRat(Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5))),
+                        Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5))))
+
+    s, z = num(), num()
+    a, c = int(rng.integers(1, 9)), int(rng.integers(0, 9))
+    unit = GaussRat(Fraction(a * a - c * c, a * a + c * c), Fraction(2 * a * c, a * a + c * c))
+    P = PuncturedSphere((z,), GaussRat(0), (GaussRat(1), s))
+    eps = Fraction(1, 10**12)
+    return [(P, 2, PuncturedSphere((), s * z * unit * (1 + t), (GaussRat(1),)))
+            for t in (0, eps, -eps)]
+
+
+def test_exact_radii_match_the_fraction_route():
+    # the squared radii compare by cross-multiplying integers; every bound
+    # and decision is that of GaussRat.abs2()'s Fractions, ties refused
+    rng = np.random.default_rng(43)
+    triples = []
+    for _ in range(300):
+        P = so.random_sphere(rng, int(rng.integers(1, 5)), exact=True)
+        Q = so.random_sphere(rng, int(rng.integers(0, 5)), exact=True)
+        triples.append((P, int(rng.integers(1, P.arity + 1)), Q))
+    for _ in range(100):
+        triples += _exact_window_edges(rng)
+    decisions = Counter()
+    for P, i, Q in triples:
+        inner, outer = _fraction_bounds(P, i, Q)
+        want = outer is None or inner < outer
+        assert so._sew_bounds(P, i, Q) == (inner, outer)
+        assert is_sewable(P, i, Q) == want
+        # a float vacuum makes the window a float one, on the same radius
+        assert is_sewable(P, i, vacuum_sphere()) == (
+            outer is None or so._window(0.0, float(outer), exact=False))
+        decisions[Q.arity == 0, inner == outer, want] += 1
+    assert decisions[False, True, False] >= 100  # the ties
+    assert decisions[True, False, True] > 0  # an arity-0 Q: inner is 0
+    assert {want for (_, _, want) in decisions} == {True, False}
+    groups = Counter((P.arity, i, Q.arity) for P, i, Q in triples)
+    for m, i, n in groups:
+        lanes = [(P, Q) for P, j, Q in triples if (P.arity, j, Q.arity) == (m, i, n)]
+        pos, _, scales = so._positions_of([P for P, _ in lanes])
+        qpos, qa, _ = so._positions_of([Q for _, Q in lanes])
+        got = so._sewable_lanes(pos, scales, i, qpos, qa, exact=True)
+        assert got.tolist() == [is_sewable(P, i, Q) for P, Q in lanes], (m, i, n)
 
 
 # -- the two stages of the suite ---------------------------------------------

@@ -18,6 +18,7 @@ from mtcalc.table_arrays import IMAGE_KINDS, FusingWords
 import bending_oracle as bo
 import coherence_oracle as co
 import fusing_oracle as fo
+import rigidity_oracle as ro
 from test_fusion_data import INCOHERENT, ORACLE_INPUTS, oracle_input  # noqa: F401
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -474,12 +475,71 @@ def test_bent_covertex_prefactor(categories):
     assert abs(unscaled.block(1)[0, 0] - 1 / PHI) < 1e-9
 
 
+def _oracle_completeness(data) -> np.ndarray:
+    return np.array([[ro.completeness_defect(data, a, b) for b in range(data.size)]
+                     for a in range(data.size)])
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_completeness(categories, name):
-    data = categories[name]
-    for a in range(data.size):
-        for b in range(data.size):
-            assert gc.completeness_defect(data, a, b) < 1e-9
+    assert (_oracle_completeness(categories[name]) < 1e-9).all()
+
+
+def _unit_f_nudged(data):
+    """``data`` with every entry of the F-blocks F(e, a, b, q) moved by
+    1e-13, inside the loader's 1e-12 unit-gauge check."""
+    F = {key: value + 1e-13 * np.exp(1j * n) if key[0] == data.unit else value
+         for n, (key, value) in enumerate(data.F.items())}
+    return fd.CategoryData(data.ring, F, data.R, data.twist)
+
+
+def _inverses_perturbed(data):
+    """A fresh copy of ``data`` whose stored F-block inverses, which both
+    routes read, are each off by about 1e-6 at random: every completeness
+    residual is then about 1e-6, and differs from charge to charge.  The
+    copy is the only reader of the perturbed inverses."""
+    data = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    table, rng = data._f_table, np.random.default_rng(7)
+    moved = [(inv + 1e-6 * rng.normal(size=inv.shape), singular)
+             for inv, singular in table.inverses()]
+    table.inverses = lambda: moved
+    return data
+
+
+COMPLETENESS_EDITS = {"unit_f_nudged": _unit_f_nudged,
+                      "inverses_perturbed": _inverses_perturbed}
+
+
+@pytest.mark.parametrize("name", BUILTINS + (
+    "z3", "z5", "z7", "z9", "rep_a4_random", "near_group_random",
+    "rep_a4_random:unit_f_nudged", "near_group_random:unit_f_nudged",
+    "ising:inverses_perturbed", "z5:inverses_perturbed",
+    "rep_a4_random:inverses_perturbed", "near_group_random:inverses_perturbed",
+))
+def test_completeness_records_match_composed_route(
+    categories, pointed_category, rep_a4_random, near_group_random, name
+):
+    """The suite's completeness residuals, read off the stacked unit
+    F-blocks, are the composed route's bit for bit.  On the edited inputs
+    some residuals are not zero: the unit F-entries nudged within the
+    loader's gate leave round-off in the blocks with multiplicities, and
+    perturbed inverses leave about 1e-6 in every block."""
+    base, _, edit = name.partition(":")
+    if base in ("z3", "z5", "z7", "z9"):
+        data = pointed_category(int(base[1:]))
+    else:
+        data = {"rep_a4_random": rep_a4_random,
+                "near_group_random": near_group_random}.get(base) or categories[base]
+    if edit:
+        data = COMPLETENESS_EDITS[edit](data)
+    want = _oracle_completeness(data)
+    got = np.zeros_like(want)
+    for r in gc.verify_rigidity(data).records:
+        if r.id == "completeness":
+            got[r.instance] = r.residual
+    assert np.array_equal(got, want)
+    if edit:
+        assert want.any()
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -877,8 +937,19 @@ def _wrong_fusing_route(get, monkeypatch):
     return get("fibonacci")
 
 
+def _scaled_inverses(get, monkeypatch):
+    # every stored F-block inverse scaled by 2, on a fresh copy of the input
+    # so that no memo of the shared one keeps a block formed from them
+    data = _edited(get("fibonacci"))
+    table = data._f_table
+    scaled = [(2.0 * inv, singular) for inv, singular in table.inverses()]
+    monkeypatch.setattr(table, "inverses", lambda: scaled)
+    return data
+
+
 def _wrong_covertex(get, monkeypatch):
-    # every covertex scaled by 2; no zigzag applies one
+    # every covertex scaled by 2; no zigzag applies one, and the suite's
+    # completeness route composes none, so this is a control of the oracle
     covertex = gc.covertex_morphism
     monkeypatch.setattr(gc, "covertex_morphism", lambda *args: 2.0 * covertex(*args))
     return get("fibonacci")
@@ -890,7 +961,8 @@ def _wrong_covertex(get, monkeypatch):
 # the zigzag_right_1 routes divide the entry F^{a a' a}_a on the unit
 # channels by the loop value read off the same entry, so both are 1 on any
 # input; the two routes of a zigzag read the same entries, so they agree on
-# any input; and completeness is F^-1 F on every block.
+# any input; and completeness is F^-1 F on every unit block, the identity
+# up to round-off on any input.
 RIGIDITY_NEGATIVE_CONTROLS = {
     "zigzag_right_1_diagram": _wrong_diagram_route,
     "zigzag_right_1_fusing": _wrong_fusing_route,
@@ -904,8 +976,13 @@ RIGIDITY_NEGATIVE_CONTROLS = {
     "zigzag_left_2_diagram": _data_edit(_z3_dual_pair_entry),
     "zigzag_left_2_fusing": _data_edit(_z3_dual_pair_entry),
     "zigzag_left_2_routes_agree": _wrong_diagram_route,
-    "completeness": _wrong_covertex,
+    "completeness": _scaled_inverses,
 }
+
+
+def test_completeness_oracle_negative_control(oracle_input, monkeypatch):
+    data = _wrong_covertex(oracle_input, monkeypatch)
+    assert (_oracle_completeness(data) > 1e-9).any()
 
 
 def test_every_rigidity_check_id_has_a_negative_control(categories):

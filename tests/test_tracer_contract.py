@@ -182,15 +182,15 @@ def test_tracer_counts_algebra_layers(monkeypatch):
         assert values[f"diagonal_frobenius.{name}_layer.calls"] > 0, name
 
 
-def _fusing_symmetries_layers(monkeypatch, tmp_path, data, name) -> dict:
-    """The per-layer values of ``fusing-symmetries`` on ``data``, written
+def _suite_layers(monkeypatch, tmp_path, command, data, name) -> dict:
+    """The per-layer values of the suite ``command`` on ``data``, written
     to a category file and run through the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
     path = tmp_path / f"{name}.json"
     path.write_text(fd.emit_category(data))
-    argv = ["fusing-symmetries", str(path)]
+    argv = [command, str(path)]
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -211,8 +211,8 @@ def test_fusing_symmetries_tree_walks_scale_with_vertices(
     # arrays: the suite walks no tree at all, on any size of Z_N, where a
     # walk per basis image would grow like the vertices (N^2)
     calls = {
-        n: _fusing_symmetries_layers(
-            monkeypatch, tmp_path, pointed_category(n), f"z{n}"
+        n: _suite_layers(
+            monkeypatch, tmp_path, "fusing-symmetries", pointed_category(n), f"z{n}"
         )["graphcalc.trees.calls"]
         for n in (5, 7, 9)
     }
@@ -227,10 +227,25 @@ def test_fusing_symmetries_composes_no_braid(
     # evaluation; a braid composed per image would count here on working
     # code
     data = pointed_category(5) if name == "z5" else categories[name]
-    values = _fusing_symmetries_layers(monkeypatch, tmp_path, data, name)
+    values = _suite_layers(monkeypatch, tmp_path, "fusing-symmetries", data, name)
     for layer in ("braid_morphism", "cup_morphism", "cap_morphism",
                   "vertex_morphism", "Morphism.matmul"):
         assert values[f"graphcalc.{layer}.calls"] == 0, layer
+
+
+@pytest.mark.parametrize("name", ["ising", "z5"])
+def test_rigidity_composes_no_vertex(
+    monkeypatch, tmp_path, categories, pointed_category, name
+):
+    # completeness is read off the stacked unit F-blocks; a vertex or
+    # covertex composed per label pair would count here on working code,
+    # while the zigzags stay composed from cups and caps
+    data = pointed_category(5) if name == "z5" else categories[name]
+    values = _suite_layers(monkeypatch, tmp_path, "rigidity", data, name)
+    for layer in ("vertex_morphism", "covertex_morphism", "Morphism.zero"):
+        assert values[f"graphcalc.{layer}.calls"] == 0, layer
+    for layer in ("cup_morphism", "cap_morphism", "evaluate_diagram"):
+        assert values[f"graphcalc.{layer}.calls"] > 0, layer
 
 
 def test_comult_derivation_walks_scale_with_reached_assignments(

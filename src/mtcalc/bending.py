@@ -18,25 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from .fusion_data import _block_inverse
-from .table_arrays import IMAGE_KINDS, Trees, _copies, _distinct, _pack
+from .table_arrays import (
+    IMAGE_KINDS, Trees, _braid_blocks, _copies, _distinct, _flat_blocks, _gather, _pack,
+)
 
 __all__ = ["basis_images"]
-
-
-def _flat_blocks(rows, cols, owner, row, col, values):
-    """One rows x cols block per owner, flat and row-major, holding
-    ``values`` at (owner, row, col) and zero elsewhere, and the start of
-    each block."""
-    size = rows * cols
-    start = np.cumsum(size) - size
-    out = np.zeros(size.sum(), dtype=complex)
-    out[start[owner] + row * cols[owner] + col] = values
-    return out, start
-
-
-def _gather(flat, start, owners, rows, cols) -> np.ndarray:
-    """The rows x cols blocks of ``owners`` out of ``flat``, stacked."""
-    return flat[start[owners][:, None] + np.arange(rows * cols)].reshape(-1, rows, cols)
 
 
 def _times_blocks(F, vecs, blocks) -> np.ndarray:
@@ -49,43 +35,6 @@ def _times_blocks(F, vecs, blocks) -> np.ndarray:
         mats = F.stacks[F.stack_of[blocks[sel[0]]]][1][F.slot_of[blocks[sel]]]
         out[sel, :t] = (vecs[sel, None, :t] @ mats)[:, 0]
     return out
-
-
-def _braid_locals(F, R, N, quads, plus):
-    """The local block of the braid of the letters (u, v) above p with
-    charge q, for each (p, u, v, q) of ``quads``, in the positive sense
-    where ``plus``, as ``graphcalc.braid_morphism`` forms it: F(p, v, u,
-    q)^-1, times the R-blocks (or the inverse R-blocks) of the channels x
-    of (u, v) on the rows (x, i, j) of F(p, u, v, q), times F(p, u, v, q);
-    F's columns (y, l, k) are the trees of (p, u, v) -> q in tree order.
-    Returns the blocks flat and row-major, the start and size of each, and
-    the F-blocks (p, u, v, q) and (p, v, u, q); a singular block they
-    invert raises."""
-    p, u, v, q = quads
-    blk, sw = F.block_of(p, u, v, q), F.block_of(p, v, u, q)
-    size = F.ncols[blk]
-    # row r = (x, i, j) of F(p, u, v, q) is column r of the R part, whose
-    # row (x, i, j2) sits at r - j + j2 in F(p, v, u, q) as well
-    it, r = _copies(np.arange(len(blk)), size)
-    _, x, _, j = np.unravel_index(F.row_keys[F.row_starts[blk[it]] + r], F.row_radix)
-    k, j2 = _copies(np.arange(len(it)), N[u[it], v[it], x])
-    it, r, x, j = it[k], r[k], x[k], j[k]
-    # the negative sense inverts R(v, u, x)
-    neg = R.block_of(v[it], u[it], x)
-    _check_inverses(F, "F", sw)
-    _check_inverses(R, "R", neg[~plus[it]])
-    val = np.where(plus[it], R.entries(R.block_of(u[it], v[it], x), j2, j),
-                   R.entries(neg, j2, j, inverse=True))
-    rmat, start = _flat_blocks(size, size, it, r - j + j2, r, val)
-    out = np.empty_like(rmat)
-    for t in _distinct(size).tolist():
-        sel = np.flatnonzero(size == t)
-        k = F.stack_of[blk[sel[0]]]
-        f = F.stacks[k][1][F.slot_of[blk[sel]]]
-        finv = F.inverses()[k][0][F.slot_of[sw[sel]]]
-        local = (finv @ _gather(rmat, start, sel, t, t)) @ f
-        out[start[sel][:, None] + np.arange(t * t)] = local.reshape(len(sel), -1)
-    return out, start, size, blk, sw
 
 
 def basis_images(data, families, dims):
@@ -148,7 +97,9 @@ def basis_images(data, families, dims):
     *quad, pl = np.unravel_index(distinct, (n, n, n, n, 2))
     cup = F.block_of(d, a2, d, d)
     _check_inverses(F, "F", cup)
-    local, l_start, l_size, blk, sw = _braid_locals(F, R, N, quad, pl == 1)
+    local, l_start, l_size, blk, sw, (_, inverted) = _braid_blocks(F, R, N, quad, pl == 1)
+    _check_inverses(F, "F", sw)
+    _check_inverses(R, "R", inverted)
 
     # the cup: column (1, 0, 0) of F(d, a2, d, d)^-1, its row (y, l, k) on
     # the tree ((d, m0), (y, l), (d, k)) of W1, for each tree (d, m0) of W0

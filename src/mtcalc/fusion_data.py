@@ -335,7 +335,7 @@ def hexagon_residuals(data: CategoryData):
     reaches are visited.  All instances are evaluated at once, on the first
     item.
     """
-    keys, plus, minus = hexagon_batch(data._f_table, data._r_table)
+    keys, plus, minus = hexagon_batch(data._f_table, data._r_table, data.ring.array)
     for key, rp, rm in zip(keys, plus, minus):
         yield ("+", *key), rp
         yield ("-", *key), rm
@@ -415,13 +415,15 @@ def _make_builtin(names, unit, dual, channels, fvals, rvals, twist):
     ring = _ring(names, unit, dual, channels)
     F = {(a, b, c, d, x, y, 0, 0, 0, 0): complex(v) for (a, b, c, d, x, y), v in fvals.items()}
     R = {(a, b, c, 0, 0): complex(v) for (a, b, c), v in rvals.items()}
-    n = ring.n
-    for a, b, c in itertools.product(range(ring.size), repeat=3):
-        if n(a, b, c) and unit in (a, b):
+    fusions = sorted(key for key, v in ring.N.items() if v)
+    for a, b, c in fusions:
+        if unit in (a, b):
             R.setdefault((a, b, c, 0, 0), 1.0 + 0j)
-    for a, b, c, d, x, y in itertools.product(range(ring.size), repeat=6):
-        if unit in (a, b, c) and n(b, c, x) and n(a, x, d) and n(a, b, y) and n(y, c, d):
-            F.setdefault((a, b, c, d, x, y, 0, 0, 0, 0), 1.0 + 0j)
+    # the one entry (x, y) of each block with a unit label, of the word p q -> d
+    unit_blocks = {key for p, q, d in fusions for key in (
+        (unit, p, q, d, d, p), (p, unit, q, d, q, p), (p, q, unit, d, q, d))}
+    for key in sorted(unit_blocks):
+        F.setdefault(key + (0, 0, 0, 0), 1.0 + 0j)
     return CategoryData(ring, F, R, twist)
 
 

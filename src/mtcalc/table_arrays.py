@@ -11,6 +11,9 @@ with:
   the block layout, and the blocks and their inverses stacked by shape;
 * ``pentagon_batch`` and ``hexagon_batch``: the residual of every pentagon
   and hexagon instance of a category;
+* ``_braid_blocks``: the one batched braid, the local block of a braid of
+  two letters as ``graphcalc.braid_morphism`` forms it, which the hexagon's
+  braid (2,3) and ``bending``'s basis images read;
 * ``unitarity``: the unitarity defect of each matrix of a stack;
 * ``FusingWords``: the fusing matrices of every fusing word in the
   swapped and the bent vertex bases, and their conjugation residuals.
@@ -254,20 +257,6 @@ class Table:
             out[sel] = mats[self.slot_of[block[sel]], row[sel], col[sel]]
         return out
 
-    def inverse_entries(self):
-        """(block, row, col, value) of every entry of every block's inverse,
-        and the mask of the singular blocks."""
-        parts = []
-        for (members, _), (inv, _) in zip(self.stacks, self.inverses()):
-            g, r, c = inv.shape
-            parts.append((
-                np.repeat(members, r * c),
-                np.tile(np.repeat(np.arange(r), c), g),
-                np.tile(np.arange(c), g * r),
-                inv.ravel(),
-            ))
-        return (*map(np.concatenate, zip(*parts)), self.singular())
-
 
 def _stack_inverse(mats):
     """Inverses of a stack of blocks and the mask of the singular ones, whose
@@ -368,49 +357,43 @@ def _pentagon_p2(F, key):
     )
 
 
-def hexagon_batch(F: Table, R: Table):
+def hexagon_batch(F: Table, R: Table, N):
     """The hexagon instances (a, b, c, total) of the F- and R-tables in
     lexicographic order and the residuals of the positive and the negative
-    sense.
+    sense; ``N`` is the dense fusion array.
 
     Instance g is the F-block (a,b,c,t).  Its matrices are indexed by the
     trees (y, l, m) of a word, which are the columns of its F-block (l
-    indexes the vertex of its first two letters):
+    indexes the vertex of its first two letters); every word of the
+    instance has the same number of trees:
     * braid (1,2), mid x src: R(a,b,y)[l2, l] from src (y, l, m) of (a,b,c)
       to mid (y, l2, m) of (b,a,c);
-    * braid (2,3), dst x mid: column mi (a column of F(b,a,c,t)) sums
-      (F(b,c,a,t)^-1[:, ri2] * R(a,c,z)[j3, j2]) * F(b,a,c,t)[ri, mi] over
-      the nonzero F entries, row ri = (z, i2, j2), and the columns
-      ri2 = (z, i2, j3) of the inverse, in the order (ri, ri2);
+    * braid (2,3), dst x mid: the local braid of the letters (a, c) above b
+      at charge t, ``_braid_blocks`` at the quad (b, a, c, t);
     * cluster braid, dst x src: row di = (x, beta, app) of (b,c,a) sums
       R(a,x,t)[app, alpha] * F(a,b,c,t)[(x, alpha, beta), :] over alpha.
-    The residual is the largest entry of cluster - (braid 2,3) @ (braid 1,2),
-    stacked by shape; it is inf when a block the sense inverts is singular.
-    The braid terms are numpy complex products, as in the matrix route.
+    The negative sense reads the inverse of R(b,a,y), R(c,a,z) and R(x,a,t)
+    instead.  The residual is the largest entry of cluster - (braid 2,3) @
+    (braid 1,2), stacked by size; it is inf when a block the sense inverts
+    is singular.  The braid terms are numpy complex products, as in the
+    matrix route.
     """
     n, m = F.dims[0], F.dims[-1]
     ba, bb, bc, bd = F.labels
     nb = len(F.blocks)
+    size = F.ncols
     mid = F.block_of(bb, ba, bc, bd)
-    dst = F.block_of(bb, bc, ba, bd)
-    nsrc, nmid, ndst = F.ncols, F.ncols[mid], F.ncols[dst]
+    swap = R.block_of(R.labels[1], R.labels[0], R.labels[2])  # R(b,a,c) of R(a,b,c)
+    r_singular = R.singular()
+    bad = np.zeros(nb, dtype=bool)  # the instances whose negative sense fails
 
-    # R entries by key, with the entries of the inverse blocks: the negative
-    # braiding of (a, b, c) is the inverse of R(b, a, c)
-    rkey = _pack(R.cols, R.dims)
-    rorder = np.argsort(rkey, kind="stable")
-    rsorted = rkey[rorder]
-
-    def r_entry(*cols):
-        return rorder[np.searchsorted(rsorted, _pack(cols, R.dims))]
-
-    blk, row, col, val, r_singular = R.inverse_entries()
-    ra, rb, rc = R.labels
-    neg = np.zeros(len(rkey), dtype=complex)
-    neg[r_entry(rb[blk], ra[blk], rc[blk], row, col)] = val
-
-    def neg_singular(a, b, c):  # whether the negative braiding of (a, b, c) fails
-        return r_singular[R.block_of(b, a, c)]
+    def r_values(g, block, row, col):
+        """Entry (row, col) of each R-block ``block`` for each sense: of the
+        block, and of the inverse of its swapped block, whose instance ``g``
+        is bad where that is singular."""
+        neg = swap[block]
+        bad[g[r_singular[neg]]] = True
+        return R.entries(block, row, col), R.entries(neg, row, col, inverse=True)
 
     cb, cy, cl, ck = np.unravel_index(F.col_keys, F.col_radix)  # F's columns (y, l, k)
     place = np.arange(len(cb)) - F.col_starts[cb]  # each column's place in its block
@@ -418,70 +401,95 @@ def hexagon_batch(F: Table, R: Table):
 
     # braid (1,2): every column of block g is a src tree of instance g
     s, t = _join(_pack((mid[cb], cy, ck), (nb, n, m)), _pack((cb, cy, ck), (nb, n, m)))
-    g12 = cb[s]
-    r12 = r_entry(ba[g12], bb[g12], cy[s], cl[t], cl[s])
-    at12 = place[t] * nsrc[g12] + place[s]
-    bad = np.zeros(nb, dtype=bool)
-    bad[cb[neg_singular(ba[cb], bb[cb], cy)]] = True
+    g12, row12, col12 = cb[s], place[t], place[s]
+    r12 = r_values(g12, R.block_of(ba[g12], bb[g12], cy[s]), cl[t], cl[s])
 
     # cluster braid: every column of block (b,c,a,t) is a dst tree of (a,b,c,t)
     g_dst = F.block_of(bc[cb], ba[cb], bb[cb], bd[cb])
     s, e = _join(_pack((g_dst, cy, cl), (nb, n, m)), _pack((F.block, X, J), (nb, n, m)))
     gcl = g_dst[s]
-    rcl = r_entry(ba[gcl], cy[s], bd[gcl], ck[s], I[e])
-    atcl = place[s] * nsrc[gcl] + F.col[e]
+    rcl = r_values(gcl, R.block_of(ba[gcl], cy[s], bd[gcl]), ck[s], I[e])
+    atcl = place[s] * size[gcl] + F.col[e]
     bycl = np.argsort(F.row[e], kind="stable")
     fcl = F.vals[e]
-    bad[g_dst[neg_singular(ba[g_dst], cy, bd[g_dst])]] = True
 
-    # braid (2,3): nonzero entries of F(b,a,c,t) against F(b,c,a,t)^-1
-    nzf = np.flatnonzero(F.vals != 0)
-    h = F.block[nzf]
-    g_mid = F.block_of(bb[h], ba[h], bc[h], bd[h])
-    bad[g_mid[neg_singular(bb[h], bc[h], X[nzf])]] = True
-    iblk, irow, icol, ival, f_singular = F.inverse_entries()
-    rt = F.row_starts[iblk] + icol  # the inverse's column is a row tree (z, i, j)
-    _, rz, ri, rj = np.unravel_index(F.row_keys[rt], F.row_radix)
-    u, v = _join(
-        _pack((dst[g_mid], X[nzf], I[nzf]), (nb, n, m)),
-        _pack((iblk, rz, ri), (nb, n, m)),
+    # braid (2,3): the local braids at (b, a, c, t), positive then negative
+    plus = np.arange(2 * nb) < nb
+    b23, b23_start, _, _, dst, (owner, inverted) = _braid_blocks(
+        F, R, N, np.concatenate([(bb, ba, bc, bd)] * 2, axis=1), plus
     )
-    e = nzf[u]
-    g23 = g_mid[u]
-    r23 = r_entry(ba[g23], bc[g23], X[e], rj[v], J[e])
-    at23 = irow[v] * nmid[g23] + F.col[e]
-    by23 = np.lexsort((icol[v], F.row[e]))
-    finv, f23 = ival[v], F.vals[e]
+    bad[owner[r_singular[inverted]] - nb] = True
 
-    sizes = (nmid * nsrc, ndst * nmid, ndst * nsrc)
-    offsets = [np.cumsum(size) - size for size in sizes]
-    radix = nsrc.max() + 1
-    shapes = (nsrc * radix + nmid) * radix + ndst
     out = []
-    for rvals in (R.vals, neg):
-        b12 = np.zeros(sizes[0].sum(), dtype=complex)
-        b12[offsets[0][g12] + at12] = rvals[r12]
-        b23 = _summed(
-            offsets[1][g23] + at23, (finv * rvals[r23]) * f23, by23, sizes[1].sum()
-        )
-        cluster = _summed(
-            offsets[2][gcl] + atcl, rvals[rcl] * fcl, bycl, sizes[2].sum()
-        )
+    for sense in (0, 1):
+        b12, start = _flat_blocks(size, size, g12, row12, col12, r12[sense])
+        cluster = _summed(start[gcl] + atcl, rcl[sense] * fcl, bycl, len(b12))
         res = np.empty(nb)
-        for shape in _distinct(shapes):
-            gs = np.flatnonzero(shapes == shape)
-            ns, nm, nd = nsrc[gs[0]], nmid[gs[0]], ndst[gs[0]]
-            route = (
-                b23[offsets[1][gs, None] + np.arange(nd * nm)].reshape(-1, nd, nm)
-                @ b12[offsets[0][gs, None] + np.arange(nm * ns)].reshape(-1, nm, ns)
-            )
-            cl = cluster[offsets[2][gs, None] + np.arange(nd * ns)].reshape(-1, nd, ns)
-            res[gs] = np.max(np.abs(cl - route), axis=(1, 2))
-        res[f_singular[dst]] = math.inf
+        for k in _distinct(size).tolist():
+            gs = np.flatnonzero(size == k)
+            route = _gather(b23, b23_start, gs + sense * nb, k, k) @ _gather(b12, start, gs, k, k)
+            res[gs] = np.max(np.abs(_gather(cluster, start, gs, k, k) - route), axis=(1, 2))
+        res[F.singular()[dst[:nb]]] = math.inf
         out.append(res)
     out[1][bad] = math.inf
     keys = list(zip(*(lab.tolist() for lab in F.labels)))
     return keys, out[0].tolist(), out[1].tolist()
+
+
+def _braid_blocks(F: Table, R: Table, N, quads, plus):
+    """The local block of the braid of the letters (u, v) above p with
+    charge q, for each (p, u, v, q) of ``quads``, in the positive sense
+    where ``plus``, as ``graphcalc.braid_morphism`` forms it: F(p, v, u,
+    q)^-1, times the R-blocks (or the inverse R-blocks) of the channels x
+    of (u, v) on the rows (x, i, j) of F(p, u, v, q), times F(p, u, v, q);
+    F's columns (y, l, k) are the trees of (p, u, v) -> q in tree order.
+    A singular block reads its stored inverse, zero.
+
+    Returns the blocks flat and row-major, the start and size of each, the
+    F-blocks (p, u, v, q) and (p, v, u, q), and (quad, R-block) of each
+    inverse R-block read, in order.
+    """
+    p, u, v, q = quads
+    blk, sw = F.block_of(p, u, v, q), F.block_of(p, v, u, q)
+    size = F.ncols[blk]
+    # row r = (x, i, j) of F(p, u, v, q) is column r of the R part, whose
+    # row (x, i, j2) sits at r - j + j2 in F(p, v, u, q) as well
+    it, r = _copies(np.arange(len(blk)), size)
+    _, x, _, j = np.unravel_index(F.row_keys[F.row_starts[blk[it]] + r], F.row_radix)
+    k, j2 = _copies(np.arange(len(it)), N[u[it], v[it], x])
+    it, r, x, j = it[k], r[k], x[k], j[k]
+    pos, neg = plus[it], ~plus[it]
+    # the positive sense reads R(u, v, x), the negative one inverts R(v, u, x)
+    rblk = R.block_of(np.where(pos, u[it], v[it]), np.where(pos, v[it], u[it]), x)
+    val = np.empty(len(it), dtype=complex)
+    val[pos] = R.entries(rblk[pos], j2[pos], j[pos])
+    val[neg] = R.entries(rblk[neg], j2[neg], j[neg], inverse=True)
+    rmat, start = _flat_blocks(size, size, it, r - j + j2, r, val)
+    out = np.empty_like(rmat)
+    for t in _distinct(size).tolist():
+        sel = np.flatnonzero(size == t)
+        k = F.stack_of[blk[sel[0]]]
+        f = F.stacks[k][1][F.slot_of[blk[sel]]]
+        finv = F.inverses()[k][0][F.slot_of[sw[sel]]]
+        local = (finv @ _gather(rmat, start, sel, t, t)) @ f
+        out[start[sel][:, None] + np.arange(t * t)] = local.reshape(len(sel), -1)
+    return out, start, size, blk, sw, (it[neg], rblk[neg])
+
+
+def _flat_blocks(rows, cols, owner, row, col, values):
+    """One rows x cols block per owner, flat and row-major, holding
+    ``values`` at (owner, row, col) and zero elsewhere, and the start of
+    each block."""
+    size = rows * cols
+    start = np.cumsum(size) - size
+    out = np.zeros(size.sum(), dtype=complex)
+    out[start[owner] + row * cols[owner] + col] = values
+    return out, start
+
+
+def _gather(flat, start, owners, rows, cols) -> np.ndarray:
+    """The rows x cols blocks of ``owners`` out of ``flat``, stacked."""
+    return flat[start[owners][:, None] + np.arange(rows * cols)].reshape(-1, rows, cols)
 
 
 def _summed(at, terms, order, size) -> np.ndarray:

@@ -189,9 +189,9 @@ def hexagon_frame(data, a, b, c, tot):
     """What the hexagon at (a, b, c, tot) needs besides R-blocks, or None
     when the word has no trees of charge ``tot``.
 
-    The frame holds the shapes and index lists of the braid (1,2), the braid
-    (2,3) inside the fused cluster and the cluster braid, with their F-block
-    entries, in the order the instance accumulates them.
+    The frame holds the shapes and index lists of the braid (1,2) and the
+    cluster braid, with the cluster's F-block entries, in the order the
+    instance accumulates them.
     """
     src = tree_basis3(data, a, b, c, tot)
     mid = tree_basis3(data, b, a, c, tot)
@@ -204,19 +204,6 @@ def hexagon_frame(data, a, b, c, tot):
              if y2 == y and m2 == m])
         for si, (y, l, m) in enumerate(src)
     ]
-    # braid (2,3): F(b, a, c), R^{ac}_z on the cluster z, F(b, c, a)^-1
-    f_mid = f_block(data, b, a, c, tot)
-    midr = f_right_basis(data, b, a, c, tot)
-    f_dst_inv = f_block_inv(data, b, c, a, tot)
-    dstr = f_right_basis(data, b, c, a, tot)
-    b23 = [
-        (mi, z, f_mid[ri, mi], [
-            (f_dst_inv[:, ri2], j3, j2)
-            for ri2, (z2, i3, j3) in enumerate(dstr) if z2 == z and i3 == i2
-        ])
-        for mi in range(len(mid))
-        for ri, (z, i2, j2) in enumerate(midr) if f_mid[ri, mi] != 0
-    ]
     # cluster braid: F(a, b, c), then R^{a x}_tot on the fused pair x
     fabc = f_block(data, a, b, c, tot)
     fr = f_right_basis(data, a, b, c, tot)
@@ -228,7 +215,7 @@ def hexagon_frame(data, a, b, c, tot):
         ])
         for di, (x, beta, app) in enumerate(dst)
     ]
-    return (len(src), len(mid), len(dst), b12, b23, cluster)
+    return (len(src), len(mid), len(dst), b12, cluster)
 
 
 def hexagon_matrices(data, a, b, c, tot, sense):
@@ -240,9 +227,8 @@ def hexagon_matrices(data, a, b, c, tot, sense):
     frame = hexagon_frame(data, a, b, c, tot)
     if frame is None:
         return None
-    n_src, n_mid, n_dst, b12_walk, b23_walk, cluster_walk = frame
+    n_src, n_mid, n_dst, b12_walk, cluster_walk = frame
     r12 = [rblock(data, a, b, y) for y, _ in b12_walk]
-    r23 = [rblock(data, a, c, z) for _, z, _, _ in b23_walk]
     r_cluster = [rblock(data, a, x, tot) for _, x, _ in cluster_walk]
 
     # one-at-a-time route: braid (1,2) then (2,3)
@@ -250,11 +236,16 @@ def hexagon_matrices(data, a, b, c, tot, sense):
     for rm, (_, hits) in zip(r12, b12_walk):
         for mi, si, l2, l in hits:
             b12[mi, si] = rm[l2, l]
-    b23 = np.zeros((n_dst, n_mid), dtype=complex)
-    for rz, (mi, _, fm, hits) in zip(r23, b23_walk):
-        # braid (a, c) inside the fused cluster z
-        for col, j3, j2 in hits:
-            b23[:, mi] += col * rz[j3, j2] * fm
+    # braid (a, c) above b, as graphcalc.braid_morphism forms it: the
+    # R-blocks of the channels z of (a, c) between F(b, a, c) and F(b, c, a)^-1
+    dst_rows = {tree: r for r, tree in enumerate(f_right_basis(data, b, c, a, tot))}
+    mid_rows = f_right_basis(data, b, a, c, tot)
+    rmat = np.zeros((len(dst_rows), len(mid_rows)), dtype=complex)
+    for r, (z, i, j) in enumerate(mid_rows):
+        rz = rblock(data, a, c, z)
+        for j2 in range(rz.shape[0]):
+            rmat[dst_rows[(z, i, j2)], r] = rz[j2, j]
+    b23 = f_block_inv(data, b, c, a, tot) @ rmat @ f_block(data, b, a, c, tot)
 
     # cluster route: braid a past the fused pair (b, c) in one move
     cluster = np.zeros((n_dst, n_src), dtype=complex)

@@ -10,7 +10,7 @@ import pytest
 from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc.report import emit_report
-from mtcalc.table_arrays import Trees
+from mtcalc.table_arrays import Trees, _braid_blocks
 
 import coherence_oracle as oracle
 
@@ -421,16 +421,36 @@ def test_channel_walk_coherence_matches_dense_scan(oracle_input, monkeypatch, na
 
 # -- the tree enumerator against the tuple walk -------------------------------
 
-@pytest.mark.parametrize("name", ("rep_a4_random", "near_group_random"))
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_batched_braid_is_the_braid_morphism(oracle_input, name):
+    """The one batched braid, at every F-block quad (p, u, v, q) and in
+    both senses, is the block at charge q of ``graphcalc.braid_morphism`` of
+    the word (p, u, v) at letter 1, bit for bit."""
+    data = oracle_input(name)
+    F = data._f_table
+    quads = np.concatenate([F.labels] * 2, axis=1)
+    plus = np.arange(quads.shape[1]) < len(F.blocks)
+    flat, start, size, *_ = _braid_blocks(F, data._r_table, data.ring.array, quads, plus)
+    morphisms = {}
+    for g, (p, u, v, q) in enumerate(zip(*quads.tolist())):
+        sense = "+" if plus[g] else "-"
+        if (sense, p, u, v) not in morphisms:
+            morphisms[sense, p, u, v] = gc.braid_morphism(data, (p, u, v), 1, sense)
+        want = morphisms[sense, p, u, v].block(q)
+        got = flat[start[g]:start[g] + size[g] ** 2].reshape(size[g], size[g])
+        assert np.array_equal(got, want), (sense, p, u, v, q)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_hexagon_braids_are_the_braid_morphisms(oracle_input, name):
     """Every hexagon reads its braids in the tree bases: at each instance
     (a, b, c, t) and in both senses, the oracle's braid (1,2) and braid
     (2,3) matrices are ``graphcalc.braid_morphism`` of (a, b, c) at letter
-    0 and of (b, a, c) at letter 1, at charge t, to 1e-12 relative.  With
-    fusion multiplicities a block's F-column order and its tree order
-    differ unless the table keys the columns in tree order, so reading a
-    braid's index in the one order and the other's in the other would fail
-    here; the batched hexagon matches the oracle bit for bit."""
+    0, to 1e-12 relative, and of (b, a, c) at letter 1, bit for bit, at
+    charge t.  With fusion multiplicities a block's F-column order and its
+    tree order differ unless the table keys the columns in tree order, so
+    reading a braid's index in the one order and the other's in the other
+    would fail here; the batched hexagon matches the oracle bit for bit."""
     data = oracle_input(name)
     n = data.size
     compared = 0
@@ -440,10 +460,11 @@ def test_hexagon_braids_are_the_braid_morphisms(oracle_input, name):
             second = gc.braid_morphism(data, (b, a, c), 1, sense)
             for t in oracle.totals(data, (a, b, c)):
                 b12, b23, _ = oracle.hexagon_matrices(data, a, b, c, t, sign)
-                for got, want in ((b12, first.block(t)), (b23, second.block(t))):
-                    assert got.shape == want.shape
-                    gap = np.max(np.abs(got - want), initial=0.0)
-                    assert gap <= 1e-12 * np.max(np.abs(want), initial=0.0), (sense, a, b, c, t)
+                want = first.block(t)
+                assert b12.shape == want.shape
+                gap = np.max(np.abs(b12 - want), initial=0.0)
+                assert gap <= 1e-12 * np.max(np.abs(want), initial=0.0), (sense, a, b, c, t)
+                assert np.array_equal(b23, second.block(t)), (sense, a, b, c, t)
                 compared += 1
     assert compared == len(list(fd.hexagon_residuals(data)))
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mtcalc import bending, table_arrays
 from mtcalc import fusion_data as fd
 from mtcalc import graphcalc as gc
 from mtcalc.graphcalc import (
@@ -904,6 +905,26 @@ def test_fusing_negative_control(oracle_input, check_id):
     ]
     assert any(i == check_id for i, _ in failed[0])
     assert failed[0] == failed[1]
+
+
+@pytest.mark.parametrize("name", ("fibonacci", "ising"))
+def test_swapped_braid_senses_fail_hexagon_and_bend(monkeypatch, name):
+    """The hexagon and the basis images read the one batched braid: with its
+    two senses swapped there, coherent data fails ``hexagon`` and
+    ``fusing_bend_conjugation``.  (``fusing_braid_conjugation`` passes, as
+    the mirror braiding satisfies it too.)"""
+    braid = table_arrays._braid_blocks
+
+    def swapped(F, R, N, quads, plus):
+        return braid(F, R, N, quads, ~plus)
+
+    monkeypatch.setattr(table_arrays, "_braid_blocks", swapped)
+    monkeypatch.setattr(bending, "_braid_blocks", swapped)
+    data = fd.builtin_category(name)
+    failed = {r.id for suite in (fd.verify_coherence, gc.verify_fusing_symmetries)
+              for r in suite(data).records if not r.ok}
+    assert {"hexagon", "fusing_bend_conjugation"} <= failed
+    assert "fusing_braid_conjugation" not in failed
 
 
 # -- rigidity: a negative control per check id -------------------------------

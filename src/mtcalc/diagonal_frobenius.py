@@ -378,18 +378,12 @@ def verify_algebra_axioms(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
     ident = DoubleMorphism.identity(data, f1)
 
     lu = mult_layer(alg, f2, 0) @ unit_layer(alg, f1, 0)
-    report.add("unit_left", (), lu.distance(ident))
     ru = mult_layer(alg, f2, 0) @ unit_layer(alg, f1, 1)
-    report.add("unit_right", (), ru.distance(ident))
-
     m23 = mult_layer(alg, f2, 0) @ mult_layer(alg, f3, 1)
     m12 = mult_layer(alg, f2, 0) @ mult_layer(alg, f3, 0)
-    report.add("associativity", (), m23.distance(m12))
-
     braided = mult_layer(alg, f2, 0) @ double_braid_layer(data, f2, 0, "+-")
     plain = mult_layer(alg, f2, 0)
     res_braid = braided.distance(plain)
-    report.add("commutativity", (), res_braid)
 
     # the same residual through the braid action on the tensor itself
     res_omega = 0.0
@@ -398,13 +392,16 @@ def verify_algebra_axioms(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
         ls, rs = alg.labels((s1, s2, s3))
         got = 0 if other is None else data.r_block(*ls).T @ other @ data.r_block_inv(*rs)
         res_omega = max(res_omega, float(np.max(np.abs(got - block))))
-    report.add("commutativity_skew_route", (), res_omega)
-    report.add("commutativity_routes_agree", (), abs(res_braid - res_omega))
-
-    for a, ap in alg.object.summands:
-        report.add(
-            "twist_trivial", (a,), abs(data.twist[a] / data.twist[ap] - 1.0)
-        )
+    report.add_many(
+        ("unit_left", "unit_right", "associativity", "commutativity",
+         "commutativity_skew_route", "commutativity_routes_agree"),
+        (), [[lu.distance(ident), ru.distance(ident), m23.distance(m12), res_braid,
+              res_omega, abs(res_braid - res_omega)]],
+    )
+    summands = alg.object.summands
+    report.add_many("twist_trivial", ([a for a, _ in summands],), [
+        abs(data.twist[a] / data.twist[ap] - 1.0) for a, ap in summands
+    ])
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -419,19 +416,17 @@ def verify_frobenius(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -> Rep
 
     d1 = comult_layer(alg, f2, 0) @ comult_layer(alg, f1, 0)
     d2 = comult_layer(alg, f2, 1) @ comult_layer(alg, f1, 0)
-    report.add("coassociativity", (), d1.distance(d2))
-
     cl = counit_layer(alg, f2, 0) @ comult_layer(alg, f1, 0)
-    report.add("counit_left", (), cl.distance(ident))
     cr = counit_layer(alg, f2, 1) @ comult_layer(alg, f1, 0)
-    report.add("counit_right", (), cr.distance(ident))
-
     mid = comult_layer(alg, f1, 0) @ mult_layer(alg, f2, 0)
     lhs = mult_layer(alg, f3, 1) @ comult_layer(alg, f2, 0)
     rhs = mult_layer(alg, f3, 0) @ comult_layer(alg, f2, 1)
-    report.add("frobenius_left", (), lhs.distance(mid))
-    report.add("frobenius_right", (), rhs.distance(mid))
-    report.add("pairing_nondegenerate", (), _pairing_degeneracy(alg))
+    report.add_many(
+        ("coassociativity", "counit_left", "counit_right", "frobenius_left",
+         "frobenius_right", "pairing_nondegenerate"),
+        (), [[d1.distance(d2), cl.distance(ident), cr.distance(ident), lhs.distance(mid),
+              rhs.distance(mid), _pairing_degeneracy(alg)]],
+    )
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -461,19 +456,20 @@ def verify_invariant_form(alg: FullFieldAlgebraData, tol: float = DEFAULT_TOL) -
         scale = alg.phi[s3] / alg.phi[dual[s2]]
         got = scale * (b0 @ block @ b1.T)
         res = max(res, float(np.max(np.abs(got if target is None else got - target))))
-    report.add("form_invariance", (), res)
 
     # (2) symmetry of the induced pairing under the doubled braiding
     f2 = _fword(alg, 2)
     pairing = counit_layer(alg, _fword(alg, 1), 0) @ mult_layer(alg, f2, 0)
     braided = pairing @ double_braid_layer(data, f2, 0, "+-")
-    report.add("pairing_symmetry", (), pairing.distance(braided))
 
     # (3) reconstruction of the form from the Frobenius data
     f1 = _fword(alg, 1)
     phi_recon = _phi_from_frobenius(alg)
     phi_direct = phi_layer(alg, f1, 0, power=1)
-    report.add("form_roundtrip", (), phi_recon.distance(phi_direct))
+    report.add_many(
+        ("form_invariance", "pairing_symmetry", "form_roundtrip"),
+        (), [[res, pairing.distance(braided), phi_recon.distance(phi_direct)]],
+    )
     report.wall_time = time.perf_counter() - t0
     return report
 

@@ -1,9 +1,10 @@
 """Skeletal modular-tensor-category data: fusion ring, F/R-symbols, twists.
 
-Conventions used throughout the package.  ``CategoryData`` holds the F- and
-R-blocks in two ``table_arrays.Table`` stores, which lay each block out, and
-serves ``f_block``, ``r_block`` and their inverses as read-only views of
-them.  Tree bases are in the one order that ``table_arrays.Trees`` states.
+Conventions used throughout the package.  ``CategoryData`` takes the F- and
+R-symbols as mappings {key: value}, its one input form, and keeps them only
+as two ``table_arrays.Table``s, which lay each block out; ``f_block``,
+``r_block`` and their inverses are read-only views of them.  Tree bases are
+in the one order that ``table_arrays.Trees`` states.
 
 * ``F[a, b, c, d]`` is the block relating the two ways of fusing the word
   ``(a, b, c)`` into ``d``; an entry's key is ``(a, b, c, d, x, y, i, j, k,
@@ -166,13 +167,10 @@ class CategoryData:
 
     def __init__(self, ring: FusionRing, F: dict, R: dict, twist: list):
         self.ring = ring
-        # F: (a,b,c,d,x,y,i,j,k,l) -> complex, R: (a,b,c,i,j) -> complex
-        self.F = dict(F)
-        self.R = dict(R)
         self.twist = tuple(complex(t) for t in twist)
         self._tree_cache: dict = {}   # word -> {charge: fusion trees}
         self._local_cache: dict = {}  # local blocks, and F-block bases (graphcalc)
-        self._validate_tables()  # builds the F- and R-table
+        self._validate_tables(F, R)  # builds the F- and R-table
         self.qdim = tuple(
             quantum_dimension(self, a) for a in range(ring.size)
         )
@@ -191,7 +189,7 @@ class CategoryData:
         return self.ring.dual[a]
 
     def n(self, a: int, b: int, c: int) -> int:
-        return self.ring.N.get((a, b, c), 0)
+        return self.ring.n(a, b, c)
 
     # -- blocks --------------------------------------------------------
 
@@ -222,7 +220,9 @@ class CategoryData:
 
     # -- validation ----------------------------------------------------
 
-    def _validate_tables(self):
+    def _validate_tables(self, F: dict, R: dict):
+        """Check the twists, then the F and R values, F keys, fusion rules,
+        R keys, complete blocks and unit gauge, and build the tables."""
         ring = self.ring
         n = ring.size
         if len(self.twist) != n:
@@ -230,38 +230,29 @@ class CategoryData:
         for a, t in enumerate(self.twist):
             if not abs(abs(t) - 1.0) <= 1e-12:  # also true for NaN
                 raise CategoryDataError(f"twist of label {a} is not unimodular")
-        for name, table in (("F", self.F), ("R", self.R)):
-            for key, value in table.items():
-                if not cmath.isfinite(value):
-                    raise CategoryDataError(f"{name} entry {key} is not finite")
-        mult = ring.N.get
-        for key in self.F:
-            if len(key) != 10:
-                raise CategoryDataError(f"malformed F key {key}")
-            a, b, c, d, x, y, i, j, k, l = key
-            if not (
-                0 <= i < mult((a, x, d), 0)
-                and 0 <= j < mult((b, c, x), 0)
-                and 0 <= k < mult((y, c, d), 0)
-                and 0 <= l < mult((a, b, y), 0)
-            ):
-                raise CategoryDataError(f"F entry {key} outside multiplicity range")
+        (f_keys, f_vals), (r_keys, r_vals) = (
+            (list(t), np.array(list(t.values()), dtype=complex)) for t in (F, R))
+        for name, keys, vals in (("F", f_keys, f_vals), ("R", r_keys, r_vals)):
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if len(bad):
+                raise CategoryDataError(f"{name} entry {keys[bad[0]]} is not finite")
+        f_cols = _key_columns(f_keys, "F", 10, ring, ((0, 4, 3), (1, 2, 4), (5, 2, 3), (0, 1, 5)))
         # an R-block maps hom(a b, c) to hom(b a, c), so it must be square
-        for a, b, c in sorted(ring.N):
-            if ring.n(a, b, c) != ring.n(b, a, c):
-                raise CategoryDataError(f"fusion rules not commutative at {(a, b, c)}")
-        for key in self.R:
-            a, b, c, i, j = key
-            if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
-                raise CategoryDataError(f"R entry {key} outside multiplicity range")
-        m = max(ring.N.values())  # radix of multiplicity indices; the ring bounds it
-        self._f_table = F = Table(self.F, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 9, 8])
-        self._r_table = Table(self.R, (n,) * 3 + (m,) * 2, 3, [3], [4])
+        N = ring.array
+        abc = np.array(sorted(ring.N))
+        flipped = np.flatnonzero(N[abc[:, 1], abc[:, 0], abc[:, 2]] != N[tuple(abc.T)])
+        if len(flipped):
+            raise CategoryDataError(
+                f"fusion rules not commutative at {tuple(abc[flipped[0]].tolist())}"
+            )
+        r_cols = _key_columns(r_keys, "R", 5, ring, ((1, 0, 2), (0, 1, 2)))
+        m = int(N.max())  # radix of multiplicity indices; the ring bounds it
+        self._f_table = F = Table(f_cols, f_vals, (n,) * 6 + (m,) * 4, 4, [4, 6, 7], [5, 9, 8])
+        self._r_table = Table(r_cols, r_vals, (n,) * 3 + (m,) * 2, 3, [3], [4])
         # completeness: the range checks put every entry inside its block and
         # keys are unique, so a block is complete exactly when it holds
         # rows x columns entries: N_ba^c N_ab^c for R(a,b,c), and the
         # square of the ring's tree count of (a, b, c) -> d for F(a,b,c,d)
-        N = ring.array
         _check_complete(self._r_table, N.transpose(1, 0, 2) * N, "R entry for channel")
         _check_complete(F, ring.tree_count ** 2, "F entry for block")
         # unit gauge: fusion trees and unit insertion give unit vertices the
@@ -278,6 +269,38 @@ class CategoryData:
             raise CategoryDataError(
                 f"F block {block} with a unit label is not the identity"
             )
+
+
+def _key_columns(keys: list, name: str, arity: int, ring: FusionRing, vertices) -> np.ndarray:
+    """The keys as int32 columns: labels, then an index per vertex of
+    ``vertices``, the label columns (a, b, c) of its N_ab^c.  CategoryDataError
+    names the first key of another length, or with a label or index out
+    of range.  (The ring bounds n^7 m^3 below 2^63, so every digit in range
+    fits int32.)"""
+    width = len(vertices)
+    fits = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) == arity
+    rows = keys if fits.all() else list(itertools.compress(keys, fits))
+    try:
+        cols = np.array(rows, dtype=np.int32).reshape(len(rows), arity).T
+    except OverflowError:
+        # an int past int32 is outside every range, as -1 is
+        cols = np.array(rows, dtype=object)
+        cols[(cols < -2 ** 31) | (cols >= 2 ** 31)] = -1
+        cols = cols.astype(np.int32).T
+    labels = cols[:-width]
+    ok = ((labels >= 0) & (labels < ring.size)).all(axis=0)
+    labels[:, ~ok] = 0  # a negative label must not wrap around (the key is bad)
+    for index, (a, b, c) in zip(cols[-width:], vertices):
+        ok &= (index >= 0) & (index < ring.array[labels[a], labels[b], labels[c]])
+    bad = ~fits
+    bad[fits] = ~ok
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise CategoryDataError(
+            f"{name} entry {keys[p]} outside multiplicity range" if fits[p]
+            else f"malformed {name} key {keys[p]}"
+        )
+    return cols
 
 
 def _block_inverse(table: Table, name: str, key: tuple) -> np.ndarray:
@@ -402,17 +425,12 @@ _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 BUILTIN_NAMES = ("trivial", "z2_semion", "fibonacci", "ising")
 
 
-def _ring(names, unit, dual, channels):
-    labels = tuple(Label(i, s) for i, s in enumerate(names))
-    N = {tuple(k): 1 for k in channels}
-    return FusionRing(labels, unit, tuple(dual), N)
-
-
 def _make_builtin(names, unit, dual, channels, fvals, rvals, twist):
     """The category of the given tables, multiplicity-free, with the entries
     of the blocks with a unit label that the tables leave out set to 1 (unit
     gauge); ``CategoryData`` checks that no other entry is missing."""
-    ring = _ring(names, unit, dual, channels)
+    labels = tuple(Label(i, s) for i, s in enumerate(names))
+    ring = FusionRing(labels, unit, tuple(dual), {tuple(k): 1 for k in channels})
     F = {(a, b, c, d, x, y, 0, 0, 0, 0): complex(v) for (a, b, c, d, x, y), v in fvals.items()}
     R = {(a, b, c, 0, 0): complex(v) for (a, b, c), v in rvals.items()}
     fusions = sorted(key for key, v in ring.N.items() if v)
@@ -520,8 +538,16 @@ def builtin_category(name: str) -> CategoryData:
 # JSON category files
 
 
-def _c2pair(z: complex) -> list:
-    return [z.real, z.imag]
+def _entries(table: Table, n_labels: int) -> list:
+    """The entries of ``table`` as the category file lists them, in key
+    order."""
+    order = np.lexsort(table.cols[::-1])
+    keys = table.cols[:, order].T.tolist()
+    vals = table.vals[order]
+    return [
+        {"labels": key[:n_labels], "mult": key[n_labels:], "value": [re, im]}
+        for key, re, im in zip(keys, vals.real.tolist(), vals.imag.tolist())
+    ]
 
 
 def category_document(data: CategoryData) -> dict:
@@ -533,19 +559,9 @@ def category_document(data: CategoryData) -> dict:
         "unit": ring.unit,
         "dual": list(ring.dual),
         "fusion": sorted([a, b, c, v] for (a, b, c), v in ring.N.items()),
-        "F": [
-            {
-                "labels": [a, b, c, d, x, y],
-                "mult": [i, j, k, l],
-                "value": _c2pair(complex(v)),
-            }
-            for (a, b, c, d, x, y, i, j, k, l), v in sorted(data.F.items())
-        ],
-        "R": [
-            {"labels": [a, b, c], "mult": [i, j], "value": _c2pair(complex(v))}
-            for (a, b, c, i, j), v in sorted(data.R.items())
-        ],
-        "twist": [_c2pair(t) for t in data.twist],
+        "F": _entries(data._f_table, 6),
+        "R": _entries(data._r_table, 3),
+        "twist": [[t.real, t.imag] for t in data.twist],
     }
 
 

@@ -142,9 +142,10 @@ class Trees:
 
 
 class Table:
-    """An F- or R-table as arrays; the one store of its blocks.
+    """An F- or R-table as arrays; the only store of its entries and blocks.
 
-    ``cols`` holds the key columns of all entries and ``vals`` their values.
+    ``cols`` holds the key columns of all entries, which ``CategoryData``
+    checks and keeps no other copy of, and ``vals`` their values.
     A block is the set of entries that share their first ``width`` columns,
     its labels; blocks are numbered in the lexicographic order of their
     labels.  The rows of a block are the distinct values of the columns
@@ -158,12 +159,11 @@ class Table:
     (block numbers, read-only matrices).
     """
 
-    def __init__(self, table: dict, dims: tuple, width: int, row_cols, col_cols):
+    def __init__(self, cols, vals, dims: tuple, width: int, row_cols, col_cols):
         # the narrowest integer type holding every digit keeps the gathered
         # index columns small
-        digit = np.min_scalar_type(max(dims) - 1)
-        self.cols = np.array(list(table), dtype=digit).reshape(len(table), len(dims)).T
-        self.vals = np.array(list(table.values()), dtype=complex)
+        self.cols = cols.astype(np.min_scalar_type(max(dims) - 1))
+        self.vals = vals
         self.dims = dims
         block = _pack(self.cols[:width], dims[:width])
         self.blocks = _distinct(block)

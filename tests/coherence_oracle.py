@@ -10,8 +10,9 @@ routines here evaluate one instance, or one block, at a time:
   trees of a word (a, b, c) -> d as Python triples, walking the ring's
   channels; they are the F-table's row and column keys of the block;
 * ``f_block``, ``r_block`` and their inverses assemble one block from the
-  ``F`` and ``R`` dicts, entry by entry in the order of the tree bases, and
-  invert it alone, with no ``table_arrays.Table`` involved;
+  F and R entries as dicts (``conftest.entries``), entry by entry in the
+  order of the tree bases, and invert it alone, with no
+  ``table_arrays.Table`` involved;
 * ``dense_pentagon_instance`` expands both pentagon routes over bases
   scanned label by label;
 * ``hexagon_matrices`` builds the three braid matrices of one hexagon from
@@ -26,11 +27,23 @@ batched suites must give the same records, bit for bit.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from mtcalc import fusion_data as fd
 from mtcalc.report import Report
+
+from conftest import entries
+
+_ENTRIES = weakref.WeakKeyDictionary()
+
+
+def _tables(data):
+    """``entries(data)``, formed once per category."""
+    if data not in _ENTRIES:
+        _ENTRIES[data] = entries(data)
+    return _ENTRIES[data]
 
 
 def totals(data, word) -> tuple:
@@ -68,17 +81,19 @@ def f_block(data, a, b, c, d):
     right = f_right_basis(data, a, b, c, d)
     left = f_left_basis(data, a, b, c, d)
     mat = np.zeros((len(right), len(left)), dtype=complex)
+    F = _tables(data)[0]
     for ri, (x, i, j) in enumerate(right):
         for li, (y, k, l) in enumerate(left):
-            mat[ri, li] = data.F[(a, b, c, d, x, y, i, j, k, l)]
+            mat[ri, li] = F[(a, b, c, d, x, y, i, j, k, l)]
     return mat
 
 
 def r_block(data, a, b, c):
     """R-block (a, b, c), N_ba^c x N_ab^c; 0 x 0 off the channels of (a, b)."""
     mat = np.zeros((data.n(b, a, c), data.n(a, b, c)), dtype=complex)
+    R = _tables(data)[1]
     for i, j in np.ndindex(mat.shape):
-        mat[i, j] = data.R[(a, b, c, i, j)]
+        mat[i, j] = R[(a, b, c, i, j)]
     return mat
 
 
@@ -139,24 +154,25 @@ def dense_pentagon_instance(data, a, b, c, d, tot):
         return None
     p1 = np.zeros((len(rn), len(ln)), dtype=complex)
     p2 = np.zeros_like(p1)
+    F = _tables(data)[0]
     for si, (x, k, y, j, i) in enumerate(rn):
         for ti, (u, q, v, s, r) in enumerate(ln):
             acc1 = 0j
             for p in range(data.n(u, x, tot)):
-                f1 = data.F.get((a, b, x, tot, y, u, i, j, p, q), 0)
-                f2 = data.F.get((u, c, d, tot, x, v, p, k, r, s), 0)
+                f1 = F.get((a, b, x, tot, y, u, i, j, p, q), 0)
+                f2 = F.get((u, c, d, tot, x, v, p, k, r, s), 0)
                 acc1 += f1 * f2
             p1[si, ti] = acc1
             acc2 = 0j
             for w in range(n):
                 for t in range(data.n(w, d, y)):
                     for z in range(data.n(b, c, w)):
-                        f3 = data.F.get((b, c, d, y, x, w, j, k, t, z), 0)
+                        f3 = F.get((b, c, d, y, x, w, j, k, t, z), 0)
                         if f3 == 0:
                             continue
                         for g in range(data.n(a, w, v)):
-                            f4 = data.F.get((a, w, d, tot, y, v, i, t, r, g), 0)
-                            f5 = data.F.get((a, b, c, v, w, u, g, z, s, q), 0)
+                            f4 = F.get((a, w, d, tot, y, v, i, t, r, g), 0)
+                            f5 = F.get((a, b, c, v, w, u, g, z, s, q), 0)
                             acc2 += f3 * f4 * f5
             p2[si, ti] = acc2
     return float(np.max(np.abs(p1 - p2))) if p1.size else None

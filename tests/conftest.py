@@ -15,6 +15,29 @@ from mtcalc import diagonal_frobenius
 BUILTINS = fusion_data.BUILTIN_NAMES
 
 
+def entries(data):
+    """The F and R entries of ``data`` as dicts {key tuple: complex}, in
+    the order its tables hold them."""
+    return tuple(
+        dict(zip(map(tuple, table.cols.T.tolist()), table.vals.tolist()))
+        for table in (data._f_table, data._r_table)
+    )
+
+
+def edited(data, F=None, R=None, twist=None):
+    """A new category of ``data``'s ring and entries, with the F and R
+    entries of the keys of ``F`` and ``R`` set to their values there, or to
+    what those functions make of the old values, and ``twist`` in place of
+    the twists if given."""
+    tables = entries(data)
+    for table, edits in zip(tables, (F, R)):
+        for key, new in (edits or {}).items():
+            table[key] = new(table[key]) if callable(new) else new
+    return fusion_data.CategoryData(
+        data.ring, *tables, data.twist if twist is None else twist
+    )
+
+
 @pytest.fixture(scope="session")
 def categories():
     return {name: fusion_data.builtin_category(name) for name in BUILTINS}
@@ -28,18 +51,23 @@ def algebras(categories):
     }
 
 
-@pytest.fixture(scope="session")
-def pointed_category():
-    """Factory of the pointed Z_n category of the benchmark's generated
-    inputs: trivial F, R = w^(ab), twist w^(a^2), n odd.  It is
-    ``zn_category`` of ``perfbench/workloads.py``, loaded by path."""
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    return functools.partial(workloads.zn_category, fusion_data)
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def pointed_category():
+    """Factory of the pointed Z_n category of the benchmark's generated
+    inputs: trivial F, R = w^(ab), twist w^(a^2), n odd.  It is
+    ``zn_category`` of ``perfbench/workloads.py``."""
+    return functools.partial(perfbench_workloads().zn_category, fusion_data)
 
 
 def _random_tables(ring, seed):

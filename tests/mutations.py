@@ -37,6 +37,9 @@ import json
 import random
 from pathlib import Path
 
+from mtcalc import fusion_data as fd
+from mtcalc.cli_io import run_suite
+
 CATEGORY_COMMANDS = (
     "verify-category", "rigidity", "fusing-symmetries", "build-ffa", "verify-ffa",
 )
@@ -104,7 +107,7 @@ def _pick(rng, slots):
     return slots[rng.randrange(len(slots))]
 
 
-def _entry_table(rng, doc):
+def _some_entry(rng, doc):
     """An F, R or fusion table that has entries, and one of its entries."""
     table = rng.choice([t for t in ("F", "R", "fusion") if doc[t]])
     return table, rng.randrange(len(doc[table]))
@@ -134,7 +137,7 @@ def _edit(rng, doc, kind, dups) -> str:
         path = _pick(rng, _number_slots(doc))
         value = rng.choice([float("nan"), float("inf"), float("-inf")])
     elif kind == "delete_key":
-        table, e = _entry_table(rng, doc)
+        table, e = _some_entry(rng, doc)
         if table == "fusion" or rng.random() < 0.3:
             key = rng.choice(sorted(doc))
             del doc[key]
@@ -155,11 +158,11 @@ def _edit(rng, doc, kind, dups) -> str:
         doc[table][e] = _DUP + str(len(dups) - 1)
         return f"dup_key {table}[{e}].{key} {json.dumps(first)} then {json.dumps(last)}"
     elif kind == "delete_entry":
-        table, e = _entry_table(rng, doc)
+        table, e = _some_entry(rng, doc)
         del doc[table][e]
         return f"delete {table}[{e}]"
     elif kind == "dup_entry":
-        table, e = _entry_table(rng, doc)
+        table, e = _some_entry(rng, doc)
         copied = copy.deepcopy(doc[table][e])
         changed = rng.random() < 0.5
         if changed and table == "fusion":
@@ -226,8 +229,6 @@ def outcomes(corpus, workdir: Path) -> list:
     """[mutation id, subcommand, exit code, first output line] of each file
     of ``corpus`` under every category subcommand, the file written in
     ``workdir``."""
-    from mtcalc.cli_io import run_suite
-
     out = []
     path = workdir / "mutated.json"
     for ident, text in corpus:
@@ -246,18 +247,10 @@ def digest(rows) -> str:
 
 def base_documents() -> dict:
     """The category documents of the builtins and of the pointed Z_5."""
-    import importlib.util
-    import sys
+    from conftest import perfbench_workloads
 
-    from mtcalc import fusion_data as fd
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
     cats = {name: fd.builtin_category(name) for name in fd.BUILTIN_NAMES}
-    cats["z5"] = workloads.zn_category(fd, 5)
+    cats["z5"] = perfbench_workloads().zn_category(fd, 5)
     return {name: json.loads(fd.emit_category(data)) for name, data in cats.items()}
 
 

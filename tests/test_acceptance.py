@@ -27,6 +27,7 @@ from mtcalc import sewing_operad as so
 from mtcalc.cli_io import run_suite
 
 import bending_oracle as bo
+from conftest import edited
 
 BUILTINS = fd.BUILTIN_NAMES
 TOL = 1e-9
@@ -208,18 +209,13 @@ def test_criterion_7_negative_controls(categories):
     results = {}
 
     data = categories["fibonacci"]
-    negated = fd.CategoryData(
-        data.ring,
-        data.F,
-        {**data.R, (1, 1, 0, 0, 0): -data.R[(1, 1, 0, 0, 0)]},
-        data.twist,
-    )
+    negated = edited(data, R={(1, 1, 0, 0, 0): lambda v: -v})
     rep = fd.verify_coherence(negated, TOL)
     results["negated R -> hexagon"] = max(
         r.residual for r in rep.records if r.id == "hexagon"
     )
 
-    flat = fd.CategoryData(data.ring, data.F, data.R, [1.0, 1.0])
+    flat = edited(data, twist=[1.0, 1.0])
     rep = gc.verify_fusing_symmetries(flat, TOL)
     results["trivialized twist -> fusing"] = max(
         r.residual for r in rep.records if "phase" in r.id or "bend" in r.id
@@ -246,7 +242,7 @@ def test_criterion_7_negative_controls(categories):
     )
 
     semion = categories["z2_semion"]
-    untwisted = fd.CategoryData(semion.ring, semion.F, semion.R, [1.0, 1.0])
+    untwisted = edited(semion, twist=[1.0, 1.0])
     results["untwisted semion -> dimension identity"] = (
         _dimension_identity_residuals(untwisted)[1]
     )

@@ -13,6 +13,8 @@ import mtcalc
 from mtcalc import fusion_data as fd
 from mtcalc.cli_io import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_suite
 
+from conftest import edited, entries
+
 
 def test_verify_category_builtin_ok():
     status, out = run_suite(["verify-category", "builtin:fibonacci", "--tol", "1e-9"])
@@ -124,12 +126,7 @@ def test_rigidity_record_count():
 
 def test_corrupt_file_verification_fails(tmp_path):
     data = fd.builtin_category("fibonacci")
-    bad = fd.CategoryData(
-        data.ring,
-        data.F,
-        {**data.R, (1, 1, 0, 0, 0): -data.R[(1, 1, 0, 0, 0)]},
-        data.twist,
-    )
+    bad = edited(data, R={(1, 1, 0, 0, 0): lambda v: -v})
     path = tmp_path / "corrupt.json"
     path.write_text(fd.emit_category(bad))
     status, out = run_suite(["verify-category", str(path)])
@@ -277,9 +274,9 @@ def test_fusing_symmetries_names_a_singular_block_its_images_invert(
     # images of the word stage invert it, and they are all formed before
     # any fusing matrix is, so the error names the block
     data = pointed_category(5)
-    R = {k: 0j if k[:3] == (1, 1, 2) else v for k, v in data.R.items()}
+    R = {k: 0j for k in entries(data)[1] if k[:3] == (1, 1, 2)}
     path = tmp_path / "z5_singular_r.json"
-    path.write_text(fd.emit_category(fd.CategoryData(data.ring, data.F, R, data.twist)))
+    path.write_text(fd.emit_category(edited(data, R=R)))
     assert run_suite(["fusing-symmetries", str(path)]) == (
         EXIT_INPUT, "input error: R block (1, 1, 2) is singular\n"
     )
@@ -292,9 +289,9 @@ def test_fusing_symmetries_names_a_word_whose_fusing_matrix_is_singular(
     # the braid fusing matrix of that word; verify-category reports it as a
     # verification failure, fusing-symmetries cannot form the inverse
     data = pointed_category(5)
-    F = {k: 0j if k[:4] == (1, 2, 1, 4) else v for k, v in data.F.items()}
+    F = {k: 0j for k in entries(data)[0] if k[:4] == (1, 2, 1, 4)}
     path = tmp_path / "z5_singular_word.json"
-    path.write_text(fd.emit_category(fd.CategoryData(data.ring, F, data.R, data.twist)))
+    path.write_text(fd.emit_category(edited(data, F=F)))
     assert run_suite(["fusing-symmetries", str(path)]) == (
         EXIT_INPUT,
         "input error: braid fusing matrix of word (1, 2, 1, 4) is singular\n",

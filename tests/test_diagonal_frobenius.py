@@ -13,6 +13,7 @@ from mtcalc.deligne_double import DoubleMorphism, DoubleObject, assignments, pai
 
 import bending_oracle as bo
 import comult_oracle
+from conftest import edited
 
 BUILTINS = fd.BUILTIN_NAMES
 PHI = (1 + math.sqrt(5)) / 2
@@ -78,9 +79,7 @@ def test_phi_nonzero(algebras):
 def test_degenerate_data_aborts(categories):
     data = categories["fibonacci"]
     key = (1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
-    bad = fd.CategoryData(
-        data.ring, {**data.F, key: 1e13}, data.R, data.twist
-    )
+    bad = edited(data, F={key: 1e13})
     # loop value 1/F is driven to zero: the build must refuse
     with pytest.raises(ValueError, match="degenerate"):
         df.build_diagonal_algebra(bad)

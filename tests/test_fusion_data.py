@@ -13,6 +13,8 @@ from mtcalc.report import emit_report
 from mtcalc.table_arrays import Trees, _braid_blocks
 
 import coherence_oracle as oracle
+import validation_oracle
+from conftest import edited, entries
 
 PHI = (1 + math.sqrt(5)) / 2
 BUILTINS = fd.BUILTIN_NAMES
@@ -85,16 +87,16 @@ def test_semion_twist_value(categories):
 # -- file format ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_emit_load_roundtrip_bit_exact(categories, name):
-    text = fd.emit_category(categories[name])
-    again = fd.emit_category(fd.loads_category(text))
-    assert text == again
+@pytest.mark.parametrize("name", BUILTINS + tuple(f"z{n}" for n in range(3, 14, 2)) + (
+    "rep_a4_random", "near_group_random"))
+def test_emit_load_roundtrip_bit_exact(oracle_input, name):
+    data = oracle_input(name)
+    text = fd.emit_category(data)
+    loaded = fd.loads_category(text)
+    assert fd.emit_category(loaded) == text
     # numbers survive the JSON round trip exactly
-    data = fd.loads_category(text)
-    assert data.F == categories[name].F
-    assert data.R == categories[name].R
-    assert data.twist == categories[name].twist
+    assert entries(loaded) == entries(data)
+    assert loaded.twist == data.twist
 
 
 def test_load_example_files(categories, tmp_path):
@@ -102,7 +104,7 @@ def test_load_example_files(categories, tmp_path):
 
     here = pathlib.Path(__file__).parent / "data"
     loaded = fd.load_category(here / "fibonacci.json")
-    assert loaded.F == categories["fibonacci"].F
+    assert entries(loaded)[0] == entries(categories["fibonacci"])[0]
     assert fd.load_category(here / "trivial.json").size == 1
 
 
@@ -258,12 +260,7 @@ def test_ring_bounds_its_multiplicities():
 
 def test_negated_r_symbol_breaks_hexagon(categories):
     data = categories["fibonacci"]
-    bad = fd.CategoryData(
-        data.ring,
-        data.F,
-        {**data.R, (1, 1, 0, 0, 0): -data.R[(1, 1, 0, 0, 0)]},
-        data.twist,
-    )
+    bad = edited(data, R={(1, 1, 0, 0, 0): lambda v: -v})
     rep = fd.verify_coherence(bad, 1e-9)
     hex_res = max(r.residual for r in rep.records if r.id == "hexagon")
     assert hex_res > 0.1
@@ -271,10 +268,7 @@ def test_negated_r_symbol_breaks_hexagon(categories):
 
 def test_perturbed_f_breaks_pentagon(categories):
     data = categories["ising"]
-    key = (1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
-    bad = fd.CategoryData(
-        data.ring, {**data.F, key: data.F[key] * 1.5}, data.R, data.twist
-    )
+    bad = edited(data, F={(1, 1, 1, 1, 0, 0, 0, 0, 0, 0): lambda v: v * 1.5})
     rep = fd.verify_coherence(bad, 1e-9)
     pent = max(r.residual for r in rep.records if r.id == "pentagon")
     assert pent > 1e-2
@@ -282,9 +276,7 @@ def test_perturbed_f_breaks_pentagon(categories):
 
 def test_nonunitary_gauge_reported(categories):
     data = categories["z2_semion"]
-    bad = fd.CategoryData(
-        data.ring, data.F, {**data.R, (1, 1, 0, 0, 0): -3j}, data.twist
-    )
+    bad = edited(data, R={(1, 1, 0, 0, 0): -3j})
     rep = fd.verify_coherence(bad, 1e-9)
     runit = max(r.residual for r in rep.records if r.id == "r_unitary")
     assert runit > 1.0
@@ -359,7 +351,7 @@ ORACLE_INPUTS = BUILTINS + ("z5", "rep_a4_random", "near_group_random")
 @pytest.fixture
 def oracle_input(categories, pointed_category, rep_a4_random, near_group_random):
     def get(name):
-        if name in ("z3", "z5", "z7"):
+        if re.fullmatch(r"z\d+", name):
             return pointed_category(int(name[1:]))
         if name == "rep_a4_random":
             return rep_a4_random
@@ -368,6 +360,112 @@ def oracle_input(categories, pointed_category, rep_a4_random, near_group_random)
         return categories[name]
 
     return get
+
+
+def _vec_s3_parts(zeros):
+    """The non-commutative Vec_S3 of ``test_cli``, built without a file;
+    with ``zeros``, its ring also lists every N_ab^c = 0 as an entry."""
+    from test_cli import _vec_s3_text
+
+    doc = json.loads(_vec_s3_text())
+    n = len(doc["labels"])
+    N = dict.fromkeys(itertools.product(range(n), repeat=3), 0) if zeros else {}
+    N.update({tuple(row[:3]): row[3] for row in doc["fusion"]})
+    ring = fd.FusionRing(
+        tuple(fd.Label(i, s) for i, s in enumerate(doc["labels"])), 0, tuple(doc["dual"]), N
+    )
+    F, R = ({tuple(e["labels"] + e["mult"]): complex(*e["value"]) for e in doc[t]}
+            for t in ("F", "R"))
+    return ring, F, R, [1.0] * n
+
+
+F_KEY = (1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
+NAN, INF = complex(math.nan, 0.0), complex(0.0, math.inf)
+
+# Inputs with bad F or R entries, built directly: a category, the entries
+# (table, place in its input order or None for the end, key, value) put
+# into it, and the message both the per-key route and the array checks give.
+BAD_ENTRIES = {
+    "f_key_short": ("fibonacci", [("F", 3, F_KEY[:9], 1.0)],
+                    "malformed F key (1, 1, 1, 1, 0, 0, 0, 0, 0)"),
+    "f_key_long_before_range": (
+        "fibonacci", [("F", 9, (2,) + F_KEY[1:], 1.0), ("F", 3, F_KEY + (0,), 1.0)],
+        "malformed F key (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0)"),
+    "f_range_before_long_key": (
+        "fibonacci", [("F", 9, F_KEY + (0,), 1.0), ("F", 3, (2,) + F_KEY[1:], 1.0)],
+        "F entry (2, 1, 1, 1, 0, 0, 0, 0, 0, 0) outside multiplicity range"),
+    "r_key_long": ("fibonacci", [("R", 1, (1, 1, 0, 0, 0, 0), 1.0)],
+                   "malformed R key (1, 1, 0, 0, 0, 0)"),
+    # -1 would index the last label, and the entry would land in a block
+    "f_label_negative": ("fibonacci", [("F", 0, (-1,) + F_KEY[1:], 1.0)],
+                         "F entry (-1, 1, 1, 1, 0, 0, 0, 0, 0, 0) outside multiplicity range"),
+    "r_label_negative": ("fibonacci", [("R", 0, (1, -1, 0, 0, 0), 1.0)],
+                         "R entry (1, -1, 0, 0, 0) outside multiplicity range"),
+    "f_label_n": ("fibonacci", [("F", None, (1, 1, 1, 1, 2, 0, 0, 0, 0, 0), 1.0)],
+                  "F entry (1, 1, 1, 1, 2, 0, 0, 0, 0, 0) outside multiplicity range"),
+    "r_label_n": ("fibonacci", [("R", None, (1, 1, 2, 0, 0), 1.0)],
+                  "R entry (1, 1, 2, 0, 0) outside multiplicity range"),
+    "f_index_n": ("rep_a4_random", [("F", 5, (3, 3, 3, 3, 3, 3, 0, 0, 0, 2), 1.0)],
+                  "F entry (3, 3, 3, 3, 3, 3, 0, 0, 0, 2) outside multiplicity range"),
+    "f_index_negative": ("rep_a4_random", [("F", 5, (3, 3, 3, 3, 3, 3, 0, -1, 0, 0), 1.0)],
+                         "F entry (3, 3, 3, 3, 3, 3, 0, -1, 0, 0) outside multiplicity range"),
+    "r_index_n": ("rep_a4_random", [("R", 5, (3, 3, 3, 2, 0), 1.0)],
+                  "R entry (3, 3, 3, 2, 0) outside multiplicity range"),
+    "f_nan": ("fibonacci", [("F", None, F_KEY, NAN)],
+              "F entry (1, 1, 1, 1, 0, 0, 0, 0, 0, 0) is not finite"),
+    "r_inf": ("fibonacci", [("R", None, (1, 1, 0, 0, 0), INF)],
+              "R entry (1, 1, 0, 0, 0) is not finite"),
+    # every value is checked before any key
+    "r_nan_before_f_key": (
+        "fibonacci", [("F", 0, F_KEY[:9], 1.0), ("R", None, (1, 1, 1, 0, 0), NAN)],
+        "R entry (1, 1, 1, 0, 0) is not finite"),
+    "r_index_past_int32": ("fibonacci", [("R", 2, (1, 1, 0, 2 ** 31, 0), 1.0)],
+                           "R entry (1, 1, 0, 2147483648, 0) outside multiplicity range"),
+    "f_label_past_int64": (
+        "fibonacci", [("F", 2, (2 ** 63,) + F_KEY[1:], 1.0)],
+        "F entry (9223372036854775808, 1, 1, 1, 0, 0, 0, 0, 0, 0) outside multiplicity range"),
+    "f_index_past_int64": (
+        "rep_a4_random", [("F", 2, (3, 3, 3, 3, 3, 3, 0, 0, 2 ** 64, 0), 1.0)],
+        "F entry (3, 3, 3, 3, 3, 3, 0, 0, 18446744073709551616, 0) outside multiplicity range"),
+    "r_label_past_int64": (
+        "fibonacci", [("R", 2, (1, -2 ** 63 - 1, 0, 0, 0), 1.0)],
+        "R entry (1, -9223372036854775809, 0, 0, 0) outside multiplicity range"),
+    "r_index_past_int64": ("fibonacci", [("R", 2, (1, 1, 0, 10 ** 30, 0), 1.0)],
+                           "R entry (1, 1, 0, 1000000000000000000000000000000, 0) "
+                           "outside multiplicity range"),
+    # the fusion rules are checked after the F keys, before the R keys
+    "noncommutative": ("vec_s3", [("R", 0, (1, 1, 1, 1, 1), 1.0)],
+                       "fusion rules not commutative at (1, 2, 4)"),
+    "noncommutative_zero_entries": ("vec_s3_zeros", [],
+                                    "fusion rules not commutative at (1, 2, 3)"),
+    "f_key_before_noncommutative": ("vec_s3", [("F", None, F_KEY[:9], 1.0)],
+                                    "malformed F key (1, 1, 1, 1, 0, 0, 0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENTRIES)
+def test_array_checks_name_the_entry_the_per_key_route_names(oracle_input, case):
+    base, edits, message = BAD_ENTRIES[case]
+    if base.startswith("vec_s3"):
+        ring, F, R, twist = _vec_s3_parts(zeros=base.endswith("zeros"))
+    else:
+        data = oracle_input(base)
+        (F, R), ring, twist = entries(data), data.ring, data.twist
+    tables = {"F": list(F.items()), "R": list(R.items())}
+    for table, at, key, value in edits:
+        tables[table].insert(len(tables[table]) if at is None else at, (key, value))
+    F, R = dict(tables["F"]), dict(tables["R"])  # a repeated key keeps its place
+    with pytest.raises(fd.CategoryDataError) as want:
+        validation_oracle.check_entries(ring, F, R, twist)
+    with pytest.raises(fd.CategoryDataError) as got:
+        fd.CategoryData(ring, F, R, twist)
+    assert str(got.value) == str(want.value) == message
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_per_key_route_passes_the_inputs(oracle_input, name):
+    data = oracle_input(name)
+    validation_oracle.check_entries(data.ring, *entries(data), data.twist)
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
@@ -524,28 +622,18 @@ def test_coherence_visits_only_reachable_totals(pointed_category, monkeypatch):
 
 def _zero_block(data, table, block):
     """``data`` with every entry of one F- or R-block set to zero."""
-    tables = {"F": dict(data.F), "R": dict(data.R)}
-    for key in tables[table]:
-        if key[:len(block)] == block:
-            tables[table][key] = 0j
-    return fd.CategoryData(data.ring, tables["F"], tables["R"], data.twist)
-
-
-def _perturbed_f(data):
-    key = (1, 1, 1, 1, 0, 0, 0, 0, 0, 0)
-    return fd.CategoryData(
-        data.ring, {**data.F, key: data.F[key] * 1.5}, data.R, data.twist
-    )
-
-
-def _negated_r(data):
-    key = (1, 1, 0, 0, 0)
-    return fd.CategoryData(data.ring, data.F, {**data.R, key: -data.R[key]}, data.twist)
+    keys = entries(data)["FR".index(table)]
+    zeros = {key: 0j for key in keys if key[:len(block)] == block}
+    return edited(data, **{table: zeros})
 
 
 INCOHERENT = {
-    "ising_perturbed_f": lambda get: _perturbed_f(get("ising")),
-    "fibonacci_negated_r": lambda get: _negated_r(get("fibonacci")),
+    "ising_perturbed_f": lambda get: edited(
+        get("ising"), F={(1, 1, 1, 1, 0, 0, 0, 0, 0, 0): lambda v: v * 1.5}
+    ),
+    "fibonacci_negated_r": lambda get: edited(
+        get("fibonacci"), R={(1, 1, 0, 0, 0): lambda v: -v}
+    ),
     "z3_singular_f": lambda get: _zero_block(get("z3"), "F", (1, 1, 1, 0)),
     "z3_singular_r": lambda get: _zero_block(get("z3"), "R", (1, 2, 0)),
 }
@@ -557,7 +645,7 @@ def test_batched_report_matches_oracle_bytes(oracle_input, name):
     per-block loop write, byte for byte, on coherent and incoherent data."""
     make = INCOHERENT.get(name)
     data = make(oracle_input) if make else oracle_input(name)
-    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    fresh = edited(data)
     got = emit_report(fd.verify_coherence(data, 1e-9))
     assert got == emit_report(oracle.verify_coherence(fresh, 1e-9))
     if name.startswith("z3_singular"):
@@ -572,16 +660,9 @@ def test_batched_report_matches_oracle_bytes(oracle_input, name):
         assert not json.loads(got)["summary"]["pass"]
 
 
-def _with(data, R=None, twist=None):
-    """``data`` with the R entries given multiplied by their factors, or
-    another twist."""
-    R = {**data.R, **{k: data.R[k] * f for k, f in (R or {}).items()}}
-    return fd.CategoryData(data.ring, data.F, R, data.twist if twist is None else twist)
-
-
 def _z3_twist_of_1_negated(get):
     data = get("z3")
-    return _with(data, twist=[data.twist[0], -data.twist[1], data.twist[2]])
+    return edited(data, twist=[data.twist[0], -data.twist[1], data.twist[2]])
 
 
 N_ONLY = (
@@ -595,10 +676,10 @@ COHERENCE_NEGATIVE_CONTROLS = {
     "pentagon": INCOHERENT["ising_perturbed_f"],
     "hexagon": INCOHERENT["fibonacci_negated_r"],
     "f_unitary": INCOHERENT["ising_perturbed_f"],
-    "r_unitary": lambda get: _with(get("fibonacci"), R={(1, 1, 0, 0, 0): 2}),
+    "r_unitary": lambda get: edited(get("fibonacci"), R={(1, 1, 0, 0, 0): lambda v: v * 2}),
     "f_invertible": INCOHERENT["z3_singular_f"],
     "twist_dual": _z3_twist_of_1_negated,
-    "twist_unit": lambda get: _with(
+    "twist_unit": lambda get: edited(
         get("fibonacci"), twist=[-1.0, get("fibonacci").twist[1]]
     ),
     "qdim_pf": N_ONLY,

@@ -20,6 +20,7 @@ import bending_oracle as bo
 import coherence_oracle as co
 import fusing_oracle as fo
 import rigidity_oracle as ro
+from conftest import edited, entries
 from test_fusion_data import INCOHERENT, ORACLE_INPUTS, oracle_input  # noqa: F401
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -235,12 +236,13 @@ def test_duality_fusing_scalar_examples(categories):
 def test_unit_channel_entry_reads_the_list_bases_entry(oracle_input, name):
     """The fusing-entry routes read F and its inverse at the table's (e, 0,
     0) row and column: the entry the list bases' ``.index`` finds, and the
-    ``F`` dict's entry for the duality fusing scalar, bit for bit."""
+    F entry (``entries``) for the duality fusing scalar, bit for bit."""
     data = oracle_input(name)
+    F = entries(data)[0]
     e = data.unit
     for a in range(data.size):
         ap = data.dual(a)
-        assert gc.duality_fusing_scalar(data, a) == data.F[(a, ap, a, a, e, e, 0, 0, 0, 0)]
+        assert gc.duality_fusing_scalar(data, a) == F[(a, ap, a, a, e, e, 0, 0, 0, 0)]
         for word in ((a, ap, a, a), (ap, a, ap, ap)):
             r = co.f_right_basis(data, *word).index((e, 0, 0))
             c = co.f_left_basis(data, *word).index((e, 0, 0))
@@ -489,9 +491,9 @@ def test_completeness(categories, name):
 def _unit_f_nudged(data):
     """``data`` with every entry of the F-blocks F(e, a, b, q) moved by
     1e-13, inside the loader's 1e-12 unit-gauge check."""
-    F = {key: value + 1e-13 * np.exp(1j * n) if key[0] == data.unit else value
-         for n, (key, value) in enumerate(data.F.items())}
-    return fd.CategoryData(data.ring, F, data.R, data.twist)
+    F = {key: value + 1e-13 * np.exp(1j * n)
+         for n, (key, value) in enumerate(entries(data)[0].items()) if key[0] == data.unit}
+    return edited(data, F=F)
 
 
 def _inverses_perturbed(data):
@@ -499,7 +501,7 @@ def _inverses_perturbed(data):
     routes read, are each off by about 1e-6 at random: every completeness
     residual is then about 1e-6, and differs from charge to charge.  The
     copy is the only reader of the perturbed inverses."""
-    data = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    data = edited(data)
     table, rng = data._f_table, np.random.default_rng(7)
     moved = [(inv + 1e-6 * rng.normal(size=inv.shape), singular)
              for inv, singular in table.inverses()]
@@ -641,7 +643,7 @@ def test_fusing_symmetries(categories, name):
 
 def test_trivialized_twist_detected(categories):
     data = categories["fibonacci"]
-    bad = fd.CategoryData(data.ring, data.F, data.R, [1.0, 1.0])
+    bad = edited(data, twist=[1.0, 1.0])
     rep = gc.verify_fusing_symmetries(bad, 1e-9)
     phase = [r for r in rep.records if r.id.startswith("duality_vertex_phase")]
     worst = max(r.residual for r in phase)
@@ -752,7 +754,7 @@ def test_basis_images_match_composed_route(oracle_input, name):
         (kind, a, b, c) for kind in IMAGE_KINDS
         for a, b, c in itertools.product(range(data.size), repeat=3) if data.n(a, b, c)
     ]
-    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    fresh = edited(data)
     want, error = _route_images_or_error(fresh, families)
     if error is not None:
         with pytest.raises(fd.CategoryDataError) as exc:
@@ -835,7 +837,7 @@ def test_fusing_report_matches_oracle_bytes(oracle_input, name):
     the same error."""
     make = INCOHERENT.get(name)
     data = make(oracle_input) if make else oracle_input(name)
-    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    fresh = edited(data)
     got = _report_or_error(gc.verify_fusing_symmetries, data)
     assert got == _report_or_error(fo.verify_fusing_symmetries, fresh)
     report, error = got
@@ -848,25 +850,18 @@ def test_fusing_report_matches_oracle_bytes(oracle_input, name):
         assert not json.loads(report)["summary"]["pass"]
 
 
-def _edited(data, F=None, twist=None):
-    """``data`` with the F entries given multiplied by their factors, or
-    another twist."""
-    F = {**data.F, **{k: data.F[k] * f for k, f in (F or {}).items()}}
-    return fd.CategoryData(data.ring, F, data.R, data.twist if twist is None else twist)
-
-
 def _untwisted_fibonacci(get):
-    return _edited(get("fibonacci"), twist=[1.0, 1.0])
+    return edited(get("fibonacci"), twist=[1.0, 1.0])
 
 
 def _z3_dual_pair_entry(get):
     # F^{1 2 1}_1 on the unit channels: the duality fusing scalar of label 1
-    return _edited(get("z3"), F={(1, 2, 1, 1, 0, 0, 0, 0, 0, 0): 1j})
+    return edited(get("z3"), F={(1, 2, 1, 1, 0, 0, 0, 0, 0, 0): lambda v: v * 1j})
 
 
 def _z3_twist_negated(get):
     data = get("z3")
-    return _edited(data, twist=[data.twist[0], -data.twist[1], data.twist[2]])
+    return edited(data, twist=[data.twist[0], -data.twist[1], data.twist[2]])
 
 
 # per check id of the suite, a corrupted input on which the batched route
@@ -880,8 +875,8 @@ NEGATIVE_CONTROLS = {
     "bend_unit_left": _untwisted_fibonacci,
     "bend_unit_right": _z3_twist_negated,
     # a non-unit F entry of Z_3 that no duality record reads
-    "fusing_braid_conjugation": lambda get: _edited(
-        get("z3"), F={(1, 1, 2, 1, 0, 2, 0, 0, 0, 0): 1j}
+    "fusing_braid_conjugation": lambda get: edited(
+        get("z3"), F={(1, 1, 2, 1, 0, 2, 0, 0, 0, 0): lambda v: v * 1j}
     ),
     "fusing_bend_conjugation": INCOHERENT["ising_perturbed_f"],
 }
@@ -897,7 +892,7 @@ def test_fusing_negative_control(oracle_input, check_id):
     """The corruption fails ``check_id`` on the batched route, and the
     per-word route fails the same (id, instance) records."""
     data = NEGATIVE_CONTROLS[check_id](oracle_input)
-    fresh = fd.CategoryData(data.ring, data.F, data.R, data.twist)
+    fresh = edited(data)
     failed = [
         {(r.id, r.instance) for r in suite(d, 1e-9).records if not r.ok}
         for suite, d in ((gc.verify_fusing_symmetries, data),
@@ -961,7 +956,7 @@ def _wrong_fusing_route(get, monkeypatch):
 def _scaled_inverses(get, monkeypatch):
     # every stored F-block inverse scaled by 2, on a fresh copy of the input
     # so that no memo of the shared one keeps a block formed from them
-    data = _edited(get("fibonacci"))
+    data = edited(get("fibonacci"))
     table = data._f_table
     scaled = [(2.0 * inv, singular) for inv, singular in table.inverses()]
     monkeypatch.setattr(table, "inverses", lambda: scaled)

@@ -6,14 +6,14 @@ import pytest
 from mtcalc import fusion_data as fd
 
 import solver_oracle as oracle
+from conftest import entries
 
 NONTRIVIAL = ("z2_semion", "fibonacci", "ising")
 
 
 def _builtin_dicts(data):
-    F = {k[:6]: complex(v) for k, v in data.F.items()}
-    R = {k[:3]: complex(v) for k, v in data.R.items()}
-    return F, R
+    F, R = entries(data)
+    return {k[:6]: v for k, v in F.items()}, {k[:3]: v for k, v in R.items()}
 
 
 @pytest.mark.parametrize("name", fd.BUILTIN_NAMES)

@@ -66,23 +66,30 @@ GOLDEN_CASES = [
     for cmd in ("fusing-symmetries", "rigidity", "verify-category", "verify-ffa")
 ] + [("z3", "build-ffa"), ("z3", "verify-ffa")] + [
     (name, "operad-check") for name in OPERAD_GOLDEN_ARGS
+] + [
+    # the only inputs with fusion multiplicities
+    ("rep_a4_random", "rigidity"), ("rep_a4_random", "fusing-symmetries"),
+    ("near_group_random", "rigidity"), ("near_group_random", "fusing-symmetries"),
+    ("near_group_random", "verify-category"),
 ]
 
 
 @pytest.mark.parametrize("name, cmd", GOLDEN_CASES)
-def test_reports_match_golden(tmp_path, pointed_category, name, cmd):
+def test_reports_match_golden(request, tmp_path, pointed_category, name, cmd):
     # golden reports were captured before the generators were rebuilt on one
     # tree-window routine; records must not change, residuals only by round-off.
-    # z3 is the pointed Z_3 category, whose labels 1 and 2 are not self-dual.
+    # z3 is the pointed Z_3 category, whose labels 1 and 2 are not self-dual;
+    # the random-table inputs are the conftest fixtures of their names.
     text = (GOLDEN / f"{cmd}__{name}.json").read_text()
     if cmd == "operad-check":
         assert run_suite([cmd, *OPERAD_GOLDEN_ARGS[name]]) == (EXIT_OK, text)
         return
     want = json.loads(text)
     source = f"builtin:{name}"
-    if name == "z3":
-        source = tmp_path / "z3.json"
-        source.write_text(fd.emit_category(pointed_category(3)))
+    if name not in fd.BUILTIN_NAMES:
+        data = pointed_category(3) if name == "z3" else request.getfixturevalue(name)
+        source = tmp_path / f"{name}.json"
+        source.write_text(fd.emit_category(data))
     status, out = run_suite([cmd, str(source)])
     got = json.loads(out)
     if cmd == "build-ffa":

@@ -1,5 +1,6 @@
-"""The mutation corpus: every edited category file's exit code and first
-output line, under every category subcommand, are a stored contract."""
+"""The mutation corpora: every edited category file's exit code and first
+output line under every category subcommand, and every edited algebra
+file's under ``verify-ffa``, are a stored contract."""
 
 import json
 
@@ -8,11 +9,17 @@ import mutations
 from mtcalc.cli_io import EXIT_INPUT, EXIT_OK, EXIT_VERIFY
 
 
-def test_mutation_corpus_outcomes_match_stored(tmp_path):
-    corpus = mutations.mutations(mutations.base_documents(), mutations.PER_BASE, mutations.SEED)
-    # run_suite catching no exception fails this test with its traceback
-    rows = mutations.outcomes(corpus, tmp_path)
+def _assert_stored(rows, stored):
+    # run_suite catching no exception fails the test with its traceback
     assert {status for _, _, status, _ in rows} <= {EXIT_OK, EXIT_INPUT, EXIT_VERIFY}
-    stored = json.loads(mutations.OUTCOMES.read_text(encoding="utf-8"))
+    stored = json.loads(stored.read_text(encoding="utf-8"))
     assert rows == stored["outcomes"]
     assert mutations.digest(rows) == stored["sha256"]
+
+
+def test_mutation_corpus_outcomes_match_stored(tmp_path):
+    _assert_stored(mutations.category_outcomes(tmp_path), mutations.OUTCOMES)
+
+
+def test_algebra_mutation_corpus_outcomes_match_stored(tmp_path):
+    _assert_stored(mutations.algebra_outcomes(tmp_path), mutations.ALGEBRA_OUTCOMES)

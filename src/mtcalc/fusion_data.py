@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from operator import add, itemgetter
 
 import numpy as np
@@ -73,39 +73,40 @@ class Label:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
     """Fusion multiplicities of a finite set of labels with unit and duals.
 
-    Validation builds four fields.  ``channels`` maps every label pair
-    (a, b) to the ascending tuple of the channels c with N_{ab}^c > 0, and
-    ``chain_steps`` holds them as the tree enumerator ``table_arrays.Trees``
-    walks them.  ``array`` is N as a dense (n, n, n) int64 array.
+    ``N`` maps (a, b, c) to N_{ab}^c, absent meaning 0: the one input form.
+    Validation keeps it only as ``array``, a dense (n, n, n) int64 array,
+    and derives ``chain_steps``, the channels of every label pair as the
+    tree enumerator ``table_arrays.Trees`` walks them, and ``tree_count``:
     ``tree_count[a, b, c, d]`` is the number of fusion trees of the word
     (a, b, c) into d; the ring is associative exactly when counting them
     through the channels of (a, b) and of (b, c) gives the same tensor.
+    Rings compare by identity.
     """
 
     labels: tuple[Label, ...]
     unit: int
     dual: tuple[int, ...]
-    N: dict = field(hash=False)  # (a, b, c) -> positive int; absent means 0
-    channels: dict = field(init=False, repr=False, compare=False, hash=False)
-    array: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
-    chain_steps: tuple = field(init=False, repr=False, compare=False, hash=False)
-    tree_count: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    N: InitVar[dict]
+    array: np.ndarray = field(init=False, repr=False)
+    chain_steps: tuple = field(init=False, repr=False)
+    tree_count: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._validate()
+    def __post_init__(self, N):
+        self._validate(N)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def n(self, a: int, b: int, c: int) -> int:
-        return self.N.get((a, b, c), 0)
+        """N_ab^c; the labels must be in range (a negative one wraps around)."""
+        return self.array.item(a, b, c)
 
-    def _validate(self):
+    def _validate(self, N: dict):
         n = self.size
         e = self.unit
         if sorted(l.id for l in self.labels) != list(range(n)):
@@ -119,38 +120,33 @@ class FusionRing:
                 raise CategoryDataError("dual map is not an involution")
         if self.dual[e] != e:
             raise CategoryDataError("dual of the unit must be the unit")
-        for (a, b, c), v in self.N.items():
+        for (a, b, c), v in N.items():
             if v < 0 or not all(0 <= x < n for x in (a, b, c)):
                 raise CategoryDataError(f"bad fusion entry {(a, b, c)} -> {v}")
-        channels = {(a, b): () for a in range(n) for b in range(n)}
-        for (a, b, c), v in sorted(self.N.items()):
-            if v > 0:
-                channels[a, b] += (c,)
-        object.__setattr__(self, "channels", channels)
         for a in range(n):
             for b in range(n):
-                if self.n(e, a, b) != (1 if a == b else 0):
+                if N.get((e, a, b), 0) != (1 if a == b else 0):
                     raise CategoryDataError(f"unit constraint N[e,{a}]^{b} violated")
-                if self.n(a, e, b) != (1 if a == b else 0):
+                if N.get((a, e, b), 0) != (1 if a == b else 0):
                     raise CategoryDataError(f"unit constraint N[{a},e]^{b} violated")
                 want = 1 if b == self.dual[a] else 0
-                if self.n(a, b, e) != want:
+                if N.get((a, b, e), 0) != want:
                     raise CategoryDataError(
                         f"duality channel N[{a},{b}]^e must be {want}"
                     )
-        m = max(self.N.values())  # radix of multiplicity indices
+        m = max(N.values())  # radix of multiplicity indices
         # the widest int64 key table_arrays packs is the pentagon's n^7 m^3;
         # it also bounds every tree count below
         if n ** 7 * m ** 3 >= 2 ** 63:
             raise CategoryDataError(f"fusion multiplicity {m} is too large for {n} labels")
-        N = np.zeros((n,) * 3, dtype=np.int64)
-        N[tuple(np.array(list(self.N)).T)] = list(self.N.values())
-        object.__setattr__(self, "array", N)
-        object.__setattr__(self, "chain_steps", Trees.steps(N))
+        array = np.zeros((n,) * 3, dtype=np.int64)
+        array[tuple(np.array(list(N)).T)] = list(N.values())
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "chain_steps", Trees.steps(array))
         # (a x b) x c and a x (b x c) agree channel by channel; the first
         # failing (a, b, c, d) in lexicographic order is reported
-        left = np.einsum("abx,xcd->abcd", N, N)
-        failed = np.argwhere(left != np.einsum("bcy,ayd->abcd", N, N))
+        left = np.einsum("abx,xcd->abcd", array, array)
+        failed = np.argwhere(left != np.einsum("bcy,ayd->abcd", array, array))
         if len(failed):
             raise CategoryDataError(
                 f"fusion ring not associative at {tuple(failed[0].tolist())}"
@@ -239,11 +235,10 @@ class CategoryData:
         f_cols = _key_columns(f_keys, "F", 10, ring, ((0, 4, 3), (1, 2, 4), (5, 2, 3), (0, 1, 5)))
         # an R-block maps hom(a b, c) to hom(b a, c), so it must be square
         N = ring.array
-        abc = np.array(sorted(ring.N))
-        flipped = np.flatnonzero(N[abc[:, 1], abc[:, 0], abc[:, 2]] != N[tuple(abc.T)])
+        flipped = np.argwhere((N != N.transpose(1, 0, 2)) & (N > 0))
         if len(flipped):
             raise CategoryDataError(
-                f"fusion rules not commutative at {tuple(abc[flipped[0]].tolist())}"
+                f"fusion rules not commutative at {tuple(flipped[0].tolist())}"
             )
         r_cols = _key_columns(r_keys, "R", 5, ring, ((1, 0, 2), (0, 1, 2)))
         m = int(N.max())  # radix of multiplicity indices; the ring bounds it
@@ -433,7 +428,7 @@ def _make_builtin(names, unit, dual, channels, fvals, rvals, twist):
     ring = FusionRing(labels, unit, tuple(dual), {tuple(k): 1 for k in channels})
     F = {(a, b, c, d, x, y, 0, 0, 0, 0): complex(v) for (a, b, c, d, x, y), v in fvals.items()}
     R = {(a, b, c, 0, 0): complex(v) for (a, b, c), v in rvals.items()}
-    fusions = sorted(key for key, v in ring.N.items() if v)
+    fusions = sorted(map(tuple, channels))
     for a, b, c in fusions:
         if unit in (a, b):
             R.setdefault((a, b, c, 0, 0), 1.0 + 0j)
@@ -553,12 +548,12 @@ def _entries(table: Table, n_labels: int) -> list:
 def category_document(data: CategoryData) -> dict:
     """The category file's document: the dict ``emit_category`` writes and
     ``loads_category`` reads."""
-    ring = data.ring
+    ring, N = data.ring, data.ring.array
     return {
         "labels": [l.name for l in ring.labels],
         "unit": ring.unit,
         "dual": list(ring.dual),
-        "fusion": sorted([a, b, c, v] for (a, b, c), v in ring.N.items()),
+        "fusion": np.column_stack((np.argwhere(N), N[N > 0])).tolist(),  # in key order
         "F": _entries(data._f_table, 6),
         "R": _entries(data._r_table, 3),
         "twist": [[t.real, t.imag] for t in data.twist],

@@ -51,21 +51,25 @@ def word_trees(data: CategoryData, word: tuple) -> dict:
     """Fusion-tree bases of ``word`` by total charge, built in one walk.
 
     A tree is a tuple of ``(internal_label, mult)`` pairs, one per letter
-    after the first, in the order of ``table_arrays.Trees``.  Charges
-    without trees are absent.
+    after the first, in the order of ``table_arrays.Trees``, whose steps
+    (``FusionRing.chain_steps``) the walk takes.  Charges without trees are
+    absent.
     """
     word = tuple(word)
     cache = data._tree_cache
     if word in cache:
         return cache[word]
-    channels, n = data.ring.channels, data.ring.N
+    if "chain_steps" not in data._local_cache:  # at a * n + b, the steps (x, mu) of (a, b)
+        x, mult, first = (column.tolist() for column in data.ring.chain_steps)
+        pairs = list(zip(x, mult))
+        data._local_cache["chain_steps"] = [pairs[lo:hi] for lo, hi in zip(first, first[1:])]
+    steps, n = data._local_cache["chain_steps"], data.ring.size
     partial = [((), word[0] if word else data.unit)]
     for letter in word[1:]:
         partial = [
-            (prefix + ((x, mu),), x)
+            (prefix + (step,), step[0])
             for prefix, state in partial
-            for x in channels[state, letter]
-            for mu in range(n[state, letter, x])
+            for step in steps[state * n + letter]
         ]
     by_charge = {}
     for prefix, charge in partial:

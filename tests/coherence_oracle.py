@@ -34,7 +34,7 @@ import numpy as np
 from mtcalc import fusion_data as fd
 from mtcalc.report import Report
 
-from conftest import entries
+from conftest import channels, entries, fusion
 
 _ENTRIES = weakref.WeakKeyDictionary()
 
@@ -50,16 +50,16 @@ def totals(data, word) -> tuple:
     """Totals t with a nonzero hom(word, t), ascending; ``word`` nonempty."""
     states = {word[0]}
     for b in word[1:]:
-        states = {c for a in states for c in data.ring.channels[a, b]}
+        states = {c for a in states for c in channels(data.ring)[a, b]}
     return tuple(sorted(states))
 
 
 def f_right_basis(data, a, b, c, d):
     """Right-tree triples (x, i, j) of the word (a,b,c) -> d: the rows
     of the F-block, in order."""
-    n = data.ring.N.get
+    n = fusion(data.ring).get
     return [
-        (x, i, j) for x in data.ring.channels[b, c]
+        (x, i, j) for x in channels(data.ring)[b, c]
         for i in range(n((a, x, d), 0)) for j in range(n((b, c, x)))
     ]
 
@@ -68,9 +68,9 @@ def f_left_basis(data, a, b, c, d):
     """Left-tree triples (y, k, l) of the word (a,b,c) -> d: the
     columns of the F-block, in order.  They are listed in tree order, by
     (y, l, k), l the vertex a (x) b -> y and k the vertex y (x) c -> d."""
-    n = data.ring.N.get
+    n = fusion(data.ring).get
     return [
-        (y, k, l) for y in data.ring.channels[a, b]
+        (y, k, l) for y in channels(data.ring)[a, b]
         for l in range(n((a, b, y))) for k in range(n((y, c, d), 0))
     ]
 
@@ -194,9 +194,9 @@ def dense_hexagon_residuals(data):
 
 def tree_basis3(data, w1, w2, w3, tot):
     """Left-nested trees (y, l, m) of the word (w1, w2, w3) with charge tot."""
-    n = data.ring.N.get
+    n = fusion(data.ring).get
     return [
-        (y, l, m) for y in data.ring.channels[w1, w2]
+        (y, l, m) for y in channels(data.ring)[w1, w2]
         for l in range(n((w1, w2, y))) for m in range(n((y, w3, tot), 0))
     ]
 
@@ -304,7 +304,6 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
                     for sense in (+1, -1):
                         res = hexagon_instance(data, a, b, c, tot, sense)
                         report.add("hexagon", ("+-"[sense < 0], a, b, c, tot), res)
-    channels = data.ring.channels
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -324,7 +323,7 @@ def verify_coherence(data, tol: float = fd.DEFAULT_TOL) -> Report:
                     report.add(
                         "f_unitary", (a, b, c, d), float(np.max(np.abs(gram)))
                     )
-                if c in channels[a, b]:
+                if c in channels(data.ring)[a, b]:
                     unitary = r_block(data, a, b, c)
                     gram = unitary @ unitary.conj().T - np.eye(unitary.shape[0])
                     report.add(

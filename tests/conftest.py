@@ -24,6 +24,24 @@ def entries(data):
     )
 
 
+@functools.cache
+def fusion(ring):
+    """The fusion rules of ``ring`` as a dict {(a, b, c): N_ab^c} of its
+    nonzero entries, in key order, read off ``ring.array``."""
+    N = ring.array
+    return dict(zip(map(tuple, np.argwhere(N).tolist()), N[N > 0].tolist()))
+
+
+@functools.cache
+def channels(ring):
+    """{(a, b): the channels c with N_ab^c > 0, ascending} for every label
+    pair of ``ring``, read off ``ring.array``."""
+    return {
+        (a, b): tuple(np.flatnonzero(ring.array[a, b]).tolist())
+        for a, b in itertools.product(range(ring.size), repeat=2)
+    }
+
+
 def edited(data, F=None, R=None, twist=None):
     """A new category of ``data``'s ring and entries, with the F and R
     entries of the keys of ``F`` and ``R`` set to their values there, or to

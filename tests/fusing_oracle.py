@@ -21,6 +21,7 @@ from mtcalc.report import Report
 
 import bending_oracle as bo
 from coherence_oracle import f_left_basis, f_right_basis, totals
+from conftest import channels
 
 
 def nonempty_fusing_words(data):
@@ -102,11 +103,11 @@ def braid_bases(data, images, a1, a2, a3, a4):
     of F's columns, its rights."""
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
-    for x in data.ring.channels[a2, a3]:
+    for x in channels(data.ring)[a2, a3]:
         if data.n(a1, x, a4):
             outer_left[x] = basis_images(data, images, bo.swap_vertex, "+", a1, x, a4)
             inner_left[x] = basis_images(data, images, bo.swap_vertex, "+", a2, a3, x)
-    for y in data.ring.channels[a1, a2]:
+    for y in channels(data.ring)[a1, a2]:
         if data.n(y, a3, a4):
             outer_right[y] = basis_images(data, images, bo.swap_vertex, "+", y, a3, a4)
             inner_right[y] = basis_images(data, images, bo.swap_vertex, "+", a1, a2, y)
@@ -118,12 +119,12 @@ def bend_bases(data, images, a1, a2, a3, a4):
     of F's columns."""
     outer_right, inner_right = {}, {}
     outer_left, inner_left = {}, {}
-    for x in data.ring.channels[a2, a3]:
+    for x in channels(data.ring)[a2, a3]:
         if data.n(a1, x, a4):
             xp = data.dual(x)
             outer_right[xp] = basis_images(data, images, bo.bend_vertex, "+", a2, a3, x)
             inner_right[xp] = basis_images(data, images, bo.bend_vertex, "+", a1, x, a4)
-    for y in data.ring.channels[a1, a2]:
+    for y in channels(data.ring)[a1, a2]:
         if data.n(y, a3, a4):
             outer_left[y] = basis_images(data, images, bo.bend_vertex, "+", y, a3, a4)
             inner_left[y] = basis_images(data, images, bo.swap_vertex, "-", a1, a2, y)

@@ -123,15 +123,15 @@ def _row_array_slots(doc):
 class _Layout(NamedTuple):
     """Where a kind of file has its slots: its int, number and fixed-length
     array slots, the tables whose entries are deleted, repeated or replaced,
-    those of them whose entries are objects, and the key of one item per
-    label."""
+    those of them whose entries are objects, and the key of the array that
+    holds one item per label."""
 
     ints: Callable
     numbers: Callable
     arrays: Callable
     tables: tuple
     objects: tuple
-    labels: str
+    per_label: str
 
 
 CATEGORY = _Layout(
@@ -192,7 +192,7 @@ def _edit(rng, doc, kind, dups, layout=CATEGORY) -> str:
         return f"huge {_name(path)}={spelled}"
     elif kind == "negative":
         path = _pick(rng, rng.choice([layout.ints, layout.numbers])(doc))
-        value = rng.choice([-1, -len(doc[layout.labels])])
+        value = rng.choice([-1, -len(doc[layout.per_label])])
     elif kind == "nonfinite":
         path = _pick(rng, layout.numbers(doc))
         value = rng.choice([float("nan"), float("inf"), float("-inf")])

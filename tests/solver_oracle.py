@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from conftest import fusion
+
 
 @dataclass(frozen=True)
 class RingSpec:
@@ -34,7 +36,7 @@ def ring_of(data) -> RingSpec:
         data.size,
         data.unit,
         tuple(data.ring.dual),
-        frozenset(k for k, v in data.ring.N.items() if v),
+        frozenset(fusion(data.ring)),
     )
 
 

@@ -14,7 +14,7 @@ from mtcalc.table_arrays import Trees, _braid_blocks
 
 import coherence_oracle as oracle
 import validation_oracle
-from conftest import edited, entries
+from conftest import edited, entries, fusion
 
 PHI = (1 + math.sqrt(5)) / 2
 BUILTINS = fd.BUILTIN_NAMES
@@ -255,6 +255,39 @@ def test_ring_bounds_its_multiplicities():
     assert str(exc.value) == f"fusion multiplicity {10 ** 30} is too large for 2 labels"
 
 
+def test_rings_compare_by_identity(categories):
+    """A ring keeps N only as its array, so rings that differ only in N must
+    not compare equal: rings compare by identity."""
+    fib, semion = (categories[name].ring for name in ("fibonacci", "z2_semion"))
+
+    def ring(source):
+        return fd.FusionRing(fib.labels, source.unit, source.dual, fusion(source))
+
+    assert ring(fib) != ring(semion)
+    assert ring(fib) != ring(fib)
+    same = ring(fib)
+    assert same == same
+    assert len({ring(fib), ring(fib)}) == 2
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_a4_random"])
+def test_explicit_zero_entries_give_the_same_ring(oracle_input, name):
+    """N listed with every zero N_ab^c spelled out is the same ring: the
+    same array, chain steps and tree counts, and its category writes the
+    same file."""
+    data = oracle_input(name)
+    ring, n = data.ring, data.size
+    N = dict.fromkeys(itertools.product(range(n), repeat=3), 0)
+    N.update(fusion(ring))
+    zeros = fd.FusionRing(ring.labels, ring.unit, ring.dual, N)
+    for got, want in ((zeros.array, ring.array), (zeros.tree_count, ring.tree_count),
+                      *zip(zeros.chain_steps, ring.chain_steps)):
+        assert np.array_equal(got, want)
+    assert [zeros.n(*key) for key in N] == [ring.n(*key) for key in N]
+    other = fd.CategoryData(zeros, *entries(data), data.twist)
+    assert fd.emit_category(other) == fd.emit_category(data)
+
+
 # -- negative controls -------------------------------------------------------
 
 
@@ -436,8 +469,9 @@ BAD_ENTRIES = {
     # the fusion rules are checked after the F keys, before the R keys
     "noncommutative": ("vec_s3", [("R", 0, (1, 1, 1, 1, 1), 1.0)],
                        "fusion rules not commutative at (1, 2, 4)"),
+    # explicit zero entries give the same ring as no entries
     "noncommutative_zero_entries": ("vec_s3_zeros", [],
-                                    "fusion rules not commutative at (1, 2, 3)"),
+                                    "fusion rules not commutative at (1, 2, 4)"),
     "f_key_before_noncommutative": ("vec_s3", [("F", None, F_KEY[:9], 1.0)],
                                     "malformed F key (1, 1, 1, 1, 0, 0, 0, 0, 0)"),
 }
@@ -483,7 +517,7 @@ def test_channel_walk_bases_match_dense_scan(oracle_input, name):
             data, a, b, c, d
         )
         assert oracle.tree_basis3(data, a, b, c, d) == _dense_tree_basis3(data, a, b, c, d)
-    assert _dense_associativity_failure(data.size, data.ring.N) is None
+    assert _dense_associativity_failure(data.size, fusion(data.ring)) is None
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
@@ -583,7 +617,7 @@ def test_tree_enumerator_matches_word_trees(oracle_input, name):
         ring = _self_dual_ring(k + 1, _su2_fusion(k))
     else:
         ring = oracle_input(name).ring
-    walk = types.SimpleNamespace(ring=ring, unit=ring.unit, _tree_cache={})
+    walk = types.SimpleNamespace(ring=ring, unit=ring.unit, _tree_cache={}, _local_cache={})
     n = ring.size
     for length in (2, 3):
         words = list(itertools.product(range(n), repeat=length))

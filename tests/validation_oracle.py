@@ -6,10 +6,11 @@ lookups of the fusion multiplicities, and raises CategoryDataError for the
 first bad item: a twist table of the wrong size or a twist that is not
 unimodular; an F value, then an R value, that is not finite; an F key, in
 input order, of another length or outside its multiplicity range;
-non-commutative fusion rules, first in lexicographic order; an R key
-likewise.  A label outside the ring has no fusion, so every index of its
-key is out of range.  The array checks must name the same item with the
-same message.
+non-commutative fusion rules, first in lexicographic order among the
+nonzero N_ab^c; an R key likewise.  The multiplicities are looked up in
+the ring's nonzero entries (``conftest.fusion``): a label outside the ring
+has no fusion, so every index of its key is out of range.  The array
+checks must name the same item with the same message.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import cmath
 
 from mtcalc.fusion_data import CategoryDataError
+
+from conftest import fusion
 
 
 def check_entries(ring, F: dict, R: dict, twist) -> None:
@@ -30,7 +33,7 @@ def check_entries(ring, F: dict, R: dict, twist) -> None:
         for key, value in table.items():
             if not cmath.isfinite(value):
                 raise CategoryDataError(f"{name} entry {key} is not finite")
-    mult = ring.N.get
+    mult = fusion(ring).get
     for key in F:
         if len(key) != 10:
             raise CategoryDataError(f"malformed F key {key}")
@@ -42,12 +45,12 @@ def check_entries(ring, F: dict, R: dict, twist) -> None:
             and 0 <= l < mult((a, b, y), 0)
         ):
             raise CategoryDataError(f"F entry {key} outside multiplicity range")
-    for a, b, c in sorted(ring.N):
-        if ring.n(a, b, c) != ring.n(b, a, c):
+    for a, b, c in fusion(ring):
+        if mult((a, b, c)) != mult((b, a, c), 0):
             raise CategoryDataError(f"fusion rules not commutative at {(a, b, c)}")
     for key in R:
         if len(key) != 5:
             raise CategoryDataError(f"malformed R key {key}")
         a, b, c, i, j = key
-        if not (0 <= i < ring.n(b, a, c) and 0 <= j < ring.n(a, b, c)):
+        if not (0 <= i < mult((b, a, c), 0) and 0 <= j < mult((a, b, c), 0)):
             raise CategoryDataError(f"R entry {key} outside multiplicity range")

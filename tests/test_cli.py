@@ -110,6 +110,34 @@ def test_reports_match_golden(request, tmp_path, pointed_category, name, cmd):
     assert drift <= 1e-12
 
 
+# text reports, compared byte for byte but for the wall time: the records'
+# order and spelling, the FAIL marks and the per-check-id digest; verify-ffa
+# joins its sub-reports by Report.extend
+TEXT_GOLDEN_ARGS = {
+    "verify-category__ising": ("verify-category", "builtin:ising"),
+    "fusing-symmetries__rep_a4_random": ("fusing-symmetries", "rep_a4_random"),
+    "verify-ffa__fibonacci": ("verify-ffa", "builtin:fibonacci"),
+    "operad-check__float": ("operad-check", "--trials", "60", "--seed", "3"),
+    "operad-check__exact": ("operad-check", "--trials", "20", "--seed", "4", "--exact"),
+}
+
+
+def _masked_wall_time(text: str) -> str:
+    return re.sub(r"wall_time=\S+s\n$", "wall_time=...s\n", text)
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDEN_ARGS)
+def test_text_reports_match_golden(request, tmp_path, name):
+    cmd, *args = TEXT_GOLDEN_ARGS[name]
+    if args == ["rep_a4_random"]:
+        args = [tmp_path / "rep_a4_random.json"]
+        args[0].write_text(fd.emit_category(request.getfixturevalue("rep_a4_random")))
+    status, out = run_suite([cmd, *map(str, args), "--format", "text"])
+    want = (GOLDEN / f"{name}.txt").read_text()
+    assert status == (EXIT_VERIFY if "[FAIL]" in want else EXIT_OK)
+    assert _masked_wall_time(out) == _masked_wall_time(want)
+
+
 def _assert_algebra_close(got, want):
     """Equal build-ffa documents up to round-off in the numeric values."""
     assert got["category"] == want["category"]

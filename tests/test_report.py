@@ -266,18 +266,20 @@ def _walked_digest(rep: Report) -> dict:
     """The per-check-id digest walked record by record, the oracle of
     ``report._digest``: count, worst residual (the first of greatest
     severity), its instance, and whether every record passes."""
-    by_id = {}
-    for b in rep._blocks:
-        for check_id, inst, res in b:
-            entry = by_id.get(check_id)
-            if entry is None:
-                by_id[check_id] = [1, res, inst, res < rep.tol]
-                continue
-            entry[0] += 1
-            entry[3] = entry[3] and res < rep.tol
-            if report_module._severity(res) > report_module._severity(entry[1]):
-                entry[1], entry[2] = res, inst
-    return by_id
+    by_id = {}  # check id -> [count, its worst record, all pass]
+    for r in rep.records:
+        entry = by_id.get(r.id)
+        if entry is None:
+            by_id[r.id] = [1, r, r.ok]
+            continue
+        entry[0] += 1
+        entry[2] = entry[2] and r.ok
+        if _severity(r) > _severity(entry[1]):
+            entry[1] = r
+    return {
+        check_id: [count, worst.residual, worst.instance, ok]
+        for check_id, (count, worst, ok) in by_id.items()
+    }
 
 
 def _digest_values(digest) -> list:
@@ -306,6 +308,24 @@ def test_text_digest_of_an_id_in_two_columns_runs_row_by_row():
     assert _digest_values(digest) == _digest_values(_walked_digest(rep))
     assert _digest_values({"a": digest["a"]})[0][1:3] == (6, "nan")
     assert report_module._digest(Report(suite="twice", tol=1.0)) == {}
+
+
+def test_text_digest_across_instance_widths_names_the_earlier_record():
+    # one id with records of two instance lengths: the worst record is the
+    # first in record order, whichever of its layouts was made first
+    rep = Report(suite="widths", tol=1.0)
+    rep.add("b", (1,), 0.1)
+    rep.add("a", (1,), 0.5)
+    rep.add_many(("b", "a"), (), [[0.1, 0.2], [3.0, math.nan]])  # made third
+    rep.add_many("a", (np.array([2, 3]),), [0.0, math.nan])
+    rep.add("b", (2,), 3.0)
+    digest = report_module._digest(rep)
+    assert _digest_values(digest) == _digest_values(_walked_digest(rep))
+    # a's first NaN and b's first 3.0 are the records without instance
+    assert _digest_values(digest) == [
+        ("b", 4, "3.0", [], False), ("a", 5, "nan", [], False),
+    ]
+    _check_both_formats(rep)
 
 
 def test_block_records_run_row_by_row_across_ids():

@@ -530,9 +530,9 @@ def loads_algebra(source: str | dict) -> FullFieldAlgebraData:
     the summands must be the diagonal object.  Each mult row
     [s1, s2, s3, i, j, re, im] names summand indices and a left
     multiplicity i and right multiplicity j of the channel (s1 s2 -> s3);
-    it must be admissible, given once, with a finite value.  phi must give
-    every summand one finite nonzero coefficient (the coproduct divides by
-    it).
+    it must be admissible, given once, with a finite value, and every
+    admissible entry must be given.  phi must give every summand one finite
+    nonzero coefficient (the coproduct divides by it).
     """
     try:
         doc = source if isinstance(source, dict) else json.loads(source)
@@ -568,6 +568,21 @@ def loads_algebra(source: str | dict) -> FullFieldAlgebraData:
         seen.add(key)
         block = mult.setdefault(channel, np.zeros((nl, nr), complex))
         block[i, j] = value
+    # keys are unique and in range, so the rows are complete exactly when
+    # each channel (s1 s2 -> s3) has N_(s1 s2)^s3 N_(s1' s2')^s3' of them,
+    # ' the dual; else the first missing key in lexicographic order is named
+    left = data.ring.array
+    dual = list(data.ring.dual)
+    right = left[np.ix_(dual, dual, dual)]
+    if len(seen) < (left * right).sum():
+        missing = next(
+            (*channel, i, j)
+            for channel in map(tuple, np.argwhere(left * right).tolist())
+            for i in range(left[channel])
+            for j in range(right[channel])
+            if (*channel, i, j) not in seen
+        )
+        raise CategoryDataError(f"missing mult entry {missing}")
     phi = dict(phi_rows)
     if len(phi_rows) != len(summands) or set(phi) != set(indices):
         raise CategoryDataError("phi must give exactly one coefficient per label")

@@ -217,6 +217,20 @@ def test_algebra_roundtrip(algebras):
     assert df.emit_algebra(back) == text
 
 
+@pytest.mark.parametrize("dropped, missing", [
+    # one row of the channel (3 3 -> 3), which has N = 2 on both sides
+    ([3, 3, 3, 1, 0], "(3, 3, 3, 1, 0)"),
+    # the whole channel (1' 1'' -> 1)
+    ([1, 2, 0], "(1, 2, 0, 0, 0)"),
+], ids=["row", "channel"])
+def test_missing_mult_entry_is_named(rep_a4_random, dropped, missing):
+    doc = json.loads(df.emit_algebra(df.build_diagonal_algebra(rep_a4_random)))
+    doc["mult"] = [row for row in doc["mult"] if row[:len(dropped)] != dropped]
+    with pytest.raises(fd.CategoryDataError) as err:
+        df.loads_algebra(doc)
+    assert str(err.value) == f"missing mult entry {missing}"
+
+
 def test_comult_tensor_extractable(algebras):
     alg = algebras["fibonacci"]
     delta = df.comult_tensor(alg)

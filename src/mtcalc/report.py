@@ -1,19 +1,20 @@
 """Machine-readable result records shared by all verification suites.
 
-A report holds its records in blocks, in order.  ``Report.add_many`` adds
-one columnar block: the instance columns and the residuals of many records
-as arrays, with one column per instance element.  ``Report.add`` appends
-single records to a block of rows.  Each format has one writer, which fills
-one template per layout of records: its check ids and column count.
-``Report.records`` derives the ``CheckRecord`` list from the blocks when it
-is read.
+A report keeps its records in one store, by layout: the pair (check ids,
+instance length).  Each layout holds the numbers of its rows in the report,
+their residuals row by row (one per id) and its instance columns as Python
+scalars.  ``Report.add`` appends one row of one id to its layout, and
+``Report.add_many`` n rows of m ids at once.  Each format has one writer,
+which fills one template per layout and puts the rows in place by their
+numbers.  ``Report.records`` derives the ``CheckRecord`` list from the
+layouts when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -29,48 +30,6 @@ class CheckRecord:
     ok: bool
 
 
-class _Rows(list):
-    """Records added one at a time, as (id, instance, residual) tuples."""
-
-    def residuals(self) -> np.ndarray:
-        return np.fromiter((r for _, _, r in self), float, len(self))
-
-
-class _Block:
-    """n rows of m check ids: the record of row i and id j is (``ids[j]``,
-    row i of every column of ``cols``, ``res[i, j]``).  Iterating gives the
-    (id, instance, residual) records row by row, and across the ids within
-    a row."""
-
-    __slots__ = ("ids", "cols", "res")
-
-    def __init__(self, ids, cols, res):
-        self.ids, self.cols, self.res = ids, cols, res
-
-    def __len__(self):
-        return self.res.size
-
-    def residuals(self) -> np.ndarray:
-        return self.res.ravel()
-
-    def __iter__(self):
-        values = [_values(col) for col in self.cols]
-        for i, res in enumerate(self.res.tolist()):
-            inst = tuple(col[i] for col in values)
-            for check_id, r in zip(self.ids, res):
-                yield check_id, inst, r
-
-
-def _values(col) -> list:
-    """A column's elements as Python objects."""
-    return col.tolist() if isinstance(col, np.ndarray) else col
-
-
-def _severity(residual: float) -> tuple:
-    # NaN ranks above every number, so no NaN residual is hidden by max()
-    return (residual != residual, residual)
-
-
 @dataclass
 class Report:
     """Result of one verification suite.
@@ -83,15 +42,28 @@ class Report:
     suite: str
     tol: float
     wall_time: float = 0.0
-    _blocks: list = field(default_factory=list, init=False, repr=False)
-    _rows: _Rows | None = field(default=None, init=False, repr=False)
+    # layout (check ids, instance length) -> (its row numbers, its residuals
+    # row by row, its instance columns); the arrays are read through copies,
+    # as one whose buffer a view still exports (say, from a kept traceback)
+    # cannot grow
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
+    _rows: int = field(default=0, init=False, repr=False)
+
+    def _layout(self, ids: tuple, width: int) -> tuple:
+        layout = self._layouts.get((ids, width))
+        if layout is None:
+            layout = self._layouts[ids, width] = (
+                array("q"), array("d"), [[] for _ in range(width)]
+            )
+        return layout
 
     def add(self, check_id: str, instance: tuple, residual: float) -> None:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = _Rows()
-            self._blocks.append(rows)
-        rows.append((check_id, tuple(instance), float(residual)))
+        rows, res, cols = self._layout((check_id,), len(instance))
+        rows.append(self._rows)
+        self._rows += 1
+        res.append(residual)
+        for col, x in zip(cols, instance):
+            col.append(x)
 
     def add_many(self, check_ids, instances, residuals) -> None:
         """Add n rows of records of the m ids ``check_ids`` (one id may be
@@ -108,12 +80,16 @@ class Report:
             raise ValueError("residuals need one column per check id")
         if not res.size:
             return
-        cols = [np.array(col) if isinstance(col, np.ndarray) else list(col)
+        cols = [col.tolist() if isinstance(col, np.ndarray) else list(col)
                 for col in instances]
         if any(len(col) != len(res) for col in cols):
             raise ValueError("every instance column needs one element per row")
-        self._blocks.append(_Block(ids, cols, res))
-        self._rows = None
+        rows, store, layout_cols = self._layout(ids, len(cols))
+        rows.frombytes(np.arange(self._rows, self._rows + len(res)).tobytes())
+        self._rows += len(res)
+        store.frombytes(res.tobytes())
+        for col, values in zip(layout_cols, cols):
+            col += values
 
     def extend(self, other: "Report") -> None:
         """Append the records of ``other``, which must have the same
@@ -122,35 +98,48 @@ class Report:
             raise ValueError(
                 f"cannot extend a report of tol {self.tol!r} by one of tol {other.tol!r}"
             )
-        # rows are copied, so that later single adds to either report stay
-        # out of the other
-        self._blocks.extend(
-            _Rows(b) if isinstance(b, _Rows) else b for b in other._blocks
-        )
-        self._rows = None
+        for (ids, width), (rows, res, cols) in other._layouts.items():
+            own_rows, own_res, own_cols = self._layout(ids, width)
+            own_rows.frombytes((np.array(rows) + self._rows).tobytes())
+            own_res += res
+            for col, values in zip(own_cols, cols):
+                col += values
+        self._rows += other._rows
         self.wall_time += other.wall_time
 
     @property
     def records(self) -> list[CheckRecord]:
-        """Every record, in order, built from the blocks on each read."""
-        return [
-            CheckRecord(check_id, instance, residual, residual < self.tol)
-            for b in self._blocks for check_id, instance, residual in b
-        ]
+        """Every record, in order, built from the layouts on each read."""
+        placed = [None] * self._rows
+        for (ids, _), (rows, res, cols) in self._layouts.items():
+            values = np.array(res).reshape(-1, len(ids)).tolist()
+            for row, inst, row_res in zip(rows, list(zip(*cols)) or [()] * len(rows), values):
+                placed[row] = [CheckRecord(check_id, inst, r, r < self.tol)
+                               for check_id, r in zip(ids, row_res)]
+        return [record for row in placed for record in row]
 
     @property
     def max_residual(self) -> float:
-        """The largest residual; NaN if any residual is NaN, 0.0 if none."""
-        res = np.concatenate([b.residuals() for b in self._blocks] or [[0.0]])
-        return float(res[np.argmax(res)])  # the first NaN, else the first maximum
+        """The largest residual; NaN if any residual is NaN, 0.0 if none.
+        It is the first such record's, so -0.0 and 0.0 keep their sign."""
+        firsts = []  # per layout: its first worst residual and its place
+        for (ids, _), (rows, res, _) in self._layouts.items():
+            res = np.array(res)
+            at = int(np.argmax(res))  # row-major, as the records run
+            firsts.append((float(res[at]), (rows[at // len(ids)], at % len(ids))))
+        return _first_worst(firsts)[0] if firsts else 0.0
 
     @property
     def passed(self) -> bool:
-        return all((b.residuals() < self.tol).all() for b in self._blocks)
+        return all((np.array(res) < self.tol).all()
+                   for _, res, _ in self._layouts.values())
 
 
-def _count(report: Report) -> int:
-    return sum(map(len, report._blocks))
+def _first_worst(candidates):
+    """The candidate (residual, place, ...) of greatest residual, NaN above
+    every number, and of these the one of earliest place (row number,
+    column): the first record of greatest residual in report order."""
+    return min(candidates, key=lambda c: (c[0] == c[0], -c[0] if c[0] == c[0] else 0.0, c[1]))
 
 
 def _scalar(x) -> str:
@@ -182,88 +171,41 @@ _TEXT_MARK = ("FAIL", "ok  ")
 
 
 def _written(report: Report, write_block) -> list:
-    """The written records, in report order.  Every record is a row of a
-    layout (ids, column count): a columnar block's rows have the block's, a
-    single record is a one-id row of ((id,), its length).  The rows of each
-    layout are written by one call of ``write_block``, with the report's
-    tolerance."""
-    groups = {}  # layout -> [its index, its blocks and runs of single records]
-    places = []  # per block: its layout index, or each of its rows' indices
-    for b in report._blocks:
-        if isinstance(b, _Block):
-            layout = (b.ids, len(b.cols))
-            group = groups.setdefault(layout, [len(groups)])
-            group.append(b)
-            places.append(group[0])
-            continue
-        runs = {}  # (id, length) -> its layout's group, ending in this block's run
-        indices = []
-        for row in b:
-            key = row[0], len(row[1])
-            group = runs.get(key)
-            if group is None:
-                layout = (row[0],), key[1]
-                group = runs[key] = groups.setdefault(layout, [len(groups)])
-                group.append(_Rows())
-            group[-1].append(row)
-            indices.append(group[0])
-        places.append(indices)
-    lines = [
-        iter(write_block(_joined(layout, parts), report.tol))
-        for layout, (_, *parts) in groups.items()
-    ]
-    out = []
-    for b, at in zip(report._blocks, places):
-        if isinstance(b, _Block):
-            out += islice(lines[at], len(b.res))
-        else:
-            out += map(next, map(lines.__getitem__, at))
-    return out
+    """The written rows, in report order.  The rows of each layout are
+    written by one call of ``write_block`` with its ids, its instance
+    columns, its residuals as an array of a row per row and a column per
+    id, and the report's tolerance; each is put in place by its row
+    number."""
+    out = np.empty(report._rows, object)
+    for (ids, _), (rows, res, cols) in report._layouts.items():
+        res = np.array(res).reshape(-1, len(ids))
+        out[np.array(rows)] = write_block(ids, cols, res, report.tol)
+    return out.tolist()
 
 
-def _joined(layout, parts) -> _Block:
-    """One block of the rows of ``parts``, which share ``layout``; a lone
-    columnar block is itself, so it is written straight from its arrays."""
-    if len(parts) == 1 and isinstance(parts[0], _Block):
-        return parts[0]
-    ids, width = layout
-    cols = [[] for _ in range(width)]
-    for part in parts:
-        if isinstance(part, _Block):
-            values = map(_values, part.cols)
-        else:
-            values = zip(*(inst for _, inst, _ in part))
-        for col, part_values in zip(cols, values):
-            col += part_values
-    res = np.concatenate([part.residuals() for part in parts])
-    return _Block(ids, cols, res.reshape(-1, len(ids)))
-
-
-def _json_column(col) -> list:
+def _json_column(values) -> list:
     """A column's elements for a ``%s`` slot: ints and finite floats as they
     are (``str`` spells them as ``json.dumps`` does), anything else spelled
     by ``_scalar``."""
-    values = _values(col)
     kinds = set(map(type, values))
     if kinds <= {int} or (kinds <= {float} and all(map(math.isfinite, values))):
         return values
     return list(map(_scalar, values))
 
 
-def _json_block(block, tol) -> list:
-    """The rows of a block, each from one template with a record of each
+def _json_block(ids, cols, res, tol) -> list:
+    """The rows of a layout, each from one template with a record of each
     id; "true" is part of the template when every record passes ``tol``."""
-    res = block.res
     passed = res < tol
     all_pass = bool(passed.all())
-    slots = ["%s"] * len(block.cols)
+    slots = ["%s"] * len(cols)
     inst = f"[\n        {_ITEM_SEP.join(slots)}\n      ]" if slots else "[]"
     tail = _RECORD_TAIL % (inst, "true" if all_pass else "%s", "%s")
     records = [
         (_RECORD_HEAD % _scalar(check_id)).replace("%", "%%") + tail
-        for check_id in block.ids
+        for check_id in ids
     ]
-    cols = [_json_column(col) for col in block.cols]
+    cols = [_json_column(col) for col in cols]
     finite = bool(np.isfinite(res).all())
     args = []
     for oks, r in zip(passed.T.tolist(), res.T.tolist()):
@@ -277,80 +219,76 @@ def _json_block(block, tol) -> list:
 def _json_report(report: Report) -> str:
     parts = _written(report, _json_block)
     records = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+    checks = sum(len(res) for _, res, _ in report._layouts.values())
     return (
         f'{{\n  "records": {records},\n  "suite": {_scalar(report.suite)},\n'
-        f'  "summary": {{\n    "checks": {_count(report)},\n'
+        f'  "summary": {{\n    "checks": {checks},\n'
         f'    "max_residual": {_scalar(report.max_residual)},\n'
         f'    "pass": {_scalar(report.passed)}\n  }},\n'
         f'  "tol": {_scalar(report.tol)}\n}}\n'
     )
 
 
-def _text_block(block, tol) -> list:
-    """The rows of a block, each from one template with a line of each
+def _text_block(ids, cols, res, tol) -> list:
+    """The rows of a layout, each from one template with a line of each
     id, judged by ``tol``."""
-    cols = [_values(col) for col in block.cols]
     inst = ",".join(["%s"] * len(cols))
-    passed = (block.res < tol).T.tolist()
+    passed = (res < tol).T.tolist()
     records, args = [], []
-    for check_id, oks, res in zip(block.ids, passed, block.res.T.tolist()):
+    for check_id, oks, id_res in zip(ids, passed, res.T.tolist()):
         records.append(f"  [%s] {check_id.replace('%', '%%')}({inst})  residual=%.3e")
         args.append([_TEXT_MARK[ok] for ok in oks])
         args += cols
-        args.append(res)
+        args.append(id_res)
     return list(map("\n".join(records).__mod__, zip(*args)))
 
 
 def _digest(report: Report) -> dict:
     """Per check id, in the order the ids first appear: the number of its
-    records, its worst residual (the first record of greatest
-    ``_severity``) and that record's instance, and whether all its records
-    pass.  A columnar block is reduced per id with array reductions, over
-    its records in their order (``argmax`` takes the first NaN, else the
-    first maximum); single records are read one at a time."""
-    by_id = {}  # check id -> [count, worst residual, its instance, all pass]
-    for b in report._blocks:
-        parts = _block_digest(b, report.tol) if isinstance(b, _Block) else (
-            (check_id, 1, res, inst, res < report.tol) for check_id, inst, res in b
-        )
-        for check_id, count, res, inst, ok in parts:
+    records, its worst residual (the first record's of greatest residual,
+    NaN above every number) and that record's instance, and whether all its
+    records pass.  Each id is reduced per layout with array reductions
+    (``argmax`` takes the first NaN, else the first maximum, row by row as
+    the records run); ties across layouts go to the earlier record.  The
+    layouts run in the order of their first rows, so the ids come in the
+    order of their first records."""
+    by_id = {}  # check id -> [count, (worst residual, its place, its instance), all pass]
+    for (ids, _), (rows, res, cols) in report._layouts.items():
+        res = np.array(res).reshape(-1, len(ids))
+        for check_id in dict.fromkeys(ids):
+            at = [j for j, other in enumerate(ids) if other == check_id]
+            own = res[:, at]
+            row, col = divmod(int(np.argmax(own)), len(at))
+            worst = (float(own[row, col]), (rows[row], at[col]),
+                     tuple(values[row] for values in cols))
+            ok = bool((own < report.tol).all())
             entry = by_id.get(check_id)
             if entry is None:
-                by_id[check_id] = [count, res, inst, ok]
+                by_id[check_id] = [own.size, worst, ok]
                 continue
-            entry[0] += count
-            entry[3] = entry[3] and ok
-            if _severity(res) > _severity(entry[1]):
-                entry[1], entry[2] = res, inst
-    return by_id
-
-
-def _block_digest(block, tol):
-    """(id, count, worst residual, its instance, all pass) of each id of a
-    columnar block, in the order of its ids; an id given in several
-    columns is reduced over their records row by row."""
-    ids = block.ids
-    for check_id in dict.fromkeys(ids):
-        cols = [j for j, other in enumerate(ids) if other == check_id]
-        res = block.res[:, cols]
-        at = int(np.argmax(res))  # row-major, as the records run
-        row = at // len(cols)
-        inst = tuple(_values(col[row:row + 1])[0] for col in block.cols)
-        yield check_id, res.size, float(res.flat[at]), inst, bool((res < tol).all())
+            entry[0] += own.size
+            entry[1] = _first_worst((entry[1], worst))
+            entry[2] = entry[2] and ok
+    return {
+        check_id: (count, worst[0], worst[2], ok)
+        for check_id, (count, worst, ok) in by_id.items()
+    }
 
 
 def _text_report(report: Report) -> str:
     lines = [f"suite: {report.suite}  (tol={report.tol:g})"]
     lines += _written(report, _text_block)
     lines.append("per check id:")
-    for check_id, (count, worst, inst, ok) in _digest(report).items():
+    digest = _digest(report)
+    for check_id, (count, worst, inst, ok) in digest.items():
         inst = ",".join(str(x) for x in inst)
         lines.append(
             f"  [{_TEXT_MARK[ok]}] {check_id}: checks={count}"
             f"  max_residual={worst:.3e}  worst=({inst})"
         )
+    checks = sum(count for count, *_ in digest.values())
     lines.append(
-        f"checks={_count(report)}  max_residual={report.max_residual:.3e}"
+        f"checks={checks}  max_residual={report.max_residual:.3e}"
         f"  pass={report.passed}  wall_time={report.wall_time:.3f}s"
     )
     return "\n".join(lines) + "\n"
@@ -364,13 +302,11 @@ def emit_report(report: Report, format: str = "json") -> str:
     ``pass``, ``residual``), every scalar spelled as ``json.dumps`` spells it,
     NaN and infinities included: byte for byte what ``json.dumps(...,
     sort_keys=True, indent=2)`` gives on the report as nested dicts and
-    lists.  Each format has one writer.  It groups the records by layout
-    (check ids, column count), a single record being a one-id row of its
-    own id and length, fills one string template per layout from the
+    lists.  Each format has one writer.  It fills one string template per
+    layout of the report (check ids, instance length) from the layout's
     columns (ints and finite floats as ``str`` spells them, anything else
-    through ``_scalar``), and puts the records back in report order.  A
-    layout of one columnar block is filled straight from its arrays.  An
-    instance element that is not a str, int, bool or float raises
+    through ``_scalar``) and puts the rows in place by their row numbers;
+    no record is regrouped or built on the way.  An instance element that is not a str, int, bool or float raises
     TypeError.  ``wall_time`` is left out, so reports are byte-identical
     across repeated runs with the same flags and seed; the text format
     shows it, and after the records one line per check id with its count,

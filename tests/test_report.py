@@ -157,6 +157,19 @@ def test_numpy_instance_element_raises_like_oracle():
         emit_report(rep, "json")
 
 
+def test_records_are_added_after_a_failed_write_whose_error_is_kept():
+    # the error's traceback keeps the writer's frames, and what they read of
+    # the report, alive; the report must still take records
+    rep = Report(suite="np", tol=1.0)
+    rep.add("x", (np.int64(3),), 0.0)
+    with pytest.raises(TypeError) as err:
+        emit_report(rep, "json")
+    rep.add("x", (4,), 0.5)
+    rep.add_many("x", (np.array([5]),), [0.25])
+    assert err.value.__traceback__ is not None
+    assert [r.instance for r in rep.records] == [(np.int64(3),), (4,), (5,)]
+
+
 @pytest.mark.parametrize("residuals", [(0.1, math.nan), (math.nan, 0.1)])
 def test_max_residual_nan_in_any_position(residuals):
     rep = Report(suite="nan", tol=1.0)

@@ -98,6 +98,29 @@ def test_coincidence_after_translation_raises():
         permute(p, (1, 2, 4, 3))
 
 
+class _Tuple(tuple):
+    pass
+
+
+def test_constructor_edge_inputs():
+    # any sequence is stored as a plain tuple, -0j is a zero puncture, and
+    # NaN punctures differ (NaN != NaN), even as one object
+    for z, scales in ((_Tuple((1j,)), _Tuple((1 + 0j, 2 + 0j))), ([1j], [1 + 0j, 2 + 0j]),
+                      (iter([1j]), iter([1 + 0j, 2 + 0j]))):
+        p = PuncturedSphere(z, 0j, scales)
+        assert (p.z, p.scales, p.positions) == ((1j,), (1 + 0j, 2 + 0j), (1j, 0j))
+        assert {type(p.z), type(p.scales), type(p.positions)} == {tuple}
+    for zero in (-0j, complex(-0.0, -0.0)):
+        with pytest.raises(SewingError, match="^punctures must be nonzero$"):
+            PuncturedSphere((zero,), 0j, (1 + 0j, 1 + 0j))
+    nan = complex(float("nan"), 0.0)
+    for z in ((nan, nan), (nan, complex(float("nan"), 0.0))):
+        p = PuncturedSphere(z, 0j, (1 + 0j,) * 3)
+        assert repr(p.positions) == "((nan+0j), (nan+0j), 0j)"
+    with pytest.raises(SewingError, match="^the arity-0 element has zero infinity parameter$"):
+        PuncturedSphere((), nan, ())
+
+
 def test_vacuum_and_identity():
     assert vacuum_sphere().arity == 0
     ident = identity_sphere()
@@ -601,6 +624,17 @@ def _same(x, y):
     return x == y or (x != x and y != y)  # NaN matches NaN
 
 
+def _spoiled(rng, S, bad, a=None, scale=False):
+    """S with a random one of its punctures z (if any) set to ``bad``, its
+    infinity parameter to ``a`` if given, and its first scaling to ``bad`` if
+    ``scale``."""
+    z = list(S.z)
+    if z:
+        z[int(rng.integers(0, len(z)))] = bad
+    scales = (bad,) + S.scales[1:] if scale else S.scales
+    return PuncturedSphere(z, S.a if a is None else a, scales)
+
+
 def test_running_extremes_match_max_and_min():
     rng = np.random.default_rng(31)
     nan = complex(float("nan"), 0.0)
@@ -610,14 +644,8 @@ def test_running_extremes_match_max_and_min():
         Q = so.random_sphere(rng, int(rng.integers(0, 5)), exact)
         if not exact and trial % 4 == 1:
             # a NaN first or later in either element
-            z = list(P.z)
-            if z:
-                z[int(rng.integers(0, len(z)))] = nan
-            P = PuncturedSphere(z, P.a if trial % 8 == 1 else nan, P.scales)
-            z = list(Q.z)
-            if z:
-                z[int(rng.integers(0, len(z)))] = nan
-                Q = PuncturedSphere(z, Q.a, Q.scales)
+            P = _spoiled(rng, P, nan, None if trial % 8 == 1 else nan)
+            Q = _spoiled(rng, Q, nan)
         for R in (P, Q, so.random_sphere(rng, P.arity, exact)):
             if not exact:
                 want = _distance_with_max(P, R)
@@ -687,6 +715,56 @@ def test_is_sewable_matches_grid_scan_near_the_boundary():
         assert is_sewable(P, 2, Q) == want
         decided_later += want and not _grid_is_sewable(P, 2, Q, points=1)
     assert decided_later > 500
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("bad", [
+    complex(float("nan"), 0.0), complex(_INF, 0.0), complex(0.0, -_INF),
+    complex(_INF, float("nan")), complex(1e200, 1e200),
+], ids=["nan", "inf", "-infj", "inf-nan", "overflow"])
+def test_is_sewable_matches_grid_scan_on_nonfinite_parts(bad):
+    # a puncture of each element, and by turns P's first scaling or Q's
+    # infinity parameter, is NaN, infinite, or squares past the float range
+    rng = np.random.default_rng(37)
+    decisions = set()
+    for trial in range(400):
+        P = so.random_sphere(rng, int(rng.integers(1, 5)))
+        Q = so.random_sphere(rng, int(rng.integers(0, 5)))
+        P = _spoiled(rng, P, bad, scale=trial % 4 == 1)
+        Q = _spoiled(rng, Q, bad, bad if trial % 4 == 2 and Q.arity else None)
+        for i in range(1, P.arity + 1):
+            with np.errstate(all="ignore"):  # the oracle's grid may run to inf
+                want = _grid_is_sewable(P, i, Q)
+            assert is_sewable(P, i, Q) == want
+            decisions.add(want)
+    assert decisions == {True, False}
+
+
+def test_mixed_float_and_exact_elements_keep_their_outcomes():
+    # (is_sewable, sew) on a float element paired with an exact one: the
+    # bounds mix the two scalar types through ``_Abs2.__float__``, and sewing
+    # a pair that passes meets the exact arithmetic's refusal of floats
+    f = PuncturedSphere((1 + 0j,), 0j, (0.01 + 0j, 1 + 0j))
+    e = PuncturedSphere((GaussRat(5),), GaussRat(0), (GaussRat(Fraction(1, 100)), GaussRat(1)))
+    f2 = PuncturedSphere((2 + 1j,), 1 + 0j, (1 + 0j, 0.5 + 0j))
+    e2 = PuncturedSphere((GaussRat(2, 1),), GaussRat(1), (GaussRat(1), GaussRat(1, 2)))
+    f1 = PuncturedSphere((), 0.25 + 0j, (2 + 0j,))
+    e1 = PuncturedSphere((), GaussRat(1, 4), (GaussRat(2),))
+    mixing = "TypeError: cannot mix floats into exact arithmetic"
+    unsewable = "SewingError: slot {} of the outer element cannot be sewn"
+    for P, i, Q, sewable, sewn in [
+        (f, 1, e, False, unsewable.format(1)), (e, 1, f, False, unsewable.format(1)),
+        (f2, 1, e2, True, mixing), (e2, 1, f2, True, mixing),
+        (f2, 2, e2, False, unsewable.format(2)), (e2, 2, f2, True, mixing),
+        (f2, 2, e1, False, unsewable.format(2)), (e2, 2, f1, True, mixing),
+        (f1, 1, e2, True, mixing), (e1, 1, f2, True, mixing),
+    ]:
+        assert is_sewable(P, i, Q) is sewable
+        with pytest.raises(Exception) as err:
+            sew(P, i, Q)
+        assert f"{type(err.value).__name__}: {err.value}" == sewn
 
 
 def _fraction_bounds(P, i, Q):
@@ -772,6 +850,33 @@ def test_two_stages_match_the_trial_by_trial_suite(monkeypatch, exact):
                 want = _operad_report(monkeypatch, argv, operad_oracle.verify_operad_axioms)
                 assert got == want, argv
     assert single >= 12
+
+
+# Stage 1's calls to module globals per (trials, seed, exact) draw.  The
+# per-layer metrics count these calls: a change that inlines or drops one
+# updates this table and says why
+_STAGE_ONE_CALLS = {
+    (1000, 12345, False): {"_sample_sewable": 3359, "random_sphere": 8063, "is_sewable": 8570,
+                           "sew": 6082, "permute": 2020, "insertion_permutation": 1000},
+    (150, 777, True): {"_sample_sewable": 556, "random_sphere": 1496, "is_sewable": 1441,
+                       "sew": 942, "permute": 310, "insertion_permutation": 150},
+}
+
+
+@pytest.mark.parametrize("trials, seed, exact", _STAGE_ONE_CALLS, ids=["float", "exact"])
+def test_stage_one_call_graph(monkeypatch, trials, seed, exact):
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in _STAGE_ONE_CALLS[trials, seed, exact]:
+        monkeypatch.setattr(so, name, counted(name, getattr(so, name)))
+    so._draw(trials, seed, exact)
+    assert calls == _STAGE_ONE_CALLS[trials, seed, exact]
 
 
 # the lanes of test_coincidence_after_translation_raises: sewing Q into the

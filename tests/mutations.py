@@ -26,13 +26,18 @@ every ``dup_key`` (only the category holds objects), edit the embedded
 category instead.
 
 ``outcomes`` runs each file through ``cli_io.run_suite`` with every category
-subcommand, or with the given ones.  Run as a script, it writes the
-outcomes of the two corpora of ``tests/test_mutations.py`` to
-``tests/data/mutation_outcomes.json`` (category files, every category
-subcommand) and ``tests/data/algebra_mutation_outcomes.json`` (algebra
-files, ``verify-ffa``):
+subcommand, or with the given ones.  ``hand_edits`` is a separate block of
+hand-chosen files, one kind per loader mend the generated edits do not
+reach; ``hand_outcomes`` runs them through ``cli_io.main`` and also counts
+the warnings that get through.  Run as a script, it writes the outcomes of
+the corpora of ``tests/test_mutations.py``, one named step each: ``category``
+to ``tests/data/mutation_outcomes.json`` (category files, every category
+subcommand), ``algebra`` to ``tests/data/algebra_mutation_outcomes.json``
+(algebra files, ``verify-ffa``) and ``hand`` to
+``tests/data/hand_mutation_outcomes.json`` (the hand-chosen block, every
+category subcommand); with no step named, all three:
 
-    PYTHONPATH=src python tests/mutations.py
+    PYTHONPATH=src python tests/mutations.py [category] [algebra] [hand]
 
 That recaptures the stored contract; do it only when a change of an exit
 code or a message is meant.
@@ -40,16 +45,19 @@ code or a message is meant.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from mtcalc import diagonal_frobenius as df
 from mtcalc import fusion_data as fd
-from mtcalc.cli_io import run_suite
+from mtcalc.cli_io import main as cli_main, run_suite
 
 CATEGORY_COMMANDS = (
     "verify-category", "rigidity", "fusing-symmetries", "build-ffa", "verify-ffa",
@@ -340,10 +348,74 @@ def algebra_outcomes(workdir: Path) -> list:
     return outcomes(corpus, workdir, ("verify-ffa",))
 
 
-def main():
+# A hand-chosen block, apart from the generated corpora: each file is an
+# input that one of the loader's mends judges, and runs through
+# ``cli_io.main`` as on the command line, so that a numpy warning shows.
+HAND_OUTCOMES = Path(__file__).parent / "data" / "hand_mutation_outcomes.json"
+_MULTIPLICITIES = {"2^19": 2 ** 19, "2^31-1": 2 ** 31 - 1, "10^30": 10 ** 30}
+
+
+def hand_edits() -> dict:
+    """{id: document} of the hand-chosen block: ``labels`` as a string (one
+    label per character, were it read as an array), a fusion multiplicity in
+    int32 but past the ring's bound n^7 m^3 < 2^63 (the unit and
+    associativity checks let it through), one past int64, and an F or R
+    value whose residuals overflow."""
+    bases = base_documents()
+    out = {}
+    for name in ("fibonacci", "ising", "z5"):
+        doc = copy.deepcopy(bases[name])
+        doc["labels"] = "".join(label[-1] for label in doc["labels"])
+        out[f"{name} labels string {json.dumps(doc['labels'])}"] = doc
+    # x x = 1 + m x is associative for every m; with 2 labels the bound is
+    # m < 2^(56/3), about 2^18.7
+    for name, m in (("fibonacci", "2^19"), ("fibonacci", "2^31-1"), ("z2_semion", "2^19"),
+                    ("fibonacci", "10^30")):
+        doc = copy.deepcopy(bases[name])
+        doc["fusion"] = [row for row in doc["fusion"] if row[:3] != [1, 1, 1]]
+        doc["fusion"].append([1, 1, 1, _MULTIPLICITIES[m]])
+        out[f"{name} multiplicity N[1,1]^1={m}"] = doc
+    for name, table, labels in (("fibonacci", "F", [1, 1, 1, 1, 0, 0]),
+                                ("ising", "R", [1, 1, 0])):
+        doc = copy.deepcopy(bases[name])
+        next(e for e in doc[table] if e["labels"] == labels)["value"][0] = 1e300
+        out[f"{name} overflowing {table}{labels}=1e300"] = doc
+    return out
+
+
+def hand_outcomes(workdir: Path) -> list:
+    """[id, subcommand, exit code, first output line, warnings] of each file
+    of the hand-chosen block under each category subcommand, through
+    ``cli_io.main`` with its output streams captured and every warning
+    counted."""
+    out = []
+    path = workdir / "mutated.json"
+    for ident, doc in hand_edits().items():
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for cmd in CATEGORY_COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                status = cli_main([cmd, str(path)])
+            text = stdout.getvalue() + stderr.getvalue()
+            out.append([ident, cmd, status, text.split("\n", 1)[0], len(caught)])
+    return out
+
+
+# the capture steps of ``main``: stored file and the outcomes it holds
+CAPTURES = {
+    "category": (OUTCOMES, category_outcomes),
+    "algebra": (ALGEBRA_OUTCOMES, algebra_outcomes),
+    "hand": (HAND_OUTCOMES, hand_outcomes),
+}
+
+
+def main(steps):
     import tempfile
 
-    for target, capture in ((OUTCOMES, category_outcomes), (ALGEBRA_OUTCOMES, algebra_outcomes)):
+    for step in steps or CAPTURES:
+        target, capture = CAPTURES[step]
         with tempfile.TemporaryDirectory() as tmp:
             rows = capture(Path(tmp))
         lines = ",\n".join(json.dumps(row) for row in rows)
@@ -354,4 +426,6 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    import sys
+
+    main(sys.argv[1:])

@@ -1,8 +1,9 @@
 """The mutation corpora: every edited category file's exit code and first
-output line under every category subcommand, and every edited algebra
-file's under ``verify-ffa``, are a stored contract."""
+output line under every category subcommand, every edited algebra file's
+under ``verify-ffa``, and every hand-chosen file's under every category
+subcommand through ``cli_io.main``, with the warnings it lets through, are a
+stored contract."""
 
-import copy
 import json
 
 import mutations
@@ -16,7 +17,7 @@ from test_cli import _run_module
 
 def _assert_stored(rows, stored):
     # run_suite catching no exception fails the test with its traceback
-    assert {status for _, _, status, _ in rows} <= {EXIT_OK, EXIT_INPUT, EXIT_VERIFY}
+    assert {row[2] for row in rows} <= {EXIT_OK, EXIT_INPUT, EXIT_VERIFY}
     stored = json.loads(stored.read_text(encoding="utf-8"))
     assert rows == stored["outcomes"]
     assert mutations.digest(rows) == stored["sha256"]
@@ -30,17 +31,11 @@ def test_algebra_mutation_corpus_outcomes_match_stored(tmp_path):
     _assert_stored(mutations.algebra_outcomes(tmp_path), mutations.ALGEBRA_OUTCOMES)
 
 
-def _hand_edits() -> dict:
-    """Three edits of Fibonacci's file, each an input the loader once
-    mishandled: ``labels`` as a string (read one label per character), a
-    multiplicity too large for the int64 tree keys (a traceback), and an F
-    value whose residuals overflow (numpy warnings on stderr)."""
-    base = mutations.base_documents()["fibonacci"]
-    labels, huge, overflow = (copy.deepcopy(base) for _ in range(3))
-    labels["labels"] = "1t"
-    next(row for row in huge["fusion"] if row[:3] == [1, 1, 1])[3] = 10 ** 30
-    next(e for e in overflow["F"] if e["labels"] == [1, 1, 1, 1, 0, 0])["value"][0] = 1e300
-    return {"labels string": labels, "huge multiplicity": huge, "overflowing F": overflow}
+def test_hand_mutation_outcomes_match_stored(tmp_path):
+    # the block that judges the loader's mends: no row lets a warning through
+    rows = mutations.hand_outcomes(tmp_path)
+    assert {warnings for *_, warnings in rows} == {0}
+    _assert_stored(rows, mutations.HAND_OUTCOMES)
 
 
 # files run in a child process: the file (its mutation id, "algebra " and
@@ -55,9 +50,11 @@ CHILD_CASES = {
     "algebra-fails": ("algebra fibonacci-31 huge phi[0][1]=10^30", "verify-ffa", EXIT_VERIFY),
     "algebra-input-error": ("algebra fibonacci-03 huge mult[4][1]=-2^63-1", "verify-ffa",
                             EXIT_INPUT),
-    "labels-string": ("labels string", "verify-category", EXIT_INPUT),
-    "huge-multiplicity": ("huge multiplicity", "verify-category", EXIT_INPUT),
-    "overflowing-F": ("overflowing F", "verify-category", EXIT_VERIFY),
+    "labels-string": ('fibonacci labels string "1t"', "verify-category", EXIT_INPUT),
+    "huge-multiplicity": ("fibonacci multiplicity N[1,1]^1=10^30", "verify-category",
+                          EXIT_INPUT),
+    "overflowing-F": ("fibonacci overflowing F[1, 1, 1, 1, 0, 0]=1e300", "verify-category",
+                      EXIT_VERIFY),
 }
 
 
@@ -68,7 +65,7 @@ def child_files():
     corpus = mutations.mutations(mutations.algebra_documents(), mutations.ALGEBRA_PER_BASE,
                                  mutations.ALGEBRA_SEED)
     files.update((f"algebra {ident}", text) for ident, text in corpus)
-    files.update((ident, json.dumps(doc)) for ident, doc in _hand_edits().items())
+    files.update((ident, json.dumps(doc)) for ident, doc in mutations.hand_edits().items())
     return files
 
 

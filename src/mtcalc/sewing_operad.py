@@ -72,10 +72,11 @@ class GaussRat:
 
     @classmethod
     def _make(cls, x, y, d):
-        """(x + iy)/d for d > 0, reduced by one gcd."""
-        g = gcd(x, y, d)
-        if g != 1:
-            x, y, d = x // g, y // g, d // g
+        """(x + iy)/d for d > 0, reduced by one gcd (none for d = 1)."""
+        if d != 1:
+            g = gcd(x, y, d)
+            if g != 1:
+                x, y, d = x // g, y // g, d // g
         out = _new(cls)
         _set_x(out, x)
         _set_y(out, y)
@@ -236,21 +237,24 @@ class PuncturedSphere:
     __slots__ = ("z", "a", "scales", "positions")
 
     def __init__(self, z, a, scales):
-        z, scales = tuple(z), tuple(scales)
+        z = z if z.__class__ is tuple else tuple(z)
+        scales = scales if scales.__class__ is tuple else tuple(scales)
         n = len(scales)
-        if len(z) != max(n - 1, 0):
+        if len(z) != (n - 1 if n else 0):
             raise SewingError("puncture list does not match the arity")
-        zero = _zero_like(a)
+        zero = 0j if a.__class__ is complex else _zero_like(a)
         if n == 0 and a != zero:
             raise SewingError("the arity-0 element has zero infinity parameter")
         pos = z + (zero,) if n else ()
         for p in z:
             if not p:
                 raise SewingError("punctures must be nonzero")
-        for k, p in enumerate(pos):
-            for q in pos[k + 1:]:
+        k = 1  # the last puncture, 0, differs from every p of z: they are nonzero
+        for p in z:
+            for q in z[k:]:
                 if p == q:
                     raise SewingError("punctures must be pairwise distinct")
+            k += 1
         for s in scales:
             if not s:
                 raise SewingError("scalings must be nonzero")
@@ -292,7 +296,7 @@ class PuncturedSphere:
 _new = object.__new__
 _set_x, _set_y, _set_d, _set_z, _set_a, _set_scales, _set_positions = (
     cls.__dict__[k].__set__ for cls in (GaussRat, PuncturedSphere) for k in cls.__slots__)
-_ZERO = GaussRat(0)
+_ZERO, _ONE = GaussRat(0), GaussRat(1)
 
 
 def vacuum_sphere(exact: bool = False) -> PuncturedSphere:
@@ -300,7 +304,7 @@ def vacuum_sphere(exact: bool = False) -> PuncturedSphere:
 
 
 def identity_sphere(exact: bool = False) -> PuncturedSphere:
-    return rescaling_sphere(GaussRat(1) if exact else 1 + 0j)
+    return rescaling_sphere(_ONE if exact else 1 + 0j)
 
 
 def rescaling_sphere(c) -> PuncturedSphere:
@@ -314,31 +318,35 @@ def rescaling_sphere(c) -> PuncturedSphere:
 
 def _sew_bounds(P: PuncturedSphere, i: int, Q: PuncturedSphere):
     """(inner, outer): the chart-radius window for sewing slot i of P."""
-    # running extremes seeded by the first term, as ``max`` and ``min`` do
-    b = Q.a
-    qpos = Q.positions
-    inner = _abs2(qpos[0] - b) if qpos else 0
-    for xi in qpos[1:]:
-        d = _abs2(xi - b)
-        if d > inner:
+    # running extremes seeded by the first term, as ``max`` and ``min`` do;
+    # on complex scalars |x|^2 is written out as ``_abs2`` computes it
+    b, s, ppos = Q.a, P.scales[i - 1], P.positions
+    floats = b.__class__ is complex and s.__class__ is complex
+    inner = None
+    for xi in Q.positions:
+        d = xi - b
+        d = d.real * d.real + d.imag * d.imag if floats else _abs2(d)
+        if inner is None or d > inner:
             inner = d
-    s2 = _abs2(P.scales[i - 1])
-    ppos = P.positions
+    s2 = s.real * s.real + s.imag * s.imag if floats else _abs2(s)
     zi = ppos[i - 1]
     outer = None
     for p in ppos[:i - 1] + ppos[i:]:
-        cand = s2 * _abs2(p - zi)
+        d = p - zi
+        cand = s2 * (d.real * d.real + d.imag * d.imag if floats else _abs2(d))
         if outer is None or outer > cand:
             outer = cand
-    return inner, outer  # squared radii
+    return 0 if inner is None else inner, outer  # squared radii
 
 
 def is_sewable(P: PuncturedSphere, i: int, Q: PuncturedSphere) -> bool:
     """Disk-disjointness test for sewing the i-th slot of P with Q."""
-    if not 1 <= i <= P.arity:
-        raise SewingError(f"slot {i} out of range for arity {P.arity}")
+    n = len(P.scales)
+    if not 1 <= i <= n:
+        raise SewingError(f"slot {i} out of range for arity {n}")
     inner, outer = _sew_bounds(P, i, Q)
-    return outer is None or _window(inner, outer, P.is_exact() and Q.is_exact())
+    return outer is None or _window(
+        inner, outer, isinstance(P.a, GaussRat) and isinstance(Q.a, GaussRat))
 
 
 def _window(inner, outer, exact: bool) -> bool:
@@ -391,7 +399,7 @@ def _canonical_parts(positions: tuple, a, scales: tuple) -> tuple:
     if not scales:
         return (), _zero_like(a), ()
     t = positions[-1]
-    return tuple(p - t for p in positions[:-1]), a - t, scales
+    return tuple([p - t for p in positions[:-1]]), a - t, scales
 
 
 def _sew_parts(ppos, pa, pscales, i, qpos, qa, qscales) -> tuple:
@@ -404,19 +412,19 @@ def _sew_parts(ppos, pa, pscales, i, qpos, qa, qscales) -> tuple:
     """
     s = pscales[i - 1]
     zi = ppos[i - 1]
-    inserted = tuple((xi - qa) / s + zi for xi in qpos)
-    scales = pscales[:i - 1] + tuple(s * t for t in qscales) + pscales[i:]
+    inserted = tuple([(xi - qa) / s + zi for xi in qpos])
+    scales = pscales[:i - 1] + tuple([s * t for t in qscales]) + pscales[i:]
     return _canonical_parts(ppos[:i - 1] + inserted + ppos[i:], pa, scales)
 
 
 def _gather(parts: tuple, inv) -> tuple:
     """(parts[inv[0]], parts[inv[1]], ...); for columns of slot numbers,
     lane l of the result's slot j is lane l of part inv[j][l]."""
-    if inv and not isinstance(inv[0], int):
-        stack = np.array(parts)
-        lanes = np.arange(stack.shape[1])
-        return tuple(stack[k, lanes] for k in inv)
-    return tuple(parts[k] for k in inv)
+    if not inv or isinstance(inv[0], int):
+        return tuple([parts[k] for k in inv])
+    stack = np.array(parts)
+    lanes = np.arange(stack.shape[1])
+    return tuple(stack[k, lanes] for k in inv)
 
 
 def _permute_parts(positions, a, scales, inv) -> tuple:
@@ -447,7 +455,7 @@ def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     Coincident punctures in the result raise SewingError.  ``check=False``
     skips the sewability test, for a triple already known to pass it.
     """
-    if not 1 <= i <= P.arity:
+    if not 1 <= i <= len(P.scales):
         raise SewingError(f"slot {i} out of range for arity {P.arity}")
     if check and not is_sewable(P, i, Q):
         raise SewingError(f"slot {i} of the outer element cannot be sewn")
@@ -519,7 +527,7 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     if check and not is_sewable(P, i, Q):
         raise SewingError(f"slot {i} of the outer element cannot be sewn")
     exact = P.is_exact()
-    one = GaussRat(1) if exact else 1 + 0j
+    one = _ONE if exact else 1 + 0j
     zero = _zero_like(one)
 
     ppos = P.positions
@@ -578,7 +586,7 @@ def permute(P: PuncturedSphere, sigma) -> PuncturedSphere:
     ``sigma`` is a tuple with sigma[j-1] = image of slot j, 1-based.  Moving
     the last slot re-normalizes through the canonical translation.
     """
-    n = P.arity
+    n = len(P.scales)
     if sorted(sigma) != list(range(1, n + 1)):
         raise SewingError("not a permutation of the puncture slots")
     inv = [0] * n
@@ -643,7 +651,7 @@ def random_sphere(rng, arity: int, exact: bool = False) -> PuncturedSphere:
             nums = [complex(0.0 + SPREAD * x, 0.0 + SPREAD * y)
                     for x, y in zip(v[0::2], v[1::2])]
             a = complex(0.0 + v[n - 2], 0.0 + v[n - 1])
-            scales = tuple(c + 0.3 for c in nums[arity:])
+            scales = tuple([c + 0.3 for c in nums[arity:]])
         try:
             return PuncturedSphere(nums[:arity - 1], a, scales)
         except SewingError:
@@ -654,7 +662,7 @@ def _sample_sewable(rng, exact):
     for _ in range(MAX_TRIES):
         P = random_sphere(rng, int(rng.integers(1, 4)), exact)
         Q = random_sphere(rng, int(rng.integers(0, 4)), exact)
-        i = int(rng.integers(1, P.arity + 1))
+        i = int(rng.integers(1, len(P.scales) + 1))
         if is_sewable(P, i, Q):
             return P, i, Q
     raise SewingError("failed to sample a sewable pair")
@@ -690,10 +698,10 @@ def _associativity(rng, exact):
     composition orders exist: ((i, j), lhs, rhs), or None."""
     for _ in range(MAX_TRIES):
         Pa, ia, Qa = _sample_sewable(rng, exact)
-        if Qa.arity == 0:
+        if not Qa.scales:
             continue
         Ra = random_sphere(rng, int(rng.integers(0, 3)), exact)
-        j = ia + int(rng.integers(0, Qa.arity))
+        j = ia + int(rng.integers(0, len(Qa.scales)))
         k = j - ia + 1
         try:  # _sample_sewable has tested (Pa, ia, Qa)
             lhs = sew(sew(Pa, ia, Qa, check=False), j, Ra)
@@ -708,12 +716,12 @@ def _equivariance(rng, exact):
     """Sewing before and after relabeling the outer element: (lhs, rhs), or None."""
     for _ in range(MAX_TRIES):
         Pe, ie, Qe = _sample_sewable(rng, exact)
-        sigma = tuple(int(v) + 1 for v in rng.permutation(Pe.arity))
+        sigma = tuple([v + 1 for v in rng.permutation(len(Pe.scales)).tolist()])
         try:
             lhs = sew(permute(Pe, sigma), ie, Qe)
             rhs = permute(
                 sew(Pe, sigma.index(ie) + 1, Qe),
-                insertion_permutation(sigma, ie, Qe.arity),
+                insertion_permutation(sigma, ie, len(Qe.scales)),
             )
         except SewingError:
             continue

@@ -367,10 +367,10 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
     """
     t0 = time.perf_counter()
     report = Report(suite="verify-category", tol=tol)
-    keys, res = zip(*pentagon_residuals(data))
-    report.add_many("pentagon", zip(*keys), res)
-    keys, res = zip(*hexagon_residuals(data))
-    report.add_many("hexagon", zip(*keys), res)
+    keys, pentagon = zip(*pentagon_residuals(data))
+    report.add_many("pentagon", zip(*keys), pentagon)
+    keys, hexagon = zip(*hexagon_residuals(data))
+    report.add_many("hexagon", zip(*keys), hexagon)
     # block checks, stacked by shape, reported per (a, b, c): the F-blocks
     # over the totals d, then the R-block of the channel c of (a, b); every
     # block is square, as the ring is associative and the tables complete
@@ -381,17 +381,15 @@ def verify_coherence(data: CategoryData, tol: float = DEFAULT_TOL) -> Report:
         f_res[members, 0] = np.where(singular, 1.0, res)  # singular: 1.0
     f_res[:, 1] = F.per_block(unitarity)
     r_unitary = R.per_block(unitarity)
-    # R-block (a, b, c) comes after the F-blocks whose (a, b, c) is not larger
-    abc = F.dims[:3]
-    f_abc = np.ravel_multi_index(F.labels[:3], abc)
-    ends = np.searchsorted(f_abc, np.ravel_multi_index(R.labels, abc), "right")
-    f_ids, lo = ("f_invertible", "f_unitary"), 0
-    for r, hi in enumerate(ends.tolist()):
-        report.add_many(f_ids, [lab[lo:hi] for lab in F.labels], f_res[lo:hi])
-        r_key = [lab[r:r + 1] for lab in R.labels]
-        report.add_many("r_unitary", r_key, r_unitary[r:r + 1])
-        lo = hi
-    report.add_many(f_ids, [lab[lo:] for lab in F.labels], f_res[lo:])
+    # R-block (a, b, c) comes after the F-blocks whose (a, b, c) is not
+    # larger, the rows of both after the pentagons' and hexagons'
+    abc, start = F.dims[:3], len(pentagon) + len(hexagon)
+    ends = np.searchsorted(np.ravel_multi_index(F.labels[:3], abc),
+                           np.ravel_multi_index(R.labels, abc), "right")
+    f_rows = np.arange(len(F.blocks))
+    report.add_many(("f_invertible", "f_unitary"), F.labels, f_res,
+                    start + f_rows + np.searchsorted(ends, f_rows, "right"))
+    report.add_many("r_unitary", R.labels, r_unitary, start + ends + np.arange(len(ends)))
     labels = range(data.size)
     duals = [data.dual(a) for a in labels]
     twist, qdim = data.twist, data.qdim

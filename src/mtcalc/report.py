@@ -4,10 +4,10 @@ A report keeps its records in one store, by layout: the pair (check ids,
 instance length).  Each layout holds the numbers of its rows in the report,
 their residuals row by row (one per id) and its instance columns as Python
 scalars.  ``Report.add`` appends one row of one id to its layout, and
-``Report.add_many`` n rows of m ids at once.  Each format has one writer,
-which fills one template per layout and puts the rows in place by their
-numbers.  ``Report.records`` derives the ``CheckRecord`` list from the
-layouts when it is read.
+``Report.add_many`` n rows of m ids at once, appended or placed at given row
+numbers.  Each format has one writer, which fills one template per layout
+and puts the rows in place by their numbers.  ``Report.records`` derives the
+``CheckRecord`` list from the layouts when it is read.
 """
 
 from __future__ import annotations
@@ -65,13 +65,14 @@ class Report:
         for col, x in zip(cols, instance):
             col.append(x)
 
-    def add_many(self, check_ids, instances, residuals) -> None:
+    def add_many(self, check_ids, instances, residuals, rows=None) -> None:
         """Add n rows of records of the m ids ``check_ids`` (one id may be
         given as a str): row i of id j has as instance row i of each column
         of ``instances``, and the residual ``residuals[i, j]``
         (``residuals`` may be 1-d when m is 1).  A column is an array, whose
         elements become Python scalars, or a sequence of instance elements.
-        The records run row by row, and across the ids within a row."""
+        The records run row by row, and across the ids within a row; their
+        row numbers in the report are ``rows``, increasing, or the next n."""
         ids = (check_ids,) if isinstance(check_ids, str) else tuple(check_ids)
         res = np.array(residuals, dtype=float)
         if res.ndim == 1:
@@ -84,8 +85,11 @@ class Report:
                 for col in instances]
         if any(len(col) != len(res) for col in cols):
             raise ValueError("every instance column needs one element per row")
-        rows, store, layout_cols = self._layout(ids, len(cols))
-        rows.frombytes(np.arange(self._rows, self._rows + len(res)).tobytes())
+        rows = np.arange(self._rows, self._rows + len(res)) if rows is None else np.asarray(rows)
+        if rows.shape != (len(res),) or rows.dtype.kind not in "iu":
+            raise ValueError("rows need one integer row number per row")
+        layout_rows, store, layout_cols = self._layout(ids, len(cols))
+        layout_rows.frombytes(rows.astype(np.int64).tobytes())
         self._rows += len(res)
         store.frombytes(res.tobytes())
         for col, values in zip(layout_cols, cols):
@@ -98,20 +102,16 @@ class Report:
             raise ValueError(
                 f"cannot extend a report of tol {self.tol!r} by one of tol {other.tol!r}"
             )
-        for (ids, width), (rows, res, cols) in other._layouts.items():
-            own_rows, own_res, own_cols = self._layout(ids, width)
-            own_rows.frombytes((np.array(rows) + self._rows).tobytes())
-            own_res += res
-            for col, values in zip(own_cols, cols):
-                col += values
-        self._rows += other._rows
+        start = self._rows
+        for (ids, _), (rows, res, cols) in other._layouts.items():
+            self.add_many(ids, cols, np.array(res).reshape(-1, len(ids)), np.array(rows) + start)
         self.wall_time += other.wall_time
 
     @property
     def records(self) -> list[CheckRecord]:
         """Every record, in order, built from the layouts on each read."""
         placed = [None] * self._rows
-        for (ids, _), (rows, res, cols) in self._layouts.items():
+        for ((ids, _), (_, res, cols)), rows in zip(self._layouts.items(), _row_numbers(self)):
             values = np.array(res).reshape(-1, len(ids)).tolist()
             for row, inst, row_res in zip(rows, list(zip(*cols)) or [()] * len(rows), values):
                 placed[row] = [CheckRecord(check_id, inst, r, r < self.tol)
@@ -133,6 +133,17 @@ class Report:
     def passed(self) -> bool:
         return all((np.array(res) < self.tol).all()
                    for _, res, _ in self._layouts.values())
+
+
+def _row_numbers(report: Report) -> list:
+    """Each layout's row numbers, as an array; ValueError unless they increase
+    in each layout and number the report's rows 0, 1, ... once each."""
+    rows = [np.array(rows) for rows, _, _ in report._layouts.values()]
+    if rows and ((np.bincount(np.concatenate(rows)) != 1).any()
+                 or any((np.diff(r) <= 0).any() for r in rows)):
+        raise ValueError("row numbers must increase in each layout and number "
+                         "the rows 0, 1, ... once each")
+    return rows
 
 
 def _first_worst(candidates):
@@ -177,9 +188,9 @@ def _written(report: Report, write_block) -> list:
     id, and the report's tolerance; each is put in place by its row
     number."""
     out = np.empty(report._rows, object)
-    for (ids, _), (rows, res, cols) in report._layouts.items():
+    for ((ids, _), (_, res, cols)), rows in zip(report._layouts.items(), _row_numbers(report)):
         res = np.array(res).reshape(-1, len(ids))
-        out[np.array(rows)] = write_block(ids, cols, res, report.tol)
+        out[rows] = write_block(ids, cols, res, report.tol)
     return out.tolist()
 
 
@@ -253,7 +264,7 @@ def _digest(report: Report) -> dict:
     layouts run in the order of their first rows, so the ids come in the
     order of their first records."""
     by_id = {}  # check id -> [count, (worst residual, its place, its instance), all pass]
-    for (ids, _), (rows, res, cols) in report._layouts.items():
+    for (ids, _), (rows, res, cols) in sorted(report._layouts.items(), key=lambda kv: kv[1][0][0]):
         res = np.array(res).reshape(-1, len(ids))
         for check_id in dict.fromkeys(ids):
             at = [j for j, other in enumerate(ids) if other == check_id]

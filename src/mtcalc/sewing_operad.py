@@ -15,6 +15,7 @@ radii (`_Abs2`) are compared by cross-multiplying integers.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, sqrt
 from typing import NamedTuple
@@ -467,33 +468,33 @@ def sew(P: PuncturedSphere, i: int, Q: PuncturedSphere,
 # the geometric oracle
 
 
-class _Moebius:
-    """w -> (p*w + q) / (r*w + s), generic over the scalar type."""
+def _compose(m, o):
+    """The chart m after o; a chart w -> (p*w + q) / (r*w + s) is the tuple
+    (p, q, r, s) of scalars of one type."""
+    (p, q, r, s), (op, oq, orr, os) = m, o
+    if p.__class__ is GaussRat:
+        return (_dot(p, op, q, orr), _dot(p, oq, q, os),
+                _dot(r, op, s, orr), _dot(r, oq, s, os))
+    return p * op + q * orr, p * oq + q * os, r * op + s * orr, r * oq + s * os
 
-    __slots__ = ("p", "q", "r", "s")
 
-    def __init__(self, p, q, r, s):
-        self.p, self.q, self.r, self.s = p, q, r, s
+def _inverse(m):
+    p, q, r, s = m
+    return s, -1 * q, -1 * r, p
 
-    def __matmul__(self, o: "_Moebius") -> "_Moebius":
-        if self.p.__class__ is GaussRat:
-            return _Moebius(_dot(self.p, o.p, self.q, o.r), _dot(self.p, o.q, self.q, o.s),
-                            _dot(self.r, o.p, self.s, o.r), _dot(self.r, o.q, self.s, o.s))
-        return _Moebius(self.p * o.p + self.q * o.r, self.p * o.q + self.q * o.s,
-                        self.r * o.p + self.s * o.r, self.r * o.q + self.s * o.s)
 
-    def inverse(self) -> "_Moebius":
-        return _Moebius(self.s, -1 * self.q, -1 * self.r, self.p)
+def _apply(m, x):
+    p, q, r, s = m
+    den = r * x + s
+    if not den:
+        raise SewingError("Moebius map sends a puncture to infinity")
+    return (p * x + q) / den
 
-    def apply(self, x):
-        den = self.r * x + self.s
-        if not den:
-            raise SewingError("Moebius map sends a puncture to infinity")
-        return (self.p * x + self.q) / den
 
-    def derivative(self, x):
-        den = self.r * x + self.s
-        return (self.p * self.s - self.q * self.r) / (den * den)
+def _derivative(m, x):
+    p, q, r, s = m
+    den = r * x + s
+    return (p * s - q * r) / (den * den)
 
 
 def _dot(a, b, c, e):
@@ -506,12 +507,12 @@ def _dot(a, b, c, e):
 
 def _affine(c, p):
     """The local chart x -> c*(x - p)."""
-    return _Moebius(c, -1 * c * p, _zero_like(c), c / c)
+    return c, -1 * c * p, _zero_like(c), c / c
 
 
 def _chart_infinity(a):
     one = a / a if a else _zero_like(a) + 1
-    return _Moebius(_zero_like(a), -1 * one, one, -1 * a)
+    return _zero_like(a), -1 * one, one, -1 * a
 
 
 def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
@@ -530,25 +531,15 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     one = _ONE if exact else 1 + 0j
     zero = _zero_like(one)
 
-    ppos = P.positions
-    phi_i = _affine(P.scales[i - 1], ppos[i - 1])
+    # (position, chart) of each puncture on the glued sphere, P coordinates
+    punctures = [(p, _affine(s, p)) for p, s in zip(P.positions, P.scales)]
     psi_0 = _chart_infinity(Q.a)
-    jmap = _Moebius(zero, -1 * one, one, zero)  # w -> -1/w
-    glue = psi_0.inverse() @ jmap @ phi_i       # P-side x to Q-side y
-    glue_inv = glue.inverse()
-
-    punctures = []  # (position, chart) on the glued sphere, P coordinates
-    for j, p in enumerate(ppos):
-        if j != i - 1:
-            punctures.append((p, _affine(P.scales[j], p)))
-    qpos = Q.positions
-    inserted = []
-    for k, xi in enumerate(qpos):
-        chart = _affine(Q.scales[k], xi) @ glue
-        inserted.append((glue_inv.apply(xi), chart))
-    head = punctures[: i - 1]
-    tail = punctures[i - 1:]
-    ordered = head + inserted + tail
+    jmap = (zero, -1 * one, one, zero)  # w -> -1/w
+    glue = _compose(_compose(_inverse(psi_0), jmap), punctures[i - 1][1])  # P-side x to Q-side y
+    glue_inv = _inverse(glue)
+    inserted = [(_apply(glue_inv, xi), _compose(_affine(t, xi), glue))
+                for xi, t in zip(Q.positions, Q.scales)]
+    ordered = punctures[:i - 1] + inserted + punctures[i:]
     inf_chart = _chart_infinity(P.a)
 
     if not ordered:
@@ -557,22 +548,18 @@ def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere,
     # canonical normalization x = N(x'): translate the last puncture to 0,
     # then solve the leading coefficient of the infinity chart
     t = ordered[-1][0]
-    translate = _Moebius(one, t, zero, one)
-    shifted = inf_chart @ translate
-    if shifted.p != zero and abs(shifted.p) > 1e-12 * abs(shifted.r):
+    translate = (one, t, zero, one)
+    sp, sq, sr, _ = _compose(inf_chart, translate)
+    if sp != zero and abs(sp) > 1e-12 * abs(sr):
         raise SewingError("degenerate normalization: infinity chart moved")
-    alpha = -1 * shifted.q / shifted.r
-    norm = translate @ _Moebius(alpha, zero, zero, one)
-    norm_inv = norm.inverse()
+    alpha = -1 * sq / sr
+    norm = _compose(translate, (alpha, zero, zero, one))
+    norm_inv = _inverse(norm)
 
-    final_inf = inf_chart @ norm
-    a_new = -1 * final_inf.s / final_inf.r
-    positions, scales = [], []
-    for p, chart in ordered:
-        moved = chart @ norm
-        pos = norm_inv.apply(p)
-        positions.append(pos)
-        scales.append(moved.derivative(pos))
+    _, _, fr, fs = _compose(inf_chart, norm)
+    a_new = -1 * fs / fr
+    positions = [_apply(norm_inv, p) for p, _ in ordered]
+    scales = [_derivative(_compose(m, norm), x) for (_, m), x in zip(ordered, positions)]
     return PuncturedSphere(positions[:-1], a_new, scales)
 
 
@@ -716,7 +703,8 @@ def _equivariance(rng, exact):
     """Sewing before and after relabeling the outer element: (lhs, rhs), or None."""
     for _ in range(MAX_TRIES):
         Pe, ie, Qe = _sample_sewable(rng, exact)
-        sigma = tuple([v + 1 for v in rng.permutation(len(Pe.scales)).tolist()])
+        sigma = list(range(1, len(Pe.scales) + 1))
+        rng.shuffle(sigma)  # the draws of rng.permutation
         try:
             lhs = sew(permute(Pe, sigma), ie, Qe)
             rhs = permute(
@@ -747,7 +735,9 @@ def _draw(trials: int, seed: int, exact: bool) -> _Draws:
             draws.assoc.append(_associativity(rng, exact))
             step = _EQUIV
             draws.equiv.append(_equivariance(rng, exact))
-            draws.perms.append((rng.permutation(P.arity), rng.permutation(P.arity)))
+            draws.perms.append((list(range(len(P.scales))), list(range(len(P.scales)))))
+            for perm in draws.perms[-1]:
+                rng.shuffle(perm)  # the draws of rng.permutation
         except Exception as exc:  # raised after stage 2's earlier errors
             return draws._replace(failure=(tr, step, exc))
     return draws
@@ -917,9 +907,9 @@ def _residuals(draws: _Draws, exact: bool) -> dict:
         first()
         raise AssertionError("a flagged lane passed the scalar route")
 
-    out = {}
+    out = defaultdict(lambda: np.full(len(main), np.inf))  # inf: no instance
     for name, ts, x, y in pairs:
-        out.setdefault(name, np.empty(len(main)))[ts] = _distance(x, y, exact)
+        out[name][ts] = _distance(x, y, exact)
     return out
 
 
@@ -935,24 +925,25 @@ def verify_operad_axioms(trials: int = 100, seed: int = 42,
     t0 = time.perf_counter()
     report = Report(suite="operad-check", tol=tol)
     draws = _draw(trials, seed, exact)
-    res = {name: r.tolist() for name, r in _residuals(draws, exact).items()}
-    slots = [(i, Q.arity) for _, i, Q in draws.main]
-    assoc = [f and f[0] for f in draws.assoc]
-    found = [f is not None for f in draws.equiv]
+    res = _residuals(draws, exact)
+    tr = np.arange(len(draws.main))
+    slot = np.array([i for _, i, _ in draws.main], int)
+    vacuum = np.array([not Q.scales for _, _, Q in draws.main], bool)
+    found = np.array([f is not None for f in draws.assoc], bool)
+    nested = np.array([f[0] if f else (0, 0) for f in draws.assoc], int).reshape(-1, 2).T
     del draws  # only the residuals and instances are written
-    for tr, (i, n) in enumerate(slots):
-        report.add("identity_left", (tr,), res["identity_left"][tr])
-        report.add("identity_right", (tr,), res["identity_right"][tr])
-        report.add("formula_vs_oracle", (tr, i), res["formula_vs_oracle"][tr])
-        if n == 0:
-            report.add("vacuum_removal", (tr, i), res["vacuum_removal"][tr])
-        if assoc[tr]:
-            report.add("associativity", (tr, *assoc[tr]), res["associativity"][tr])
-        else:
-            report.add("associativity", (tr,), float("inf"))
-        report.add("equivariance", (tr,),
-                   res["equivariance"][tr] if found[tr] else float("inf"))
-        report.add("permutation_action", (tr,), res["permutation_action"][tr])
-        report.add("rescaling_group", (tr,), res["rescaling_group"][tr])
+
+    def add(ids, cols, rows, lanes=slice(None)):
+        report.add_many(ids, [col[lanes] for col in cols],
+                        np.stack([res[k][lanes] for k in ids], 1), rows[lanes])
+
+    # a trial's records take 4 rows, 5 with vacuum_removal; a row's ids share its instance
+    first = np.cumsum(4 + vacuum) - 4 - vacuum
+    add(("identity_left", "identity_right"), (tr,), first)
+    add(("formula_vs_oracle",), (tr, slot), first + 1)
+    add(("vacuum_removal",), (tr, slot), first + 2, vacuum)
+    add(("associativity",), (tr, *nested), first + vacuum + 2, found)
+    add(("associativity",), (tr,), first + vacuum + 2, ~found)
+    add(("equivariance", "permutation_action", "rescaling_group"), (tr,), first + vacuum + 3)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -1,7 +1,9 @@
 """The operad suite trial by trial, the oracle of the two-stage
 ``sewing_operad.verify_operad_axioms``; ``distance``, the residual of two
-elements, which judges single sews in the tests; and ``moebius_product``,
-the oracle of the geometric oracle's chart compositions.
+elements, which judges single sews in the tests; ``moebius_product``, the
+oracle of the geometric oracle's chart compositions; and
+``geometric_sew_oracle`` on ``_Moebius`` objects, the reference of the
+package's oracle on chart tuples.
 
 ``verify_operad_axioms`` runs every check of a trial on single elements,
 through ``sew``, ``permute`` and ``rescaling_sphere``, in the order the
@@ -37,11 +39,100 @@ def distance(x: PuncturedSphere, y: PuncturedSphere) -> float:
 
 
 def moebius_product(m, o):
-    """The full 2x2 product of two ``_Moebius`` maps, every term kept: the
-    oracle of ``_Moebius.__matmul__``, which leaves out the exact products
-    that have a zero factor."""
-    return so._Moebius(m.p * o.p + m.q * o.r, m.p * o.q + m.q * o.s,
-                       m.r * o.p + m.s * o.r, m.r * o.q + m.s * o.s)
+    """The full 2x2 product of two charts (p, q, r, s), every term kept: the
+    oracle of ``sewing_operad._compose``, which leaves out the exact
+    products that have a zero factor."""
+    (p, q, r, s), (op, oq, orr, os) = m, o
+    return p * op + q * orr, p * oq + q * os, r * op + s * orr, r * oq + s * os
+
+
+class _Moebius:
+    """w -> (p*w + q) / (r*w + s), generic over the scalar type."""
+
+    __slots__ = ("p", "q", "r", "s")
+
+    def __init__(self, p, q, r, s):
+        self.p, self.q, self.r, self.s = p, q, r, s
+
+    def __matmul__(self, o: "_Moebius") -> "_Moebius":
+        if self.p.__class__ is so.GaussRat:
+            return _Moebius(so._dot(self.p, o.p, self.q, o.r), so._dot(self.p, o.q, self.q, o.s),
+                            so._dot(self.r, o.p, self.s, o.r), so._dot(self.r, o.q, self.s, o.s))
+        return _Moebius(self.p * o.p + self.q * o.r, self.p * o.q + self.q * o.s,
+                        self.r * o.p + self.s * o.r, self.r * o.q + self.s * o.s)
+
+    def inverse(self) -> "_Moebius":
+        return _Moebius(self.s, -1 * self.q, -1 * self.r, self.p)
+
+    def apply(self, x):
+        den = self.r * x + self.s
+        if not den:
+            raise SewingError("Moebius map sends a puncture to infinity")
+        return (self.p * x + self.q) / den
+
+    def derivative(self, x):
+        den = self.r * x + self.s
+        return (self.p * self.s - self.q * self.r) / (den * den)
+
+
+def _affine(c, p):
+    """The local chart x -> c*(x - p)."""
+    return _Moebius(c, -1 * c * p, so._zero_like(c), c / c)
+
+
+def _chart_infinity(a):
+    one = a / a if a else so._zero_like(a) + 1
+    return _Moebius(so._zero_like(a), -1 * one, one, -1 * a)
+
+
+def geometric_sew_oracle(P: PuncturedSphere, i: int, Q: PuncturedSphere) -> PuncturedSphere:
+    """``sewing_operad.geometric_sew_oracle`` with each chart a ``_Moebius``
+    object, for a sewable (P, i, Q): every operation in the same order."""
+    exact = P.is_exact()
+    one = so._ONE if exact else 1 + 0j
+    zero = so._zero_like(one)
+
+    ppos = P.positions
+    phi_i = _affine(P.scales[i - 1], ppos[i - 1])
+    psi_0 = _chart_infinity(Q.a)
+    jmap = _Moebius(zero, -1 * one, one, zero)  # w -> -1/w
+    glue = psi_0.inverse() @ jmap @ phi_i       # P-side x to Q-side y
+    glue_inv = glue.inverse()
+
+    punctures = []  # (position, chart) on the glued sphere, P coordinates
+    for j, p in enumerate(ppos):
+        if j != i - 1:
+            punctures.append((p, _affine(P.scales[j], p)))
+    inserted = []
+    for k, xi in enumerate(Q.positions):
+        chart = _affine(Q.scales[k], xi) @ glue
+        inserted.append((glue_inv.apply(xi), chart))
+    ordered = punctures[: i - 1] + inserted + punctures[i - 1:]
+    inf_chart = _chart_infinity(P.a)
+
+    if not ordered:
+        return so.vacuum_sphere(exact)
+
+    # canonical normalization x = N(x'): translate the last puncture to 0,
+    # then solve the leading coefficient of the infinity chart
+    t = ordered[-1][0]
+    translate = _Moebius(one, t, zero, one)
+    shifted = inf_chart @ translate
+    if shifted.p != zero and abs(shifted.p) > 1e-12 * abs(shifted.r):
+        raise SewingError("degenerate normalization: infinity chart moved")
+    alpha = -1 * shifted.q / shifted.r
+    norm = translate @ _Moebius(alpha, zero, zero, one)
+    norm_inv = norm.inverse()
+
+    final_inf = inf_chart @ norm
+    a_new = -1 * final_inf.s / final_inf.r
+    positions, scales = [], []
+    for p, chart in ordered:
+        moved = chart @ norm
+        pos = norm_inv.apply(p)
+        positions.append(pos)
+        scales.append(moved.derivative(pos))
+    return PuncturedSphere(positions[:-1], a_new, scales)
 
 
 def verify_operad_axioms(trials: int = 100, seed: int = 42,

@@ -393,7 +393,69 @@ def test_block_shape_is_checked():
         rep.add_many(("a", "b"), (), np.zeros(3))
     with pytest.raises(ValueError):
         rep.add_many("a", ([1, 2],), np.zeros(3))
+    with pytest.raises(ValueError):
+        rep.add_many("a", (), np.zeros(3), rows=[0, 1])
+    with pytest.raises(ValueError):
+        rep.add_many("a", (), np.zeros(1), rows=[0.5])
     assert rep.records == []
+
+
+def _placed_and_single(rng) -> tuple:
+    """Random rows of one or more ids sharing an instance, as two reports:
+    one block per layout placed by row number, the layouts added in the
+    reverse order of their first rows; and every record added alone."""
+    tol = (1e-9, 1.0, 0.5, math.inf)[rng.integers(4)]
+    placed, single = Report(suite="placed", tol=tol), Report(suite="placed", tol=tol)
+    layouts = list(dict.fromkeys(
+        (tuple(_IDS[i] for i in rng.integers(len(_IDS), size=rng.integers(1, 4))),
+         int(rng.integers(4)))
+        for _ in range(rng.integers(1, 6))))
+    blocks = {}  # layout -> its (row number, instance, residuals)
+    for row, k in enumerate(rng.integers(len(layouts), size=rng.integers(1, 40)).tolist()):
+        ids, width = layouts[k]
+        inst = tuple(_random_column(rng, 1)[0] for _ in range(width))
+        inst = tuple(x.item() if isinstance(x, np.generic) else x for x in inst)
+        res = _random_residuals(rng, len(ids))
+        for check_id, r in zip(ids, res):
+            single.add(check_id, inst, r)
+        blocks.setdefault(layouts[k], []).append((row, inst, res))
+    for (ids, width), block in sorted(blocks.items(), key=lambda b: -b[1][0][0]):
+        rows, insts, res = zip(*block)
+        placed.add_many(ids, list(zip(*insts)), np.array(res), rows=rows)
+    return placed, single
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_placed_rows_match_records_added_alone(seed):
+    placed, single = _placed_and_single(np.random.default_rng(seed))
+    for fmt in ("json", "text"):
+        assert emit_report(placed, fmt) == emit_report(single, fmt)
+    _check_both_formats(placed)
+    assert repr(placed.records) == repr(single.records)
+    assert placed.passed is single.passed
+    assert repr(placed.max_residual) == repr(single.max_residual)
+
+
+@pytest.mark.parametrize("blocks", [
+    [("a", [0, 0])],
+    [("a", [0]), ("b", [0])],
+    [(None, None), ("a", [0])],  # the added record took row 0
+    [("a", [0, 2])],
+    [("a", [1]), ("b", [2])],
+    [("a", [1]), ("a", [0])],  # a layout's rows must increase
+], ids=["twice", "two-layouts", "after-add", "gap", "gap-at-start", "decreasing"])
+def test_placed_rows_that_repeat_or_leave_a_gap_raise(blocks):
+    rep = Report(suite="placed", tol=1.0)
+    for check_id, rows in blocks:
+        if rows is None:
+            rep.add("x", (), 0.0)
+        else:
+            rep.add_many(check_id, (), np.zeros(len(rows)), rows=rows)
+    for fmt in ("json", "text"):
+        with pytest.raises(ValueError, match="row numbers"):
+            emit_report(rep, fmt)
+    with pytest.raises(ValueError, match="row numbers"):
+        rep.records
 
 
 def test_numpy_element_in_a_column_list_raises_like_oracle():
@@ -429,7 +491,7 @@ def test_extend_adds_wall_time_and_keeps_one_tolerance():
 @pytest.mark.parametrize("suite", [
     lambda make: fd.verify_coherence(make(7)),
     lambda make: gc.verify_fusing_symmetries(make(7)),
-    lambda make: so.verify_operad_axioms(trials=50, seed=3),  # single records only
+    lambda make: so.verify_operad_axioms(trials=50, seed=3),  # placed rows
 ], ids=["verify-category", "fusing-symmetries", "operad-check"])
 def test_suites_build_no_records_unless_read(pointed_category, monkeypatch, suite):
     """On Z_7, and on a small sewing run, the suite, both writers and the

@@ -192,7 +192,7 @@ def test_oracle_matches_full_moebius_products(monkeypatch, exact):
     rng = np.random.default_rng(47)
     triples = [so._sample_sewable(rng, exact) for _ in range(60)]
     got = [geometric_sew_oracle(P, i, Q, check=False) for P, i, Q in triples]
-    monkeypatch.setattr(so._Moebius, "__matmul__", operad_oracle.moebius_product)
+    monkeypatch.setattr(so, "_compose", operad_oracle.moebius_product)
     want = [geometric_sew_oracle(P, i, Q, check=False) for P, i, Q in triples]
     assert [_exact_parts(x) for x in got] == [_exact_parts(x) for x in want]
     assert got == want
@@ -209,14 +209,25 @@ def test_exact_moebius_product_matches_the_full_product():
 
     zeros = 0
     for _ in range(500):
-        m, o = (so._Moebius(entry(), entry(), entry(), entry()) for _ in range(2))
-        got, want = m @ o, operad_oracle.moebius_product(m, o)
-        for k in "pqrs":
-            assert getattr(got, k).__class__ is GaussRat
-            assert (getattr(got, k).re, getattr(got, k).im) == (getattr(want, k).re,
-                                                                getattr(want, k).im)
-        zeros += not got.p
+        m, o = ((entry(), entry(), entry(), entry()) for _ in range(2))
+        got, want = so._compose(m, o), operad_oracle.moebius_product(m, o)
+        for k in range(4):
+            assert got[k].__class__ is GaussRat
+            assert (got[k].re, got[k].im) == (want[k].re, want[k].im)
+        zeros += not got[0]
     assert zeros > 50
+
+
+@pytest.mark.parametrize("trials, seed, exact", [(1000, 12345, False), (150, 777, True)],
+                         ids=["float", "exact"])
+def test_oracle_on_chart_tuples_matches_the_moebius_objects(trials, seed, exact):
+    # the charts as tuples run every operation of the object route in the
+    # same order: each element of a run's draws is the same, bit for bit
+    for P, i, Q in so._draw(trials, seed, exact).main:
+        got = geometric_sew_oracle(P, i, Q, check=False)
+        want = operad_oracle.geometric_sew_oracle(P, i, Q)
+        assert (got.z, got.a, got.scales) == (want.z, want.a, want.scales)
+        assert repr(got) == repr(want)
 
 
 def test_unsewable_raises():
@@ -877,6 +888,19 @@ def test_stage_one_call_graph(monkeypatch, trials, seed, exact):
         monkeypatch.setattr(so, name, counted(name, getattr(so, name)))
     so._draw(trials, seed, exact)
     assert calls == _STAGE_ONE_CALLS[trials, seed, exact]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_list_shuffle_draws_the_permutation_stream(n):
+    # stage 1 shuffles lists where the trial-by-trial suite calls
+    # rng.permutation: the same permutation, and the generator left in the
+    # same state
+    for seed in range(200):
+        shuffled, permuted = np.random.default_rng(seed), np.random.default_rng(seed)
+        perm = list(range(n))
+        shuffled.shuffle(perm)
+        assert perm == permuted.permutation(n).tolist()
+        assert shuffled.bit_generator.state == permuted.bit_generator.state
 
 
 # the lanes of test_coincidence_after_translation_raises: sewing Q into the
